@@ -22,7 +22,7 @@ dk = difference_algebra(field)
 tower = OperatorTower(DStructure.identity(A, dk), B, dk,
                       [[B.basis_el(0)], [B.basis_el(1)]])
 c = PresentedBAlgebra(tower, ("t",))
-res = descend_d_structure(c, {"t": (parse_polynomial("t^2", field),)})
+res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", field),)}))
 ring = res.descended
 print("descended images:     t(1) ->", ring.render(res.structure.images["t(1)"][0]),
       "| t(2) ->", ring.render(res.structure.images["t(2)"][0]))
@@ -39,7 +39,7 @@ tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, dq,
                           [[Bq.basis_el(0)], [Bq.zero_el()]])
 c_bad = PresentedBAlgebra(tau_tower, ("x",))
 try:
-    descend_d_structure(c_bad, {"x": (c_bad.flat_ring.el("eps"),)})
+    descend_d_structure(c_bad, c_bad.structure({"x": (c_bad.flat_ring.el("eps"),)}))
 except NonInvertibleMatrix as err:
     print("descent aborts:", err)
 
@@ -54,7 +54,7 @@ tower_d = OperatorTower(DStructure.identity(Aq, dd), By, dd,
                          [By.basis_el(1), By.basis_el(1)]])
 cd = PresentedBAlgebra(tower_d, ("t",))
 res_d = descend_d_structure(
-    cd, {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}
+    cd, cd.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
 )
 rd = res_d.descended
 print("delta^W(t(1)) =", rd.render(res_d.structure.images["t(1)"][1]))

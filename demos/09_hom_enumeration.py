@@ -31,7 +31,7 @@ for phi in homs:
 print()
 print("== the full adjunction audit ==")
 c = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", field)])
-res = descend_d_structure(c, {"t": (parse_polynomial("t", field),)})
+res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t", field),)}))
 u = DStructure.identity(target, tower.coeff)
 report = adjunction_audit(res, u)
 for key, value in sorted(report.items()):

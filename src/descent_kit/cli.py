@@ -112,7 +112,7 @@ def _descend_report(problem, result, audited: bool) -> dict:
 
 
 def _cmd_descend(problem, args):
-    result = descend_d_structure(problem.c, problem.g_images)
+    result = descend_d_structure(problem.c, problem.g_structure)
     return _descend_report(problem, result, args.audit), 0
 
 
@@ -128,7 +128,7 @@ def _cmd_adjoint_check(problem, args):
         return report, 0
     if problem.u is None:
         raise ParseError("adjoint-check needs a test algebra \"R\"")
-    result = descend_d_structure(problem.c, problem.g_images)
+    result = descend_d_structure(problem.c, problem.g_structure)
     report = adjunction_audit(result, problem.u, args.budget)
     report["matrix_invertible"] = True
     return report, 0
@@ -175,24 +175,18 @@ def main(argv=None) -> int:
     try:
         problem = problem_from_file(args.input)
         report, code = _COMMANDS[args.command](problem, args)
+        outcome = "done in"
     except NonInvertibleMatrix as exc:
         report = {"status": "obstruction", "error": "NonInvertibleMatrix",
                   "witness": exc.witness}
-        try:
-            dm = classify_descent_matrix(associated_matrix(problem.tower))
-            report["matrix"] = dm.render()
-        except Exception:
-            pass
-        _write_report(report, args.output)
-        print(f"obstruction after {time.perf_counter() - started:.3f}s", file=sys.stderr)
-        return 2
+        if exc.matrix is not None:
+            report["matrix"] = exc.matrix
+        code, outcome = 2, "obstruction after"
     except (DescentKitError, OSError, KeyError, ValueError) as exc:
         report = {"status": "error", "error": type(exc).__name__, "detail": str(exc)}
-        _write_report(report, args.output)
-        print(f"error after {time.perf_counter() - started:.3f}s", file=sys.stderr)
-        return 1
+        code, outcome = 1, "error after"
     _write_report(report, args.output)
-    print(f"done in {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    print(f"{outcome} {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 
 

@@ -203,8 +203,10 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
     """
     t1 = c1.tower
     c2 = PresentedBAlgebra(t2, c1.generators, c1.relations_flat)
-    res1 = descend_d_structure(c1, g1_images)
-    res2 = descend_d_structure(c2, g2_images)
+    g1_struct = c1.structure(g1_images)
+    g2_struct = c2.structure(g2_images)
+    res1 = descend_d_structure(c1, g1_struct)
+    res2 = descend_d_structure(c2, g2_struct)
     if res1.classical.descended != res2.classical.descended:
         raise AssertionError("the two descents produced different presentations")
     w_ring = res1.classical.descended
@@ -212,10 +214,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
     cc = tensor_coefficients(t2.coeff, t1.coeff)
     t12, _ = compose_towers(t1, t2, cc)
     c12 = PresentedBAlgebra(t12, c1.generators, c1.relations_flat)
-    g1_struct = c1.structure(g1_images)
-    g2_struct = c2.structure(g2_images)
-    g12_images = compose_c_structures(c1, g1_struct, g2_struct, cc)
-    res12 = descend_d_structure(c12, g12_images)
+    g12_struct = c12.structure(compose_c_structures(c1, g1_struct, g2_struct, cc))
+    res12 = descend_d_structure(c12, g12_struct)
 
     composed_w = compose_structures(res1.structure, res2.structure, cc)
     theta_ok = True
@@ -235,11 +235,11 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
     cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
     t21, _ = compose_towers(t2, t1, cc_swapped)
     swapped_c = gamma_swap(
-        ComposedStructure(cc, g1_struct, g2_struct, c12.structure(g12_images)), cc_swapped
+        ComposedStructure(cc, g1_struct, g2_struct, g12_struct), cc_swapped
     )
     c_sw = PresentedBAlgebra(t21, c1.generators, c1.relations_flat)
     res_sw = descend_d_structure(
-        c_sw, {g: swapped_c.structure.images[g] for g in c1.generators}
+        c_sw, c_sw.structure({g: swapped_c.structure.images[g] for g in c1.generators})
     )
     swapped_w = gamma_swap(composed_w, cc_swapped)
     gamma_ok = True
@@ -261,8 +261,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
             for gen in c1.generators
         }
         t_h, _ = compose_towers(t2, t1)  # f1 o f2 at the module level
-        res_h = descend_d_structure(PresentedBAlgebra(t_h, c1.generators, c1.relations_flat),
-                                    h_images)
+        c_h = PresentedBAlgebra(t_h, c1.generators, c1.relations_flat)
+        res_h = descend_d_structure(c_h, c_h.structure(h_images))
         law_ok = True
         for name in w_ring.variables:
             direct = res_h.structure.images[name][0]
@@ -278,7 +278,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
         id_images = {
             gen: (Polynomial.variable(w_ring.field, gen),) for gen in c1.generators
         }
-        id_res = descend_d_structure(id_c, id_images)
+        id_res = descend_d_structure(id_c, id_c.structure(id_images))
         id_ok = all(
             w_ring.equal(
                 id_res.structure.images[name][0],

@@ -67,10 +67,6 @@ class DCoefficientAlgebra:
         """Structure constant of eps_j eps_k on eps_m (0-based indices)."""
         return self.algebra.constants[j][k][m].constant_value()
 
-    def unit_index(self, factor: int) -> int:
-        """Basis index of the given factor's unit (its stratum-0 element)."""
-        return self.strata[factor][0][0]
-
     def over(self, carrier: PresentedRing) -> StructureAlgebra:
         """The base change carrier (x) coefficient-algebra, rank dim."""
         return StructureAlgebra(

@@ -123,6 +123,7 @@ def invert_descent_matrix(dm: DescentMatrix) -> DescentMatrix:
     except NonInvertibleMatrix as exc:
         dm.invertible = "no"
         dm.witness = exc.witness
+        exc.matrix = dm.render()
         raise
     dm.inverse = inv
     dm.invertible = "yes"

@@ -17,7 +17,6 @@ from .errors import (
     NotWellDefined,
     TruncationExceeded,
 )
-from .groebner import buchberger
 from .polynomials import Polynomial, render
 from .presented import PresentedRing, tensor_presented
 from .structure import evaluate_poly
@@ -26,7 +25,7 @@ from .structure import evaluate_poly
 class DStructure:
     """Coordinate images of each carrier generator under e: R -> R (x) D."""
 
-    __slots__ = ("carrier", "coeff", "images", "base", "_ext")
+    __slots__ = ("carrier", "coeff", "images", "base", "_ext", "_certificates")
 
     def __init__(self, carrier: PresentedRing, coeff: DCoefficientAlgebra, images, base=None):
         self.carrier = carrier
@@ -48,10 +47,7 @@ class DStructure:
                 raise ValueError(f"no image for variable {v!r}")
         self.images = norm
         self._ext = coeff.over(carrier)
-
-    @property
-    def partial(self) -> bool:
-        return any(vec is None for vec in self.images.values())
+        self._certificates = None
 
     @staticmethod
     def identity(carrier: PresentedRing, coeff: DCoefficientAlgebra) -> "DStructure":
@@ -131,7 +127,12 @@ class DStructure:
     # -- validation --------------------------------------------------------------
 
     def validate(self):
-        """Certify well-definedness on the presentation and base compatibility."""
+        """Certify well-definedness on the presentation and base compatibility.
+
+        Runs once per object; later calls return a copy of the certificate.
+        """
+        if self._certificates is not None:
+            return [dict(c) for c in self._certificates]
         certificates = []
         for gamma in self.carrier.relations.generators:
             try:
@@ -154,7 +155,8 @@ class DStructure:
                     if not self.carrier.equal(a, b):
                         raise BaseMismatch(v)
             certificates.append({"check": "extends_base_structure", "ok": True})
-        return certificates
+        self._certificates = certificates
+        return [dict(c) for c in certificates]
 
     # -- ideals and quotients ------------------------------------------------------
 
@@ -165,29 +167,26 @@ class DStructure:
         coordinatewise image of an ideal generates an ideal of carrier (x) D.
         """
         gens = [self.carrier.nf(g) for g in ideal_gens]
-        full = buchberger(
-            list(self.carrier.relations.generators) + gens, self.carrier.order
-        )
-        quotient = PresentedRing(self.carrier.field, self.carrier.variables, full,
-                                 self.carrier.base_vars)
-        for g in gens:
-            image = self.apply(g)
-            for c in image.coords:
-                if not quotient.is_zero(c):
-                    return False
-        return True
+        quotient = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
+        return self._maps_into(gens, quotient)
 
     def quotient(self, ideal_gens) -> "DStructure":
         """The induced structure on carrier/(ideal); requires a D-ideal."""
-        if not self.is_d_ideal(ideal_gens):
+        gens = [self.carrier.nf(g) for g in ideal_gens]
+        new_carrier = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
+        if not self._maps_into(gens, new_carrier):
             raise NotDIdeal("the ideal is not closed under the coordinate operators")
-        new_carrier = self.carrier.extend((), [self.carrier.nf(g) for g in ideal_gens],
-                                          base_vars=self.carrier.base_vars)
         images = {
             v: None if vec is None else tuple(new_carrier.nf(c) for c in vec)
             for v, vec in self.images.items()
         }
         return DStructure(new_carrier, self.coeff, images, base=self.base)
+
+    def _maps_into(self, gens, quotient: PresentedRing) -> bool:
+        """Does e send every generator into the ideal presented by ``quotient``?"""
+        return all(
+            quotient.is_zero(c) for g in gens for c in self.apply(g).coords
+        )
 
     # -- tensor products -------------------------------------------------------------
 

@@ -10,10 +10,6 @@ class DescentKitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class FieldMismatch(DescentKitError):
-    """Operands belong to different coefficient fields."""
-
-
 class DivisionByZero(DescentKitError, ZeroDivisionError):
     """Division by the zero scalar."""
 
@@ -99,12 +95,15 @@ class NonInvertibleMatrix(DescentKitError):
     """The matrix is not invertible over the base ring.
 
     This is the obstruction that aborts a descent; ``witness`` carries a
-    human-readable reason (a non-unit determinant or pivot column).
+    human-readable reason (a non-unit determinant or pivot column), and
+    ``matrix`` the rendered rows of the descent matrix that failed, when the
+    raiser knows which one it was (None otherwise).
     """
 
-    def __init__(self, witness):
+    def __init__(self, witness, matrix=None):
         super().__init__(f"matrix not invertible over the base ring: {witness}")
         self.witness = witness
+        self.matrix = matrix
 
 
 class SingularBasisChange(DescentKitError):

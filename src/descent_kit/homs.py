@@ -220,7 +220,8 @@ def _solve_over_ring(matrix: RingMatrix, rhs):
                 break
             except NotAUnit:
                 raise NonInvertibleMatrix(
-                    f"cannot decide solvability: non-unit entry {ring.render(e)}"
+                    f"cannot decide solvability: non-unit entry {ring.render(e)}",
+                    matrix.render(),
                 ) from None
         if pivot is None:
             continue

@@ -13,32 +13,6 @@ def identity(field: ScalarField, n: int):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(field: ScalarField, a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = field.zero
-            for t in range(k):
-                s = field.add(s, field.mul(a[i][t], b[t][j]))
-            out[i][j] = s
-    return out
-
-
-def mat_vec(field: ScalarField, a, v):
-    return [
-        _dot(field, row, v)
-        for row in a
-    ]
-
-
-def _dot(field, row, v):
-    s = field.zero
-    for x, y in zip(row, v):
-        s = field.add(s, field.mul(x, y))
-    return s
-
-
 def rref(field: ScalarField, rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     rows = [list(r) for r in rows]

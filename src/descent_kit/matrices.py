@@ -115,9 +115,6 @@ class RingMatrix:
             out.append(self.ring.nf(s))
         return out
 
-    def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, list(zip(*self.rows)))
-
     @staticmethod
     def from_blocks(ring: PresentedRing, grid) -> "RingMatrix":
         """Assemble a matrix from a 2D grid of equally sized blocks."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, ParseError
 
 _WORD_BOUND = 2**63
 
@@ -149,11 +149,6 @@ def scalar_arith(op: str, field: ScalarField, a, b):
     if op == "div":
         return field.div(a, b)
     raise ValueError(f"unknown op {op!r}")
-
-
-def require_same_field(f1: ScalarField, f2: ScalarField):
-    if f1 != f2:
-        raise FieldMismatch(f"{f1} vs {f2}")
 
 
 QQ = ScalarField(0)

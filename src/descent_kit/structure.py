@@ -16,7 +16,7 @@ from .presented import PresentedRing
 class StructureAlgebra:
     """A free rank-r module with a commutative unital multiplication."""
 
-    __slots__ = ("base", "labels", "constants", "unit_coords")
+    __slots__ = ("base", "labels", "constants", "unit_coords", "_certificates")
 
     def __init__(self, base: PresentedRing, labels, constants, unit_coords=None):
         self.base = base
@@ -29,6 +29,7 @@ class StructureAlgebra:
         if unit_coords is None:
             unit_coords = [base.one] + [base.zero] * (r - 1)
         self.unit_coords = tuple(base.nf(c) for c in unit_coords)
+        self._certificates = None
 
     @property
     def rank(self) -> int:
@@ -92,8 +93,11 @@ class StructureAlgebra:
         """Check commutativity, the unit law, and associativity.
 
         Returns a certificate (list of dicts); raises InvalidAlgebra at the
-        first violated identity, reporting 1-based indices.
+        first violated identity, reporting 1-based indices.  The checks run
+        once per object: later calls return a copy of the stored certificate.
         """
+        if self._certificates is not None:
+            return [dict(c) for c in self._certificates]
         r = self.rank
         base = self.base
         checks = []
@@ -117,7 +121,8 @@ class StructureAlgebra:
                     if not left.equal(right):
                         raise InvalidAlgebra("associativity", (i + 1, j + 1, m + 1))
         checks.append({"axiom": "associativity", "ok": True})
-        return checks
+        self._certificates = checks
+        return [dict(c) for c in checks]
 
     # -- derived algebras ---------------------------------------------------------
 

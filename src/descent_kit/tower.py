@@ -79,7 +79,6 @@ class OperatorTower:
         self.algebra.validate()
         self.e.validate()
         # f(1) must be the unit of D(B)
-        unit = self.coeff.over(self.base_ring)
         one = self.algebra.one_el()
         for k in range(self.coeff.dim):
             expected = one.scale(self.base_ring.constant(self.coeff.unit[k]))
@@ -118,7 +117,6 @@ class OperatorTower:
             dk,
             {v: (self.e.associated_images(factor)[v],) for v in self.e.carrier.variables},
         )
-        unit = self.algebra.one_el()
         tau = [(img,) for img in self.endo_images(factor)]
         return OperatorTower(e_i, self.algebra, dk, tau)
 
@@ -163,9 +161,6 @@ class PresentedBAlgebra:
             x: ext.scalar_el(Polynomial.variable(ring.field, x)) for x in self.generators
         }
         return ext.coordinatize(flat, extra)
-
-    def relation_coordinates(self):
-        return [self.coordinatize(rel) for rel in self.relations_flat]
 
     def structure(self, images: dict) -> DStructure:
         """Attach operator images (flat polynomials, one l-tuple per generator)."""

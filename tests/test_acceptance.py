@@ -110,7 +110,7 @@ def test_criterion_1_introduction_counterexample(tmp_path):
         tower = _projection_tower(QQ)
         c = PresentedBAlgebra(tower, ("x",))
         with pytest.raises(NonInvertibleMatrix):
-            descend_d_structure(c, {"x": (c.flat_ring.el("eps"),)})
+            descend_d_structure(c, c.structure({"x": (c.flat_ring.el("eps"),)}))
 
 
 def test_criterion_2_frobenius_example():
@@ -118,7 +118,7 @@ def test_criterion_2_frobenius_example():
         field = GF(2)
         tower = _identity_tower(field)
         c = PresentedBAlgebra(tower, ("t",))
-        res = descend_d_structure(c, {"t": (parse_polynomial("t^2", field),)})
+        res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", field),)}))
         ring = res.descended
         assert ring.render(res.structure.images["t(1)"][0]) == "t(1)^2"
         assert res.structure.images["t(2)"][0].is_zero()
@@ -208,7 +208,7 @@ def test_criterion_6_adjunction_bijection_oracle():
         field = GF(2)
         tower = _identity_tower(field)
         c = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", field)])
-        res = descend_d_structure(c, {"t": (parse_polynomial("t", field),)})
+        res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t", field),)}))
         r = PresentedRing.make(field, ("u",), [parse_polynomial("u^2", field)])
         u = DStructure.identity(r, tower.coeff)
         report = adjunction_audit(res, u)
@@ -224,7 +224,7 @@ def test_criterion_7_differential_instance():
         tower = _differential_tower()
         c = PresentedBAlgebra(tower, ("t",))
         res = descend_d_structure(
-            c, {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}
+            c, c.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
         )
         ring = res.descended
         images = res.structure.images
@@ -281,16 +281,16 @@ def test_criterion_8_certificate_suite():
         tower = _identity_tower(field)
         c = PresentedBAlgebra(tower, ("t",))
         fixture_runs.append(
-            (c, descend_d_structure(c, {"t": (parse_polynomial("t^2", field),)}))
+            (c, descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", field),)})))
         )
         c2 = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", field)])
         fixture_runs.append(
-            (c2, descend_d_structure(c2, {"t": (parse_polynomial("t", field),)}))
+            (c2, descend_d_structure(c2, c2.structure({"t": (parse_polynomial("t", field),)})))
         )
         c3 = PresentedBAlgebra(_differential_tower(), ("t",))
         fixture_runs.append(
             (c3, descend_d_structure(
-                c3, {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}
+                c3, c3.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
             ))
         )
         for c_alg, res in fixture_runs:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from descent_kit.cli import main
 from conftest import FIXTURES
 
@@ -128,6 +130,40 @@ def test_bad_input_exit_code(tmp_path):
     bad.write_text(json.dumps(missing_image))
     code, report = run_cli(["validate", "--input", str(bad)], tmp_path)
     assert code == 1
+
+
+def _frobenius_with(**sections):
+    doc = json.loads((FIXTURES / "frobenius_square.json").read_text())
+    doc.update(sections)
+    return doc
+
+
+SHORT_PRODUCT = {
+    "basis": ["1", "eps"],
+    "products": [[["1"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+    "images": {"eps": ["eps"]},
+}
+
+
+@pytest.mark.parametrize("doc,detail", [
+    ([], "the problem document must be a JSON object"),
+    (_frobenius_with(D={"basis": 5}), "D.basis must be a JSON array"),
+    (_frobenius_with(D="x"), "D must be a JSON object"),
+    (_frobenius_with(C={"generators": ["t"], "images": {"t": 5}}),
+     "C.images.t must be a JSON array"),
+    (_frobenius_with(B=SHORT_PRODUCT),
+     "B.products must be an r x r table of coordinate vectors"),
+], ids=["top-level-array", "D.basis-number", "D-string", "C-image-number",
+        "B-product-too-short"])
+def test_malformed_shape_is_an_error_report(doc, detail, tmp_path, capsys):
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(doc))
+    code, report = run_cli(["validate", "--input", str(bad)], tmp_path)
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"] == "ParseError"
+    assert report["detail"] == detail
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_budget_flag(tmp_path):

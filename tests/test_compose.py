@@ -173,7 +173,7 @@ def test_self_commuting_structures_stay_commuting():
     g_struct = c.structure(g)
     from descent_kit import descend_d_structure
     if commutes(g_struct, g_struct):
-        res = descend_d_structure(c, g)
+        res = descend_d_structure(c, c.structure(g))
         assert commutes(res.structure, res.structure)
     # (m, n) = (1, 1): the commuting sigma/delta pair over QQ via dual x k
     # handled coordinatewise in test_commuting_pair_descends_to_commuting_pair

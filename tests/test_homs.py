@@ -86,7 +86,7 @@ def test_enumeration_guards():
 def test_adjunction_audit_on_criterion_instance():
     tower = f2_tower()
     c = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", F2)])
-    res = descend_d_structure(c, {"t": (parse_polynomial("t", F2),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t", F2),)}))
     r = PresentedRing.make(F2, ("u",), [parse_polynomial("u^2", F2)])
     u = DStructure.identity(r, tower.coeff)
     report = adjunction_audit(res, u)
@@ -99,7 +99,7 @@ def test_adjunction_audit_with_frobenius_structures():
     """Same instance but with the squaring structure on both sides."""
     tower = f2_tower()
     c = PresentedBAlgebra(tower, ("t",))
-    res = descend_d_structure(c, {"t": (parse_polynomial("t^2", F2),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", F2),)}))
     r = PresentedRing.make(F2, ("u",), [parse_polynomial("u^2", F2)])
     u = DStructure.difference(r, {"u": r.zero})  # u -> u^2 = 0 in R
     report = adjunction_audit(res, u)

@@ -56,7 +56,7 @@ def differential_tower():
 def test_frobenius_square_descends(rng):
     tower = f2_identity_tower()
     c = PresentedBAlgebra(tower, ("t",))
-    res = descend_d_structure(c, {"t": (parse_polynomial("t^2", GF(2)),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", GF(2)),)}))
     ring = res.descended
     assert ring.render(res.structure.images["t(1)"][0]) == "t(1)^2"
     assert res.structure.images["t(2)"][0].is_zero()
@@ -79,14 +79,14 @@ def test_projection_structure_obstructs():
     )
     c = PresentedBAlgebra(tower, ("x",))
     with pytest.raises(NonInvertibleMatrix):
-        descend_d_structure(c, {"x": (c.flat_ring.el("eps"),)})
+        descend_d_structure(c, c.structure({"x": (c.flat_ring.el("eps"),)}))
 
 
 def test_differential_instance():
     tower = differential_tower()
     c = PresentedBAlgebra(tower, ("t",))
     res = descend_d_structure(
-        c, {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}
+        c, c.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
     )
     ring = res.descended
     images = res.structure.images
@@ -119,7 +119,7 @@ def test_independent_linear_solve_oracle():
     tower = differential_tower()
     c = PresentedBAlgebra(tower, ("t",))
     res = descend_d_structure(
-        c, {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}
+        c, c.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
     )
     ring = res.descended
 
@@ -172,7 +172,7 @@ def test_independent_linear_solve_oracle():
 def test_verify_d_hom_gates():
     tower = f2_identity_tower()
     c = PresentedBAlgebra(tower, ("t",))
-    res = descend_d_structure(c, {"t": (parse_polynomial("t^2", GF(2)),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", GF(2)),)}))
     unit_images = {"t": res.classical.unit_image("t")}
     assert verify_d_hom(
         unit_images, res.c_structure, res.structure, res.matrix, res.classical
@@ -217,7 +217,7 @@ def test_degenerate_rank_one_descent():
     d = difference_algebra(field)
     tower = OperatorTower(DStructure.identity(a, d), b, d, [[b.basis_el(0)]])
     c = PresentedBAlgebra(tower, ("t",))
-    res = descend_d_structure(c, {"t": (parse_polynomial("t^2", field),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", field),)}))
     assert res.descended.variables == ("t(1)",)
     assert res.descended.render(res.structure.images["t(1)"][0]) == "t(1)^2"
 
@@ -242,7 +242,7 @@ def test_rederivation_matches_on_random_towers(rng):
             images = {
                 "t": tuple(flat.el("t").scale(coeff.unit[k]) for k in range(coeff.dim))
             }
-            res = descend_d_structure(c, images)
+            res = descend_d_structure(c, c.structure(images))
             red = rederive_images(res)
             ring = res.descended
             for name2, vec in red.items():
@@ -253,7 +253,7 @@ def test_rederivation_matches_on_random_towers(rng):
 def test_tau_d_gates_and_roundtrip():
     tower = f2_identity_tower()
     c = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", GF(2))])
-    res = descend_d_structure(c, {"t": (parse_polynomial("t", GF(2)),)})
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t", GF(2)),)}))
     field = GF(2)
     r = PresentedRing.make(field, ("u",), [parse_polynomial("u^2", field)])
     u = DStructure.identity(r, tower.coeff)
@@ -277,11 +277,12 @@ def test_certificates_on_fixture_set(rng):
     runs = []
     tower = f2_identity_tower()
     c = PresentedBAlgebra(tower, ("t",))
-    runs.append(descend_d_structure(c, {"t": (parse_polynomial("t^2", GF(2)),)}))
+    runs.append(descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", GF(2)),)})))
+    c_diff = PresentedBAlgebra(differential_tower(), ("t",))
     runs.append(
         descend_d_structure(
-            PresentedBAlgebra(differential_tower(), ("t",)),
-            {"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))},
+            c_diff,
+            c_diff.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))}),
         )
     )
     for res in runs:
