@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on malformed input, 2 on a genuine
-mathematical obstruction (a non-invertible descent matrix).  Reports are
+Exit codes: 0 on success, 1 on malformed input (or an internal
+certificate that fails to verify, reported as ``CertificateFailure`` with
+its stage), 2 on a genuine mathematical obstruction (a non-invertible
+descent matrix).  Reports are
 deterministic JSON; timing goes to stderr so report files stay
 byte-identical across runs.
 """

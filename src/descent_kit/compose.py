@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .dstructures import DStructure
-from .errors import CarrierMismatch
+from .errors import CarrierMismatch, CertificateFailure
 from .presented import PresentedRing
 from .structure import StructureAlgebra
 from .tower import OperatorTower, PresentedBAlgebra
@@ -208,7 +208,9 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
     res1 = descend_d_structure(c1, g1_struct)
     res2 = descend_d_structure(c2, g2_struct)
     if res1.classical.descended != res2.classical.descended:
-        raise AssertionError("the two descents produced different presentations")
+        raise CertificateFailure(
+            "compose_presentations", "the two descents produced different presentations"
+        )
     w_ring = res1.classical.descended
 
     cc = tensor_coefficients(t2.coeff, t1.coeff)

@@ -12,7 +12,7 @@ why its invertibility reduces to theirs.
 from __future__ import annotations
 
 from . import linear
-from .errors import NonInvertibleMatrix, SingularBasisChange
+from .errors import CertificateFailure, NonInvertibleMatrix, SingularBasisChange
 from .matrices import RingMatrix
 from .presented import PresentedRing
 from .tower import OperatorTower
@@ -108,12 +108,16 @@ def _assert_block_structure(dm: DescentMatrix, tower: OperatorTower):
     for m in range(dm.l):
         for j in range(dm.l):
             if m < j and dm.blocks[m][j] != zero:
-                raise AssertionError(f"block ({m + 1},{j + 1}) should vanish")
+                raise CertificateFailure(
+                    "block_structure", f"block ({m + 1},{j + 1}) should vanish"
+                )
     for j in range(dm.l):
         factor = tower.coeff.factor_of[j]
         expected = endo_matrix(tower.algebra, tower.endo_images(factor))
         if dm.blocks[j][j] != expected:
-            raise AssertionError(f"diagonal block {j + 1} is not the endomorphism matrix")
+            raise CertificateFailure(
+                "block_structure", f"diagonal block {j + 1} is not the endomorphism matrix"
+            )
 
 
 def invert_descent_matrix(dm: DescentMatrix) -> DescentMatrix:

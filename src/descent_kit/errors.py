@@ -122,6 +122,19 @@ class CarrierMismatch(DescentKitError):
     """Two structures do not live on the same carrier ring."""
 
 
+class CertificateFailure(DescentKitError):
+    """An internal certificate failed to verify.
+
+    Valid input never gets here: the failure points at a defect in the
+    computation that produced the certified object.  ``stage`` names the
+    check that failed.
+    """
+
+    def __init__(self, stage, message):
+        super().__init__(f"{stage}: {message}")
+        self.stage = stage
+
+
 class NotFiniteDimensional(DescentKitError):
     """The target is not a finite set, so homomorphisms cannot be enumerated."""
 

@@ -6,6 +6,13 @@ is always the first matching basis element, and the reduced basis is sorted
 by decreasing leading monomial.  Cofactor tracking keeps, for every basis
 element, an explicit representation over the *input* generators; that is
 what turns "1 lies in the ideal" into a checkable inverse certificate.
+
+A basis carries the leading term of every generator (``GroebnerBasis.leads``
+and, while Buchberger runs, a list kept in step with the basis), so a
+reduction never recomputes one.  A reduction returns at once for an empty
+basis or a zero polynomial; otherwise it reduces one copy of the terms in
+place, collects the remainder in a second dict, and memoizes the order key
+of each monomial it meets for that call only.
 """
 
 from __future__ import annotations
@@ -19,14 +26,19 @@ DEFAULT_PAIR_BUDGET = 20000
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with the order that produced it."""
+    """A reduced Groebner basis together with the order that produced it.
 
-    __slots__ = ("generators", "order", "reduced")
+    ``leads[i]`` is the leading ``(monomial, coeff)`` of ``generators[i]``,
+    computed once here so that no reduction rescans a generator.
+    """
+
+    __slots__ = ("generators", "order", "reduced", "leads")
 
     def __init__(self, generators, order: DegRevLex, reduced: bool = True):
         self.generators = tuple(generators)
         self.order = order
         self.reduced = reduced
+        self.leads = tuple(order.leading(g) for g in self.generators)
 
     def __iter__(self):
         return iter(self.generators)
@@ -51,49 +63,83 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
 
-def _reduce_full(p, cof, basis, basis_cofs, order):
-    """Fully reduce p modulo basis; returns (remainder, cofactors).
+def _subtract_multiple(terms, g_terms, q, factor, field):
+    """terms -= factor * q * g in place, dropping coefficients that cancel."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for m, c in g_terms.items():
+        m = m.mul(q)
+        s = sub(terms.get(m, zero), mul(c, factor))
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
 
-    cof/basis_cofs are None when cofactors are not tracked.
+
+def _reduction_steps(terms, remainder, basis, leads, field, order):
+    """Reduce the term dict ``terms`` to zero in place, moving irreducible
+    terms into ``remainder``.  Yields every step as (gi, q, factor): the
+    step subtracted ``factor * q * basis[gi]``.
+
+    The leading term is reduced first, by the first basis element whose
+    leading monomial divides it.  ``order.key`` is memoized for this
+    reduction only.
     """
-    field = p.field
-    remainder = Polynomial.zero(field)
-    track = cof is not None
-    while not p.is_zero():
-        lm, lc = order.leading(p)
-        hit = None
-        for gi, g in enumerate(basis):
-            glm, glc = order.leading(g)
+    keys = {}
+
+    def key(m):
+        k = keys.get(m)
+        if k is None:
+            k = keys[m] = order.key(m)
+        return k
+
+    while terms:
+        lm = max(terms, key=key)
+        lc = terms[lm]
+        for gi, (glm, glc) in enumerate(leads):
             if glm.divides(lm):
-                hit = (gi, g, glm, glc)
                 break
-        if hit is None:
-            t = Polynomial(field, {lm: lc})
-            remainder = remainder + t
-            p = p - t
+        else:
+            remainder[lm] = terms.pop(lm)
             continue
-        gi, g, glm, glc = hit
         q = lm.divide(glm)
         factor = field.div(lc, glc)
-        p = p - g.term_mul(q, factor)
-        if track:
-            cof = [
-                c - gc.term_mul(q, factor)
-                for c, gc in zip(cof, basis_cofs[gi])
-            ]
-    return remainder, cof
+        _subtract_multiple(terms, basis[gi].terms, q, factor, field)
+        yield gi, q, factor
+
+
+def _reduce_full(p, cof, basis, leads, basis_cofs, order):
+    """Fully reduce p modulo basis; returns (remainder, cofactors).
+
+    ``leads`` holds the leading terms of ``basis``; cof/basis_cofs are None
+    when cofactors are not tracked.
+    """
+    if not basis or p.is_zero():
+        return p, cof
+    field = p.field
+    terms, remainder = dict(p.terms), {}
+    steps = _reduction_steps(terms, remainder, basis, leads, field, order)
+    if cof is None:
+        for _ in steps:
+            pass
+    else:
+        cof_terms = [dict(c.terms) for c in cof]
+        for gi, q, factor in steps:
+            for c, gc in zip(cof_terms, basis_cofs[gi]):
+                _subtract_multiple(c, gc.terms, q, factor, field)
+        cof = [Polynomial.from_terms(field, c) for c in cof_terms]
+    return Polynomial.from_terms(field, remainder), cof
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique fully reduced remainder of p modulo the basis."""
-    r, _ = _reduce_full(p, None, gb.generators, None, gb.order)
+    r, _ = _reduce_full(p, None, gb.generators, gb.leads, None, gb.order)
     return r
 
 
-def _spair(i, j, basis, basis_cofs, order, track):
+def _spair(i, j, basis, leads, basis_cofs, track):
     f, g = basis[i], basis[j]
-    flm, flc = order.leading(f)
-    glm, glc = order.leading(g)
+    flm, flc = leads[i]
+    glm, glc = leads[j]
     lcm = flm.lcm(glm)
     field = f.field
     tf, tg = lcm.divide(flm), lcm.divide(glm)
@@ -108,26 +154,25 @@ def _spair(i, j, basis, basis_cofs, order, track):
 
 
 def _buchberger_core(gens, order, budget, track):
-    field = None
-    basis, cofs = [], []
-    inputs = [g for g in gens]
-    for idx, g in enumerate(inputs):
+    """Unreduced basis, cofactors (None entries unless tracked) and the
+    leading term of every basis element, kept in step with the basis."""
+    basis, cofs, leads = [], [], []
+    for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        if field is None:
-            field = g.field
         basis.append(g)
+        leads.append(order.leading(g))
         if track:
-            vec = [Polynomial.zero(g.field) for _ in inputs]
+            vec = [Polynomial.zero(g.field) for _ in gens]
             vec[idx] = Polynomial.constant(g.field, 1)
             cofs.append(vec)
     if not basis:
-        return [], [], inputs
+        return [], [], []
 
     pairs = []
     for j in range(len(basis)):
         for i in range(j):
-            lcm = order.leading(basis[i])[0].lcm(order.leading(basis[j])[0])
+            lcm = leads[i][0].lcm(leads[j][0])
             heapq.heappush(pairs, (lcm.degree, i, j))
 
     processed = 0
@@ -136,42 +181,46 @@ def _buchberger_core(gens, order, budget, track):
         processed += 1
         if processed > budget:
             raise ResourceLimit(f"Groebner pair budget {budget} exceeded")
-        flm = order.leading(basis[i])[0]
-        glm = order.leading(basis[j])[0]
+        flm = leads[i][0]
+        glm = leads[j][0]
         if flm.lcm(glm) == flm.mul(glm):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s, cf = _spair(i, j, basis, cofs, order, track)
-        r, cf = _reduce_full(s, cf, basis, cofs, order)
+        s, cf = _spair(i, j, basis, leads, cofs, track)
+        r, cf = _reduce_full(s, cf, basis, leads, cofs, order)
         if r.is_zero():
             continue
         basis.append(r)
+        leads.append(order.leading(r))
         if track:
             cofs.append(cf)
         new = len(basis) - 1
-        rlm = order.leading(r)[0]
+        rlm = leads[new][0]
         for k in range(new):
-            lcm = order.leading(basis[k])[0].lcm(rlm)
+            lcm = leads[k][0].lcm(rlm)
             heapq.heappush(pairs, (lcm.degree, k, new))
-    return basis, cofs, inputs
+    return basis, cofs, leads
 
 
-def _interreduce(basis, cofs, order, track):
+def _interreduce(basis, cofs, leads, order, track):
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
+            other_leads = leads[:i] + leads[i + 1 :]
             other_cofs = (cofs[:i] + cofs[i + 1 :]) if track else None
             r, cf = _reduce_full(
-                basis[i], cofs[i] if track else None, others, other_cofs, order
+                basis[i], cofs[i] if track else None, others, other_leads, other_cofs, order
             )
-            if r != basis[i]:
-                changed = True
             if r.is_zero():
-                del basis[i]
+                del basis[i], leads[i]
                 if track:
                     del cofs[i]
+                changed = True
                 break
+            if r != basis[i]:
+                changed = True
+                leads[i] = order.leading(r)
             basis[i] = r
             if track:
                 cofs[i] = cf
@@ -180,7 +229,7 @@ def _interreduce(basis, cofs, order, track):
     # make monic and sort by decreasing leading monomial
     out = []
     for i, g in enumerate(basis):
-        lm, lc = order.leading(g)
+        lm, lc = leads[i]
         field = g.field
         inv = field.inv(lc)
         g = g.scale(inv)
@@ -194,8 +243,8 @@ def _interreduce(basis, cofs, order, track):
 
 def buchberger(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    basis, _, _ = _buchberger_core(list(gens), order, budget, track=False)
-    basis, _ = _interreduce(basis, None, order, track=False)
+    basis, _, leads = _buchberger_core(list(gens), order, budget, track=False)
+    basis, _ = _interreduce(basis, None, leads, order, track=False)
     return GroebnerBasis(basis, order, reduced=True)
 
 
@@ -205,8 +254,8 @@ def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGE
     Returns (gb, cofactors) with ``gb.generators[i] == sum_j cofactors[i][j] * gens[j]``.
     """
     gens = list(gens)
-    basis, cofs, _ = _buchberger_core(gens, order, budget, track=True)
-    basis, cofs = _interreduce(basis, cofs, order, track=True)
+    basis, cofs, leads = _buchberger_core(gens, order, budget, track=True)
+    basis, cofs = _interreduce(basis, cofs, leads, order, track=True)
     return GroebnerBasis(basis, order, reduced=True), [tuple(c) for c in cofs]
 
 
@@ -216,24 +265,16 @@ def reduce_extended(p: Polynomial, gb: GroebnerBasis):
     Returns (remainder, quotients) with ``p == sum_i quotients[i]*gb[i] + remainder``.
     """
     field = p.field
-    quotients = [Polynomial.zero(field) for _ in gb.generators]
-    remainder = Polynomial.zero(field)
-    order = gb.order
-    while not p.is_zero():
-        lm, lc = order.leading(p)
-        for gi, g in enumerate(gb.generators):
-            glm, glc = order.leading(g)
-            if glm.divides(lm):
-                q = lm.divide(glm)
-                factor = field.div(lc, glc)
-                p = p - g.term_mul(q, factor)
-                quotients[gi] = quotients[gi] + Polynomial(field, {q: factor})
-                break
-        else:
-            t = Polynomial(field, {lm: lc})
-            remainder = remainder + t
-            p = p - t
-    return remainder, quotients
+    terms, remainder = dict(p.terms), {}
+    quotients = [{} for _ in gb.generators]
+    for gi, q, factor in _reduction_steps(
+        terms, remainder, gb.generators, gb.leads, field, gb.order
+    ):
+        quotients[gi][q] = factor
+    return (
+        Polynomial.from_terms(field, remainder),
+        [Polynomial.from_terms(field, t) for t in quotients],
+    )
 
 
 def ideal_equal(g1: GroebnerBasis, g2: GroebnerBasis) -> bool:
@@ -250,7 +291,7 @@ def staircase(gb: GroebnerBasis):
     the leading monomials (the quotient is then infinite-dimensional).
     """
     variables = gb.order.variables
-    leads = [gb.order.leading(g)[0] for g in gb.generators]
+    leads = [lm for lm, _ in gb.leads]
     if any(lm.is_one() for lm in leads):
         return []
     bounds = {}

@@ -15,7 +15,7 @@ from .scalars import ScalarField
 class Monomial:
     """A power product, stored as a name->exponent map with no zero entries."""
 
-    __slots__ = ("exps", "_key", "_hash")
+    __slots__ = ("exps", "degree", "_key", "_hash")
 
     def __init__(self, exps=()):
         if isinstance(exps, dict):
@@ -27,6 +27,7 @@ class Monomial:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
         self.exps = dict(key)
+        self.degree = sum(self.exps.values())
         self._key = key
         self._hash = hash(key)
 
@@ -40,10 +41,6 @@ class Monomial:
         if not self._key:
             return "1"
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self._key)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps.values())
 
     def is_one(self) -> bool:
         return not self.exps
@@ -147,6 +144,15 @@ class Polynomial:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
+    def from_terms(field: ScalarField, terms: dict) -> "Polynomial":
+        """The polynomial owning ``terms`` as given: a dict of canonical,
+        nonzero coefficients, neither copied nor normalized."""
+        p = Polynomial.__new__(Polynomial)
+        p.field = field
+        p.terms = terms
+        return p
+
+    @staticmethod
     def zero(field: ScalarField) -> "Polynomial":
         return Polynomial(field)
 
@@ -203,17 +209,11 @@ class Polynomial:
                 out.pop(m, None)
             else:
                 out[m] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field = fld
-        p.terms = out
-        return p
+        return Polynomial.from_terms(fld, out)
 
     def __neg__(self):
         fld = self.field
-        p = Polynomial.__new__(Polynomial)
-        p.field = fld
-        p.terms = {m: fld.neg(c) for m, c in self.terms.items()}
-        return p
+        return Polynomial.from_terms(fld, {m: fld.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -229,27 +229,20 @@ class Polynomial:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field = fld
-        p.terms = out
-        return p
+        return Polynomial.from_terms(fld, out)
 
     def scale(self, c) -> "Polynomial":
         fld = self.field
         c = fld.normalize(c)
         if fld.is_zero(c):
             return Polynomial.zero(fld)
-        p = Polynomial.__new__(Polynomial)
-        p.field = fld
-        p.terms = {m: fld.mul(cc, c) for m, cc in self.terms.items()}
-        return p
+        return Polynomial.from_terms(fld, {m: fld.mul(cc, c) for m, cc in self.terms.items()})
 
     def term_mul(self, m: Monomial, c) -> "Polynomial":
         fld = self.field
-        p = Polynomial.__new__(Polynomial)
-        p.field = fld
-        p.terms = {mm.mul(m): fld.mul(cc, c) for mm, cc in self.terms.items()}
-        return p
+        return Polynomial.from_terms(
+            fld, {mm.mul(m): fld.mul(cc, c) for mm, cc in self.terms.items()}
+        )
 
     def __pow__(self, n: int):
         if n < 0:

@@ -9,7 +9,7 @@ from the base ring.
 
 from __future__ import annotations
 
-from .errors import NotAUnit, VariableClash
+from .errors import CertificateFailure, NotAUnit, VariableClash
 from .groebner import GroebnerBasis, buchberger, buchberger_extended, normal_form, staircase
 from .polynomials import DegRevLex, Polynomial, parse_polynomial, render
 from .scalars import ScalarField
@@ -114,7 +114,7 @@ class PresentedRing:
                 c = g.constant_value()
                 z = self.nf(vec[-1].scale(self.field.inv(c)))
                 if not self.equal(a * z, self.one):
-                    raise AssertionError("unit certificate failed to verify")
+                    raise CertificateFailure("unit_inverse", "a * inverse is not 1")
                 return z
         raise NotAUnit(self.render(a))
 

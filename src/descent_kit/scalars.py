@@ -28,9 +28,12 @@ def _is_prime(n: int) -> bool:
 
 
 class ScalarField:
-    """The base field k: characteristic 0 means QQ, a prime p means GF(p)."""
+    """The base field k: characteristic 0 means QQ, a prime p means GF(p).
 
-    __slots__ = ("characteristic",)
+    ``zero`` and ``one`` are the canonical constants, set once here.
+    """
+
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int = 0):
         if characteristic:
@@ -39,6 +42,8 @@ class ScalarField:
             if not _is_prime(characteristic):
                 raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
         self.characteristic = characteristic
+        self.zero = self.normalize(0)
+        self.one = self.normalize(1)
 
     @property
     def kind(self) -> str:
@@ -68,16 +73,8 @@ class ScalarField:
             return value
         return Fraction(value)
 
-    @property
-    def zero(self):
-        return self.normalize(0)
-
-    @property
-    def one(self):
-        return self.normalize(1)
-
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     # -- arithmetic ----------------------------------------------------------
 

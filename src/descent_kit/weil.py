@@ -10,7 +10,7 @@ Hom-set bijection, coordinate extraction the other.
 
 from __future__ import annotations
 
-from .errors import NotAHomomorphism
+from .errors import CertificateFailure, NotAHomomorphism
 from .polynomials import Polynomial, render
 from .presented import PresentedRing
 from .structure import AlgebraElement, StructureAlgebra
@@ -82,7 +82,9 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
     for rel in c.relations_flat:
         image = result.evaluate_under_unit(rel)
         if not image.is_zero():
-            raise AssertionError("unit map does not kill a defining relation")
+            raise CertificateFailure(
+                "classical_descent", "unit map does not kill a defining relation"
+            )
     return result
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .descent_matrix import DescentMatrix, associated_matrix, invert_descent_matrix
 from .dstructures import DStructure
-from .errors import CarrierMismatch, NotADHomomorphism
+from .errors import CarrierMismatch, CertificateFailure, NotADHomomorphism
 from .polynomials import Polynomial
 from .presented import PresentedRing
 from .tower import PresentedBAlgebra
@@ -126,7 +126,9 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure) -> DDesce
     structure = pre_structure.quotient(ideal_gens)
     certificates.append({"check": "descent_ideal_closed", "ok": True})
     if structure.carrier != classical.descended:
-        raise AssertionError("quotient carrier does not match the descended presentation")
+        raise CertificateFailure(
+            "quotient_structure", "quotient carrier does not match the descended presentation"
+        )
     certificates.append({"check": "quotient_structure", "ok": True})
 
     unit_images = {g: classical.unit_image(g) for g in c.generators}
@@ -182,7 +184,7 @@ def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentRes
                 )
     psi = tau_forward(phi_images, ring, result.classical)
     if not verify_d_hom(psi, result.c_structure, u_structure, result.matrix, result.classical):
-        raise AssertionError("forward image fails the operator gate")
+        raise CertificateFailure("tau_d_forward", "forward image fails the operator gate")
     return psi
 
 
@@ -202,7 +204,7 @@ def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentRes
             lhs = u_structure.coordinate_op(j + 1, ring.nf(env[name]))
             rhs = ring.nf(images[j].substitute(env))
             if not ring.equal(lhs, rhs):
-                raise AssertionError("extracted map fails the operator gate")
+                raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
     return phi
 
 

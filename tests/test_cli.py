@@ -166,6 +166,21 @@ def test_malformed_shape_is_an_error_report(doc, detail, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_failed_certificate_is_an_error_report(tmp_path, capsys, monkeypatch):
+    from descent_kit import descent_matrix
+
+    # a wrong endomorphism matrix stands in for a kernel defect
+    monkeypatch.setattr(descent_matrix, "endo_matrix", lambda algebra, images: None)
+    code, report = run_cli(
+        ["descend", "--input", str(FIXTURES / "differential.json")], tmp_path
+    )
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"] == "CertificateFailure"
+    assert report["detail"].startswith("block_structure: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_budget_flag(tmp_path):
     code, report = run_cli(
         ["adjoint-check", "--input", str(FIXTURES / "adjoint_f2.json"),

@@ -1,11 +1,13 @@
 """Polynomial arithmetic, the degrevlex order, parsing and rendering."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial, parse_polynomial, render
-from descent_kit.errors import ParseError
+from descent_kit.errors import DivisionByZero, ParseError
 
 ORDER = DegRevLex(("x", "y", "z"))
 
@@ -91,3 +93,52 @@ def test_ring_laws(a, b, c):
 def test_pow_matches_repeated_product(a):
     assert a**3 == a * a * a
     assert a**0 == Polynomial.constant(QQ, 1)
+
+
+# names in the shapes the package creates: plain, indexed copies, brackets
+NAMES = ("x", "y", "t1", "t1(2)", "d[0]", "_a")
+NAMED_ORDER = DegRevLex(NAMES)
+PARSE_FIELDS = (QQ, GF(2), GF(101))
+
+
+@st.composite
+def named_polys(draw):
+    field = draw(st.sampled_from(PARSE_FIELDS))
+    term = st.tuples(
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=len(NAMES),
+                 max_size=len(NAMES)),
+    )
+    terms = draw(st.lists(term, max_size=5))
+    coeffs = {}
+    for c, exps in terms:
+        if field.characteristic and c.denominator % field.characteristic == 0:
+            c = Fraction(c.numerator)
+        coeffs[Monomial(dict(zip(NAMES, exps)))] = c
+    return Polynomial(field, coeffs)
+
+
+@given(named_polys())
+def test_render_parse_roundtrip_property(poly):
+    assert parse_polynomial(render(poly, NAMED_ORDER), poly.field) == poly
+
+
+GRAMMAR_TEXT = st.text(alphabet="xyt1203/+-*^ ()[]_", max_size=24)
+
+
+@given(st.one_of(GRAMMAR_TEXT, st.text(max_size=24)), st.sampled_from(PARSE_FIELDS))
+def test_parser_raises_only_parse_errors(text, field):
+    try:
+        poly = parse_polynomial(text, field)
+    except ParseError:
+        return
+    except DivisionByZero:
+        # a literal a/b whose denominator vanishes mod p
+        assert field.characteristic and "/" in text
+        return
+    assert isinstance(poly, Polynomial)
+
+
+def test_literal_with_vanishing_denominator():
+    with pytest.raises(DivisionByZero):
+        parse_polynomial("1/101*x", GF(101))

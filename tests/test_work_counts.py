@@ -1,8 +1,10 @@
 """Work counts: each object is checked once, each descent ideal and descent
-matrix is built once per command.
+matrix is built once per command, and a normal form never recomputes a
+leading term the basis already holds.
 
-Counters are wrapped around the validators, ``groebner.buchberger`` and
-``RingMatrix.inverse`` for one CLI invocation at a time.
+Counters are wrapped around the validators, ``groebner.buchberger``,
+``groebner.normal_form``, ``DegRevLex.leading`` and ``RingMatrix.inverse``
+for one CLI invocation at a time.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from descent_kit import groebner
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
 from descent_kit.matrices import RingMatrix
+from descent_kit.polynomials import DegRevLex
 from descent_kit.structure import StructureAlgebra
 from conftest import FIXTURES
 
@@ -100,3 +103,34 @@ def test_obstruction_inverts_the_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RingMatrix, "inverse", counted)
     code = run_cli(["descend", "--input", str(FIXTURES / "introduction.json")], tmp_path)
     assert (code, calls[0]) == (2, 1)
+
+
+def test_normal_form_never_rescans_leading_terms(tmp_path, monkeypatch):
+    """A basis carries its leading terms, so a reduction needs no
+    ``DegRevLex.leading`` call: the basis's are stored, and the reduced
+    polynomial's is taken from the reduction's own working dict."""
+    inside = [0]
+    counts = Counter()
+    original_nf = groebner.normal_form
+    original_leading = DegRevLex.leading
+
+    def counted_normal_form(*args, **kwargs):
+        inside[0] += 1
+        counts["normal_form"] += 1
+        try:
+            return original_nf(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def counted_leading(self, poly):
+        if inside[0]:
+            counts["leading"] += 1
+        return original_leading(self, poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("descent_kit") and getattr(module, "normal_form", None) is original_nf:
+            monkeypatch.setattr(module, "normal_form", counted_normal_form)
+    monkeypatch.setattr(DegRevLex, "leading", counted_leading)
+    assert run_cli(["descend", "--input", str(FIXTURES / "differential.json")], tmp_path) == 0
+    assert counts["normal_form"] > 0
+    assert counts["leading"] == 0
