@@ -50,7 +50,7 @@ mk_tower = lambda: OperatorTower(DStructure.identity(A, dk), B, dk,
 c = PresentedBAlgebra(mk_tower(), ("t",))
 flat = c.flat_ring
 report = compose_descent_check(
-    c, {"t": (flat.el("t^2"),)}, mk_tower(), {"t": (flat.el("t+eps"),)}
+    c, c.structure({"t": (flat.el("t^2"),)}), mk_tower(), {"t": (flat.el("t+eps"),)}
 )
 for key, value in sorted(report.items()):
     print(f"  {key}: {value}")

@@ -141,7 +141,7 @@ def _cmd_compose_check(problem, args):
         raise ParseError("compose-check needs a \"second\" structure block")
     report = compose_descent_check(
         problem.c,
-        problem.g_images,
+        problem.g_structure,
         problem.second["tower"],
         problem.second["g_images"],
     )

@@ -192,10 +192,12 @@ def compose_c_structures(c1: PresentedBAlgebra, g1_struct: DStructure,
     return images
 
 
-def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
+def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
                           t2: OperatorTower, g2_images: dict) -> dict:
     """Verify that composition of structures is compatible with descent.
 
+    ``g1_struct`` is ``c1.structure(images)``, the first structure on C;
+    ``g2_images`` are the generator images of the second, over ``t2``.
     Descends g1, g2, and their composite independently and compares the
     composite of the descents with the descent of the composite, both ways
     around the tensor swap.  For two difference structures the composition
@@ -203,7 +205,6 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_images: dict,
     """
     t1 = c1.tower
     c2 = PresentedBAlgebra(t2, c1.generators, c1.relations_flat)
-    g1_struct = c1.structure(g1_images)
     g2_struct = c2.structure(g2_images)
     res1 = descend_d_structure(c1, g1_struct)
     res2 = descend_d_structure(c2, g2_struct)

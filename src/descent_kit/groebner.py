@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import ResourceLimit, NotFiniteDimensional
-from .polynomials import DegRevLex, Monomial, Polynomial
+from .polynomials import DegRevLex, Monomial, Polynomial, add_multiple
 
 DEFAULT_PAIR_BUDGET = 20000
 
@@ -63,18 +63,6 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
 
-def _subtract_multiple(terms, g_terms, q, factor, field):
-    """terms -= factor * q * g in place, dropping coefficients that cancel."""
-    zero, sub, mul = field.zero, field.sub, field.mul
-    for m, c in g_terms.items():
-        m = m.mul(q)
-        s = sub(terms.get(m, zero), mul(c, factor))
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
-
-
 def _reduction_steps(terms, remainder, basis, leads, field, order):
     """Reduce the term dict ``terms`` to zero in place, moving irreducible
     terms into ``remainder``.  Yields every step as (gi, q, factor): the
@@ -103,7 +91,7 @@ def _reduction_steps(terms, remainder, basis, leads, field, order):
             continue
         q = lm.divide(glm)
         factor = field.div(lc, glc)
-        _subtract_multiple(terms, basis[gi].terms, q, factor, field)
+        add_multiple(terms, basis[gi].terms, field.neg(factor), field, q)
         yield gi, q, factor
 
 
@@ -124,8 +112,9 @@ def _reduce_full(p, cof, basis, leads, basis_cofs, order):
     else:
         cof_terms = [dict(c.terms) for c in cof]
         for gi, q, factor in steps:
+            minus = field.neg(factor)
             for c, gc in zip(cof_terms, basis_cofs[gi]):
-                _subtract_multiple(c, gc.terms, q, factor, field)
+                add_multiple(c, gc.terms, minus, field, q)
         cof = [Polynomial.from_terms(field, c) for c in cof_terms]
     return Polynomial.from_terms(field, remainder), cof
 

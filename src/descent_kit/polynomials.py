@@ -74,6 +74,23 @@ class Monomial:
 ONE = Monomial()
 
 
+def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial = None) -> None:
+    """terms += c * m * p in place, for a term dict, the terms of p, a field
+    scalar c and a monomial m (None or degree 0 means 1); coefficients that
+    cancel are dropped."""
+    zero, add, mul = field.zero, field.add, field.mul
+    if m is not None and not m.degree:
+        m = None
+    for pm, pc in p_terms.items():
+        if m is not None:
+            pm = pm.mul(m)
+        s = add(terms.get(pm, zero), mul(pc, c))
+        if s:
+            terms[pm] = s
+        else:
+            terms.pop(pm, None)
+
+
 class DegRevLex:
     """Degree-reverse-lexicographic order over a fixed variable sequence.
 
@@ -221,14 +238,8 @@ class Polynomial:
     def __mul__(self, other):
         fld = self.field
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = fld.add(out.get(m, fld.zero), fld.mul(c1, c2))
-                if fld.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        for m, c in self.terms.items():
+            add_multiple(out, other.terms, c, fld, m)
         return Polynomial.from_terms(fld, out)
 
     def scale(self, c) -> "Polynomial":
@@ -247,28 +258,41 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.field, 1)
+        if n == 0:
+            return Polynomial.constant(self.field, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def substitute(self, env: dict) -> "Polynomial":
-        """Ring-homomorphic substitution; variables absent from env are kept."""
+        """Ring-homomorphic substitution; variables absent from env are kept.
+
+        Each power ``env[v]**e`` is computed once per call and shared by the
+        terms that use it; a term starts from its coefficient and its kept
+        variables, and the terms are summed in place.
+        """
         fld = self.field
-        out = Polynomial.zero(fld)
+        out = {}
+        powers = {}
         for m, c in self.terms.items():
-            piece = Polynomial.constant(fld, c)
+            piece, kept = None, {}
             for v, e in m.exps.items():
-                if v in env:
-                    piece = piece * (env[v] ** e)
-                else:
-                    piece = piece.term_mul(Monomial({v: e}), fld.one)
-            out = out + piece
-        return out
+                if v not in env:
+                    kept[v] = e
+                    continue
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[v, e] = env[v] ** e
+                piece = power if piece is None else piece * power
+            piece_terms = {ONE: fld.one} if piece is None else piece.terms
+            add_multiple(out, piece_terms, c, fld, Monomial(kept))
+        return Polynomial.from_terms(fld, out)
 
 
 # -- text form -----------------------------------------------------------------

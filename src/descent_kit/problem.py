@@ -32,7 +32,6 @@ class ProblemDescription:
         "e",
         "tower",
         "c",
-        "g_images",
         "g_structure",
         "r_ring",
         "u",
@@ -298,7 +297,6 @@ def load_problem(data: dict) -> ProblemDescription:
         e=e,
         tower=tower,
         c=c,
-        g_images=g_images,
         g_structure=g_structure,
         r_ring=r_ring,
         u=u,

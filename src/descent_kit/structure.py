@@ -4,12 +4,20 @@ A ``StructureAlgebra`` of rank r over a base ring stores the products
 b_i * b_j = sum_m c_ijm b_m.  Elements are coordinate vectors over the base
 ring.  The same machinery carries the module algebra of a descent problem
 (over its base ring) and the operator coefficient algebra (over k).
+
+Element coordinates are always normal forms over the base ring.  The public
+constructor normalizes what it is given; products are normalized once per
+output coordinate, and sums, differences, negations and field-scalar
+multiples of normal forms are normal forms already, so they are kept as
+computed.  ``evaluate_poly`` computes each power of a variable's image once
+per call, applies a term's field coefficient by scaling coordinates, and
+accumulates the terms in place.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidAlgebra
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, add_multiple
 from .presented import PresentedRing
 
 
@@ -56,10 +64,10 @@ class StructureAlgebra:
         return AlgebraElement(self, coords)
 
     def zero_el(self) -> "AlgebraElement":
-        return AlgebraElement(self, [self.base.zero] * self.rank)
+        return _wrap(self, [self.base.zero] * self.rank)
 
     def one_el(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit_coords)
+        return _wrap(self, self.unit_coords)
 
     def basis_el(self, i: int) -> "AlgebraElement":
         coords = [self.base.zero] * self.rank
@@ -71,21 +79,24 @@ class StructureAlgebra:
         return AlgebraElement(self, [a * c for c in self.unit_coords])
 
     def multiply_coords(self, x, y):
+        """Coordinates of x * y: each output coordinate is accumulated in one
+        term dict and normalized once."""
         r = self.rank
         base = self.base
-        out = [base.zero] * r
+        field = base.field
+        out = [{} for _ in range(r)]
         for i in range(r):
             if x[i].is_zero():
                 continue
+            row = self.constants[i]
             for j in range(r):
                 if y[j].is_zero():
                     continue
-                prod = x[i] * y[j]
+                prod = (x[i] * y[j]).terms
                 for m in range(r):
-                    c = self.constants[i][j][m]
-                    if not c.is_zero():
-                        out[m] = out[m] + prod * c
-        return [base.nf(v) for v in out]
+                    for cm, cc in row[j][m].terms.items():
+                        add_multiple(out[m], prod, cc, field, cm)
+        return [base.nf(Polynomial.from_terms(field, t)) for t in out]
 
     # -- validation -------------------------------------------------------------
 
@@ -174,13 +185,16 @@ class StructureAlgebra:
     def coordinatize(self, flat: Polynomial, extra_env=None) -> "AlgebraElement":
         """Evaluate a flat polynomial (base vars + labels) into coordinates.
 
-        ``extra_env`` may map further variables to AlgebraElements.
+        ``extra_env`` may map further variables to AlgebraElements.  Only
+        the variables that occur in ``flat`` get an image built here.
         """
+        occurring = flat.variables()
         env = {}
         for v in self.base.variables:
-            env[v] = self.scalar_el(self.base.var(v))
+            if v in occurring:
+                env[v] = self.scalar_el(self.base.var(v))
         for i, lab in enumerate(self.labels):
-            if lab != "1":
+            if lab != "1" and lab in occurring:
                 env[lab] = self.basis_el(i)
         if extra_env:
             env.update(extra_env)
@@ -199,7 +213,11 @@ class StructureAlgebra:
 
 
 class AlgebraElement:
-    """A coordinate vector over the base of a StructureAlgebra."""
+    """A coordinate vector over the base of a StructureAlgebra.
+
+    The coordinates are always normal forms: the constructor normalizes
+    them, and every operation returns normal forms without a second pass.
+    """
 
     __slots__ = ("algebra", "coords")
 
@@ -210,25 +228,23 @@ class AlgebraElement:
         self.coords = tuple(algebra.base.nf(c) for c in coords)
 
     def _check(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return _wrap(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return _wrap(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coords])
+        return _wrap(self.algebra, [-a for a in self.coords])
 
     def __mul__(self, other):
         self._check(other)
-        return AlgebraElement(
-            self.algebra, self.algebra.multiply_coords(self.coords, other.coords)
-        )
+        return _wrap(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
 
     def scale(self, a: Polynomial) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [c * a for c in self.coords])
@@ -236,14 +252,17 @@ class AlgebraElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self.algebra.one_el()
+        if n == 0:
+            return self.algebra.one_el()
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def equal(self, other) -> bool:
         self._check(other)
@@ -263,15 +282,39 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
+def _wrap(algebra: StructureAlgebra, coords) -> AlgebraElement:
+    """An element whose coordinates are already normal forms, kept as given."""
+    el = AlgebraElement.__new__(AlgebraElement)
+    el.algebra = algebra
+    el.coords = tuple(coords)
+    return el
+
+
 def evaluate_poly(p: Polynomial, env: dict, algebra: StructureAlgebra) -> AlgebraElement:
-    """Evaluate a polynomial with every variable mapped to an AlgebraElement."""
-    out = algebra.zero_el()
+    """Evaluate a polynomial with every variable mapped to an AlgebraElement.
+
+    Each power ``env[v]**e`` is computed once per call and shared by the
+    terms that use it; a term's coefficient scales the coordinates of its
+    power product, and the terms are summed in one term dict per coordinate.
+    Normal forms are closed under these sums, so the result needs no
+    further reduction.
+    """
+    field = algebra.base.field
+    out = [{} for _ in range(algebra.rank)]
+    powers = {}
     for m, c in p.terms.items():
-        piece = algebra.scalar_el(algebra.base.constant(c))
+        piece = None
         for v, e in m.exps.items():
-            img = env.get(v)
-            if img is None:
-                raise KeyError(f"no image for variable {v!r}")
-            piece = piece * img**e
-        out = out + piece
-    return out
+            power = powers.get((v, e))
+            if power is None:
+                img = env.get(v)
+                if img is None:
+                    raise KeyError(f"no image for variable {v!r}")
+                if img.algebra is not algebra and img.algebra != algebra:
+                    raise ValueError("elements of different algebras")
+                power = powers[v, e] = img**e
+            piece = power if piece is None else piece * power
+        coords = algebra.unit_coords if piece is None else piece.coords
+        for acc, coord in zip(out, coords):
+            add_multiple(acc, coord.terms, c, field)
+    return _wrap(algebra, [Polynomial.from_terms(field, t) for t in out])

@@ -321,7 +321,7 @@ def test_criterion_9_composition_suite():
         c1 = PresentedBAlgebra(t1, ("t",))
         flat = c1.flat_ring
         report = compose_descent_check(
-            c1, {"t": (flat.el("t^2"),)}, t2, {"t": (flat.el("t+eps"),)}
+            c1, c1.structure({"t": (flat.el("t^2"),)}), t2, {"t": (flat.el("t+eps"),)}
         )
         assert report["ok"]
         assert report["difference_monoid_law"]
@@ -345,7 +345,7 @@ def test_criterion_9_composition_suite():
         c = PresentedBAlgebra(tw_sigma, ("x",))
         flat2 = c.flat_ring
         report2 = compose_descent_check(
-            c, {"x": (flat2.el("x+1"),)}, tw_delta,
+            c, c.structure({"x": (flat2.el("x+1"),)}), tw_delta,
             {"x": (flat2.el("x"), flat2.el("1"))},
         )
         assert report2["ok"]

@@ -122,7 +122,7 @@ def test_difference_difference_descent_compatibility():
     c1 = PresentedBAlgebra(t1, ("t",))
     flat = c1.flat_ring
     report = compose_descent_check(
-        c1, {"t": (flat.el("t^2"),)}, t2, {"t": (flat.el("t+eps"),)}
+        c1, c1.structure({"t": (flat.el("t^2"),)}), t2, {"t": (flat.el("t+eps"),)}
     )
     assert report["ok"]
     assert report["theta_compatible"]
@@ -149,7 +149,8 @@ def test_commuting_pair_descends_to_commuting_pair():
     c = PresentedBAlgebra(tw_sigma, ("x",))
     flat = c.flat_ring
     report = compose_descent_check(
-        c, {"x": (flat.el("x+1"),)}, tw_delta, {"x": (flat.el("x"), flat.el("1"))}
+        c, c.structure({"x": (flat.el("x+1"),)}), tw_delta,
+        {"x": (flat.el("x"), flat.el("1"))},
     )
     assert report["ok"]
     assert report["inputs_commute"] and report["descents_commute"]

@@ -1,16 +1,32 @@
-"""Structure-constant algebras: validation, multiplication, base change, tensors."""
+"""Structure-constant algebras: validation, multiplication, base change,
+tensors, and the evaluation kernel against the term-by-term loop it replaced.
+
+``reference_evaluate`` and ``reference_substitute`` start every term from a
+constant, multiply the powers in one at a time and recompute each power for
+every term; ``reference_multiply`` sums polynomial products and normalizes
+at the end.  The kernels must give the same polynomials.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descent_kit import (
     GF,
     QQ,
+    Monomial,
+    Polynomial,
     PresentedRing,
     StructureAlgebra,
+    dual_numbers,
+    evaluate_poly,
+    product_of_fields,
     tensor_power,
     tensor_presented,
+    truncated_jets,
 )
 from descent_kit.errors import InvalidAlgebra, VariableClash
 from conftest import dual_basis_algebra
@@ -163,3 +179,193 @@ def test_tensor_clash_renames_or_errors():
     assert res.variables == ("x(1)", "x(2)")
     with pytest.raises(VariableClash):
         tensor_presented(s, s, rename=False)
+
+
+# -- the evaluation kernel against its reference --------------------------------
+
+FIELDS = (QQ, GF(7), GF(101))
+CARRIER_VARS = ("a", "b")
+ENV_VARS = ("x", "y", "z")
+
+
+def reference_power(el, e):
+    out = el.algebra.one_el()
+    for _ in range(e):
+        out = out * el
+    return out
+
+
+def reference_evaluate(p, env, algebra):
+    out = algebra.zero_el()
+    for m, c in p.terms.items():
+        piece = algebra.scalar_el(algebra.base.constant(c))
+        for v, e in m.exps.items():
+            img = env.get(v)
+            if img is None:
+                raise KeyError(f"no image for variable {v!r}")
+            piece = piece * reference_power(img, e)
+        out = out + piece
+    return out
+
+
+def reference_multiply(algebra, x, y):
+    base = algebra.base
+    out = [base.zero] * algebra.rank
+    for i in range(algebra.rank):
+        for j in range(algebra.rank):
+            prod = x[i] * y[j]
+            for m in range(algebra.rank):
+                out[m] = out[m] + prod * algebra.constants[i][j][m]
+    return [base.nf(v) for v in out]
+
+
+def reference_substitute(p, env):
+    fld = p.field
+    out = Polynomial.zero(fld)
+    for m, c in p.terms.items():
+        piece = Polynomial.constant(fld, c)
+        for v, e in m.exps.items():
+            if v in env:
+                power = Polynomial.constant(fld, 1)
+                for _ in range(e):
+                    power = power * env[v]
+                piece = piece * power
+            else:
+                piece = piece.term_mul(Monomial({v: e}), fld.one)
+        out = out + piece
+    return out
+
+
+def carrier(field):
+    """k[a, b]/(a^2 - 2b, b^2): a base ring with relations."""
+    free = PresentedRing.make(field, CARRIER_VARS, [])
+    return PresentedRing.make(field, CARRIER_VARS, [free.el("a^2 - 2*b"), free.el("b^2")])
+
+
+def algebras(field):
+    """Algebras over the carrier: three base changes of coefficient
+    algebras, and carrier[w]/(w^2 - a), whose constants are not scalars."""
+    ring = carrier(field)
+    z, o = ring.zero, ring.one
+    twisted = StructureAlgebra(ring, ("1", "w"), [[[o, z], [z, o]], [[z, o], [ring.var("a"), z]]])
+    return [
+        truncated_jets(field, 3).over(ring),
+        dual_numbers(field).over(ring),
+        product_of_fields(field, 2).over(ring),
+        twisted,
+    ]
+
+
+ALGEBRAS = {field: algebras(field) for field in FIELDS}
+
+
+def polys(field, variables, max_exp, max_terms):
+    term = st.tuples(
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=3),
+        *(st.integers(min_value=0, max_value=max_exp) for _ in variables),
+    )
+    return st.lists(term, max_size=max_terms).map(
+        lambda terms: Polynomial(field, {
+            Monomial(dict(zip(variables, exps))): Fraction(num, den)
+            for num, den, *exps in terms
+        })
+    )
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """(algebra, p, env): p over x, y, z with repeated exponents likely."""
+    field = draw(st.sampled_from(FIELDS))
+    algebra = draw(st.sampled_from(ALGEBRAS[field]))
+    coords = st.lists(polys(field, CARRIER_VARS, 3, 3),
+                      min_size=algebra.rank, max_size=algebra.rank)
+    env = {v: algebra.element(draw(coords)) for v in ENV_VARS}
+    p = draw(polys(field, ENV_VARS, 3, 5))
+    return algebra, p, env
+
+
+def assert_normal(el):
+    base = el.algebra.base
+    for c in el.coords:
+        assert base.nf(c) == c
+
+
+@settings(max_examples=80, deadline=None)
+@given(evaluation_inputs())
+def test_evaluate_poly_matches_reference(inputs):
+    algebra, p, env = inputs
+    got = evaluate_poly(p, env, algebra)
+    assert got.coords == reference_evaluate(p, env, algebra).coords
+    assert_normal(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(evaluation_inputs())
+def test_element_arithmetic_keeps_normal_forms(inputs):
+    algebra, _, env = inputs
+    x, y, z = (env[v] for v in ENV_VARS)
+    base = algebra.base
+    assert (x + y).coords == tuple(base.nf(a + b) for a, b in zip(x.coords, y.coords))
+    assert (x - y).coords == tuple(base.nf(a - b) for a, b in zip(x.coords, y.coords))
+    assert (-x).coords == tuple(base.nf(-a) for a in x.coords)
+    for a in (base.zero, base.constant(3), base.el("a + 1")):
+        assert x.scale(a).coords == tuple(base.nf(c * a) for c in x.coords)
+    product = x * y
+    assert product.coords == tuple(reference_multiply(algebra, x.coords, y.coords))
+    for el in (x + y, x - y, -x, x.scale(base.constant(5)), product, (x * y) * z):
+        assert_normal(el)
+    for e in range(5):
+        power = x**e
+        assert power.coords == reference_power(x, e).coords
+        assert_normal(power)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_evaluate_poly_edge_cases(field):
+    """The zero polynomial, constants, and a term repeating its exponents."""
+    for algebra in ALGEBRAS[field]:
+        ring = algebra.base
+        x = algebra.element([ring.el("a + 1")] + [ring.el("b - a")] * (algebra.rank - 1))
+        env = {"x": x}
+        free = PresentedRing.make(field, ("x",), [])
+        for text in ("0", "3", "x^2 + 2*x^2*x + x^2", "x^3 - x^3 + 5"):
+            p = free.el(text)
+            got = evaluate_poly(p, env, algebra)
+            assert got.coords == reference_evaluate(p, env, algebra).coords
+            assert_normal(got)
+        assert evaluate_poly(free.el("0"), {}, algebra).is_zero()
+        assert evaluate_poly(free.el("3"), {}, algebra).equal(
+            algebra.one_el().scale(ring.constant(3)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_unmapped_variable_raises_key_error(field):
+    algebra = ALGEBRAS[field][0]
+    free = PresentedRing.make(field, ("x", "y"), [])
+    env = {"x": algebra.basis_el(1)}
+    with pytest.raises(KeyError, match="no image for variable 'y'"):
+        evaluate_poly(free.el("x^2 + x*y"), env, algebra)
+
+
+@st.composite
+def substitution_inputs(draw):
+    """(p, env) with some variables mapped and some kept."""
+    field = draw(st.sampled_from(FIELDS))
+    p = draw(polys(field, ENV_VARS + CARRIER_VARS, 3, 5))
+    mapped = draw(st.lists(st.sampled_from(ENV_VARS + CARRIER_VARS), unique=True))
+    env = {v: draw(polys(field, ENV_VARS + CARRIER_VARS, 2, 3)) for v in mapped}
+    return p, env
+
+
+@settings(max_examples=120, deadline=None)
+@given(substitution_inputs())
+def test_substitute_matches_reference(inputs):
+    p, env = inputs
+    assert p.substitute(env) == reference_substitute(p, env)
+    for e in range(5):
+        q = p**e
+        expected = Polynomial.constant(p.field, 1)
+        for _ in range(e):
+            expected = expected * p
+        assert q == expected

@@ -1,10 +1,12 @@
 """Work counts: each object is checked once, each descent ideal and descent
-matrix is built once per command, and a normal form never recomputes a
-leading term the basis already holds.
+matrix is built once per command, a normal form never recomputes a
+leading term the basis already holds, and evaluation in a structure
+algebra multiplies only what it must.
 
 Counters are wrapped around the validators, ``groebner.buchberger``,
-``groebner.normal_form``, ``DegRevLex.leading`` and ``RingMatrix.inverse``
-for one CLI invocation at a time.
+``groebner.normal_form``, ``DegRevLex.leading``, ``RingMatrix.inverse``,
+``descend_d_structure`` and ``StructureAlgebra.multiply_coords``, for one
+CLI invocation or one evaluation at a time.
 """
 
 import contextlib
@@ -14,13 +16,13 @@ from collections import Counter
 
 import pytest
 
-from descent_kit import groebner
+from descent_kit import QQ, PresentedRing, cli, compose, groebner
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
 from descent_kit.matrices import RingMatrix
 from descent_kit.polynomials import DegRevLex
-from descent_kit.structure import StructureAlgebra
-from conftest import FIXTURES
+from descent_kit.structure import StructureAlgebra, evaluate_poly
+from conftest import FIXTURES, dual_basis_algebra
 
 COMMANDS = (
     ["validate"], ["matrix"], ["descend"], ["descend", "--audit"],
@@ -134,3 +136,64 @@ def test_normal_form_never_rescans_leading_terms(tmp_path, monkeypatch):
     assert run_cli(["descend", "--input", str(FIXTURES / "differential.json")], tmp_path) == 0
     assert counts["normal_form"] > 0
     assert counts["leading"] == 0
+
+
+def test_compose_check_descends_the_loaded_structure(tmp_path, monkeypatch):
+    """compose-check hands the validated structure of the problem to the
+    first descent instead of rebuilding it from the raw images."""
+    loaded, descended = [], []
+    original_load = cli.problem_from_file
+    original_descend = compose.descend_d_structure
+
+    def load(path):
+        loaded.append(original_load(path))
+        return loaded[-1]
+
+    def descend(c, g_structure):
+        descended.append(g_structure)
+        return original_descend(c, g_structure)
+
+    monkeypatch.setattr(cli, "problem_from_file", load)
+    monkeypatch.setattr(compose, "descend_d_structure", descend)
+    code = run_cli(["compose-check", "--input", str(FIXTURES / "compose_difference.json")],
+                   tmp_path)
+    assert code == 0
+    assert descended[0] is loaded[0].g_structure
+
+
+def count_multiplications(monkeypatch):
+    calls = [0]
+    original = StructureAlgebra.multiply_coords
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(StructureAlgebra, "multiply_coords", counted)
+    return calls
+
+
+def test_evaluation_shares_powers(monkeypatch):
+    """x^2*y + x^2 + y over a rank-2 algebra: x^2 once (one squaring), then
+    x^2 * y; coefficients scale coordinates and y^1 is y itself."""
+    ring = PresentedRing.make(QQ, ("a",), [PresentedRing.make(QQ, ("a",), []).el("a^2 - 3")])
+    algebra = dual_basis_algebra(ring)
+    env = {"x": algebra.element([ring.el("a"), ring.one]),
+           "y": algebra.element([ring.one, ring.el("2*a")])}
+    p = PresentedRing.make(QQ, ("x", "y"), []).el("x^2*y + x^2 + y")
+    calls = count_multiplications(monkeypatch)
+    evaluate_poly(p, env, algebra)
+    assert calls[0] == 2
+
+
+def test_power_multiplies_only_what_it_needs(monkeypatch):
+    ring = PresentedRing.base_field(QQ)
+    algebra = dual_basis_algebra(ring)
+    el = algebra.element([ring.constant(2), ring.one])
+    calls = count_multiplications(monkeypatch)
+    assert el**1 is el
+    assert calls[0] == 0
+    assert (el**0).coords == algebra.one_el().coords
+    assert calls[0] == 0
+    el**4
+    assert calls[0] == 2
