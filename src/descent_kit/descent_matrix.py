@@ -245,12 +245,12 @@ def invertibility_equivalences(tower_or_algebra, sigma_images) -> dict:
     clause_iii = ring.is_unit(m.det())
 
     # (iv): spanning: every basis vector solvable in span(sigma(b_i)); decided
-    # through Cramer solves
-    clause_iv = True
+    # by one Cramer solve (one characteristic polynomial, Cayley-Hamilton per
+    # right-hand side) for all r unit vectors
+    units = [[ring.one if p == n else ring.zero for p in range(r)] for n in range(r)]
     try:
-        for n in range(r):
-            target = [ring.one if p == n else ring.zero for p in range(r)]
-            m.solve_cramer(target)
+        m.solve_cramer(units)
+        clause_iv = True
     except NonInvertibleMatrix:
         clause_iv = False
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .polynomials import Polynomial, render
 from .presented import PresentedRing, tensor_presented
-from .structure import evaluate_poly
+from .structure import _wrap, evaluate_poly
 
 
 class DStructure:
@@ -70,7 +70,8 @@ class DStructure:
         vec = self.images[v]
         if vec is None:
             raise TruncationExceeded(f"no operator image assigned to {v!r}")
-        return self._ext.element(vec)
+        # the coordinates are normal forms over the carrier, set in __init__
+        return _wrap(self._ext, vec)
 
     def apply(self, x: Polynomial):
         """e(x) as an element of carrier (x) D (an l-vector over the carrier)."""

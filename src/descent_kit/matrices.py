@@ -2,15 +2,21 @@
 
 Inversion runs Gauss-Jordan elimination restricted to unit pivots (their
 inverses come with Groebner certificates) and, when elimination stalls on
-nonzero non-unit entries, falls back to the adjugate route: a division-free
-Berkowitz characteristic polynomial gives the determinant and the adjugate,
-and the matrix is invertible exactly when the determinant is a unit.
+nonzero non-unit entries, falls back to the adjugate route: one
+division-free Berkowitz characteristic polynomial gives both the
+determinant and the adjugate, and the matrix is invertible exactly when
+the determinant is a unit.
+
+``solve_cramer`` is a second, independent solve: one characteristic
+polynomial per matrix, then Cayley-Hamilton by Horner with matrix-vector
+products for every right-hand side.  It shares no code with the
+elimination, so agreement of the two routes means something.
 """
 
 from __future__ import annotations
 
 from .errors import NonInvertibleMatrix, NotAUnit
-from .polynomials import Polynomial
+from .polynomials import Polynomial, add_multiple
 from .presented import PresentedRing
 
 
@@ -107,12 +113,20 @@ class RingMatrix:
         """Matrix-vector product; the vector is a list of ring elements."""
         if len(vector) != self.ncols:
             raise ValueError("shape mismatch")
+        zero = self.ring.zero
+        return self._apply_plus(vector, zero, [zero] * self.nrows)
+
+    def _apply_plus(self, y, c: Polynomial, b):
+        """M y + c b, each entry summed in one term dict and normalized once."""
+        ring = self.ring
+        field = ring.field
         out = []
-        for row in self.rows:
-            s = self.ring.zero
-            for a, v in zip(row, vector):
-                s = s + a * v
-            out.append(self.ring.nf(s))
+        for row, bi in zip(self.rows, b):
+            terms = {}
+            for a, v in zip((c, *row), (bi, *y)):
+                for m, coef in a.terms.items():
+                    add_multiple(terms, v.terms, coef, field, m)
+            out.append(ring.nf(Polynomial.from_terms(field, terms)))
         return out
 
     @staticmethod
@@ -174,14 +188,19 @@ class RingMatrix:
         return coeffs
 
     def det(self) -> Polynomial:
-        n = self.nrows
-        c0 = self.charpoly()[-1]
-        return self.ring.nf(c0 if n % 2 == 0 else -c0)
+        return self._det_of(self.charpoly())
+
+    def _det_of(self, coeffs) -> Polynomial:
+        """det(M) = (-1)^n c_0 from the characteristic polynomial of M."""
+        c0 = coeffs[-1]
+        return self.ring.nf(c0 if self.nrows % 2 == 0 else -c0)
 
     def adjugate(self) -> "RingMatrix":
         """adj(M) with M*adj(M) = det(M)*I, via Cayley-Hamilton."""
+        return self._adjugate_of(self.charpoly())
+
+    def _adjugate_of(self, coeffs) -> "RingMatrix":
         n = self.nrows
-        coeffs = self.charpoly()
         # B = M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I ; adj = (-1)^{n-1} B
         acc = RingMatrix.zero(self.ring, n, n)
         power = RingMatrix.identity(self.ring, n)
@@ -236,14 +255,19 @@ class RingMatrix:
         return RingMatrix(ring, inv)
 
     def _inverse_adjugate(self) -> "RingMatrix":
-        d = self.det()
+        coeffs = self.charpoly()
+        d_inv = self._unit_det_inverse(coeffs)
+        return self._adjugate_of(coeffs).scale(d_inv)
+
+    def _unit_det_inverse(self, coeffs) -> Polynomial:
+        """det(M)^-1 from the characteristic polynomial, or NonInvertibleMatrix."""
+        d = self._det_of(coeffs)
         try:
-            d_inv = self.ring.unit_inverse(d)
+            return self.ring.unit_inverse(d)
         except NotAUnit:
             raise NonInvertibleMatrix(
                 f"determinant {self.ring.render(d)} is not a unit"
             ) from None
-        return self.adjugate().scale(d_inv)
 
     def is_invertible(self) -> bool:
         try:
@@ -252,24 +276,34 @@ class RingMatrix:
         except NonInvertibleMatrix:
             return False
 
-    def solve_cramer(self, b):
-        """Solve M x = b by Cramer's rule; requires a unit determinant.
+    def solve_cramer(self, vectors):
+        """Solve M x = b for every b in ``vectors``; requires a unit determinant.
+
+        One Berkowitz characteristic polynomial [1, c_{n-1}, ..., c_0] serves
+        every right-hand side.  By Cayley-Hamilton,
+        adj(M) = (-1)^{n-1} (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) and
+        det(M) = (-1)^n c_0, so x = adj(M) b / det(M) = -c_0^{-1} y with
+        y = M^{n-1} b + c_{n-1} M^{n-2} b + ... + c_1 b, computed by Horner
+        with matrix-vector products; the adjugate is never formed.  Entry j
+        of adj(M) b is det(M_j), M with column j replaced by b, so this is
+        Cramer's quotient det(M_j) / det(M).  Returns one list of normal
+        forms per right-hand side.
 
         Kept as an independent route from ``inverse`` so results obtained
         with one can be cross-checked with the other.
         """
-        d = self.det()
-        try:
-            d_inv = self.ring.unit_inverse(d)
-        except NotAUnit:
-            raise NonInvertibleMatrix(
-                f"determinant {self.ring.render(d)} is not a unit"
-            ) from None
         n = self.nrows
+        coeffs = self.charpoly()
+        d_inv = self._unit_det_inverse(coeffs)
+        # -c_0^{-1} = (-1)^{n+1} det(M)^{-1}
+        scale = d_inv if n % 2 else -d_inv
+        ring = self.ring
         out = []
-        for j in range(n):
-            cols = [
-                [b[i] if k == j else self.rows[i][k] for k in range(n)] for i in range(n)
-            ]
-            out.append(self.ring.nf(RingMatrix(self.ring, cols).det() * d_inv))
+        for b in vectors:
+            if len(b) != n:
+                raise ValueError("shape mismatch")
+            y = b
+            for c in coeffs[1:n]:
+                y = self._apply_plus(y, c, b)
+            out.append([ring.nf(e * scale) for e in y])
         return out

@@ -36,11 +36,7 @@ class WeilDescentResult:
 
     def unit_image(self, gen: str, ring: PresentedRing = None) -> AlgebraElement:
         """The unit map's value at a generator, as coordinates over W(C)."""
-        target = ring if ring is not None else self.descended
-        ext = self.source.tower.algebra.base_change(target)
-        return ext.element(
-            [Polynomial.variable(target.field, name) for name in self.copy_names[gen]]
-        )
+        return self._unit_element(self.tensor_algebra(ring), gen)
 
     def tensor_algebra(self, ring: PresentedRing = None) -> StructureAlgebra:
         """W(C) (x)_A B (or R (x)_A B for a supplied R)."""
@@ -50,8 +46,15 @@ class WeilDescentResult:
     def evaluate_under_unit(self, flat: Polynomial, ring: PresentedRing = None) -> AlgebraElement:
         """Push a flat element of B[T] through the unit map into W(C) (x) B."""
         algebra = self.tensor_algebra(ring)
-        extra = {g: self.unit_image(g, algebra.base) for g in self.source.generators}
+        extra = {g: self._unit_element(algebra, g) for g in self.source.generators}
         return algebra.coordinatize(flat, extra)
+
+    def _unit_element(self, algebra: StructureAlgebra, gen: str) -> AlgebraElement:
+        """The unit image of ``gen`` in ``algebra``, a base change of B."""
+        field = algebra.base.field
+        return algebra.element(
+            [Polynomial.variable(field, name) for name in self.copy_names[gen]]
+        )
 
 
 def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:

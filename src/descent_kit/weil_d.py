@@ -148,21 +148,23 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure) -> DDesce
 def rederive_images(result: DDescentResult) -> dict:
     """Re-derive the descended generator images by an independent solve.
 
-    Solves the coordinate identity with Cramer's rule instead of the stored
-    inverse; exact agreement witnesses uniqueness.
+    Solves the coordinate identity of every generator in one Cramer solve
+    (one characteristic polynomial of the matrix, then Cayley-Hamilton per
+    generator) instead of applying the stored inverse; exact agreement
+    witnesses uniqueness.
     """
     classical = result.classical
     matrix = result.matrix
     ring = classical.descended
-    lifted = matrix.lift(ring)
+    gens = classical.source.generators
+    vectors = [
+        _unit_coordinate_vector(classical, result.c_structure, gen, ring, matrix)
+        for gen in gens
+    ]
     out = {}
-    for gen in classical.source.generators:
-        vec = _unit_coordinate_vector(classical, result.c_structure, gen, ring, matrix)
-        solved = lifted.solve_cramer(vec)
+    for gen, solved in zip(gens, matrix.lift(ring).solve_cramer(vectors)):
         for i, name in enumerate(classical.copy_names[gen]):
-            out[name] = tuple(
-                ring.nf(solved[matrix.position(i, j)]) for j in range(matrix.l)
-            )
+            out[name] = tuple(solved[matrix.position(i, j)] for j in range(matrix.l))
     return out
 
 

@@ -1,9 +1,11 @@
-"""Differential tests against SymPy's Groebner bases (test-only dependency).
+"""Differential tests against SymPy (test-only dependency).
 
 On seeded random small ideals over QQ and GF(p), the reduced grevlex basis
 from ``buchberger`` must equal ``sympy.groebner(..., order="grevlex")``
 with the generators in the order of our ``DegRevLex`` variables, and
-``normal_form`` must equal SymPy's remainder modulo that basis.
+``normal_form`` must equal SymPy's remainder modulo that basis.  On seeded
+random small matrices over QQ[x, y] and GF(101)[x, y], the Berkowitz
+``RingMatrix.det`` must equal SymPy's determinant.
 """
 
 import random
@@ -11,7 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial, buchberger, normal_form
+from descent_kit import (
+    GF, QQ, DegRevLex, Monomial, Polynomial, PresentedRing, buchberger, normal_form,
+)
+from descent_kit.matrices import RingMatrix
 
 sympy = pytest.importorskip("sympy")
 
@@ -84,3 +89,22 @@ def test_reduced_basis_and_normal_form_match_sympy(field, seed):
             field, variables,
         )
         assert normal_form(target, ours) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("seed", range(10))
+def test_determinant_matches_sympy(field, seed):
+    rng = random.Random(seed * 7919 + field.characteristic)
+    variables = VARIABLES[:2]
+    ring = PresentedRing.make(field, variables)
+    symbols = {v: sympy.Symbol(v) for v in variables}
+    n = rng.randint(1, 4)
+    rows = [[random_poly(rng, field, variables, rng.randint(0, 2), 2) for _ in range(n)]
+            for _ in range(n)]
+    ours = RingMatrix(ring, rows).det()
+    theirs = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in rows]).det()
+    expected = from_sympy(
+        sympy.Poly(sympy.expand(theirs), *symbols.values(), **domain_options(field)),
+        field, variables,
+    )
+    assert ours == expected

@@ -1,12 +1,14 @@
 """Work counts: each object is checked once, each descent ideal and descent
 matrix is built once per command, a normal form never recomputes a
-leading term the basis already holds, and evaluation in a structure
-algebra multiplies only what it must.
+leading term the basis already holds, evaluation in a structure algebra
+multiplies only what it must, and the audit's Cramer solve runs one
+characteristic polynomial for all generators.
 
 Counters are wrapped around the validators, ``groebner.buchberger``,
 ``groebner.normal_form``, ``DegRevLex.leading``, ``RingMatrix.inverse``,
-``descend_d_structure`` and ``StructureAlgebra.multiply_coords``, for one
-CLI invocation or one evaluation at a time.
+``RingMatrix.charpoly``, ``descend_d_structure``, ``rederive_images``,
+``StructureAlgebra.multiply_coords`` and ``StructureAlgebra.base_change``,
+for one CLI invocation or one evaluation at a time.
 """
 
 import contextlib
@@ -16,12 +18,15 @@ from collections import Counter
 
 import pytest
 
-from descent_kit import QQ, PresentedRing, cli, compose, groebner
+from descent_kit import (
+    GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, difference_algebra,
+    groebner, parse_polynomial, problem_from_file, weil_d, weil_descend,
+)
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
 from descent_kit.matrices import RingMatrix
 from descent_kit.polynomials import DegRevLex
-from descent_kit.structure import StructureAlgebra, evaluate_poly
+from descent_kit.structure import AlgebraElement, StructureAlgebra, evaluate_poly
 from conftest import FIXTURES, dual_basis_algebra
 
 COMMANDS = (
@@ -105,6 +110,40 @@ def test_obstruction_inverts_the_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RingMatrix, "inverse", counted)
     code = run_cli(["descend", "--input", str(FIXTURES / "introduction.json")], tmp_path)
     assert (code, calls[0]) == (2, 1)
+
+
+@pytest.mark.parametrize("fixture", [
+    "adjoint_f2.json", "compose_difference.json", "differential.json",
+    "frobenius_square.json",
+])
+def test_audit_solve_runs_one_characteristic_polynomial(fixture, tmp_path, monkeypatch):
+    """descend --audit re-derives every generator image from one Berkowitz
+    characteristic polynomial and never touches the elimination route."""
+    inside = [0]
+    counts = Counter()
+    original_rederive = weil_d.rederive_images
+
+    def tracked_rederive(result):
+        inside[0] += 1
+        try:
+            return original_rederive(result)
+        finally:
+            inside[0] -= 1
+
+    for method in ("charpoly", "inverse"):
+        def counted(self, _original=getattr(RingMatrix, method), _name=method):
+            if inside[0]:
+                counts[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(RingMatrix, method, counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("descent_kit") and getattr(
+                module, "rederive_images", None) is original_rederive:
+            monkeypatch.setattr(module, "rederive_images", tracked_rederive)
+    code = run_cli(["descend", "--audit", "--input", str(FIXTURES / fixture)], tmp_path)
+    assert code == 0
+    assert (counts["charpoly"], counts["inverse"]) == (1, 0)
 
 
 def test_normal_form_never_rescans_leading_terms(tmp_path, monkeypatch):
@@ -197,3 +236,51 @@ def test_power_multiplies_only_what_it_needs(monkeypatch):
     assert calls[0] == 0
     el**4
     assert calls[0] == 2
+
+
+def test_operator_images_are_wrapped_as_normalized(monkeypatch):
+    """DStructure normalizes its images once, at construction; applying it
+    builds no element through the normalizing constructor."""
+    g = problem_from_file(FIXTURES / "differential.json").g_structure
+    x = g.carrier.one
+    for v in g.carrier.variables:
+        x = x * g.carrier.var(v)
+    x = g.carrier.nf(x + g.carrier.one)
+    calls = [0]
+    original = AlgebraElement.__init__
+
+    def counted(self, algebra, coords):
+        calls[0] += 1
+        original(self, algebra, coords)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    image = g.apply(x)
+    assert calls[0] == 0
+    assert all(g.carrier.nf(c) == c for c in image.coords)
+
+
+def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
+    """evaluate_under_unit puts the tensor algebra and every generator's unit
+    image on one base change of B, so their algebras are the same object."""
+    field = GF(2)
+    a = PresentedRing.base_field(field)
+    b = dual_basis_algebra(a)
+    tower = OperatorTower(
+        DStructure.identity(a, difference_algebra(field)), b, difference_algebra(field),
+        [[b.basis_el(0)], [b.basis_el(1)]],
+    )
+    result = weil_descend(PresentedBAlgebra(tower, ("s", "t")))
+    flat = parse_polynomial("s*t + t^2 + s", field)
+    expected = (result.unit_image("s") * result.unit_image("t")
+                + result.unit_image("t") ** 2 + result.unit_image("s"))
+    calls = [0]
+    original = StructureAlgebra.base_change
+
+    def counted(self, ring):
+        calls[0] += 1
+        return original(self, ring)
+
+    monkeypatch.setattr(StructureAlgebra, "base_change", counted)
+    image = result.evaluate_under_unit(flat)
+    assert calls[0] == 1
+    assert image.coords == expected.coords
