@@ -147,15 +147,19 @@ def gamma_swap(cs: ComposedStructure, cc_swapped: ComposedCoefficients = None) -
     return ComposedStructure(cc_swapped, cs.second, cs.first, structure)
 
 
-def commutes(e1: DStructure, e2: DStructure) -> bool:
+def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None,
+             cc_swapped: ComposedCoefficients = None) -> bool:
     """Do the two structures commute (every operator with every operator)?
 
     Checked as exact equality of the swapped composite with the reverse
-    composite on the carrier's generators.
+    composite on the carrier's generators.  ``cc`` and ``cc_swapped`` are
+    D2 (x) D1 and D1 (x) D2 when already built.
     """
-    c12 = compose_structures(e1, e2)
-    c21 = compose_structures(e2, e1, tensor_coefficients(e1.coeff, e2.coeff))
-    swapped = gamma_swap(c12, c21.coefficients)
+    if cc_swapped is None:
+        cc_swapped = tensor_coefficients(e1.coeff, e2.coeff)
+    c12 = compose_structures(e1, e2, cc)
+    c21 = compose_structures(e2, e1, cc_swapped)
+    swapped = gamma_swap(c12, cc_swapped)
     carrier = e1.carrier
     for v in carrier.variables:
         for a, b in zip(swapped.structure.images[v], c21.structure.images[v]):
@@ -201,13 +205,17 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     Descends g1, g2, and their composite independently and compares the
     composite of the descents with the descent of the composite, both ways
     around the tensor swap.  For two difference structures the composition
-    law and identity preservation are also checked directly.
+    law and identity preservation are also checked directly.  The classical
+    descent W(C) does not depend on the structures, so the first descent
+    computes it and every later one reuses it; each ordering of the tensor
+    product of the coefficient algebras is built once.
     """
     t1 = c1.tower
     c2 = PresentedBAlgebra(t2, c1.generators, c1.relations_flat)
     g2_struct = c2.structure(g2_images)
     res1 = descend_d_structure(c1, g1_struct)
-    res2 = descend_d_structure(c2, g2_struct)
+    classical = res1.classical
+    res2 = descend_d_structure(c2, g2_struct, classical)
     if res1.classical.descended != res2.classical.descended:
         raise CertificateFailure(
             "compose_presentations", "the two descents produced different presentations"
@@ -218,7 +226,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     t12, _ = compose_towers(t1, t2, cc)
     c12 = PresentedBAlgebra(t12, c1.generators, c1.relations_flat)
     g12_struct = c12.structure(compose_c_structures(c1, g1_struct, g2_struct, cc))
-    res12 = descend_d_structure(c12, g12_struct)
+    res12 = descend_d_structure(c12, g12_struct, classical)
 
     composed_w = compose_structures(res1.structure, res2.structure, cc)
     theta_ok = True
@@ -242,7 +250,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     )
     c_sw = PresentedBAlgebra(t21, c1.generators, c1.relations_flat)
     res_sw = descend_d_structure(
-        c_sw, c_sw.structure({g: swapped_c.structure.images[g] for g in c1.generators})
+        c_sw, c_sw.structure({g: swapped_c.structure.images[g] for g in c1.generators}),
+        classical,
     )
     swapped_w = gamma_swap(composed_w, cc_swapped)
     gamma_ok = True
@@ -263,9 +272,9 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
             gen: (g1_struct.coordinate_op(1, g2_struct.images[gen][0]),)
             for gen in c1.generators
         }
-        t_h, _ = compose_towers(t2, t1)  # f1 o f2 at the module level
+        t_h, _ = compose_towers(t2, t1, cc_swapped)  # f1 o f2 at the module level
         c_h = PresentedBAlgebra(t_h, c1.generators, c1.relations_flat)
-        res_h = descend_d_structure(c_h, c_h.structure(h_images))
+        res_h = descend_d_structure(c_h, c_h.structure(h_images), classical)
         law_ok = True
         for name in w_ring.variables:
             direct = res_h.structure.images[name][0]
@@ -281,7 +290,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         id_images = {
             gen: (Polynomial.variable(w_ring.field, gen),) for gen in c1.generators
         }
-        id_res = descend_d_structure(id_c, id_c.structure(id_images))
+        id_res = descend_d_structure(id_c, id_c.structure(id_images), classical)
         id_ok = all(
             w_ring.equal(
                 id_res.structure.images[name][0],
@@ -293,9 +302,9 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         report["difference_monoid_law"] = law_ok
         report["identity_descends_to_identity"] = id_ok
 
-    if commutes(g1_struct, g2_struct):
+    if commutes(g1_struct, g2_struct, cc, cc_swapped):
         report["inputs_commute"] = True
-        report["descents_commute"] = commutes(res1.structure, res2.structure)
+        report["descents_commute"] = commutes(res1.structure, res2.structure, cc, cc_swapped)
     else:
         report["inputs_commute"] = False
 

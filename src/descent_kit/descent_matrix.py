@@ -103,7 +103,8 @@ def associated_matrix(tower: OperatorTower, check_stratified: bool = True) -> De
 
 def _assert_block_structure(dm: DescentMatrix, tower: OperatorTower):
     """With the stratified basis: zero blocks above the diagonal row-wise,
-    and each diagonal block equal to an associated endomorphism matrix."""
+    and each diagonal block equal to an associated endomorphism matrix
+    (built once per local factor)."""
     zero = RingMatrix.zero(dm.ring, dm.r, dm.r)
     for m in range(dm.l):
         for j in range(dm.l):
@@ -111,10 +112,12 @@ def _assert_block_structure(dm: DescentMatrix, tower: OperatorTower):
                 raise CertificateFailure(
                     "block_structure", f"block ({m + 1},{j + 1}) should vanish"
                 )
+    expected = {}
     for j in range(dm.l):
         factor = tower.coeff.factor_of[j]
-        expected = endo_matrix(tower.algebra, tower.endo_images(factor))
-        if dm.blocks[j][j] != expected:
+        if factor not in expected:
+            expected[factor] = endo_matrix(tower.algebra, tower.endo_images(factor))
+        if dm.blocks[j][j] != expected[factor]:
             raise CertificateFailure(
                 "block_structure", f"diagonal block {j + 1} is not the endomorphism matrix"
             )

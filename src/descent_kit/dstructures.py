@@ -17,6 +17,7 @@ from .errors import (
     NotWellDefined,
     TruncationExceeded,
 )
+from .groebner import buchberger
 from .polynomials import Polynomial, render
 from .presented import PresentedRing, tensor_presented
 from .structure import _wrap, evaluate_poly
@@ -166,22 +167,30 @@ class DStructure:
 
         Checked on the given generators; that suffices because the
         coordinatewise image of an ideal generates an ideal of carrier (x) D.
+        The quotient presentation gets a Groebner run of its own, never a
+        ring that ``extend`` has kept, so this check shares no basis with
+        ``quotient``.
         """
-        gens = [self.carrier.nf(g) for g in ideal_gens]
-        quotient = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
+        carrier = self.carrier
+        gens = [carrier.nf(g) for g in ideal_gens]
+        known = carrier.relations.generators
+        basis = buchberger(known + tuple(gens), carrier.order, known=len(known))
+        quotient = PresentedRing(carrier.field, carrier.variables, basis, carrier.base_vars)
         return self._maps_into(gens, quotient)
 
     def quotient(self, ideal_gens) -> "DStructure":
-        """The induced structure on carrier/(ideal); requires a D-ideal."""
+        """The induced structure on carrier/(ideal); requires a D-ideal.
+
+        The new carrier comes from ``carrier.extend``, so it is the ring
+        already built for the same ideal (the descended ring of a Weil
+        descent, for one).
+        """
         gens = [self.carrier.nf(g) for g in ideal_gens]
         new_carrier = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
         if not self._maps_into(gens, new_carrier):
             raise NotDIdeal("the ideal is not closed under the coordinate operators")
-        images = {
-            v: None if vec is None else tuple(new_carrier.nf(c) for c in vec)
-            for v, vec in self.images.items()
-        }
-        return DStructure(new_carrier, self.coeff, images, base=self.base)
+        # the constructor reduces the images modulo the new relations
+        return DStructure(new_carrier, self.coeff, self.images, base=self.base)
 
     def _maps_into(self, gens, quotient: PresentedRing) -> bool:
         """Does e send every generator into the ideal presented by ``quotient``?"""

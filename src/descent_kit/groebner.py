@@ -7,6 +7,14 @@ by decreasing leading monomial.  Cofactor tracking keeps, for every basis
 element, an explicit representation over the *input* generators; that is
 what turns "1 lies in the ideal" into a checkable inverse certificate.
 
+An input list may begin with a known prefix, ``known`` generators that
+already form a Groebner basis under the same order (say the relations of
+a ring being extended by new variables appended at the end of the order:
+monomials in the old variables compare as before).  Every S-pair inside
+the prefix then reduces to zero, so Buchberger skips those pairs
+(Buchberger's criterion).  Cofactors are tracked over the inputs after
+the prefix only, modulo the ideal of the prefix.
+
 A basis carries the leading term of every generator (``GroebnerBasis.leads``
 and, while Buchberger runs, a list kept in step with the basis), so a
 reduction never recomputes one.  A reduction returns at once for an empty
@@ -142,24 +150,33 @@ def _spair(i, j, basis, leads, basis_cofs, track):
     return s, cf
 
 
-def _buchberger_core(gens, order, budget, track):
+def _buchberger_core(gens, order, budget, track, known=0):
     """Unreduced basis, cofactors (None entries unless tracked) and the
-    leading term of every basis element, kept in step with the basis."""
+    leading term of every basis element, kept in step with the basis.
+
+    ``gens[:known]`` must already be a Groebner basis: no pair inside it is
+    formed, and cofactors are vectors over ``gens[known:]`` (a prefix
+    element's is zero).
+    """
     basis, cofs, leads = [], [], []
+    prefix = 0
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
         basis.append(g)
         leads.append(order.leading(g))
+        if idx < known:
+            prefix += 1
         if track:
-            vec = [Polynomial.zero(g.field) for _ in gens]
-            vec[idx] = Polynomial.constant(g.field, 1)
+            vec = [Polynomial.zero(g.field) for _ in gens[known:]]
+            if idx >= known:
+                vec[idx - known] = Polynomial.constant(g.field, 1)
             cofs.append(vec)
     if not basis:
         return [], [], []
 
     pairs = []
-    for j in range(len(basis)):
+    for j in range(prefix, len(basis)):
         for i in range(j):
             lcm = leads[i][0].lcm(leads[j][0])
             heapq.heappush(pairs, (lcm.degree, i, j))
@@ -230,20 +247,28 @@ def _interreduce(basis, cofs, leads, order, track):
     return basis, cofs
 
 
-def buchberger(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
-    basis, _, leads = _buchberger_core(list(gens), order, budget, track=False)
+def buchberger(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET,
+               known: int = 0) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    ``gens[:known]`` must already be a Groebner basis under ``order``.
+    """
+    basis, _, leads = _buchberger_core(list(gens), order, budget, track=False, known=known)
     basis, _ = _interreduce(basis, None, leads, order, track=False)
     return GroebnerBasis(basis, order, reduced=True)
 
 
-def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET):
+def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET,
+                        known: int = 0):
     """Reduced basis plus, per element, its cofactors over the inputs.
 
     Returns (gb, cofactors) with ``gb.generators[i] == sum_j cofactors[i][j] * gens[j]``.
+    With a known prefix (``gens[:known]`` already a Groebner basis) the
+    cofactors run over ``gens[known:]`` only, and the identity holds modulo
+    the ideal of the prefix.
     """
     gens = list(gens)
-    basis, cofs, leads = _buchberger_core(gens, order, budget, track=True)
+    basis, cofs, leads = _buchberger_core(gens, order, budget, track=True, known=known)
     basis, cofs = _interreduce(basis, cofs, leads, order, track=True)
     return GroebnerBasis(basis, order, reduced=True), [tuple(c) for c in cofs]
 

@@ -7,6 +7,10 @@ division-free Berkowitz characteristic polynomial gives both the
 determinant and the adjugate, and the matrix is invertible exactly when
 the determinant is a unit.
 
+Every sum of products (a matrix product entry, a Berkowitz dot product,
+power entry or Toeplitz entry) is accumulated in one term dict and
+normalized once.
+
 ``solve_cramer`` is a second, independent solve: one characteristic
 polynomial per matrix, then Cayley-Hamilton by Horner with matrix-vector
 products for every right-hand side.  It shares no code with the
@@ -18,6 +22,22 @@ from __future__ import annotations
 from .errors import NonInvertibleMatrix, NotAUnit
 from .polynomials import Polynomial, add_multiple
 from .presented import PresentedRing
+
+
+def _sum_of_products(pairs, field, terms=None, negate=False) -> dict:
+    """The term dict of ``terms + sum(a * b)`` (``terms - sum(a * b)`` when
+    negated) over the (a, b) pairs, accumulated in place."""
+    terms = {} if terms is None else terms
+    for a, b in pairs:
+        for m, c in a.terms.items():
+            add_multiple(terms, b.terms, field.neg(c) if negate else c, field, m)
+    return terms
+
+
+def _nf_sum(ring: PresentedRing, pairs, terms=None, negate=False) -> Polynomial:
+    """The normal form of ``_sum_of_products``: one reduction per entry."""
+    return ring.nf(Polynomial.from_terms(
+        ring.field, _sum_of_products(pairs, ring.field, terms, negate)))
 
 
 class RingMatrix:
@@ -95,15 +115,12 @@ class RingMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                s = self.ring.zero
-                for a, b in zip(row, col):
-                    s = s + a * b
-                out_row.append(s)
-            out.append(out_row)
+        field = self.ring.field
+        out = [
+            [Polynomial.from_terms(field, _sum_of_products(zip(row, col), field))
+             for col in cols]
+            for row in self.rows
+        ]
         return RingMatrix(self.ring, out)
 
     def scale(self, c: Polynomial) -> "RingMatrix":
@@ -118,16 +135,7 @@ class RingMatrix:
 
     def _apply_plus(self, y, c: Polynomial, b):
         """M y + c b, each entry summed in one term dict and normalized once."""
-        ring = self.ring
-        field = ring.field
-        out = []
-        for row, bi in zip(self.rows, b):
-            terms = {}
-            for a, v in zip((c, *row), (bi, *y)):
-                for m, coef in a.terms.items():
-                    add_multiple(terms, v.terms, coef, field, m)
-            out.append(ring.nf(Polynomial.from_terms(field, terms)))
-        return out
+        return [_nf_sum(self.ring, zip((c, *row), (bi, *y))) for row, bi in zip(self.rows, b)]
 
     @staticmethod
     def from_blocks(ring: PresentedRing, grid) -> "RingMatrix":
@@ -161,29 +169,15 @@ class RingMatrix:
             powers = [col_vec]
             for _ in range(max(0, r - 2)):
                 prev = powers[-1]
-                powers.append(
-                    [
-                        ring.nf(sum((a * b for a, b in zip(mrow, prev)), ring.zero))
-                        for mrow in minor
-                    ]
-                )
-            dots = []
-            for vec in powers:
-                dots.append(ring.nf(sum((a * b for a, b in zip(row_vec, vec)), ring.zero)))
+                powers.append([_nf_sum(ring, zip(mrow, prev)) for mrow in minor])
+            dots = [_nf_sum(ring, zip(row_vec, vec)) for vec in powers]
+            # entry i: coeffs[i] - corner*coeffs[i-1] - sum_j dots[i-j-2]*coeffs[j]
             new = []
             for i in range(r + 1):
-                s = ring.zero
-                for j in range(r):
-                    if i == j:
-                        t = coeffs[j]
-                    elif i == j + 1:
-                        t = -(corner * coeffs[j])
-                    elif i >= j + 2:
-                        t = -(dots[i - j - 2] * coeffs[j])
-                    else:
-                        continue
-                    s = s + t
-                new.append(ring.nf(s))
+                start = dict(coeffs[i].terms) if i < r else {}
+                pairs = [(corner, coeffs[i - 1])] if i >= 1 else []
+                pairs += [(dots[i - j - 2], coeffs[j]) for j in range(i - 1)]
+                new.append(_nf_sum(ring, pairs, start, negate=True))
             coeffs = new
         return coeffs
 

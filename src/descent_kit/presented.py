@@ -5,6 +5,14 @@ a reduced Groebner basis, so equality of elements is decidable via normal
 forms.  Towers (an algebra over an algebra over k) are always flattened to
 a single presentation over k; ``base_vars`` remembers which variables came
 from the base ring.
+
+A ring is built once per extension: ``extend`` keeps every ring it built
+in a slot of the ring it extended, keyed by the new variables, the new
+relations and the base variables, and returns the same object when asked
+again.  New variables go at the end of the monomial order, so the old
+relations stay a Groebner basis and Buchberger starts from them as a known
+prefix.  ``unit_inverse`` reuses that prefix too, and tracks only the
+cofactor of the element it inverts.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .scalars import ScalarField
 class PresentedRing:
     """k[variables]/(relations), with decidable element equality."""
 
-    __slots__ = ("field", "variables", "relations", "base_vars", "order")
+    __slots__ = ("field", "variables", "relations", "base_vars", "order", "_extensions")
 
     def __init__(self, field: ScalarField, variables, relations: GroebnerBasis, base_vars=()):
         self.field = field
@@ -31,6 +39,7 @@ class PresentedRing:
         missing = set(self.base_vars) - set(self.variables)
         if missing:
             raise ValueError(f"base variables {missing} not among variables")
+        self._extensions = {}
 
     @staticmethod
     def make(field, variables, relation_polys=(), base_vars=()) -> "PresentedRing":
@@ -44,7 +53,7 @@ class PresentedRing:
         return PresentedRing.make(field, ())
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PresentedRing)
             and self.field == other.field
             and self.variables == other.variables
@@ -102,17 +111,20 @@ class PresentedRing:
     def unit_inverse(self, a: Polynomial) -> Polynomial:
         """The inverse of ``a`` modulo the relations, if 1 lies in (a)+relations.
 
-        Computed by a cofactor-tracked Groebner run on the relation
-        generators plus ``a``; the tracked cofactor of ``a`` is the inverse.
-        Raises NotAUnit when 1 is not in the ideal.
+        A nonzero constant normal form c is inverted in the field.
+        Otherwise a Groebner run on the relations (a known prefix) plus
+        ``a`` tracks the cofactor of ``a`` alone; when 1 is in the ideal,
+        that cofactor is the inverse.  Raises NotAUnit when it is not.
         """
         a = self.nf(a)
+        if a.is_constant() and not a.is_zero():
+            return self.constant(self.field.inv(a.constant_value()))
         inputs = list(self.relations.generators) + [a]
-        gb, cofs = buchberger_extended(inputs, self.order)
+        gb, cofs = buchberger_extended(inputs, self.order, known=len(self.relations))
         for g, vec in zip(gb.generators, cofs):
             if g.is_constant() and not g.is_zero():
                 c = g.constant_value()
-                z = self.nf(vec[-1].scale(self.field.inv(c)))
+                z = self.nf(vec[0].scale(self.field.inv(c)))
                 if not self.equal(a * z, self.one):
                     raise CertificateFailure("unit_inverse", "a * inverse is not 1")
                 return z
@@ -143,16 +155,28 @@ class PresentedRing:
     # -- construction of larger rings -------------------------------------------
 
     def extend(self, new_vars, new_relation_polys=(), base_vars=None) -> "PresentedRing":
-        """Adjoin variables and relations, flattening the tower over k."""
+        """Adjoin variables and relations, flattening the tower over k.
+
+        The same new variables, nonzero relations and base variables give
+        the same ring object: it is built once and kept on this ring.  An
+        extension that adds nothing is this ring itself.
+        """
         new_vars = tuple(new_vars)
         for v in new_vars:
             if v in self.variables:
                 raise VariableClash(f"variable {v!r} already present")
-        variables = self.variables + new_vars
-        rels = list(self.relations.generators) + list(new_relation_polys)
-        if base_vars is None:
-            base_vars = self.variables
-        return PresentedRing.make(self.field, variables, rels, base_vars)
+        new_rels = tuple(p for p in new_relation_polys if not p.is_zero())
+        base_vars = self.variables if base_vars is None else tuple(base_vars)
+        if not new_vars and not new_rels and base_vars == self.base_vars:
+            return self
+        key = (new_vars, new_rels, base_vars)
+        ring = self._extensions.get(key)
+        if ring is None:
+            variables = self.variables + new_vars
+            known = self.relations.generators
+            gb = buchberger(known + new_rels, DegRevLex(variables), known=len(known))
+            ring = self._extensions[key] = PresentedRing(self.field, variables, gb, base_vars)
+        return ring
 
 
 def _suffix_rename(names, taken, suffix):

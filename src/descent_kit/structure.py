@@ -12,6 +12,11 @@ multiples of normal forms are normal forms already, so they are kept as
 computed.  ``evaluate_poly`` computes each power of a variable's image once
 per call, applies a term's field coefficient by scaling coordinates, and
 accumulates the terms in place.
+
+Derived objects are built once per algebra and kept in slots, the way the
+validation certificate is: ``flat_ring`` builds its presentation once,
+and ``base_change`` returns one algebra per target ring, so elements from
+two base changes to the same ring share their algebra object.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ from .presented import PresentedRing
 class StructureAlgebra:
     """A free rank-r module with a commutative unital multiplication."""
 
-    __slots__ = ("base", "labels", "constants", "unit_coords", "_certificates")
+    __slots__ = (
+        "base", "labels", "constants", "unit_coords", "_certificates", "_flat_ring",
+        "_base_changes",
+    )
 
     def __init__(self, base: PresentedRing, labels, constants, unit_coords=None):
         self.base = base
@@ -38,13 +46,15 @@ class StructureAlgebra:
             unit_coords = [base.one] + [base.zero] * (r - 1)
         self.unit_coords = tuple(base.nf(c) for c in unit_coords)
         self._certificates = None
+        self._flat_ring = None
+        self._base_changes = {}
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, StructureAlgebra)
             and self.base == other.base
             and self.labels == other.labels
@@ -142,24 +152,28 @@ class StructureAlgebra:
 
         ``ring`` must contain the base presentation (flattened towers share
         variable names, so this is just reinterpretation plus normal form).
+        Built once per target ring object and kept on this algebra.
         """
-        missing = set(self.base.variables) - set(ring.variables)
-        if missing:
-            raise ValueError(f"target ring is missing base variables {sorted(missing)}")
-        return StructureAlgebra(
-            ring,
-            self.labels,
-            self.constants,
-            self.unit_coords,
-        )
+        # keyed by identity: the stored algebra keeps ``ring`` alive, so its
+        # id cannot be reused
+        changed = self._base_changes.get(id(ring))
+        if changed is None:
+            missing = set(self.base.variables) - set(ring.variables)
+            if missing:
+                raise ValueError(f"target ring is missing base variables {sorted(missing)}")
+            changed = StructureAlgebra(ring, self.labels, self.constants, self.unit_coords)
+            self._base_changes[id(ring)] = changed
+        return changed
 
     def flat_ring(self) -> PresentedRing:
         """The algebra as a presented ring over k.
 
         Requires the first basis element to be the unit (label "1"); the
         remaining labels become variables subject to the product rewrites
-        b_i b_j = sum c_ijm b_m.
+        b_i b_j = sum c_ijm b_m.  Built once and kept on the algebra.
         """
+        if self._flat_ring is not None:
+            return self._flat_ring
         if self.labels[0] != "1" or self.unit_coords != tuple(
             [self.base.one] + [self.base.zero] * (self.rank - 1)
         ):
@@ -180,7 +194,8 @@ class StructureAlgebra:
                     else:
                         rhs = rhs + c * Polynomial.variable(field, self.labels[m])
                 rels.append(lhs - rhs)
-        return self.base.extend(label_vars, rels, base_vars=self.base.variables)
+        self._flat_ring = self.base.extend(label_vars, rels, base_vars=self.base.variables)
+        return self._flat_ring
 
     def coordinatize(self, flat: Polynomial, extra_env=None) -> "AlgebraElement":
         """Evaluate a flat polynomial (base vars + labels) into coordinates.

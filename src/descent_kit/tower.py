@@ -19,7 +19,7 @@ from .structure import AlgebraElement, StructureAlgebra
 class OperatorTower:
     """(A, e) and a free finite (A, e)-algebra (B, f) with a fixed basis."""
 
-    __slots__ = ("e", "algebra", "coeff", "f_images", "_flat_b", "_f_flat")
+    __slots__ = ("e", "algebra", "coeff", "f_images", "_f_flat")
 
     def __init__(self, e: DStructure, algebra: StructureAlgebra, coeff: DCoefficientAlgebra, f_images):
         if e.carrier != algebra.base:
@@ -37,7 +37,6 @@ class OperatorTower:
                 raise ValueError("each basis image needs one coordinate per basis element of D")
             rows.append(vec)
         self.f_images = tuple(rows)
-        self._flat_b = None
         self._f_flat = None
 
     @property
@@ -54,9 +53,8 @@ class OperatorTower:
 
     @property
     def flat_b(self) -> PresentedRing:
-        if self._flat_b is None:
-            self._flat_b = self.algebra.flat_ring()
-        return self._flat_b
+        """B presented over k; the algebra builds it once for every tower."""
+        return self.algebra.flat_ring()
 
     @property
     def f_flat(self) -> DStructure:
@@ -166,6 +164,5 @@ class PresentedBAlgebra:
         """Attach operator images (flat polynomials, one l-tuple per generator)."""
         full = {v: self.tower.f_flat.images[v] for v in self.tower.flat_b.variables}
         for x in self.generators:
-            vec = images[x]
-            full[x] = tuple(self.flat_ring.nf(c) for c in vec)
+            full[x] = images[x]  # normalized over flat_ring by the constructor
         return DStructure(self.flat_ring, self.tower.coeff, full, base=self.tower.f_flat)

@@ -6,6 +6,11 @@ x -> sum_i x(i) b_i into each relation and reading off basis coordinates
 yields the descent ideal; the descended presentation is the quotient by
 it.  The unit map x -> sum_i x(i) (x) b_i realizes one direction of the
 Hom-set bijection, coordinate extraction the other.
+
+W(C) depends only on C and on B as a free A-module, not on any operator
+structure, so one descent can serve every structure on C: ``for_algebra``
+hands the same rings and ideal to another presentation of C over a tower
+with the same module algebra.
 """
 
 from __future__ import annotations
@@ -37,6 +42,17 @@ class WeilDescentResult:
     def unit_image(self, gen: str, ring: PresentedRing = None) -> AlgebraElement:
         """The unit map's value at a generator, as coordinates over W(C)."""
         return self._unit_element(self.tensor_algebra(ring), gen)
+
+    def for_algebra(self, c: PresentedBAlgebra) -> "WeilDescentResult":
+        """This descent as the descent of ``c``, which must present the same
+        algebra over the same module algebra B; the rings are shared."""
+        src = self.source
+        if (c.tower.algebra != src.tower.algebra or c.generators != src.generators
+                or c.relations_flat != src.relations_flat):
+            raise ValueError("the classical descent belongs to a different algebra")
+        return WeilDescentResult(
+            c, self.descended, self.ideal_generators, self.copy_names, self.pre_ring
+        )
 
     def tensor_algebra(self, ring: PresentedRing = None) -> StructureAlgebra:
         """W(C) (x)_A B (or R (x)_A B for a supplied R)."""
@@ -78,7 +94,9 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
         image = algebra_pre.coordinatize(rel, unit_env)
         ideal_generators.extend(pre_ring.nf(coord) for coord in image.coords)
 
-    descended = a_ring.extend(tuple(all_names), ideal_generators, base_vars=a_ring.variables)
+    # the descended ring is the pre-quotient ring's extension by the ideal, so
+    # a quotient of a structure on pre_ring by the same ideal is this object
+    descended = pre_ring.extend((), ideal_generators, base_vars=a_ring.variables)
     result = WeilDescentResult(c, descended, tuple(ideal_generators), copy_names, pre_ring)
 
     # the unit map must kill every relation of C in W(C) (x) B

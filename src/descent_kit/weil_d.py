@@ -87,12 +87,16 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
     return True
 
 
-def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure) -> DDescentResult:
+def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
+                        classical: WeilDescentResult = None) -> DDescentResult:
     """Full descent pipeline for (C, g) over the tower's (A, e) <= (B, f).
 
     ``g_structure`` is ``c.structure(images)``, built from the operator
-    coordinates of each generator.  Raises NonInvertibleMatrix when the
-    matrix of (B, f) is singular: that is the obstruction to descent.
+    coordinates of each generator.  ``classical`` may hand in the classical
+    descent W(C) computed for another structure on the same C over the same
+    module algebra B; by default it is computed here.  Raises
+    NonInvertibleMatrix when the matrix of (B, f) is singular: that is the
+    obstruction to descent.
     """
     tower = c.tower
     if g_structure.carrier != c.flat_ring:
@@ -104,7 +108,7 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure) -> DDesce
     invert_descent_matrix(matrix)
     certificates.append({"check": "matrix_invertible", "ok": True})
 
-    classical = weil_descend(c)
+    classical = weil_descend(c) if classical is None else classical.for_algebra(c)
     certificates.append({"check": "classical_descent", "ok": True})
 
     # operator images of the copy variables on the pre-quotient ring

@@ -1,5 +1,6 @@
 """The Cayley-Hamilton Cramer solve against the per-column determinant loop
-it replaced.
+it replaced, and the term-dict Berkowitz and matrix product against the
+``sum()``/``+`` loops they replaced.
 
 ``reference_cramer`` computes det(M) and then det(M_j), M with column j
 replaced by b, for every j: one Berkowitz characteristic polynomial per
@@ -167,3 +168,66 @@ def test_adjugate_fallback_runs_berkowitz_once(monkeypatch):
     with pytest.raises(NonInvertibleMatrix, match="determinant a is not a unit"):
         singular.inverse()
     assert counts == {"charpoly": 1, "__mul__": 0}
+
+
+def reference_charpoly(m):
+    """Berkowitz with every dot product, power entry and Toeplitz sum formed
+    by ``sum()``/``+`` over fresh products, normalized per entry."""
+    ring = m.ring
+    n = m.nrows
+    coeffs = [ring.one]
+    for r in range(1, n + 1):
+        minor = [row[: r - 1] for row in m.rows[: r - 1]]
+        row_vec = list(m.rows[r - 1][: r - 1])
+        col_vec = [m.rows[i][r - 1] for i in range(r - 1)]
+        corner = m.rows[r - 1][r - 1]
+        powers = [col_vec]
+        for _ in range(max(0, r - 2)):
+            prev = powers[-1]
+            powers.append(
+                [ring.nf(sum((a * b for a, b in zip(mrow, prev)), ring.zero)) for mrow in minor]
+            )
+        dots = [ring.nf(sum((a * b for a, b in zip(row_vec, vec)), ring.zero)) for vec in powers]
+        new = []
+        for i in range(r + 1):
+            s = ring.zero
+            for j in range(r):
+                if i == j:
+                    t = coeffs[j]
+                elif i == j + 1:
+                    t = -(corner * coeffs[j])
+                elif i >= j + 2:
+                    t = -(dots[i - j - 2] * coeffs[j])
+                else:
+                    continue
+                s = s + t
+            new.append(ring.nf(s))
+        coeffs = new
+    return coeffs
+
+
+def reference_product(m, other):
+    """Row-by-column products summed with ``+``."""
+    ring = m.ring
+    cols = list(zip(*other.rows))
+    out = []
+    for row in m.rows:
+        out_row = []
+        for col in cols:
+            s = ring.zero
+            for a, b in zip(row, col):
+                s = s + a * b
+            out_row.append(s)
+        out.append(out_row)
+    return RingMatrix(ring, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_inputs())
+def test_charpoly_and_product_match_the_sum_loops(case):
+    _, m, _ = case
+    assert m.charpoly() == reference_charpoly(m)
+    square = m * m
+    assert square.rows == reference_product(m, m).rows
+    ring = m.ring
+    assert all(ring.nf(e) == e for row in square.rows for e in row)

@@ -181,3 +181,22 @@ def test_tau_round_trips_on_every_hom(f2_tower):
             assert back["t"].equal(psi["t"])
             count += 1
     assert count == 8
+
+
+def test_one_classical_descent_serves_every_tower_on_the_same_algebra(f2_tower):
+    """W(C) depends on C and B as a module only: handed to C over another
+    tower on the same B it keeps its rings, and the source is the new C."""
+    field = GF(2)
+    rel = [parse_polynomial("t^2+t", field)]
+    res = weil_descend(PresentedBAlgebra(f2_tower, ("t",), rel))
+    d = f2_tower.coeff
+    other = OperatorTower(f2_tower.e, f2_tower.algebra, d,
+                          [[f2_tower.algebra.basis_el(0)], [f2_tower.algebra.zero_el()]])
+    c_other = PresentedBAlgebra(other, ("t",), rel)
+    shared = res.for_algebra(c_other)
+    assert shared.source is c_other
+    assert shared.descended is res.descended and shared.pre_ring is res.pre_ring
+    assert shared.tensor_algebra() is res.tensor_algebra()
+    assert weil_descend(c_other).descended is res.descended
+    with pytest.raises(ValueError):
+        res.for_algebra(PresentedBAlgebra(other, ("t",), [parse_polynomial("t^2", field)]))

@@ -20,7 +20,7 @@ import pytest
 
 from descent_kit import (
     GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, difference_algebra,
-    groebner, parse_polynomial, problem_from_file, weil_d, weil_descend,
+    groebner, parse_polynomial, problem_from_file, weil, weil_d, weil_descend,
 )
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
@@ -69,34 +69,110 @@ def test_each_object_is_validated_once(fixture, command, tmp_path, monkeypatch):
     assert runs and max(runs.values()) == 1
 
 
+def count_buchberger_runs(monkeypatch):
+    """Record every ``buchberger`` and ``buchberger_extended`` run as a pair
+    (nonzero inputs as a frozenset, the reduced basis it returned)."""
+    runs = []
+    for original in (groebner.buchberger, groebner.buchberger_extended):
+        def counted(*args, _original=original, **kwargs):
+            gens = list(args[0] if args else kwargs["gens"])
+            out = _original(gens, *args[1:], **kwargs)
+            basis = out if isinstance(out, groebner.GroebnerBasis) else out[0]
+            runs.append((frozenset(g for g in gens if not g.is_zero()), basis))
+            return out
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("descent_kit") and getattr(
+                    module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    return runs
+
+
 @pytest.mark.parametrize("fixture", [
     "adjoint_f2.json", "compose_difference.json", "differential.json",
     "frobenius_square.json",
 ])
 def test_descent_ideal_groebner_basis_is_computed_once(fixture, tmp_path, monkeypatch):
-    inside = [0]
-    calls = [0]
-    original = groebner.buchberger
+    """Over the whole ``descend`` command exactly one Groebner run returns
+    the basis of the descended ring from inputs that hold the descent
+    ideal: the classical descent builds that ring, and the quotient
+    structure is checked against the same ring."""
+    runs = count_buchberger_runs(monkeypatch)
+    results = []
+    original = weil.weil_descend
 
-    def counted_buchberger(*args, **kwargs):
-        if inside[0]:
-            calls[0] += 1
-        return original(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("descent_kit") and getattr(module, "buchberger", None) is original:
-            monkeypatch.setattr(module, "buchberger", counted_buchberger)
-    for method in ("is_d_ideal", "quotient"):
-        def tracked(self, ideal_gens, _original=getattr(DStructure, method)):
-            inside[0] += 1
-            try:
-                return _original(self, ideal_gens)
-            finally:
-                inside[0] -= 1
-
-        monkeypatch.setattr(DStructure, method, tracked)
+        if name.startswith("descent_kit") and getattr(module, "weil_descend", None) is original:
+            monkeypatch.setattr(module, "weil_descend", recorded)
     assert run_cli(["descend", "--input", str(FIXTURES / fixture)], tmp_path) == 0
-    assert calls[0] == 1
+    assert len(results) == 1
+    ideal = frozenset(g for g in results[0].ideal_generators if not g.is_zero())
+    descended = results[0].descended.relations
+    assert sum(ideal <= inputs and basis == descended for inputs, basis in runs) == 1
+
+
+@pytest.mark.parametrize("fixture", [
+    "adjoint_f2.json", "compose_difference.json", "differential.json",
+    "frobenius_square.json",
+])
+def test_audit_d_ideal_check_runs_its_own_groebner_basis(fixture, tmp_path, monkeypatch):
+    """``descend --audit`` re-checks closure of the descent ideal with a
+    Groebner run of its own, not with a ring the main route built."""
+    runs = count_buchberger_runs(monkeypatch)
+    inside = []  # Groebner runs during each is_d_ideal call
+    original = DStructure.is_d_ideal
+
+    def tracked(*args, **kwargs):
+        before = len(runs)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.append(len(runs) - before)
+
+    monkeypatch.setattr(DStructure, "is_d_ideal", tracked)
+    assert run_cli(["descend", "--audit", "--input", str(FIXTURES / fixture)], tmp_path) == 0
+    assert inside == [1]
+
+
+# Groebner runs (buchberger and buchberger_extended) per fixture and command.
+BUCHBERGER_RUNS = {
+    "adjoint_f2.json": {
+        "validate": 6, "matrix": 6, "descend": 8, "descend --audit": 9,
+        "adjoint-check": 9, "compose-check": 6,
+    },
+    "compose_difference.json": {
+        "validate": 5, "matrix": 5, "descend": 6, "descend --audit": 7,
+        "adjoint-check": 5, "compose-check": 8,
+    },
+    "differential.json": {
+        "validate": 4, "matrix": 4, "descend": 5, "descend --audit": 6,
+        "adjoint-check": 4, "compose-check": 4,
+    },
+    "frobenius_square.json": {
+        "validate": 4, "matrix": 4, "descend": 5, "descend --audit": 6,
+        "adjoint-check": 4, "compose-check": 4,
+    },
+    "introduction.json": {
+        "validate": 4, "matrix": 6, "descend": 4, "descend --audit": 4,
+        "adjoint-check": 4, "compose-check": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fixture", sorted(BUCHBERGER_RUNS))
+def test_groebner_runs_per_command(fixture, command, tmp_path, monkeypatch):
+    """Each ring, base change and descent is built once per command: rings
+    come back from ``extend`` for the same extension, a unit's inverse needs
+    no Groebner run when its normal form is a constant, and compose-check
+    shares one classical descent among its descents."""
+    runs = count_buchberger_runs(monkeypatch)
+    run_cli(command + ["--input", str(FIXTURES / fixture)], tmp_path)
+    assert len(runs) == BUCHBERGER_RUNS[fixture][" ".join(command)]
 
 
 def test_obstruction_inverts_the_matrix_once(tmp_path, monkeypatch):
@@ -188,9 +264,9 @@ def test_compose_check_descends_the_loaded_structure(tmp_path, monkeypatch):
         loaded.append(original_load(path))
         return loaded[-1]
 
-    def descend(c, g_structure):
-        descended.append(g_structure)
-        return original_descend(c, g_structure)
+    def descend(*args, **kwargs):
+        descended.append(args[1] if len(args) > 1 else kwargs["g_structure"])
+        return original_descend(*args, **kwargs)
 
     monkeypatch.setattr(cli, "problem_from_file", load)
     monkeypatch.setattr(compose, "descend_d_structure", descend)
