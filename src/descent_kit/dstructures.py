@@ -167,36 +167,34 @@ class DStructure:
 
         Checked on the given generators; that suffices because the
         coordinatewise image of an ideal generates an ideal of carrier (x) D.
-        The quotient presentation gets a Groebner run of its own, never a
-        ring that ``extend`` has kept, so this check shares no basis with
-        ``quotient``.
+        Each image is computed on the carrier and reduced modulo a Groebner
+        basis of its own, never a ring that ``extend`` has kept, so this
+        check shares no basis with ``quotient``.
         """
         carrier = self.carrier
         gens = [carrier.nf(g) for g in ideal_gens]
         known = carrier.relations.generators
         basis = buchberger(known + tuple(gens), carrier.order, known=len(known))
         quotient = PresentedRing(carrier.field, carrier.variables, basis, carrier.base_vars)
-        return self._maps_into(gens, quotient)
+        return all(quotient.is_zero(c) for g in gens for c in self.apply(g).coords)
 
     def quotient(self, ideal_gens) -> "DStructure":
         """The induced structure on carrier/(ideal); requires a D-ideal.
 
         The new carrier comes from ``carrier.extend``, so it is the ring
         already built for the same ideal (the descended ring of a Weil
-        descent, for one).
+        descent, for one).  The induced structure is built first, and the
+        closure check runs on it: reduction modulo the ideal I is a ring map,
+        so e(g) lies in I (x) D exactly when the induced image of g is zero.
+        Its products are reduced modulo the larger basis as they are formed.
         """
         gens = [self.carrier.nf(g) for g in ideal_gens]
         new_carrier = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
-        if not self._maps_into(gens, new_carrier):
-            raise NotDIdeal("the ideal is not closed under the coordinate operators")
         # the constructor reduces the images modulo the new relations
-        return DStructure(new_carrier, self.coeff, self.images, base=self.base)
-
-    def _maps_into(self, gens, quotient: PresentedRing) -> bool:
-        """Does e send every generator into the ideal presented by ``quotient``?"""
-        return all(
-            quotient.is_zero(c) for g in gens for c in self.apply(g).coords
-        )
+        induced = DStructure(new_carrier, self.coeff, self.images, base=self.base)
+        if not all(induced.apply(g).is_zero() for g in gens):
+            raise NotDIdeal("the ideal is not closed under the coordinate operators")
+        return induced
 
     # -- tensor products -------------------------------------------------------------
 

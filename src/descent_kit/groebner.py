@@ -15,12 +15,17 @@ the prefix then reduces to zero, so Buchberger skips those pairs
 (Buchberger's criterion).  Cofactors are tracked over the inputs after
 the prefix only, modulo the ideal of the prefix.
 
+The prefix must be a *reduced* basis (every caller passes the relations of
+a ring): when no nonzero input lies beyond it, it is returned as the
+basis with no pair formed and no interreduction.
+
 A basis carries the leading term of every generator (``GroebnerBasis.leads``
 and, while Buchberger runs, a list kept in step with the basis), so a
 reduction never recomputes one.  A reduction returns at once for an empty
 basis or a zero polynomial; otherwise it reduces one copy of the terms in
-place, collects the remainder in a second dict, and memoizes the order key
-of each monomial it meets for that call only.
+place and collects the remainder in a second dict.  Order keys come from
+the memo kept on the order (``DegRevLex.key_memo``), so each monomial's key
+is computed once per order, not once per reduction.
 """
 
 from __future__ import annotations
@@ -77,17 +82,9 @@ def _reduction_steps(terms, remainder, basis, leads, field, order):
     step subtracted ``factor * q * basis[gi]``.
 
     The leading term is reduced first, by the first basis element whose
-    leading monomial divides it.  ``order.key`` is memoized for this
-    reduction only.
+    leading monomial divides it.
     """
-    keys = {}
-
-    def key(m):
-        k = keys.get(m)
-        if k is None:
-            k = keys[m] = order.key(m)
-        return k
-
+    key = order.key_memo.__getitem__
     while terms:
         lm = max(terms, key=key)
         lc = terms[lm]
@@ -240,21 +237,32 @@ def _interreduce(basis, cofs, leads, order, track):
         inv = field.inv(lc)
         g = g.scale(inv)
         c = [x.scale(inv) for x in cofs[i]] if track else None
-        out.append((order.key(lm), g, c))
+        out.append((order.key_memo[lm], g, c))
     out.sort(key=lambda t: t[0], reverse=True)
     basis = [g for _, g, _ in out]
     cofs = [c for _, _, c in out] if track else None
     return basis, cofs
 
 
+def _prefix_only(gens, known):
+    """The nonzero inputs, when none lies beyond the known prefix (the
+    prefix, a reduced basis, is then the answer); otherwise None."""
+    if any(not g.is_zero() for g in gens[known:]):
+        return None
+    return [g for g in gens[:known] if not g.is_zero()]
+
+
 def buchberger(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET,
                known: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``gens[:known]`` must already be a Groebner basis under ``order``.
+    ``gens[:known]`` must already be a reduced Groebner basis under ``order``.
     """
-    basis, _, leads = _buchberger_core(list(gens), order, budget, track=False, known=known)
-    basis, _ = _interreduce(basis, None, leads, order, track=False)
+    gens = list(gens)
+    basis = _prefix_only(gens, known)
+    if basis is None:
+        basis, _, leads = _buchberger_core(gens, order, budget, track=False, known=known)
+        basis, _ = _interreduce(basis, None, leads, order, track=False)
     return GroebnerBasis(basis, order, reduced=True)
 
 
@@ -263,11 +271,15 @@ def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGE
     """Reduced basis plus, per element, its cofactors over the inputs.
 
     Returns (gb, cofactors) with ``gb.generators[i] == sum_j cofactors[i][j] * gens[j]``.
-    With a known prefix (``gens[:known]`` already a Groebner basis) the
-    cofactors run over ``gens[known:]`` only, and the identity holds modulo
-    the ideal of the prefix.
+    With a known prefix (``gens[:known]`` already a reduced Groebner basis)
+    the cofactors run over ``gens[known:]`` only, and the identity holds
+    modulo the ideal of the prefix.
     """
     gens = list(gens)
+    basis = _prefix_only(gens, known)
+    if basis is not None:
+        cofs = [tuple(Polynomial.zero(g.field) for _ in gens[known:]) for g in basis]
+        return GroebnerBasis(basis, order, reduced=True), cofs
     basis, cofs, leads = _buchberger_core(gens, order, budget, track=True, known=known)
     basis, cofs = _interreduce(basis, cofs, leads, order, track=True)
     return GroebnerBasis(basis, order, reduced=True), [tuple(c) for c in cofs]
@@ -336,5 +348,5 @@ def staircase(gb: GroebnerBasis):
             rec(i + 1, dict(exps))
 
     rec(0, {})
-    out.sort(key=gb.order.key)
+    out.sort(key=gb.order.key_memo.__getitem__)
     return out

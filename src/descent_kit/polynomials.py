@@ -13,7 +13,12 @@ from .scalars import ScalarField
 
 
 class Monomial:
-    """A power product, stored as a name->exponent map with no zero entries."""
+    """A power product, stored as a name->exponent map with no zero entries.
+
+    The public constructor checks and sorts what it is given; products,
+    quotients and lcms are built through ``_canonical``, which trusts its
+    input and sorts once.
+    """
 
     __slots__ = ("exps", "degree", "_key", "_hash")
 
@@ -30,6 +35,18 @@ class Monomial:
         self.degree = sum(self.exps.values())
         self._key = key
         self._hash = hash(key)
+
+    @staticmethod
+    def _canonical(exps: dict, degree: int) -> "Monomial":
+        """The monomial of ``exps`` (positive exponents only) of total degree
+        ``degree``, both already known to be right."""
+        key = tuple(sorted(exps.items()))
+        m = Monomial.__new__(Monomial)
+        m.exps = dict(key)
+        m.degree = degree
+        m._key = key
+        m._hash = hash(key)
+        return m
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._key == other._key
@@ -49,26 +66,46 @@ class Monomial:
         return set(self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
+        if not other.degree:
+            return self
+        if not self.degree:
+            return other
         exps = dict(self.exps)
+        get = exps.get
         for v, e in other.exps.items():
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(exps)
+            exps[v] = get(v, 0) + e
+        return Monomial._canonical(exps, self.degree + other.degree)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(other.exps.get(v, 0) >= e for v, e in self.exps.items())
+        if self.degree > other.degree:
+            return False
+        get = other.exps.get
+        for v, e in self.exps.items():
+            if get(v, 0) < e:
+                return False
+        return True
 
     def divide(self, other: "Monomial") -> "Monomial":
         """self / other; caller must ensure divisibility."""
         exps = dict(self.exps)
         for v, e in other.exps.items():
-            exps[v] = exps.get(v, 0) - e
-        return Monomial(exps)
+            e = exps[v] - e
+            if e:
+                exps[v] = e
+            else:
+                del exps[v]
+        return Monomial._canonical(exps, self.degree - other.degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         exps = dict(self.exps)
+        get = exps.get
+        degree = self.degree
         for v, e in other.exps.items():
-            exps[v] = max(exps.get(v, 0), e)
-        return Monomial(exps)
+            old = get(v, 0)
+            if e > old:
+                exps[v] = e
+                degree += e - old
+        return Monomial._canonical(exps, degree)
 
 
 ONE = Monomial()
@@ -77,18 +114,47 @@ ONE = Monomial()
 def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial = None) -> None:
     """terms += c * m * p in place, for a term dict, the terms of p, a field
     scalar c and a monomial m (None or degree 0 means 1); coefficients that
-    cancel are dropped."""
-    zero, add, mul = field.zero, field.add, field.mul
-    if m is not None and not m.degree:
-        m = None
-    for pm, pc in p_terms.items():
-        if m is not None:
-            pm = pm.mul(m)
-        s = add(terms.get(pm, zero), mul(pc, c))
-        if s:
-            terms[pm] = s
-        else:
-            terms.pop(pm, None)
+    cancel are dropped.
+
+    The field arithmetic is inline: one ``% p`` per term over GF(p), plain
+    int/Fraction arithmetic over QQ.
+    """
+    p = field.characteristic
+    get, pop = terms.get, terms.pop
+    mul = m.mul if m is not None and m.degree else None
+    if p:
+        for pm, pc in p_terms.items():
+            if mul is not None:
+                pm = mul(pm)
+            s = (get(pm, 0) + pc * c) % p
+            if s:
+                terms[pm] = s
+            else:
+                pop(pm, None)
+    else:
+        for pm, pc in p_terms.items():
+            if mul is not None:
+                pm = mul(pm)
+            s = get(pm, 0) + pc * c
+            if s:
+                terms[pm] = s
+            else:
+                pop(pm, None)
+
+
+class _KeyMemo(dict):
+    """Order keys by monomial; a missing key is computed by ``order.key``
+    once and kept."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, m):
+        k = self[m] = self.order.key(m)
+        return k
 
 
 class DegRevLex:
@@ -97,15 +163,20 @@ class DegRevLex:
     m1 > m2 iff deg m1 > deg m2, or degrees tie and the last position (in
     the variable sequence) where the exponents differ has the *smaller*
     exponent in m1.
+
+    ``key_memo`` maps each monomial compared so far to its order key, kept on
+    the order the way a ring keeps its extensions; ``key`` runs only for a
+    monomial the memo has not seen.
     """
 
-    __slots__ = ("variables", "_index")
+    __slots__ = ("variables", "_index", "key_memo")
 
     def __init__(self, variables):
         self.variables = tuple(variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != len(self.variables):
             raise ValueError("duplicate variable in order")
+        self.key_memo = _KeyMemo(self)
 
     def key(self, m: Monomial):
         idx = self._index
@@ -119,11 +190,13 @@ class DegRevLex:
 
     def sorted_terms(self, poly: "Polynomial"):
         """Terms of ``poly`` as (monomial, coeff), leading term first."""
-        return sorted(poly.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
+        keys = self.key_memo
+        return sorted(poly.terms.items(), key=lambda t: keys[t[0]], reverse=True)
 
     def leading(self, poly: "Polynomial"):
         """(monomial, coeff) of the leading term; poly must be nonzero."""
-        return max(poly.terms.items(), key=lambda t: self.key(t[0]))
+        lm = max(poly.terms, key=self.key_memo.__getitem__)
+        return lm, poly.terms[lm]
 
     def extend(self, extra_variables) -> "DegRevLex":
         return DegRevLex(self.variables + tuple(v for v in extra_variables if v not in self._index))

@@ -1,8 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Scalars are plain Python values: ``Fraction`` over the rationals, canonical
-residues (ints in ``[0, p)``) over a prime field.  The field object supplies
-all arithmetic so that no floating point can sneak in anywhere.
+Scalars are plain Python values.  Over the rationals a scalar is an ``int``
+while it is integral and a ``Fraction`` otherwise; ``Fraction(2) == 2`` and
+the two hash alike, so term dicts, equality and rendering do not care which
+one a sum or product happens to keep.  Over a prime field a scalar is a
+canonical residue, an int in ``[0, p)``.  The field object supplies all
+arithmetic so that no floating point can sneak in anywhere.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ class ScalarField:
     # -- canonical values ----------------------------------------------------
 
     def normalize(self, value):
-        """Coerce an int/Fraction into canonical form for this field."""
+        """Coerce an int/Fraction into canonical form for this field.
+
+        Over QQ an int is returned as it is and an integral Fraction as its
+        numerator; any other value goes through ``Fraction(value)``.
+        """
         p = self.characteristic
         if p:
             if isinstance(value, Fraction):
@@ -69,9 +76,11 @@ class ScalarField:
                     raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
                 return (value.numerator * pow(value.denominator, -1, p)) % p
             return int(value) % p
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        return Fraction(value)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def is_zero(self, a) -> bool:
         return not a
@@ -95,10 +104,15 @@ class ScalarField:
         return (a * b) % p if p else a * b
 
     def inv(self, a):
+        """1/a; over QQ an int when the inverse is integral (1/a on an int
+        would be a float, so the quotient is taken in Fraction)."""
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         p = self.characteristic
-        return pow(a, -1, p) if p else 1 / a
+        if p:
+            return pow(a, -1, p)
+        q = Fraction(1) / a
+        return q.numerator if q.denominator == 1 else q
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

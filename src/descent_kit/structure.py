@@ -113,6 +113,17 @@ class StructureAlgebra:
     def validate(self):
         """Check commutativity, the unit law, and associativity.
 
+        The axioms are checked on the structure constants, which are normal
+        forms: commutativity is equality of c_ijm and c_jim; the unit law
+        and associativity compare coordinate vectors of the form
+        (sum_k x_k b_k) * b_m, each coordinate accumulated in one term dict
+        and normalized once.  Commutativity is checked first; with it in
+        hand b_i (b_j b_m) = (b_j b_m) b_i, so associativity reads
+        (b_i b_j) b_m = (b_j b_m) b_i, and the associator is antisymmetric
+        in i and m.  Only i <= m is checked: the first failing (i, j, m) in
+        lexicographic order always has i <= m.  Each product (b_i b_j) b_m
+        is computed once.
+
         Returns a certificate (list of dicts); raises InvalidAlgebra at the
         first violated identity, reporting 1-based indices.  The checks run
         once per object: later calls return a copy of the stored certificate.
@@ -121,25 +132,45 @@ class StructureAlgebra:
             return [dict(c) for c in self._certificates]
         r = self.rank
         base = self.base
+        field = base.field
+        constants = self.constants
         checks = []
         for i in range(r):
             for j in range(i + 1, r):
                 for m in range(r):
-                    if not base.equal(self.constants[i][j][m], self.constants[j][i][m]):
+                    if constants[i][j][m] != constants[j][i][m]:
                         raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
         checks.append({"axiom": "commutativity", "ok": True})
-        one = self.one_el()
+
+        def times_basis(x, m):
+            """Coordinates of (sum_k x_k b_k) * b_m."""
+            out = [{} for _ in range(r)]
+            for k in range(r):
+                for xm, xc in x[k].terms.items():
+                    for acc, c in zip(out, constants[k][m]):
+                        add_multiple(acc, c.terms, xc, field, xm)
+            return tuple(base.nf(Polynomial.from_terms(field, t)) for t in out)
+
+        zero, one = base.zero, base.nf(base.one)
         for j in range(r):
-            if not (one * self.basis_el(j)).equal(self.basis_el(j)):
+            basis_j = tuple(one if k == j else zero for k in range(r))
+            if times_basis(self.unit_coords, j) != basis_j:
                 raise InvalidAlgebra("unit", (j + 1,))
         checks.append({"axiom": "unit", "ok": True})
+        products = {}
+
+        def product(i, j, m):
+            """Coordinates of (b_i b_j) b_m, computed once per {i, j} and m."""
+            key = (i, j, m) if i <= j else (j, i, m)
+            out = products.get(key)
+            if out is None:
+                out = products[key] = times_basis(constants[i][j], m)
+            return out
+
         for i in range(r):
             for j in range(r):
-                left_inner = self.basis_el(i) * self.basis_el(j)
-                for m in range(r):
-                    left = left_inner * self.basis_el(m)
-                    right = self.basis_el(i) * (self.basis_el(j) * self.basis_el(m))
-                    if not left.equal(right):
+                for m in range(i, r):
+                    if product(i, j, m) != product(j, m, i):
                         raise InvalidAlgebra("associativity", (i + 1, j + 1, m + 1))
         checks.append({"axiom": "associativity", "ok": True})
         self._certificates = checks

@@ -146,6 +146,51 @@ def test_quotient_structure(qt):
     assert qt.equal(same.images["t"][0], qt.el("t^2"))
 
 
+def test_quotient_checks_closure_on_the_quotient_carrier(qt, monkeypatch):
+    """The closure check applies the induced structure, on carrier/(ideal),
+    and never the structure on the carrier; a check on the carrier still
+    decides a non-D-ideal the same way."""
+    carriers = []
+    original = DStructure.apply
+
+    def recorded(self, x):
+        carriers.append(self.carrier)
+        return original(self, x)
+
+    monkeypatch.setattr(DStructure, "apply", recorded)
+    sigma_sq = DStructure.difference(qt, {"t": qt.el("t^2")})
+    for ideal in ([qt.var("t")], [qt.el("t^3")], [qt.el("t^2 - t")]):
+        carriers.clear()
+        q = sigma_sq.quotient(ideal)
+        assert carriers and all(c is q.carrier for c in carriers)
+        assert q.carrier is not qt
+    shift = DStructure.difference(qt, {"t": qt.el("t+1")})
+    carriers.clear()
+    with pytest.raises(NotDIdeal, match="not closed under the coordinate operators"):
+        shift.quotient([qt.var("t")])
+    assert carriers and qt not in carriers
+    assert not shift.is_d_ideal([qt.var("t")])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quotient_agrees_with_the_audit_check(seed):
+    """quotient raises NotDIdeal exactly when is_d_ideal says no."""
+    rng = random.Random(seed)
+    field = GF(7)
+    ring = PresentedRing.make(field, ("s", "t"), [])
+    structure = DStructure(ring, dual_numbers(field), {
+        "s": (ring.var("s"), ring.el(rng.choice(["0", "s", "t^2", "s*t"]))),
+        "t": (ring.var("t"), ring.el(rng.choice(["0", "t", "s^2", "s + 1"]))),
+    })
+    for ideal in (["s"], ["t"], ["s^2", "t^2"], ["s*t"], ["s - t"]):
+        gens = [ring.el(g) for g in ideal]
+        if structure.is_d_ideal(gens):
+            structure.quotient(gens).validate()
+        else:
+            with pytest.raises(NotDIdeal):
+                structure.quotient(gens)
+
+
 def test_quotient_map_is_operator_homomorphism(qt):
     """Reducing then applying equals applying then reducing, per generator."""
     sigma_sq = DStructure.difference(qt, {"t": qt.el("t^2")})

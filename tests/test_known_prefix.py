@@ -5,12 +5,17 @@ A prefix that is already a Groebner basis in the old variables stays one
 when new variables are appended at the end of the order, so skipping the
 S-pairs inside it must give the same reduced basis.  With a known prefix
 the cofactors run over the inputs after it, modulo the prefix's ideal.
+When nothing nonzero follows the prefix, the prefix itself is the reduced
+basis, and an empty input gives the empty basis: the strategies below
+draw such inputs too, and ``full_run`` (pairs and interreduction over
+every input) is the reference for a prefix with only zeros after it.
 ``reference_unit_inverse`` is the former ``PresentedRing.unit_inverse``:
 a cofactor-tracked run over every input, with no constant shortcut.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -25,6 +30,7 @@ from descent_kit import (
     buchberger_extended,
     normal_form,
 )
+from descent_kit import groebner
 from descent_kit.errors import NotAUnit, ResourceLimit
 
 OLD = ("x", "y")
@@ -49,10 +55,18 @@ def polys(field, variables, max_exp=2, max_terms=3):
 
 @st.composite
 def prefix_and_extra(draw):
-    """(field, prefix basis in the old variables, extra generators over all)."""
+    """(field, prefix basis in the old variables, extra generators over all).
+
+    The prefix may be empty, and the extra generators may be none at all or
+    zeros only: the prefix is then the whole basis, and an empty prefix
+    with no extra generator is the empty input.
+    """
     field = draw(st.sampled_from(FIELDS))
-    seeds = draw(st.lists(polys(field, OLD), min_size=1, max_size=3))
-    extra = draw(st.lists(polys(field, OLD + NEW), min_size=1, max_size=3))
+    seeds = draw(st.lists(polys(field, OLD), max_size=3))
+    extra = draw(st.one_of(
+        st.lists(polys(field, OLD + NEW), min_size=1, max_size=3),
+        st.lists(st.just(Polynomial.zero(field)), max_size=2),
+    ))
     try:
         prefix = buchberger(seeds, DegRevLex(OLD), BUDGET)
     except ResourceLimit:
@@ -103,6 +117,41 @@ def test_known_prefix_cofactors_hold_modulo_the_prefix(case):
         for c, e in zip(vec, extra):
             combination = combination + c * e
         assert normal_form(g - combination, prefix_gb).is_zero()
+
+
+def full_run(gens, order, track):
+    """Buchberger's pairs and interreduction over every input, no prefix."""
+    basis, cofs, leads = groebner._buchberger_core(list(gens), order, BUDGET, track)
+    return groebner._interreduce(basis, cofs, leads, order, track)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_prefix_only_and_empty_inputs_form_no_pairs(field, monkeypatch):
+    """With no nonzero input after the known prefix the prefix is returned
+    as the basis: no pair is formed and nothing is interreduced."""
+    free = PresentedRing.make(field, OLD, [])
+    prefix = buchberger([free.el("x^2 - y"), free.el("x*y")], DegRevLex(OLD)).generators
+    order = DegRevLex(OLD + NEW)
+    expected = full_run(prefix, order, track=False)[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Buchberger ran on a prefix-only input")
+
+    monkeypatch.setattr(groebner, "_buchberger_core", forbidden)
+    monkeypatch.setattr(groebner, "_interreduce", forbidden)
+    zero = Polynomial.zero(field)
+    for extra in ([], [zero], [zero, zero]):
+        gens = list(prefix) + extra
+        gb = buchberger(gens, order, known=len(prefix))
+        assert list(gb.generators) == expected == list(prefix)
+        assert gb.leads == tuple(order.leading(g) for g in prefix)
+        gb, cofs = buchberger_extended(gens, order, known=len(prefix))
+        assert list(gb.generators) == expected
+        assert cofs == [tuple(zero for _ in extra)] * len(prefix)
+    for gens in ([], [zero]):
+        assert buchberger(gens, order).generators == ()
+        gb, cofs = buchberger_extended(gens, order)
+        assert gb.generators == () and cofs == []
 
 
 @st.composite

@@ -5,6 +5,9 @@ tensors, and the evaluation kernel against the term-by-term loop it replaced.
 constant, multiply the powers in one at a time and recompute each power for
 every term; ``reference_multiply`` sums polynomial products and normalizes
 at the end.  The kernels must give the same polynomials.
+``reference_validate`` checks the axioms by multiplying basis elements as
+elements; ``validate`` must accept the same algebras and reject the others
+with the same axiom and the same first failing indices.
 """
 
 import random
@@ -28,7 +31,9 @@ from descent_kit import (
     tensor_presented,
     truncated_jets,
 )
+from descent_kit import structure
 from descent_kit.errors import InvalidAlgebra, VariableClash
+from descent_kit.structure import AlgebraElement
 from conftest import dual_basis_algebra
 
 
@@ -369,3 +374,119 @@ def test_substitute_matches_reference(inputs):
         for _ in range(e):
             expected = expected * p
         assert q == expected
+
+
+# -- the axiom checks against the element-wise validation they replaced ----------
+
+
+def reference_validate(algebra):
+    """The element-wise checks: basis elements multiplied as elements."""
+    r = algebra.rank
+    base = algebra.base
+    for i in range(r):
+        for j in range(i + 1, r):
+            for m in range(r):
+                if not base.equal(algebra.constants[i][j][m], algebra.constants[j][i][m]):
+                    raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
+    one = algebra.one_el()
+    for j in range(r):
+        if not (one * algebra.basis_el(j)).equal(algebra.basis_el(j)):
+            raise InvalidAlgebra("unit", (j + 1,))
+    for i in range(r):
+        for j in range(r):
+            left_inner = algebra.basis_el(i) * algebra.basis_el(j)
+            for m in range(r):
+                left = left_inner * algebra.basis_el(m)
+                right = algebra.basis_el(i) * (algebra.basis_el(j) * algebra.basis_el(m))
+                if not left.equal(right):
+                    raise InvalidAlgebra("associativity", (i + 1, j + 1, m + 1))
+    return [{"axiom": a, "ok": True} for a in ("commutativity", "unit", "associativity")]
+
+
+def outcome(check, algebra):
+    try:
+        return check(algebra)
+    except InvalidAlgebra as err:
+        return (err.axiom, err.indices, str(err))
+
+
+def power_basis_algebra(ring, coeffs):
+    """ring[w]/(w^r - sum_m coeffs[m] w^m) with basis 1, w, ..., w^(r-1)."""
+    r = len(coeffs)
+    powers = []
+    for n in range(2 * r - 1):
+        if n < r:
+            powers.append([ring.one if k == n else ring.zero for k in range(r)])
+        else:
+            prev, top = powers[-1], powers[-1][r - 1]
+            powers.append([
+                ring.nf((prev[k - 1] if k else ring.zero) + top * coeffs[k]) for k in range(r)
+            ])
+    labels = ("1",) + tuple(f"w{k}" for k in range(1, r))
+    return StructureAlgebra(ring, labels, [[powers[i + j] for j in range(r)] for i in range(r)])
+
+
+def nilpotent_base(field):
+    """k[a]/(a^2)."""
+    return PresentedRing.make(field, ("a",), [PresentedRing.make(field, ("a",), []).el("a^2")])
+
+
+VALIDATION_FIELDS = (QQ, GF(2), GF(7), GF(101))
+
+
+@st.composite
+def corrupted_algebras(draw):
+    """A valid power-basis algebra with at most one structure constant (or
+    one unit coordinate, or a symmetric pair of constants) changed."""
+    field = draw(st.sampled_from(VALIDATION_FIELDS))
+    ring = draw(st.sampled_from([PresentedRing.base_field(field), nilpotent_base(field)]))
+    elements = st.sampled_from(
+        ["0", "1", "-1", "2", "1/3"] + (["a", "a + 1", "3*a - 2"] if ring.variables else []))
+    r = draw(st.integers(min_value=1, max_value=4))
+    coeffs = [ring.el(draw(elements)) for _ in range(r)]
+    algebra = power_basis_algebra(ring, coeffs)
+    constants = [[list(algebra.constants[i][j]) for j in range(r)] for i in range(r)]
+    unit = list(algebra.unit_coords)
+    kind = draw(st.sampled_from(["none", "one", "pair", "unit"]))
+    delta = ring.el(draw(elements))
+    i, j, m = (draw(st.integers(min_value=0, max_value=r - 1)) for _ in range(3))
+    if kind == "one":
+        constants[i][j][m] = constants[i][j][m] + delta
+    elif kind == "pair":
+        # off the unit row and column (for r > 1): only associativity can fail
+        i, j = max(i, 1) % r, max(j, 1) % r
+        constants[i][j][m] = constants[i][j][m] + delta
+        if i != j:
+            constants[j][i][m] = constants[j][i][m] + delta
+    elif kind == "unit":
+        unit[m] = unit[m] + delta
+    return StructureAlgebra(ring, algebra.labels, constants, unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_algebras())
+def test_validate_matches_the_element_wise_reference(algebra):
+    assert outcome(StructureAlgebra.validate, algebra) == outcome(reference_validate, algebra)
+
+
+def test_validate_builds_no_elements(monkeypatch):
+    """The axioms are checked on the structure constants: no
+    ``multiply_coords`` call and no AlgebraElement, over k[a]/(a^2)."""
+    ring = nilpotent_base(QQ)
+    algebra = power_basis_algebra(ring, [ring.el(t) for t in ("a", "1", "a - 1", "2")])
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(StructureAlgebra, "multiply_coords",
+                        counted("multiply_coords", StructureAlgebra.multiply_coords))
+    monkeypatch.setattr(AlgebraElement, "__init__",
+                        counted("AlgebraElement", AlgebraElement.__init__))
+    monkeypatch.setattr(structure, "_wrap", counted("_wrap", structure._wrap))
+    certificate = algebra.validate()
+    assert [c["axiom"] for c in certificate] == ["commutativity", "unit", "associativity"]
+    assert calls == []
