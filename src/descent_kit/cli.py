@@ -125,12 +125,12 @@ def _cmd_adjoint_check(problem, args):
             raise ParseError(
                 "adjoint-check on a non-invertible instance needs a \"z\" entry"
             )
-        report = adjoint_evidence(problem.tower, problem.z_coords)
+        report = adjoint_evidence(problem.tower, problem.z_coords, matrix=dm)
         report["matrix_invertible"] = False
         return report, 0
     if problem.u is None:
         raise ParseError("adjoint-check needs a test algebra \"R\"")
-    result = descend_d_structure(problem.c, problem.g_structure)
+    result = descend_d_structure(problem.c, problem.g_structure, matrix=dm)
     report = adjunction_audit(result, problem.u, args.budget)
     report["matrix_invertible"] = True
     return report, 0

@@ -111,23 +111,6 @@ def _scalar_constants(algebra: StructureAlgebra):
     ]
 
 
-def _vec_mul(field, constants, x, y):
-    l = len(x)
-    out = [field.zero] * l
-    for i in range(l):
-        if field.is_zero(x[i]):
-            continue
-        for j in range(l):
-            if field.is_zero(y[j]):
-                continue
-            c = field.mul(x[i], y[j])
-            row = constants[i][j]
-            for m in range(l):
-                if not field.is_zero(row[m]):
-                    out[m] = field.add(out[m], field.mul(c, row[m]))
-    return out
-
-
 def _span_basis(field, vectors):
     reduced, pivots = linear.rref(field, vectors) if vectors else ([], [])
     return [row for row in reduced if any(not field.is_zero(x) for x in row)]
@@ -150,7 +133,7 @@ def _powers_of_ideal(field, constants, factor_basis, m_span):
         nxt = []
         for x in m_span:
             for v in current:
-                w = _vec_mul(field, constants, list(x), v)
+                w = linear.vec_mul(field, constants, list(x), v)
                 if not _is_zero_vec(field, w):
                     nxt.append(w)
         current = _span_basis(field, nxt)
@@ -211,11 +194,11 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     total = [field.zero] * l
     for i, (idem, _) in enumerate(factors):
         total = [field.add(a, b) for a, b in zip(total, idem)]
-        square = _vec_mul(field, constants, list(idem), list(idem))
+        square = linear.vec_mul(field, constants, list(idem), list(idem))
         if square != list(idem):
             raise BadIdempotents(f"factor {i + 1} element is not idempotent")
         for j in range(i + 1, len(factors)):
-            prod = _vec_mul(field, constants, list(idem), list(factors[j][0]))
+            prod = linear.vec_mul(field, constants, list(idem), list(factors[j][0]))
             if not _is_zero_vec(field, prod):
                 raise BadIdempotents(f"factors {i + 1} and {j + 1} are not orthogonal")
     if total != unit:
@@ -228,7 +211,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
             w = list(v)
             e = 1
             while e <= l:
-                w = _vec_mul(field, constants, w, w)
+                w = linear.vec_mul(field, constants, w, w)
                 e *= 2
             if not _is_zero_vec(field, w):
                 raise NotNilpotent(f"maximal-ideal element of factor {i + 1} is not nilpotent")
@@ -240,10 +223,10 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     ]
     level_spaces = []
     for i, (idem, m_span) in enumerate(factors):
-        inside = [_vec_mul(field, constants, list(idem), bv) for bv in basis_vectors]
+        inside = [linear.vec_mul(field, constants, list(idem), bv) for bv in basis_vectors]
         factor_basis = _span_basis(field, inside)
         for v in m_span:
-            prod = _vec_mul(field, constants, list(idem), list(v))
+            prod = linear.vec_mul(field, constants, list(idem), list(v))
             if prod != list(v):
                 raise NotLocalFactor(
                     f"a maximal-ideal element of factor {i + 1} lies outside the factor"
@@ -269,7 +252,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     for q in range(l):
         home = None
         for i, (idem, _) in enumerate(factors):
-            prod = _vec_mul(field, constants, list(idem), basis_vectors[q])
+            prod = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
             if prod == basis_vectors[q]:
                 home = i
                 break
@@ -348,7 +331,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
         mat = [list(col) for col in zip(*cols)]
         pi = []
         for q in range(l):
-            target = _vec_mul(field, constants, list(idem), basis_vectors[q])
+            target = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
             sol = linear.solve(field, mat, target)
             if sol is None:
                 raise NotLocalFactor(

@@ -34,7 +34,8 @@ def endo_matrix(algebra, sigma_images) -> RingMatrix:
 class DescentMatrix:
     """The rl x rl matrix of (B, f), with optional inverse certificate."""
 
-    __slots__ = ("ring", "r", "l", "blocks", "matrix", "inverse", "invertible", "witness")
+    __slots__ = ("ring", "r", "l", "blocks", "matrix", "inverse", "invertible", "witness",
+                 "_lifts")
 
     def __init__(self, ring: PresentedRing, r: int, l: int, blocks, matrix: RingMatrix):
         self.ring = ring
@@ -45,6 +46,7 @@ class DescentMatrix:
         self.inverse = None
         self.invertible = "unknown"
         self.witness = None
+        self._lifts = {}
 
     def position(self, i: int, j: int) -> int:
         """Flat index of the (i, j) vector entry, both 0-based."""
@@ -54,8 +56,15 @@ class DescentMatrix:
         return self.matrix.render()
 
     def lift(self, ring: PresentedRing) -> RingMatrix:
-        """The matrix reinterpreted over a ring extending the base."""
-        return RingMatrix(ring, self.matrix.rows)
+        """The matrix reinterpreted over a ring extending the base.
+
+        Built once per ring object and kept on the matrix (the stored
+        matrix keeps ``ring`` alive, so its id cannot be reused).
+        """
+        lifted = self._lifts.get(id(ring))
+        if lifted is None:
+            lifted = self._lifts[id(ring)] = RingMatrix(ring, self.matrix.rows)
+        return lifted
 
     def lift_inverse(self, ring: PresentedRing) -> RingMatrix:
         if self.inverse is None:

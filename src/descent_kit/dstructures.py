@@ -26,7 +26,7 @@ from .structure import _wrap, evaluate_poly
 class DStructure:
     """Coordinate images of each carrier generator under e: R -> R (x) D."""
 
-    __slots__ = ("carrier", "coeff", "images", "base", "_ext", "_certificates")
+    __slots__ = ("carrier", "coeff", "images", "base", "_ext", "_certificates", "_applied")
 
     def __init__(self, carrier: PresentedRing, coeff: DCoefficientAlgebra, images, base=None):
         self.carrier = carrier
@@ -49,6 +49,7 @@ class DStructure:
         self.images = norm
         self._ext = coeff.over(carrier)
         self._certificates = None
+        self._applied = {}
 
     @staticmethod
     def identity(carrier: PresentedRing, coeff: DCoefficientAlgebra) -> "DStructure":
@@ -75,9 +76,16 @@ class DStructure:
         return _wrap(self._ext, vec)
 
     def apply(self, x: Polynomial):
-        """e(x) as an element of carrier (x) D (an l-vector over the carrier)."""
-        env = {v: self._image_element(v) for v in x.variables()}
-        return evaluate_poly(x, env, self._ext)
+        """e(x) as an element of carrier (x) D (an l-vector over the carrier).
+
+        Each distinct input is evaluated once per structure; the image is
+        kept on the structure, the way the validation certificate is.
+        """
+        image = self._applied.get(x)
+        if image is None:
+            env = {v: self._image_element(v) for v in x.variables()}
+            image = self._applied[x] = evaluate_poly(x, env, self._ext)
+        return image
 
     def coordinate_op(self, j: int, x: Polynomial) -> Polynomial:
         """The coordinate operator e_j (1-based j, matching the basis order)."""

@@ -22,10 +22,13 @@ basis with no pair formed and no interreduction.
 A basis carries the leading term of every generator (``GroebnerBasis.leads``
 and, while Buchberger runs, a list kept in step with the basis), so a
 reduction never recomputes one.  A reduction returns at once for an empty
-basis or a zero polynomial; otherwise it reduces one copy of the terms in
-place and collects the remainder in a second dict.  Order keys come from
-the memo kept on the order (``DegRevLex.key_memo``), so each monomial's key
-is computed once per order, not once per reduction.
+basis or a zero polynomial, and ``normal_form`` returns its input as it is
+when no term is divisible by a leading monomial; otherwise a reduction
+reduces one copy of the terms in place and collects the remainder in a
+second dict.  Every basis ``buchberger`` returns is monic, and a step by a
+monic leading term takes its factor without a field division.  Order keys
+come from the memo kept on the order (``DegRevLex.key_memo``), so each
+monomial's key is computed once per order, not once per reduction.
 """
 
 from __future__ import annotations
@@ -82,9 +85,12 @@ def _reduction_steps(terms, remainder, basis, leads, field, order):
     step subtracted ``factor * q * basis[gi]``.
 
     The leading term is reduced first, by the first basis element whose
-    leading monomial divides it.
+    leading monomial divides it.  Over a monic leading term (every basis
+    ``buchberger`` returns is monic) the factor is the leading coefficient
+    itself, with no field division.
     """
     key = order.key_memo.__getitem__
+    one = field.one
     while terms:
         lm = max(terms, key=key)
         lc = terms[lm]
@@ -95,7 +101,7 @@ def _reduction_steps(terms, remainder, basis, leads, field, order):
             remainder[lm] = terms.pop(lm)
             continue
         q = lm.divide(glm)
-        factor = field.div(lc, glc)
+        factor = lc if glc == one else field.div(lc, glc)
         add_multiple(terms, basis[gi].terms, field.neg(factor), field, q)
         yield gi, q, factor
 
@@ -125,9 +131,18 @@ def _reduce_full(p, cof, basis, leads, basis_cofs, order):
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """The unique fully reduced remainder of p modulo the basis."""
-    r, _ = _reduce_full(p, None, gb.generators, gb.leads, None, gb.order)
-    return r
+    """The unique fully reduced remainder of p modulo the basis.
+
+    A p with no term divisible by a leading monomial is already reduced and
+    is returned as it is, with no copy.
+    """
+    leads = gb.leads
+    for m in p.terms:
+        for lm, _ in leads:
+            if lm.divides(m):
+                r, _ = _reduce_full(p, None, gb.generators, leads, None, gb.order)
+                return r
+    return p
 
 
 def _spair(i, j, basis, leads, basis_cofs, track):

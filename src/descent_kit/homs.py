@@ -6,12 +6,22 @@ assignment of generators to staircase combinations.  That turns the
 Hom-set bijection of the descent into a checkable statement, and the
 linear system behind a non-invertible matrix into concrete evidence that
 no descent can exist.
+
+The enumeration works in the GF(p) coordinates of the target's staircase,
+multiplying with one table of structure constants per target.  A relation
+depends only on the images of the variables it mentions, so it is
+evaluated once per assignment of those, and the search stops extending a
+partial assignment as soon as a relation fails on it.  Polynomials are
+built only for the maps that are returned.  The audit gates each algebra
+map once and keeps the image the gate produced.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import linear
+from .descent_matrix import DescentMatrix, associated_matrix
 from .errors import (
     CombinatorialBudgetExceeded,
     NonInvertibleMatrix,
@@ -49,16 +59,64 @@ def target_elements(target: PresentedRing):
     return out
 
 
+def _multiplication_table(target: PresentedRing, basis):
+    """``table[i][j][m]``: the m-th staircase coordinate of basis[i] * basis[j].
+
+    One normal form per unordered pair of staircase monomials.
+    """
+    field = target.field
+    n = len(basis)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            product = Polynomial(field, {basis[i].mul(basis[j]): field.one})
+            table[i][j] = table[j][i] = target.coordinates(product, basis)
+    return table
+
+
+def _evaluate(rel: Polynomial, env: dict, field, table, unit):
+    """Staircase coordinates of ``rel`` with every variable mapped by ``env``
+    to a coordinate vector; each power is computed once per call."""
+    out = [field.zero] * len(unit)
+    powers = {}
+
+    def power(v, e):
+        value = powers.get((v, e))
+        if value is None:
+            value = env[v] if e == 1 else linear.vec_mul(field, table, power(v, e - 1), env[v])
+            powers[v, e] = value
+        return value
+
+    for m, c in rel.terms.items():
+        piece = None
+        for v, e in m.exps.items():
+            factor = power(v, e)
+            piece = factor if piece is None else linear.vec_mul(field, table, piece, factor)
+        if piece is None:
+            piece = unit
+        out = [field.add(a, field.mul(c, b)) for a, b in zip(out, piece)]
+    return out
+
+
 def enumerate_homs(source: PresentedRing, target: PresentedRing, fixed: dict = None,
                    budget: int = DEFAULT_BUDGET):
     """All algebra homomorphisms source -> target with some generators pinned.
 
     ``fixed`` maps pinned source variables to target elements (the shared
     base variables of a flattened tower, typically to themselves).  Returns
-    a deterministically ordered list of {variable: image} dicts.
+    a deterministically ordered list of {variable: image} dicts: the free
+    variables take the elements of ``target_elements`` in
+    ``itertools.product`` order, and every image is a normal form.
+
+    Candidates are checked in staircase coordinates over GF(p).  Each
+    relation is evaluated once per assignment of the free variables it
+    mentions (once in all for a relation on pinned variables alone), as
+    soon as the last of them is assigned, so a failing relation prunes
+    every candidate that extends the partial assignment.
     """
     fixed = dict(fixed or {})
-    p = target.field.characteristic
+    field = target.field
+    p = field.characteristic
     if p == 0:
         raise NotFiniteDimensional("the coefficient field is infinite")
     basis = target.staircase()
@@ -66,19 +124,74 @@ def enumerate_homs(source: PresentedRing, target: PresentedRing, fixed: dict = N
     candidates = (p ** len(basis)) ** len(free)
     if candidates > budget:
         raise CombinatorialBudgetExceeded(candidates, budget)
-    elements = target_elements(target)
-    relations = source.relations.generators
+    # GF(p) scalars are canonical residues, so these need no normalizing
+    vectors = list(itertools.product(range(p), repeat=len(basis)))
+    table = _multiplication_table(target, basis)
+    unit = target.coordinates(target.one, basis)
+    pinned = {v: target.nf(fixed[v]) for v in source.variables if v in fixed}
+    pinned_env = {v: target.coordinates(x, basis) for v, x in pinned.items()}
+    position = {v: k for k, v in enumerate(free)}
+
+    # checks[d]: the relations whose last mentioned free variable is the
+    # d-th, each with its mentioned positions and its memo of outcomes
+    checks = [[] for _ in range(len(free) + 1)]
+    for rel in source.relations.generators:
+        mentioned = sorted(position[v] for v in rel.variables() if v in position)
+        checks[mentioned[-1] + 1 if mentioned else 0].append((rel, mentioned, {}))
+
+    def holds(depth, chosen):
+        for rel, mentioned, memo in checks[depth]:
+            key = tuple(chosen[k] for k in mentioned)
+            ok = memo.get(key)
+            if ok is None:
+                env = dict(pinned_env)
+                env.update((free[k], vectors[chosen[k]]) for k in mentioned)
+                value = _evaluate(rel, env, field, table, unit)
+                ok = memo[key] = all(field.is_zero(x) for x in value)
+            if not ok:
+                return False
+        return True
+
+    elements = {}
+
+    def element(index):
+        poly = elements.get(index)
+        if poly is None:
+            poly = elements[index] = Polynomial(field, dict(zip(basis, vectors[index])))
+        return poly
+
+    def accepted(chosen):
+        images = dict(pinned)
+        images.update((v, element(i)) for v, i in zip(free, chosen))
+        return {v: images[v] for v in source.variables}
+
+    if not holds(0, ()):
+        return []
+    if not free:
+        return [accepted(())]
+    # odometer over the free variables, the last one turning fastest
     out = []
-    for images in itertools.product(elements, repeat=len(free)):
-        env = dict(fixed)
-        env.update(zip(free, images))
-        if all(target.is_zero(rel.substitute(env)) for rel in relations):
-            out.append({v: target.nf(env[v]) for v in source.variables})
+    chosen = [-1] * len(free)
+    depth = 0
+    while depth >= 0:
+        chosen[depth] += 1
+        if chosen[depth] == len(vectors):
+            chosen[depth] = -1
+            depth -= 1
+        elif holds(depth + 1, chosen):
+            if depth + 1 == len(free):
+                out.append(accepted(chosen))
+            else:
+                depth += 1
     return out
 
 
 def enumerate_descended_homs(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET):
-    """Operator homomorphisms W(C) -> R: enumerate algebra maps, then gate."""
+    """Operator homomorphisms W(C) -> R: enumerate algebra maps, then gate.
+
+    Returns (gated, all_algebra_homs); each gated entry is a pair
+    (phi, psi) with psi = tau_d_forward(phi), the image the gate produced.
+    """
     target = u_structure.carrier
     fixed = {
         v: Polynomial.variable(target.field, v)
@@ -88,10 +201,10 @@ def enumerate_descended_homs(result: DDescentResult, u_structure, budget: int = 
     gated = []
     for phi in algebra_homs:
         try:
-            tau_d_forward(phi, u_structure, result)
+            psi = tau_d_forward(phi, u_structure, result)
         except NotADHomomorphism:
             continue
-        gated.append(phi)
+        gated.append((phi, psi))
     return gated, algebra_homs
 
 
@@ -120,7 +233,12 @@ def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = D
 
 
 def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET) -> dict:
-    """Element-by-element audit of the restricted Hom-set bijection."""
+    """Element-by-element audit of the restricted Hom-set bijection.
+
+    Each downstairs algebra map is gated once by ``tau_d_forward``; the psi
+    that gate produced is matched against the gated upstairs maps and sent
+    back by ``tau_d_inverse``, which verifies it again on its own.
+    """
     target = u_structure.carrier
     downstairs, _ = enumerate_descended_homs(result, u_structure, budget)
     upstairs, _ = enumerate_upstairs_homs(result, u_structure, budget)
@@ -135,8 +253,7 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     matched = set()
     forward_ok = True
     roundtrip_ok = True
-    for phi in downstairs:
-        psi = tau_d_forward(phi, u_structure, result)
+    for phi, psi in downstairs:
         key = psi_key(psi)
         if key not in upstairs_keys:
             forward_ok = False
@@ -165,19 +282,19 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     }
 
 
-def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t") -> dict:
+def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
+                     matrix: DescentMatrix = None) -> dict:
     """Concrete obstruction evidence for a non-invertible matrix.
 
     For the structure on B[t] sending t to the given z in D(B), the unit of
     any would-be descent forces the linear system a = M x over A, where a
     collects the basis coordinates of z.  The report states the system and
-    whether it is solvable over A.
+    whether it is solvable over A.  ``matrix`` may hand in the descent
+    matrix of the tower, already built; by default it is built here.
     """
-    from .descent_matrix import associated_matrix
-
     ring = tower.base_ring
     r, l = tower.rank, tower.coeff.dim
-    dm = associated_matrix(tower)
+    dm = associated_matrix(tower) if matrix is None else matrix
     rhs = [None] * (r * l)
     for j in range(l):
         beta = z_coords[j]

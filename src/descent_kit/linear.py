@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a ScalarField.
 
 Matrices are plain lists of lists of scalars.  Everything is elementary
-row reduction; fields make every nonzero pivot usable.
+row reduction; fields make every nonzero pivot usable.  ``vec_mul``
+multiplies coordinate vectors of a finite k-algebra given by its
+structure constants.
 """
 
 from __future__ import annotations
@@ -11,6 +13,25 @@ from .scalars import ScalarField
 
 def identity(field: ScalarField, n: int):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
+def vec_mul(field: ScalarField, constants, x, y):
+    """Coordinates of x * y in a finite k-algebra with structure constants
+    ``constants[i][j][m]`` (the m-th coordinate of b_i b_j)."""
+    l = len(x)
+    out = [field.zero] * l
+    for i in range(l):
+        if field.is_zero(x[i]):
+            continue
+        for j in range(l):
+            if field.is_zero(y[j]):
+                continue
+            c = field.mul(x[i], y[j])
+            row = constants[i][j]
+            for m in range(l):
+                if not field.is_zero(row[m]):
+                    out[m] = field.add(out[m], field.mul(c, row[m]))
+    return out
 
 
 def rref(field: ScalarField, rows):

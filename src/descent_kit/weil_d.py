@@ -88,15 +88,18 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
 
 
 def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
-                        classical: WeilDescentResult = None) -> DDescentResult:
+                        classical: WeilDescentResult = None,
+                        matrix: DescentMatrix = None) -> DDescentResult:
     """Full descent pipeline for (C, g) over the tower's (A, e) <= (B, f).
 
     ``g_structure`` is ``c.structure(images)``, built from the operator
     coordinates of each generator.  ``classical`` may hand in the classical
     descent W(C) computed for another structure on the same C over the same
-    module algebra B; by default it is computed here.  Raises
-    NonInvertibleMatrix when the matrix of (B, f) is singular: that is the
-    obstruction to descent.
+    module algebra B; by default it is computed here.  ``matrix`` may hand
+    in the descent matrix of the tower, already built (and possibly
+    inverted); by default it is built here.  Raises NonInvertibleMatrix
+    when the matrix of (B, f) is singular: that is the obstruction to
+    descent.
     """
     tower = c.tower
     if g_structure.carrier != c.flat_ring:
@@ -104,8 +107,10 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     certificates = [{"check": f"target_structure_{d['check']}", "ok": True}
                     for d in g_structure.validate()]
 
-    matrix = associated_matrix(tower)
-    invert_descent_matrix(matrix)
+    if matrix is None:
+        matrix = associated_matrix(tower)
+    if matrix.inverse is None:
+        invert_descent_matrix(matrix)
     certificates.append({"check": "matrix_invertible", "ok": True})
 
     classical = weil_descend(c) if classical is None else classical.for_algebra(c)

@@ -268,3 +268,16 @@ def test_bijectivity_matches_matrix_over_field_base():
     nonbij = [b.basis_el(0), b.zero_el()]  # sigma(y) = 0
     assert not endo_matrix(b, nonbij).is_invertible()
     assert k_linear_rank(conj, nonbij) < dim
+
+
+def test_lift_is_built_once_per_ring():
+    """verify_d_hom lifts the matrix to the test algebra on every call; the
+    lift is built once per ring object and has the base matrix's entries."""
+    tower = _dual_tower(GF(2), lambda b: b.basis_el(1))
+    dm = associated_matrix(tower)
+    r = PresentedRing.make(GF(2), ("u",), [PresentedRing.make(GF(2), ("u",), []).el("u^3")])
+    lifted = dm.lift(r)
+    assert dm.lift(r) is lifted
+    assert lifted.ring is r and lifted.rows == dm.matrix.rows
+    other = dm.lift(PresentedRing.make(GF(2), ("u",), []))
+    assert other is not lifted and other.rows == dm.matrix.rows

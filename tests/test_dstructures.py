@@ -268,3 +268,18 @@ def test_tensor_structures():
     for v in ti.carrier.variables:
         assert ti.carrier.equal(ti.images[v][0], ti.carrier.var(v))
         assert ti.images[v][1].is_zero()
+
+
+def test_apply_keeps_each_image(qt, differential):
+    """Applying the structure twice to equal inputs (distinct objects)
+    evaluates once and gives the coordinates a fresh evaluation gives."""
+    from descent_kit import evaluate_poly
+
+    x, y = qt.el("t^3 - 2*t + 1"), qt.el("t^3 - 2*t + 1")
+    assert x is not y
+    first, second = differential.apply(x), differential.apply(y)
+    assert second is first
+    ext = differential.coeff.over(qt)
+    env = {"t": ext.element(differential.images["t"])}
+    assert first.coords == second.coords == evaluate_poly(x, env, ext).coords
+    assert differential.apply(qt.el("t^2")).coords == evaluate_poly(qt.el("t^2"), env, ext).coords

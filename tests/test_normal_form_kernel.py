@@ -162,3 +162,56 @@ def test_kernel_matches_reference_on_groebner_bases(inputs):
     for q, g in zip(quotients, gb.generators):
         total = total + q * g
     assert total == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(groebner_inputs())
+def test_reduced_input_comes_back_as_it_is(inputs):
+    """A polynomial with no term divisible by a leading monomial is its own
+    normal form: ``normal_form`` returns the very object, as the reference
+    would compute it; any other input is reduced into a new polynomial."""
+    gens, p = inputs
+    try:
+        gb = buchberger(gens, ORDER2, budget=300)
+    except ResourceLimit:
+        reject()
+    reduced = normal_form(p, gb)
+    for q in (reduced, Polynomial.zero(p.field), p):
+        expected, _ = reference_reduce(q, None, gb.generators, None, ORDER2)
+        got = normal_form(q, gb)
+        assert got == expected
+        irreducible = not any(lm.divides(m) for m in q.terms for lm, _ in gb.leads)
+        assert (got is q) == irreducible
+    assert normal_form(reduced, gb) is reduced
+
+
+def test_monic_basis_reduction_takes_no_inverse(monkeypatch):
+    """Every basis ``buchberger`` returns is monic, so a reduction step takes
+    the leading coefficient as its factor; steps and quotients are those of
+    the reference, which divides."""
+    from descent_kit.scalars import ScalarField
+
+    for field in FIELDS:
+        x, y = Polynomial.variable(field, "x"), Polynomial.variable(field, "y")
+        three = Polynomial.constant(field, 3)
+        gb = buchberger([x * x * three - y, x * y * three + x], ORDER2)
+        assert all(lc == field.one for _, lc in gb.leads)
+        p = x * x * x * y * three + x * y * y + y * y * y + three
+        calls = [0]
+        original = ScalarField.inv
+
+        def counted(self, a, _original=original):
+            calls[0] += 1
+            return _original(self, a)
+
+        monkeypatch.setattr(ScalarField, "inv", counted)
+        remainder, quotients = reduce_extended(p, gb)
+        got = normal_form(p, gb)
+        monkeypatch.setattr(ScalarField, "inv", original)
+        assert calls[0] == 0
+        expected, _ = reference_reduce(p, None, gb.generators, None, ORDER2)
+        assert remainder == got == expected
+        total = remainder
+        for q, g in zip(quotients, gb.generators):
+            total = total + q * g
+        assert total == p

@@ -1,8 +1,9 @@
 """Work counts: each object is checked once, each descent ideal and descent
 matrix is built once per command, a normal form never recomputes a
 leading term the basis already holds, evaluation in a structure algebra
-multiplies only what it must, and the audit's Cramer solve runs one
-characteristic polynomial for all generators.
+multiplies only what it must, the audit's Cramer solve runs one
+characteristic polynomial for all generators, and the Hom-set audit gates
+each map once and evaluates each relation once per assignment.
 
 Counters are wrapped around the validators, ``groebner.buchberger``,
 ``groebner.normal_form``, ``DegRevLex.leading``, ``RingMatrix.inverse``,
@@ -20,7 +21,7 @@ import pytest
 
 from descent_kit import (
     GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, difference_algebra,
-    groebner, parse_polynomial, problem_from_file, weil, weil_d, weil_descend,
+    groebner, homs, parse_polynomial, problem_from_file, weil, weil_d, weil_descend,
 )
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
@@ -360,3 +361,64 @@ def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
     image = result.evaluate_under_unit(flat)
     assert calls[0] == 1
     assert image.coords == expected.coords
+
+
+def test_adjoint_check_gates_each_map_once(tmp_path, monkeypatch):
+    """adjoint-check on adjoint_f2.json: ``tau_d_forward`` runs once per
+    downstairs algebra map, and ``enumerate_homs`` evaluates each relation
+    at most p^(dim k) times, k the number of free variables it mentions."""
+    enumerations = []  # (source, target, pinned variables, maps returned)
+    evaluations = Counter()  # (enumeration, relation) -> evaluations
+    forward = [0]
+    original_enumerate = homs.enumerate_homs
+    original_evaluate = homs._evaluate
+    original_forward = homs.tau_d_forward
+
+    def enumerate_counted(source, target, fixed=None, *args, **kwargs):
+        out = original_enumerate(source, target, fixed, *args, **kwargs)
+        enumerations.append((source, target, set(fixed or ()), out))
+        return out
+
+    def evaluate_counted(rel, *args):
+        evaluations[len(enumerations), rel] += 1
+        return original_evaluate(rel, *args)
+
+    def forward_counted(*args):
+        forward[0] += 1
+        return original_forward(*args)
+
+    monkeypatch.setattr(homs, "enumerate_homs", enumerate_counted)
+    monkeypatch.setattr(homs, "_evaluate", evaluate_counted)
+    monkeypatch.setattr(homs, "tau_d_forward", forward_counted)
+    code = run_cli(["adjoint-check", "--input", str(FIXTURES / "adjoint_f2.json")], tmp_path)
+    assert code == 0
+    assert len(enumerations) == 2
+    downstairs = enumerations[0][3]
+    assert downstairs and forward[0] == len(downstairs)
+    assert sum(evaluations.values()) > 0
+    for index, (source, target, pinned, _) in enumerate(enumerations):
+        p, dim = target.field.characteristic, len(target.staircase())
+        for rel in source.relations.generators:
+            k = len(rel.variables() - pinned)
+            assert evaluations[index, rel] <= p ** (dim * k)
+
+
+@pytest.mark.parametrize("fixture", ["adjoint_f2.json", "introduction.json"])
+def test_adjoint_check_builds_the_descent_matrix_once(fixture, tmp_path, monkeypatch):
+    """The matrix adjoint-check classifies is the one its descent (audit
+    path) or its obstruction evidence (non-invertible path) uses."""
+    from descent_kit import descent_matrix
+
+    calls = [0]
+    original = descent_matrix.associated_matrix
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("descent_kit") and getattr(
+                module, "associated_matrix", None) is original:
+            monkeypatch.setattr(module, "associated_matrix", counted)
+    assert run_cli(["adjoint-check", "--input", str(FIXTURES / fixture)], tmp_path) == 0
+    assert calls[0] == 1
