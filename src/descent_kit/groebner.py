@@ -29,6 +29,13 @@ second dict.  Every basis ``buchberger`` returns is monic, and a step by a
 monic leading term takes its factor without a field division.  Order keys
 come from the memo kept on the order (``DegRevLex.key_memo``), so each
 monomial's key is computed once per order, not once per reduction.
+
+Every divisor search tests the divisibility masks of the monomials inline
+(``Monomial.mask``, one bit per variable name) before it calls
+``Monomial.divides``: a leading monomial with a variable the term lacks is
+rejected by one AND, with no call.  The same masks decide whether two
+leading monomials are coprime: no two variable names share a bit, so
+disjoint masks mean disjoint supports.
 """
 
 from __future__ import annotations
@@ -94,8 +101,9 @@ def _reduction_steps(terms, remainder, basis, leads, field, order):
     while terms:
         lm = max(terms, key=key)
         lc = terms[lm]
+        absent = ~lm.mask
         for gi, (glm, glc) in enumerate(leads):
-            if glm.divides(lm):
+            if not glm.mask & absent and glm.divides(lm):
                 break
         else:
             remainder[lm] = terms.pop(lm)
@@ -137,9 +145,12 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     is returned as it is, with no copy.
     """
     leads = gb.leads
+    if not leads:
+        return p
     for m in p.terms:
+        absent = ~m.mask
         for lm, _ in leads:
-            if lm.divides(m):
+            if not lm.mask & absent and lm.divides(m):
                 r, _ = _reduce_full(p, None, gb.generators, leads, None, gb.order)
                 return r
     return p
@@ -199,9 +210,7 @@ def _buchberger_core(gens, order, budget, track, known=0):
         processed += 1
         if processed > budget:
             raise ResourceLimit(f"Groebner pair budget {budget} exceeded")
-        flm = leads[i][0]
-        glm = leads[j][0]
-        if flm.lcm(glm) == flm.mul(glm):
+        if not leads[i][0].mask & leads[j][0].mask:
             continue  # coprime leading terms: S-polynomial reduces to zero
         s, cf = _spair(i, j, basis, leads, cofs, track)
         r, cf = _reduce_full(s, cf, basis, leads, cofs, order)

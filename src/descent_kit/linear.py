@@ -17,21 +17,24 @@ def identity(field: ScalarField, n: int):
 
 def vec_mul(field: ScalarField, constants, x, y):
     """Coordinates of x * y in a finite k-algebra with structure constants
-    ``constants[i][j][m]`` (the m-th coordinate of b_i b_j)."""
-    l = len(x)
-    out = [field.zero] * l
-    for i in range(l):
-        if field.is_zero(x[i]):
+    ``constants[i][j][m]`` (the m-th coordinate of b_i b_j).
+
+    Zero scalars are skipped by truthiness and the arithmetic is inline:
+    plain int/Fraction sums, reduced once per coordinate over GF(p).
+    """
+    out = [field.zero] * len(x)
+    for xi, row in zip(x, constants):
+        if not xi:
             continue
-        for j in range(l):
-            if field.is_zero(y[j]):
+        for yj, consts in zip(y, row):
+            if not yj:
                 continue
-            c = field.mul(x[i], y[j])
-            row = constants[i][j]
-            for m in range(l):
-                if not field.is_zero(row[m]):
-                    out[m] = field.add(out[m], field.mul(c, row[m]))
-    return out
+            c = xi * yj
+            for m, cm in enumerate(consts):
+                if cm:
+                    out[m] += c * cm
+    p = field.characteristic
+    return [v % p for v in out] if p else out
 
 
 def rref(field: ScalarField, rows):

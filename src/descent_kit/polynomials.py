@@ -4,6 +4,18 @@ Monomials map variable names to positive exponents.  A polynomial does not
 own a monomial order; orders are supplied where they matter (Groebner bases,
 canonical rendering) as a ``DegRevLex`` built over an explicit variable
 sequence, which fixes the global variable numbering.
+
+There is one ``Monomial`` object per exponent map.  Every route that makes
+a monomial (the constructor, products, quotients, lcms, copies and
+unpickling) returns the object kept in ``_INTERN``, keyed by the sorted
+``(name, exponent)`` tuple, so monomials compare and hash by identity and
+dict and set operations on them stay in C.  Each monomial also carries a
+divisibility mask with one bit per variable name, the bits drawn from
+``_BITS`` (Singular's short exponent vectors: Bachmann & Schoenemann,
+ISSAC 1998), so that most failing divisibility tests cost one AND.  Both
+tables are process-wide on purpose: a monomial's identity and its mask
+must mean the same thing in every ring and every Groebner basis of a run,
+since rings share variable names and pass terms between each other.
 """
 
 from __future__ import annotations
@@ -11,48 +23,69 @@ from __future__ import annotations
 from .errors import ParseError
 from .scalars import ScalarField
 
+_INTERN = {}  # sorted (name, exponent) tuple -> its one Monomial
+_BITS = {}  # variable name -> its bit in every mask
+
+
+def _intern(key: tuple, degree: int) -> "Monomial":
+    """The monomial of the sorted, zero-free exponent tuple ``key`` (of total
+    degree ``degree``), made and kept on first sight."""
+    m = _INTERN.get(key)
+    if m is None:
+        mask = 0
+        for v, _ in key:
+            bit = _BITS.get(v)
+            if bit is None:
+                bit = _BITS[v] = 1 << len(_BITS)
+            mask |= bit
+        m = object.__new__(Monomial)
+        m.exps = dict(key)
+        m.degree = degree
+        m.mask = mask
+        m._key = key
+        m._products = {}
+        _INTERN[key] = m
+    return m
+
 
 class Monomial:
     """A power product, stored as a name->exponent map with no zero entries.
+
+    Monomials are interned: equal exponent maps give the same object, so
+    ``==`` and ``hash`` are those of identity.  ``exps`` is shared and must
+    never be mutated.  ``mask`` has the bit of every variable that occurs,
+    so ``a`` cannot divide ``b`` when ``a.mask & ~b.mask`` is nonzero.
+    ``_products`` maps each monomial this one has been multiplied by to the
+    product, so each product is formed once per run.
 
     The public constructor checks and sorts what it is given; products,
     quotients and lcms are built through ``_canonical``, which trusts its
     input and sorts once.
     """
 
-    __slots__ = ("exps", "degree", "_key", "_hash")
+    __slots__ = ("exps", "degree", "mask", "_key", "_products")
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         if isinstance(exps, dict):
             items = exps.items()
         else:
             items = exps
         key = tuple(sorted((v, e) for v, e in items if e != 0))
+        degree = 0
         for v, e in key:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
-        self.exps = dict(key)
-        self.degree = sum(self.exps.values())
-        self._key = key
-        self._hash = hash(key)
+            degree += e
+        return _intern(key, degree)
 
     @staticmethod
     def _canonical(exps: dict, degree: int) -> "Monomial":
         """The monomial of ``exps`` (positive exponents only) of total degree
         ``degree``, both already known to be right."""
-        key = tuple(sorted(exps.items()))
-        m = Monomial.__new__(Monomial)
-        m.exps = dict(key)
-        m.degree = degree
-        m._key = key
-        m._hash = hash(key)
-        return m
+        return _intern(tuple(sorted(exps.items())), degree)
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Monomial, (self._key,)
 
     def __repr__(self):
         if not self._key:
@@ -66,6 +99,9 @@ class Monomial:
         return set(self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
+        m = self._products.get(other)
+        if m is not None:
+            return m
         if not other.degree:
             return self
         if not self.degree:
@@ -74,10 +110,11 @@ class Monomial:
         get = exps.get
         for v, e in other.exps.items():
             exps[v] = get(v, 0) + e
-        return Monomial._canonical(exps, self.degree + other.degree)
+        m = self._products[other] = Monomial._canonical(exps, self.degree + other.degree)
+        return m
 
     def divides(self, other: "Monomial") -> bool:
-        if self.degree > other.degree:
+        if self.mask & ~other.mask or self.degree > other.degree:
             return False
         get = other.exps.get
         for v, e in self.exps.items():
@@ -117,15 +154,19 @@ def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial 
     cancel are dropped.
 
     The field arithmetic is inline: one ``% p`` per term over GF(p), plain
-    int/Fraction arithmetic over QQ.
+    int/Fraction arithmetic over QQ.  A shifted term is read from the
+    product slot of ``m`` and formed through ``Monomial.mul`` only the first
+    time.
     """
     p = field.characteristic
     get, pop = terms.get, terms.pop
-    mul = m.mul if m is not None and m.degree else None
+    shift = m is not None and m.degree
+    if shift:
+        products, mul = m._products.get, m.mul
     if p:
         for pm, pc in p_terms.items():
-            if mul is not None:
-                pm = mul(pm)
+            if shift:
+                pm = products(pm) or mul(pm)
             s = (get(pm, 0) + pc * c) % p
             if s:
                 terms[pm] = s
@@ -133,8 +174,8 @@ def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial 
                 pop(pm, None)
     else:
         for pm, pc in p_terms.items():
-            if mul is not None:
-                pm = mul(pm)
+            if shift:
+                pm = products(pm) or mul(pm)
             s = get(pm, 0) + pc * c
             if s:
                 terms[pm] = s
@@ -244,15 +285,16 @@ class Polynomial:
 
     @staticmethod
     def zero(field: ScalarField) -> "Polynomial":
-        return Polynomial(field)
+        return Polynomial.from_terms(field, {})
 
     @staticmethod
     def constant(field: ScalarField, c) -> "Polynomial":
-        return Polynomial(field, {ONE: c})
+        c = field.normalize(c)
+        return Polynomial.from_terms(field, {ONE: c} if c else {})
 
     @staticmethod
     def variable(field: ScalarField, name: str) -> "Polynomial":
-        return Polynomial(field, {Monomial({name: 1}): field.one})
+        return Polynomial.from_terms(field, {_intern(((name, 1),), 1): field.one})
 
     # -- predicates -----------------------------------------------------------
 
@@ -291,14 +333,9 @@ class Polynomial:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
         fld = self.field
-        for m, c in other.terms.items():
-            s = fld.add(out.get(m, fld.zero), c)
-            if fld.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+        out = dict(self.terms)
+        add_multiple(out, other.terms, fld.one, fld)
         return Polynomial.from_terms(fld, out)
 
     def __neg__(self):
@@ -306,7 +343,10 @@ class Polynomial:
         return Polynomial.from_terms(fld, {m: fld.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        fld = self.field
+        out = dict(self.terms)
+        add_multiple(out, other.terms, fld.neg(fld.one), fld)
+        return Polynomial.from_terms(fld, out)
 
     def __mul__(self, other):
         fld = self.field

@@ -71,6 +71,8 @@ class ScalarField:
         """
         p = self.characteristic
         if p:
+            if type(value) is int:
+                return value % p
             if isinstance(value, Fraction):
                 if value.denominator % p == 0:
                     raise DivisionByZero(f"denominator of {value} vanishes mod {p}")

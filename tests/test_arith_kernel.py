@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial
+from descent_kit.linear import vec_mul
 from descent_kit.polynomials import ONE, add_multiple
 
 FIELDS = (QQ, GF(2), GF(7), GF(101))
@@ -249,3 +250,51 @@ def test_prime_field_scalars_are_residues(field, n):
     assert type(a) is int and 0 <= a < field.characteristic
     if a:
         assert field.mul(a, field.inv(a)) == 1
+
+
+# -- structure-constant products ---------------------------------------------------
+
+
+def reference_vec_mul(field, constants, x, y):
+    """The method-call loop ``linear.vec_mul`` ran before its arithmetic went
+    inline: one ``field.is_zero`` per scalar, ``field.add``/``field.mul``."""
+    l = len(x)
+    out = [field.zero] * l
+    for i in range(l):
+        if field.is_zero(x[i]):
+            continue
+        for j in range(l):
+            if field.is_zero(y[j]):
+                continue
+            c = field.mul(x[i], y[j])
+            row = constants[i][j]
+            for m in range(l):
+                if not field.is_zero(row[m]):
+                    out[m] = field.add(out[m], field.mul(c, row[m]))
+    return out
+
+
+@st.composite
+def vec_mul_inputs(draw):
+    """A table of mostly zero structure constants and two vectors, over
+    GF(2), GF(3), GF(101) or QQ (ints and Fractions mixed)."""
+    field = draw(st.sampled_from((GF(2), GF(3), GF(101), QQ)))
+    l = draw(st.integers(min_value=1, max_value=4))
+    value = st.one_of(st.just(field.zero), st.just(field.zero), scalars(field)).map(
+        field.normalize)
+    flat = draw(st.lists(value, min_size=l**3 + 2 * l, max_size=l**3 + 2 * l))
+    constants = [[flat[(i * l + j) * l:(i * l + j + 1) * l] for j in range(l)]
+                 for i in range(l)]
+    return field, constants, flat[l**3:l**3 + l], flat[l**3 + l:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vec_mul_inputs())
+def test_vec_mul_matches_the_method_call_loop(inputs):
+    field, constants, x, y = inputs
+    got = vec_mul(field, constants, x, y)
+    assert got == reference_vec_mul(field, constants, x, y)
+    if field.characteristic:
+        assert all(type(v) is int and 0 <= v < field.characteristic for v in got)
+    else:
+        assert all(is_qq_scalar(v) for v in got)

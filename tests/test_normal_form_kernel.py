@@ -215,3 +215,66 @@ def test_monic_basis_reduction_takes_no_inverse(monkeypatch):
         for q, g in zip(quotients, gb.generators):
             total = total + q * g
         assert total == p
+
+
+# Variable sequences of rings that share names with ORDER and with each
+# other: monomials of every ring draw their mask bits from one table, so
+# the bits of one ring are interleaved with those of the others.
+SHARED_ORDERS = (
+    DegRevLex(("y", "w", "x")),
+    DegRevLex(("z", "t1", "x", "y")),
+    DegRevLex(("b", "z", "w")),
+)
+
+
+@st.composite
+def shared_name_inputs(draw):
+    """(order, p, cof, basis, basis_cofs, gens) over one of SHARED_ORDERS,
+    after a reduction in an unrelated ring that shares some of its names."""
+    order, other = draw(st.sampled_from(SHARED_ORDERS)), draw(st.sampled_from(SHARED_ORDERS))
+    field = draw(st.sampled_from(FIELDS))
+    noise = draw(st.lists(polys(field, other.variables, 3, 3), min_size=1, max_size=3))
+    kernel(noise[0], None, [g for g in noise[1:] if not g.is_zero()], None, other)
+    any_poly = polys(field, order.variables)
+    p = draw(any_poly)
+    basis = draw(st.lists(any_poly.filter(lambda g: not g.is_zero()), max_size=3))
+    width = draw(st.integers(min_value=1, max_value=2))
+    vector = st.lists(polys(field, order.variables, 2, 2), min_size=width, max_size=width)
+    cof = draw(vector)
+    basis_cofs = [draw(vector) for _ in basis]
+    # generators of an ideal in two of the order's variables, small enough
+    # for Buchberger to stay cheap
+    gens = draw(st.lists(polys(field, order.variables[:2], 2, 3), min_size=1, max_size=3))
+    return order, p, cof, basis, basis_cofs, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_name_inputs())
+def test_kernel_matches_reference_with_names_shared_across_rings(inputs):
+    order, p, cof, basis, basis_cofs, _ = inputs
+    expected, _ = reference_reduce(p, None, basis, None, order)
+    assert kernel(p, None, basis, None, order) == (expected, None)
+    assert kernel(p, cof, basis, basis_cofs, order) == reference_reduce(
+        p, cof, basis, basis_cofs, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_name_inputs())
+def test_normal_form_matches_reference_with_names_shared_across_rings(inputs):
+    order, p, _, _, _, gens = inputs
+    try:
+        gb = buchberger(gens, order, budget=300)
+        gb_ext, cofs = buchberger_extended(gens, order, budget=300)
+    except ResourceLimit:
+        reject()
+    expected, _ = reference_reduce(p, None, gb.generators, None, order)
+    assert normal_form(p, gb) == expected
+    zero = [Polynomial.zero(p.field) for _ in gens]
+    assert _reduce_full(p, zero, gb_ext.generators, gb_ext.leads, cofs, order) == (
+        reference_reduce(p, zero, gb_ext.generators, cofs, order))
+    remainder, quotients = reduce_extended(p, gb)
+    assert remainder == expected
+    total = remainder
+    for q, g in zip(quotients, gb.generators):
+        total = total + q * g
+    assert total == p
