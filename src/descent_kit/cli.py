@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on malformed input (or an internal
-certificate that fails to verify, reported as ``CertificateFailure`` with
-its stage), 2 on a genuine mathematical obstruction (a non-invertible
-descent matrix).  Reports are
+Exit codes: 0 on success, 1 on malformed input or a usage error (or an
+internal certificate that fails to verify, reported as
+``CertificateFailure`` with its stage), 2 on a genuine mathematical
+obstruction (a non-invertible descent matrix).  Reports are
 deterministic JSON; timing goes to stderr so report files stay
 byte-identical across runs.
 """
@@ -148,6 +148,14 @@ def _cmd_compose_check(problem, args):
     return report, 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as malformed input does: exit 2 is an obstruction."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 _COMMANDS = {
     "validate": _cmd_validate,
     "matrix": _cmd_matrix,
@@ -158,7 +166,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="descent-kit",
         description="Exact Weil restriction for difference/differential algebras",
     )

@@ -107,11 +107,10 @@ class ComposedStructure:
         self.structure = structure
 
 
-def _composite_images(e1: DStructure, e2: DStructure, cc: ComposedCoefficients):
-    """Images of the composite: pair (q, p) carries e2_q o e1_p."""
-    carrier = e1.carrier
+def _composite_images(e1: DStructure, e2: DStructure, cc: ComposedCoefficients, variables):
+    """Images of the composite at ``variables``: pair (q, p) carries e2_q o e1_p."""
     images = {}
-    for v in carrier.variables:
+    for v in variables:
         first = e1.images[v]
         vec = [None] * len(cc.index_pair)
         for idx, (q, p) in enumerate(cc.index_pair):
@@ -126,7 +125,9 @@ def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients 
         raise CarrierMismatch("composition needs a common carrier")
     if cc is None:
         cc = tensor_coefficients(e2.coeff, e1.coeff)
-    structure = DStructure(e1.carrier, cc.product, _composite_images(e1, e2, cc))
+    structure = DStructure(
+        e1.carrier, cc.product, _composite_images(e1, e2, cc, e1.carrier.variables)
+    )
     return ComposedStructure(cc, e1, e2, structure)
 
 
@@ -184,18 +185,6 @@ def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficient
     return OperatorTower(e12, t1.algebra, cc.product, f12), cc
 
 
-def compose_c_structures(c1: PresentedBAlgebra, g1_struct: DStructure,
-                         g2_struct: DStructure, cc: ComposedCoefficients):
-    """Composite generator images for the algebra C (flat polynomials)."""
-    images = {}
-    for gen in c1.generators:
-        vec = [None] * len(cc.index_pair)
-        for idx, (q, p) in enumerate(cc.index_pair):
-            vec[idx] = g2_struct.coordinate_op(q + 1, g1_struct.images[gen][p])
-        images[gen] = tuple(vec)
-    return images
-
-
 def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
                           t2: OperatorTower, g2_images: dict) -> dict:
     """Verify that composition of structures is compatible with descent.
@@ -225,7 +214,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     cc = tensor_coefficients(t2.coeff, t1.coeff)
     t12, _ = compose_towers(t1, t2, cc)
     c12 = PresentedBAlgebra(t12, c1.generators, c1.relations_flat)
-    g12_struct = c12.structure(compose_c_structures(c1, g1_struct, g2_struct, cc))
+    g12_struct = c12.structure(_composite_images(g1_struct, g2_struct, cc, c1.generators))
     res12 = descend_d_structure(c12, g12_struct, classical)
 
     composed_w = compose_structures(res1.structure, res2.structure, cc)

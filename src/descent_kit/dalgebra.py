@@ -36,7 +36,6 @@ class DCoefficientAlgebra:
         "projections",
         "unit",
         "certificates",
-        "_over",
     )
 
     def __init__(self, algebra, factors, factor_of, stratum_of, strata, projections, unit, certificates):
@@ -48,7 +47,6 @@ class DCoefficientAlgebra:
         self.projections = projections
         self.unit = unit
         self.certificates = certificates
-        self._over = {}
 
     @property
     def dim(self) -> int:
@@ -70,26 +68,9 @@ class DCoefficientAlgebra:
         return self.algebra.constants[j][k][m].constant_value()
 
     def over(self, carrier: PresentedRing) -> StructureAlgebra:
-        """The base change carrier (x) coefficient-algebra, rank dim.
-
-        Built once per carrier object and kept on this algebra (the stored
-        algebra keeps the carrier alive, so its id cannot be reused).
-        """
-        ext = self._over.get(id(carrier))
-        if ext is None:
-            ext = self._over[id(carrier)] = StructureAlgebra(
-                carrier,
-                self.algebra.labels,
-                [
-                    [
-                        [carrier.constant(self.a(i, j, m)) for m in range(self.dim)]
-                        for j in range(self.dim)
-                    ]
-                    for i in range(self.dim)
-                ],
-                [carrier.constant(c) for c in self.unit],
-            )
-        return ext
+        """The base change carrier (x) coefficient-algebra, rank dim: the
+        coefficient algebra's own ``base_change``, built once per carrier."""
+        return self.algebra.base_change(carrier)
 
     def __eq__(self, other):
         return isinstance(other, DCoefficientAlgebra) and self.algebra == other.algebra

@@ -100,13 +100,12 @@ def assemble_matrix(ring, r, l, a_const, lam) -> DescentMatrix:
     return DescentMatrix(ring, r, l, tuple(blocks), matrix)
 
 
-def associated_matrix(tower: OperatorTower, check_stratified: bool = True) -> DescentMatrix:
+def associated_matrix(tower: OperatorTower) -> DescentMatrix:
     """The matrix associated to (B, f) in the stratified coefficient basis."""
     ring = tower.base_ring
     r, l = tower.rank, tower.coeff.dim
     dm = assemble_matrix(ring, r, l, tower.coeff.a, tower.lambda_f)
-    if check_stratified:
-        _assert_block_structure(dm, tower)
+    _assert_block_structure(dm, tower)
     return dm
 
 
@@ -216,7 +215,7 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
         return ring.nf(acc)
 
     m_eta = assemble_matrix(ring, r, l, a_eta, lam_eta).matrix
-    m_eps = associated_matrix(tower, check_stratified=False).matrix
+    m_eps = associated_matrix(tower).matrix
     x_big = inflate(ring, x, r, field)
     y_big = inflate(ring, y, r, field)
     return m_eta == y_big * m_eps * x_big

@@ -55,12 +55,11 @@ class GroebnerBasis:
     computed once here so that no reduction rescans a generator.
     """
 
-    __slots__ = ("generators", "order", "reduced", "leads")
+    __slots__ = ("generators", "order", "leads")
 
-    def __init__(self, generators, order: DegRevLex, reduced: bool = True):
+    def __init__(self, generators, order: DegRevLex):
         self.generators = tuple(generators)
         self.order = order
-        self.reduced = reduced
         self.leads = tuple(order.leading(g) for g in self.generators)
 
     def __iter__(self):
@@ -287,7 +286,7 @@ def buchberger(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET,
     if basis is None:
         basis, _, leads = _buchberger_core(gens, order, budget, track=False, known=known)
         basis, _ = _interreduce(basis, None, leads, order, track=False)
-    return GroebnerBasis(basis, order, reduced=True)
+    return GroebnerBasis(basis, order)
 
 
 def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGET,
@@ -303,10 +302,10 @@ def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGE
     basis = _prefix_only(gens, known)
     if basis is not None:
         cofs = [tuple(Polynomial.zero(g.field) for _ in gens[known:]) for g in basis]
-        return GroebnerBasis(basis, order, reduced=True), cofs
+        return GroebnerBasis(basis, order), cofs
     basis, cofs, leads = _buchberger_core(gens, order, budget, track=True, known=known)
     basis, cofs = _interreduce(basis, cofs, leads, order, track=True)
-    return GroebnerBasis(basis, order, reduced=True), [tuple(c) for c in cofs]
+    return GroebnerBasis(basis, order), [tuple(c) for c in cofs]
 
 
 def reduce_extended(p: Polynomial, gb: GroebnerBasis):

@@ -33,7 +33,6 @@ class ProblemDescription:
         "tower",
         "c",
         "g_structure",
-        "r_ring",
         "u",
         "z_coords",
         "second",
@@ -224,7 +223,6 @@ def load_problem(data: dict) -> ProblemDescription:
         {"check": f"target_{d['check']}", "ok": True} for d in g_structure.validate()
     ]
 
-    r_ring = None
     u = None
     if "R" in data:
         r_data = _shape(data["R"], dict, "R")
@@ -298,7 +296,6 @@ def load_problem(data: dict) -> ProblemDescription:
         tower=tower,
         c=c,
         g_structure=g_structure,
-        r_ring=r_ring,
         u=u,
         z_coords=z_coords,
         second=second,
@@ -318,19 +315,17 @@ def problem_from_file(path) -> ProblemDescription:
 # -- report rendering ---------------------------------------------------------------
 
 
-def render_presentation(ring: PresentedRing, structure: DStructure = None) -> dict:
+def render_presentation(ring: PresentedRing, structure: DStructure) -> dict:
     from .polynomials import render
-    block = {
+    return {
         "variables": list(ring.variables),
         "relations": [render(g, ring.order) for g in ring.relations.generators],
-    }
-    if structure is not None:
-        block["images"] = {
+        "images": {
             v: [ring.render(c) for c in structure.images[v]]
             for v in ring.variables
             if structure.images[v] is not None
-        }
-    return block
+        },
+    }
 
 
 def dump_report(report: dict) -> str:

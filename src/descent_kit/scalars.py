@@ -17,16 +17,32 @@ from .errors import DivisionByZero, ParseError
 _WORD_BOUND = 2**63
 
 
+# Miller-Rabin with the primes up to 37 as bases decides primality exactly
+# for every n < 3.18 * 10**23 (Sorenson and Webster, Math. Comp. 2017),
+# far above the word bound on p.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -47,10 +63,6 @@ class ScalarField:
         self.characteristic = characteristic
         self.zero = self.normalize(0)
         self.one = self.normalize(1)
-
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime_field"
 
     def __eq__(self, other):
         return isinstance(other, ScalarField) and self.characteristic == other.characteristic

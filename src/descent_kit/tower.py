@@ -3,8 +3,8 @@
 ``OperatorTower`` packages the base ring with its operator structure, the
 free finite module algebra B with basis coordinates, and the operator
 images of the basis elements.  ``PresentedBAlgebra`` presents an algebra C
-over B by generators and relations; relations may be written flat (using
-the basis labels as symbols) and are coordinatized on demand.
+over B by generators and relations, written flat (using the basis labels
+as symbols) on the flattened presentation of the whole tower.
 """
 
 from __future__ import annotations
@@ -122,23 +122,13 @@ class OperatorTower:
 class PresentedBAlgebra:
     """C = B[generators] / (relations), relations written flat over A, labels, gens."""
 
-    __slots__ = ("tower", "generators", "relations_flat", "_poly_ring", "_flat_ring")
+    __slots__ = ("tower", "generators", "relations_flat", "_flat_ring")
 
     def __init__(self, tower: OperatorTower, generators, relations_flat=()):
         self.tower = tower
         self.generators = tuple(generators)
         self.relations_flat = tuple(relations_flat)
-        self._poly_ring = None
         self._flat_ring = None
-
-    @property
-    def poly_ring(self) -> PresentedRing:
-        """A[generators], flattened over k (no C relations)."""
-        if self._poly_ring is None:
-            self._poly_ring = self.tower.base_ring.extend(
-                self.generators, (), base_vars=self.tower.base_ring.variables
-            )
-        return self._poly_ring
 
     @property
     def flat_ring(self) -> PresentedRing:
@@ -150,15 +140,6 @@ class PresentedBAlgebra:
                 base_vars=self.tower.flat_b.variables,
             )
         return self._flat_ring
-
-    def coordinatize(self, flat: Polynomial, target_ring: PresentedRing = None) -> AlgebraElement:
-        """A flat element of B[gens] as coordinates over A[gens] (or a larger ring)."""
-        ring = target_ring if target_ring is not None else self.poly_ring
-        ext = self.tower.algebra.base_change(ring)
-        extra = {
-            x: ext.scalar_el(Polynomial.variable(ring.field, x)) for x in self.generators
-        }
-        return ext.coordinatize(flat, extra)
 
     def structure(self, images: dict) -> DStructure:
         """Attach operator images (flat polynomials, one l-tuple per generator)."""

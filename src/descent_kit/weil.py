@@ -34,14 +34,9 @@ class WeilDescentResult:
         self.copy_names = copy_names
         self.pre_ring = pre_ring
 
-    @property
-    def ideal(self):
-        """Groebner basis of the descent ideal (with the base relations adjoined)."""
-        return self.descended.relations
-
-    def unit_image(self, gen: str, ring: PresentedRing = None) -> AlgebraElement:
+    def unit_image(self, gen: str) -> AlgebraElement:
         """The unit map's value at a generator, as coordinates over W(C)."""
-        return self._unit_element(self.tensor_algebra(ring), gen)
+        return self._unit_element(self.tensor_algebra(), gen)
 
     def for_algebra(self, c: PresentedBAlgebra) -> "WeilDescentResult":
         """This descent as the descent of ``c``, which must present the same
@@ -71,6 +66,21 @@ class WeilDescentResult:
         return algebra.element(
             [Polynomial.variable(field, name) for name in self.copy_names[gen]]
         )
+
+    def pinned_env(self, images: dict, field) -> dict:
+        """``images`` of the copy variables, with A's variables sent to themselves."""
+        env = dict(images)
+        for v in self.source.tower.base_ring.variables:
+            env.setdefault(v, Polynomial.variable(field, v))
+        return env
+
+    def ideal_violation(self, env: dict, target: PresentedRing):
+        """The first generator of the descent ideal that ``env`` does not send
+        to zero in ``target``, or None when it kills them all."""
+        for rel in self.descended.relations.generators:
+            if not target.is_zero(rel.substitute(env)):
+                return rel
+        return None
 
 
 def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
@@ -116,17 +126,15 @@ def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResu
     base variables are pinned to themselves.  Raises NotAHomomorphism when
     phi does not kill the descent ideal.
     """
-    env = dict(phi_images)
-    for v in result.source.tower.base_ring.variables:
-        env.setdefault(v, Polynomial.variable(target.field, v))
+    env = result.pinned_env(phi_images, target.field)
     for gen in result.descended.variables:
         if gen not in env:
             raise ValueError(f"no image supplied for {gen!r}")
-    for rel in result.descended.relations.generators:
-        if not target.is_zero(rel.substitute(env)):
-            raise NotAHomomorphism(
-                f"image of descent-ideal element {render(rel, result.descended.order)} is nonzero"
-            )
+    rel = result.ideal_violation(env, target)
+    if rel is not None:
+        raise NotAHomomorphism(
+            f"image of descent-ideal element {render(rel, result.descended.order)} is nonzero"
+        )
     ext = result.tensor_algebra(target)
     psi = {}
     for g in result.source.generators:
@@ -154,12 +162,8 @@ def tau_inverse(psi_images: dict, target: PresentedRing, result: WeilDescentResu
         el = psi_images[g]
         for i, name in enumerate(result.copy_names[g]):
             phi[name] = target.nf(el.coords[i])
-    env = dict(phi)
-    for v in result.source.tower.base_ring.variables:
-        env.setdefault(v, Polynomial.variable(target.field, v))
-    for rel in result.descended.relations.generators:
-        if not target.is_zero(rel.substitute(env)):
-            raise NotAHomomorphism("coordinate map does not kill the descent ideal")
+    if result.ideal_violation(result.pinned_env(phi, target.field), target) is not None:
+        raise NotAHomomorphism("coordinate map does not kill the descent ideal")
     return phi
 
 
@@ -173,10 +177,7 @@ def descend_morphism(h_images: dict, source: WeilDescentResult, target: WeilDesc
         image = target.evaluate_under_unit(h_images[g])
         for i, name in enumerate(source.copy_names[g]):
             out[name] = target.descended.nf(image.coords[i])
-    env = dict(out)
-    for v in source.source.tower.base_ring.variables:
-        env.setdefault(v, Polynomial.variable(target.descended.field, v))
-    for rel in source.descended.relations.generators:
-        if not target.descended.is_zero(rel.substitute(env)):
-            raise NotAHomomorphism("descended morphism does not kill the descent ideal")
+    env = source.pinned_env(out, target.descended.field)
+    if source.ideal_violation(env, target.descended) is not None:
+        raise NotAHomomorphism("descended morphism does not kill the descent ideal")
     return out

@@ -177,23 +177,28 @@ def rederive_images(result: DDescentResult) -> dict:
     return out
 
 
-def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
-    """tau restricted to operator homomorphisms, with gates on both sides."""
+def _gate_failure(phi_images: dict, u_structure: DStructure, result: DDescentResult):
+    """The first (coordinate, variable), coordinate 1-based, at which phi
+    fails to intertwine the descended structure with u, or None."""
     ring = u_structure.carrier
-    # gate: phi must intertwine the descended structure with u
-    env = dict(phi_images)
-    for v in result.classical.source.tower.base_ring.variables:
-        env.setdefault(v, Polynomial.variable(ring.field, v))
+    env = result.classical.pinned_env(phi_images, ring.field)
     for name in result.descended.variables:
         images = result.structure.images[name]
         for j in range(u_structure.coeff.dim):
             lhs = u_structure.coordinate_op(j + 1, ring.nf(env[name]))
             rhs = ring.nf(images[j].substitute(env))
             if not ring.equal(lhs, rhs):
-                raise NotADHomomorphism(
-                    f"phi does not intertwine coordinate {j + 1} at {name}"
-                )
-    psi = tau_forward(phi_images, ring, result.classical)
+                return j + 1, name
+    return None
+
+
+def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
+    """tau restricted to operator homomorphisms, with gates on both sides."""
+    failure = _gate_failure(phi_images, u_structure, result)
+    if failure is not None:
+        coordinate, name = failure
+        raise NotADHomomorphism(f"phi does not intertwine coordinate {coordinate} at {name}")
+    psi = tau_forward(phi_images, u_structure.carrier, result.classical)
     if not verify_d_hom(psi, result.c_structure, u_structure, result.matrix, result.classical):
         raise CertificateFailure("tau_d_forward", "forward image fails the operator gate")
     return psi
@@ -201,21 +206,12 @@ def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentRes
 
 def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
     """Inverse direction of the restricted bijection."""
-    ring = u_structure.carrier
     if not verify_d_hom(psi_images, result.c_structure, u_structure, result.matrix,
                         result.classical):
         raise NotADHomomorphism("psi fails the coordinate identity")
-    phi = tau_inverse(psi_images, ring, result.classical)
-    env = dict(phi)
-    for v in result.classical.source.tower.base_ring.variables:
-        env.setdefault(v, Polynomial.variable(ring.field, v))
-    for name in result.descended.variables:
-        images = result.structure.images[name]
-        for j in range(u_structure.coeff.dim):
-            lhs = u_structure.coordinate_op(j + 1, ring.nf(env[name]))
-            rhs = ring.nf(images[j].substitute(env))
-            if not ring.equal(lhs, rhs):
-                raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
+    phi = tau_inverse(psi_images, u_structure.carrier, result.classical)
+    if _gate_failure(phi, u_structure, result) is not None:
+        raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
     return phi
 
 

@@ -1,8 +1,10 @@
 """The command line interface: reports, exit codes, determinism, audit."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,12 +195,53 @@ def test_budget_flag(tmp_path):
 
 def test_installed_entry_point(tmp_path):
     out = tmp_path / "cli.json"
+    # the child finds the package where conftest.py puts it on sys.path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "descent_kit.cli", "descend",
          "--input", str(FIXTURES / "frobenius_square.json"), "--output", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert report["presentation"]["images"]["t(2)"] == ["0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["descend"],
+    ["descend-everything", "--input", str(FIXTURES / "differential.json")],
+    ["validate", "--input", str(FIXTURES / "differential.json"), "--budget", "many"],
+], ids=["missing-input", "unknown-command", "bad-option-value"])
+def test_usage_error_exits_one(argv, capsys):
+    """Exit 2 is kept for an obstruction; a usage error is malformed input."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: descent-kit")
+    assert "descent-kit: error: " in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: descent-kit")
+
+
+def test_word_sized_prime_field_validates_quickly(tmp_path):
+    """GF(2**61 - 1): primality is decided by Miller-Rabin, not trial division."""
+    doc = json.loads((FIXTURES / "differential.json").read_text())
+    doc["field"] = {"prime": 2**61 - 1}
+    path = tmp_path / "big_prime.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, report = run_cli(["validate", "--input", str(path)], tmp_path)
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    assert report["status"] == "ok"

@@ -1,5 +1,6 @@
 """Field arithmetic: exactness, canonical forms, unit certificates."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from descent_kit import GF, QQ, PresentedRing, scalar_arith
 from descent_kit.errors import DivisionByZero, NotAUnit
+from descent_kit.scalars import _is_prime
 
 F5 = GF(5)
 
@@ -36,6 +38,47 @@ def test_prime_field_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(2**63 + 9)
+
+
+def _is_prime_by_trial_division(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+@given(st.integers(min_value=-10, max_value=10**6))
+def test_primality_matches_trial_division(n):
+    assert _is_prime(n) == _is_prime_by_trial_division(n)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # strong pseudoprime to bases 2, 3, 5, 7
+    2152302898747,         # ... to bases 2 through 11
+    3474749660383,         # ... to bases 2 through 13
+    341550071728321,       # ... to bases 2 through 17
+    3825123056546413051,   # ... to bases 2 through 23
+    (2**31 - 1) * (2**32 - 5),  # two word-sized prime factors
+])
+def test_strong_pseudoprimes_are_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        GF(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 9223372036854775783])
+def test_word_sized_prime_is_accepted_quickly(p):
+    started = time.perf_counter()
+    field = GF(p)
+    assert time.perf_counter() - started < 1
+    assert field.characteristic == p
+    assert field.mul(field.inv(field.normalize(3)), 3) == 1
 
 
 def test_residues_canonical():
