@@ -72,7 +72,7 @@ def _cmd_matrix(problem, args):
     return report, 0
 
 
-def _descend_report(problem, result, audited: bool) -> dict:
+def _descend_report(result, audited: bool) -> dict:
     from .polynomials import render as render_poly
 
     ring = result.descended
@@ -115,7 +115,7 @@ def _descend_report(problem, result, audited: bool) -> dict:
 
 def _cmd_descend(problem, args):
     result = descend_d_structure(problem.c, problem.g_structure)
-    return _descend_report(problem, result, args.audit), 0
+    return _descend_report(result, args.audit), 0
 
 
 def _cmd_adjoint_check(problem, args):

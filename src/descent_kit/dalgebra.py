@@ -121,21 +121,17 @@ def _powers_of_ideal(field, constants, factor_basis, m_span):
     return levels
 
 
-def _corrected_basis(field, constants, factors_data, unit_vectors, level_spaces):
+def _corrected_basis(field, unit_vectors, level_spaces):
     """A stratified basis computed from the factor data, for error reports."""
     out = []
-    for i, (idem, m_span) in enumerate(factors_data):
-        levels = level_spaces[i]
-        out.append(tuple(unit_vectors[i]))
+    for unit, levels in zip(unit_vectors, level_spaces):
+        out.append(tuple(unit))
         for j in range(1, len(levels)):
             above = levels[j + 1] if j + 1 < len(levels) else []
             picked = list(above)
             base_rank = linear.rank(field, picked) if picked else 0
-            # candidates in deterministic order: products of m_span with the
-            # previous level's candidates (level 1 uses the span itself)
-            candidates = levels[j]
             chosen = []
-            for cand in candidates:
+            for cand in levels[j]:
                 trial = picked + [list(cand)]
                 if linear.rank(field, trial) > base_rank:
                     picked = trial
@@ -223,7 +219,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     certificates.append({"check": "local_with_residue_field_k", "ok": True})
 
     unit_vectors = [list(f[0]) for f in factors]
-    corrected = _corrected_basis(field, constants, factors, unit_vectors, level_spaces)
+    corrected = _corrected_basis(field, unit_vectors, level_spaces)
 
     def mismatch(reason):
         return StrataMismatch(f"supplied basis is not stratified: {reason}", corrected)

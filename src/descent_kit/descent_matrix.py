@@ -154,7 +154,7 @@ def classify_descent_matrix(dm: DescentMatrix) -> DescentMatrix:
     return dm
 
 
-def inflate(ring: PresentedRing, scalar_matrix, r: int, field) -> RingMatrix:
+def inflate(ring: PresentedRing, scalar_matrix, r: int) -> RingMatrix:
     """Replace each scalar entry x by the r x r block x*I."""
     l = len(scalar_matrix)
     rows = []
@@ -216,8 +216,8 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
 
     m_eta = assemble_matrix(ring, r, l, a_eta, lam_eta).matrix
     m_eps = associated_matrix(tower).matrix
-    x_big = inflate(ring, x, r, field)
-    y_big = inflate(ring, y, r, field)
+    x_big = inflate(ring, x, r)
+    y_big = inflate(ring, y, r)
     return m_eta == y_big * m_eps * x_big
 
 

@@ -29,7 +29,6 @@ from .errors import (
     NotAUnit,
     NotFiniteDimensional,
 )
-from .matrices import RingMatrix
 from .polynomials import Polynomial
 from .presented import PresentedRing
 from .tower import OperatorTower
@@ -290,7 +289,9 @@ def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
     any would-be descent forces the linear system a = M x over A, where a
     collects the basis coordinates of z.  The report states the system and
     whether it is solvable over A.  ``matrix`` may hand in the descent
-    matrix of the tower, already built; by default it is built here.
+    matrix of the tower, already built; by default it is built here.  When
+    the elimination stalls on a non-unit entry, solvability is undecided
+    and NonInvertibleMatrix names that entry.
     """
     ring = tower.base_ring
     r, l = tower.rank, tower.coeff.dim
@@ -300,7 +301,13 @@ def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
         beta = z_coords[j]
         for i in range(r):
             rhs[dm.position(i, j)] = ring.nf(beta.coords[i])
-    solution = _solve_over_ring(dm.matrix, rhs)
+    try:
+        solution = linear.solve(ring, dm.matrix.rows, rhs)
+    except NotAUnit as exc:
+        raise NonInvertibleMatrix(
+            f"cannot decide solvability: non-unit entry {exc.element_repr}",
+            dm.matrix.render(),
+        ) from None
     report = {
         "generator": gen_name,
         "z": [[ring.render(c) for c in beta.coords] for beta in z_coords],
@@ -311,53 +318,3 @@ def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
     if solution is not None:
         report["solution"] = [ring.render(x) for x in solution]
     return report
-
-
-def _solve_over_ring(matrix: RingMatrix, rhs):
-    """Solve M x = b over the ring by unit-pivot elimination.
-
-    Returns a solution or None when inconsistent; raises NotAUnit-style
-    failure only if some column stalls on nonzero non-unit entries (cannot
-    happen over a field).
-    """
-    ring = matrix.ring
-    n = matrix.nrows
-    m = matrix.ncols
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)]
-    pivot_cols = []
-    row = 0
-    for col in range(m):
-        pivot = None
-        for i in range(row, n):
-            e = ring.nf(a[i][col])
-            if e.is_zero():
-                continue
-            try:
-                pivot = (i, ring.unit_inverse(e))
-                break
-            except NotAUnit:
-                raise NonInvertibleMatrix(
-                    f"cannot decide solvability: non-unit entry {ring.render(e)}",
-                    matrix.render(),
-                ) from None
-        if pivot is None:
-            continue
-        i, scale = pivot
-        a[row], a[i] = a[i], a[row]
-        a[row] = [ring.nf(x * scale) for x in a[row]]
-        for rr in range(n):
-            if rr != row:
-                factor = ring.nf(a[rr][col])
-                if not factor.is_zero():
-                    a[rr] = [ring.nf(x - factor * y) for x, y in zip(a[rr], a[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n:
-            break
-    for i in range(row, n):
-        if not ring.nf(a[i][m]).is_zero():
-            return None
-    solution = [ring.zero] * m
-    for rr, col in enumerate(pivot_cols):
-        solution[col] = a[rr][m]
-    return solution

@@ -1,18 +1,22 @@
-"""Dense exact linear algebra over a ScalarField.
+"""Dense exact linear algebra over a ScalarField or a PresentedRing.
 
-Matrices are plain lists of lists of scalars.  Everything is elementary
-row reduction; fields make every nonzero pivot usable.  ``vec_mul``
-multiplies coordinate vectors of a finite k-algebra given by its
-structure constants.
+Matrices are plain lists of lists of elements: scalars over a field,
+normal forms over a ring.  ``rref`` is the one Gauss-Jordan loop of the
+package; ``solve`` runs it over either kind of ring, and
+``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank``,
+``inverse`` and ``in_span`` are field routines.  ``vec_mul`` multiplies
+coordinate vectors of a finite k-algebra given by its structure
+constants.
 """
 
 from __future__ import annotations
 
+from .errors import NotAUnit
 from .scalars import ScalarField
 
 
-def identity(field: ScalarField, n: int):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+def identity(ring, n: int):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
 def vec_mul(field: ScalarField, constants, x, y):
@@ -37,35 +41,61 @@ def vec_mul(field: ScalarField, constants, x, y):
     return [v % p for v in out] if p else out
 
 
-def rref(field: ScalarField, rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+def rref(ring, rows, first_unit: bool = False):
+    """Reduced row echelon form by unit pivots; returns (rows, pivot_columns).
+
+    ``ring`` is a ScalarField or a PresentedRing, and the entries are its
+    elements (normal forms over a ring).  It supplies ``is_zero``,
+    ``unit_inverse``, ``mul`` and ``sub``; a row operation hands ``sub``
+    the raw product ``f * y``, so each entry is reduced once.  Columns are
+    taken from left to right.  A column's pivot comes from the rows below
+    the pivots found so far; its row is scaled by the pivot's inverse, and
+    the column is cleared in every other row.  The pivot rule:
+
+    - by default the pivot is the first nonzero entry, and a column with no
+      nonzero entry is passed over;
+    - with ``first_unit`` the pivot is the first entry that is a unit, and
+      elimination ends at the first column with no nonzero entry.
+
+    Elimination also ends at a stall: a column with nonzero entries that
+    the rule cannot take (by default its first nonzero entry is not a unit;
+    with ``first_unit`` none of them is).  The ``NotAUnit`` of the failed
+    inverse is caught, and the rows come back reduced up to that column:
+    it is the first column with a nonzero entry below the pivot rows, and
+    the caller decides what the stall means.  Over a field no column
+    stalls.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
     pivots = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(lead, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = field.inv(rows[lead][col])
-        rows[lead] = [field.mul(x, inv) for x in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and not field.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[lead])
-                ]
-        pivots.append(col)
-        lead += 1
+    for col in range(len(rows[0]) if rows else 0):
+        lead = len(pivots)
         if lead == len(rows):
             break
+        pivot = None
+        nonzero = False
+        for i in range(lead, len(rows)):
+            if ring.is_zero(rows[i][col]):
+                continue
+            nonzero = True
+            try:
+                pivot = i, ring.unit_inverse(rows[i][col])
+                break
+            except NotAUnit:
+                if not first_unit:
+                    break
+        if pivot is None:
+            if nonzero or first_unit:
+                break
+            continue
+        i, inv = pivot
+        row = [ring.mul(x, inv) for x in rows[i]]
+        rows[i] = rows[lead]
+        rows[lead] = row
+        for k, other in enumerate(rows):
+            f = other[col]
+            if k != lead and not ring.is_zero(f):
+                rows[k] = [ring.sub(x, f * y) for x, y in zip(other, row)]
+        pivots.append(col)
     return rows, pivots
 
 
@@ -73,19 +103,26 @@ def rank(field: ScalarField, rows) -> int:
     return len(rref(field, rows)[1])
 
 
-def solve(field: ScalarField, a, b):
+def solve(ring, a, b):
     """One solution of A x = b, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  Over a
+    ring, a stall on a column of A raises ``NotAUnit`` naming the entry it
+    stopped at: solvability is then not decided.  A nonzero entry left in
+    the column of b means the system is inconsistent, unit or not.
     """
     if not a:
-        return [] if all(field.is_zero(x) for x in b) else None
-    n, m = len(a), len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(field, aug)
-    if m in pivots:
+        return [] if all(ring.is_zero(x) for x in b) else None
+    m = len(a[0])
+    red, pivots = rref(ring, [list(row) + [bv] for row, bv in zip(a, b)])
+    left = red[len(pivots):]
+    for col in range(m):
+        for row in left:
+            if not ring.is_zero(row[col]):
+                raise NotAUnit(ring.render(row[col]))
+    if m in pivots or any(not ring.is_zero(row[m]) for row in left):
         return None
-    x = [field.zero] * m
+    x = [ring.zero] * m
     for r, col in enumerate(pivots):
         x[col] = red[r][m]
     return x

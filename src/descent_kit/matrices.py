@@ -1,11 +1,12 @@
 """Matrices with entries in a presented ring.
 
-Inversion runs Gauss-Jordan elimination restricted to unit pivots (their
-inverses come with Groebner certificates) and, when elimination stalls on
-nonzero non-unit entries, falls back to the adjugate route: one
-division-free Berkowitz characteristic polynomial gives both the
-determinant and the adjugate, and the matrix is invertible exactly when
-the determinant is a unit.
+Inversion runs the package's one Gauss-Jordan loop, ``linear.rref``, on
+[M | I] with the first unit of each column as its pivot (unit inverses
+come with Groebner certificates).  When elimination stalls on a column of
+nonzero non-units, it falls back to the adjugate route: one division-free
+Berkowitz characteristic polynomial gives both the determinant and the
+adjugate, and the matrix is invertible exactly when the determinant is a
+unit.
 
 Every sum of products (a matrix product entry, a Berkowitz dot product,
 power entry or Toeplitz entry) is accumulated in one term dict and
@@ -19,6 +20,7 @@ elimination, so agreement of the two routes means something.
 
 from __future__ import annotations
 
+from . import linear
 from .errors import NonInvertibleMatrix, NotAUnit
 from .polynomials import Polynomial, add_multiple
 from .presented import PresentedRing
@@ -207,46 +209,26 @@ class RingMatrix:
         return acc
 
     def inverse(self) -> "RingMatrix":
-        """The two-sided inverse, or NonInvertibleMatrix with a witness."""
+        """The two-sided inverse, or NonInvertibleMatrix with a witness.
+
+        ``linear.rref`` reduces [M | I] taking the first unit of each column
+        as its pivot.  A column whose nonzero entries are all non-units
+        stalls the elimination, and the adjugate route decides.  A column
+        with no nonzero entry left ends it: M is singular, and that column
+        is the witness.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         ring = self.ring
-        a = [list(row) for row in self.rows]
-        inv = [list(row) for row in RingMatrix.identity(ring, n).rows]
-        for col in range(n):
-            pivot = None
-            saw_nonzero = False
-            for i in range(col, n):
-                e = ring.nf(a[i][col])
-                if e.is_zero():
-                    continue
-                saw_nonzero = True
-                try:
-                    pivot = (i, ring.unit_inverse(e))
-                    break
-                except NotAUnit:
-                    continue
-            if pivot is None:
-                if not saw_nonzero:
-                    raise NonInvertibleMatrix(
-                        f"column {col + 1} has no nonzero pivot after elimination"
-                    )
-                return self._inverse_adjugate()
-            i, scale = pivot
-            a[col], a[i] = a[i], a[col]
-            inv[col], inv[i] = inv[i], inv[col]
-            a[col] = [ring.nf(x * scale) for x in a[col]]
-            inv[col] = [ring.nf(x * scale) for x in inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = ring.nf(a[r][col])
-                if f.is_zero():
-                    continue
-                a[r] = [ring.nf(x - f * y) for x, y in zip(a[r], a[col])]
-                inv[r] = [ring.nf(x - f * y) for x, y in zip(inv[r], inv[col])]
-        return RingMatrix(ring, inv)
+        aug = [list(row) + unit for row, unit in zip(self.rows, linear.identity(ring, n))]
+        red, pivots = linear.rref(ring, aug, first_unit=True)
+        col = len(pivots)
+        if col == n:
+            return RingMatrix(ring, [row[n:] for row in red])
+        if any(not ring.is_zero(row[col]) for row in red[col:]):
+            return self._inverse_adjugate()
+        raise NonInvertibleMatrix(f"column {col + 1} has no nonzero pivot after elimination")
 
     def _inverse_adjugate(self) -> "RingMatrix":
         coeffs = self.charpoly()

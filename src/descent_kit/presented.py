@@ -79,6 +79,14 @@ class PresentedRing:
     def equal(self, p: Polynomial, q: Polynomial) -> bool:
         return self.nf(p - q).is_zero()
 
+    def mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
+        """The normal form of p * q."""
+        return self.nf(p * q)
+
+    def sub(self, p: Polynomial, q: Polynomial) -> Polynomial:
+        """The normal form of p - q."""
+        return self.nf(p - q)
+
     @property
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.field)

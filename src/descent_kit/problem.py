@@ -15,7 +15,7 @@ import json
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .dstructures import DStructure
 from .errors import ParseError
-from .polynomials import parse_polynomial
+from .polynomials import _IDENT_CONT, _IDENT_START, parse_polynomial
 from .presented import PresentedRing
 from .scalars import GF, QQ, ScalarField
 from .structure import StructureAlgebra
@@ -50,6 +50,17 @@ def _shape(value, kind, path):
     if not isinstance(value, kind):
         raise ParseError(f"{path} must be a JSON {'object' if kind is dict else 'array'}")
     return value
+
+
+def _names(values, path, start=0):
+    """The names listed at ``path`` as strings; each from index ``start`` on
+    must be an identifier of the term grammar, or a ParseError names it."""
+    names = tuple(str(v) for v in _shape(values, list, path))
+    for k in range(start, len(names)):
+        name = names[k]
+        if name[:1] not in _IDENT_START or any(ch not in _IDENT_CONT for ch in name):
+            raise ParseError(f"{path}[{k}] must be an identifier, got {name!r}")
+    return names
 
 
 def _image_vector(images, name, dim, path):
@@ -124,9 +135,7 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
 
 
 def _parse_ring(data, field, path, base: PresentedRing = None) -> PresentedRing:
-    variables = tuple(
-        str(v) for v in _shape(data.get("variables", []), list, f"{path}.variables")
-    )
+    variables = _names(data.get("variables", []), f"{path}.variables")
     allowed = set(variables) | (set(base.variables) if base else set())
     rels = []
     for text in _shape(data.get("relations", []), list, f"{path}.relations"):
@@ -153,7 +162,7 @@ def _parse_images(data, parse, dim, variables, path) -> dict:
 
 def _parse_module_algebra(data, a_ring, coeff, e) -> OperatorTower:
     _shape(data, dict, "B")
-    labels = tuple(str(x) for x in _shape(data["basis"], list, "B.basis"))
+    labels = _names(data["basis"], "B.basis", start=1)
     if labels[:1] != ("1",):
         raise ParseError("the first basis element of B must be 1")
     r = len(labels)
@@ -205,9 +214,7 @@ def load_problem(data: dict) -> ProblemDescription:
     certificates = tower.validate()
 
     c_data = _shape(data.get("C", {}), dict, "C")
-    generators = tuple(
-        str(g) for g in _shape(c_data.get("generators", []), list, "C.generators")
-    )
+    generators = _names(c_data.get("generators", []), "C.generators")
     flat_free = tower.flat_b.extend(generators, (), base_vars=tower.flat_b.variables)
     relations = [
         _flat_poly(str(text), flat_free)

@@ -128,6 +128,10 @@ class ScalarField:
         q = Fraction(1) / a
         return q.numerator if q.denominator == 1 else q
 
+    def unit_inverse(self, a):
+        """1/a: in a field every nonzero scalar is a unit."""
+        return self.inv(a)
+
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 

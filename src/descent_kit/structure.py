@@ -90,7 +90,8 @@ class StructureAlgebra:
 
     def multiply_coords(self, x, y):
         """Coordinates of x * y: each output coordinate is accumulated in one
-        term dict and normalized once."""
+        term dict and normalized once.  A pair (i, j) with b_i b_j = 0 forms
+        no product x_i y_j."""
         r = self.rank
         base = self.base
         field = base.field
@@ -100,11 +101,12 @@ class StructureAlgebra:
                 continue
             row = self.constants[i]
             for j in range(r):
-                if y[j].is_zero():
+                consts = row[j]
+                if y[j].is_zero() or all(c.is_zero() for c in consts):
                     continue
                 prod = (x[i] * y[j]).terms
                 for m in range(r):
-                    for cm, cc in row[j][m].terms.items():
+                    for cm, cc in consts[m].terms.items():
                         add_multiple(out[m], prod, cc, field, cm)
         return [base.nf(Polynomial.from_terms(field, t)) for t in out]
 

@@ -140,6 +140,21 @@ def _frobenius_with(**sections):
     return doc
 
 
+def _adjoint_f2_with(section, key, value):
+    doc = json.loads((FIXTURES / "adjoint_f2.json").read_text())
+    doc[section][key] = value
+    return doc
+
+
+def _generator(name):
+    """frobenius_square.json with its one generator named ``name`` and sent
+    to 0: a document that ``validate`` and ``descend`` used to accept."""
+    doc = _frobenius_with()
+    doc["C"]["generators"] = [name]
+    doc["C"]["images"] = {name: ["0"]}
+    return doc
+
+
 SHORT_PRODUCT = {
     "basis": ["1", "eps"],
     "products": [[["1"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
@@ -155,8 +170,17 @@ SHORT_PRODUCT = {
      "C.images.t must be a JSON array"),
     (_frobenius_with(B=SHORT_PRODUCT),
      "B.products must be an r x r table of coordinate vectors"),
+    (_generator("2"), "C.generators[0] must be an identifier, got '2'"),
+    (_generator(""), "C.generators[0] must be an identifier, got ''"),
+    (_generator("y y"), "C.generators[0] must be an identifier, got 'y y'"),
+    (_adjoint_f2_with("A", "variables", ["3a"]),
+     "A.variables[0] must be an identifier, got '3a'"),
+    (_adjoint_f2_with("R", "variables", ["u", "u+1"]),
+     "R.variables[1] must be an identifier, got 'u+1'"),
+    (_adjoint_f2_with("B", "basis", ["1", "w*"]), "B.basis[1] must be an identifier, got 'w*'"),
 ], ids=["top-level-array", "D.basis-number", "D-string", "C-image-number",
-        "B-product-too-short"])
+        "B-product-too-short", "C-generator-digit", "C-generator-empty",
+        "C-generator-space", "A-variable-digit-first", "R-variable-plus", "B-label-star"])
 def test_malformed_shape_is_an_error_report(doc, detail, tmp_path, capsys):
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps(doc))
