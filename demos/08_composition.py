@@ -49,8 +49,9 @@ mk_tower = lambda: OperatorTower(DStructure.identity(A, dk), B, dk,
                                  [[B.basis_el(0)], [B.basis_el(1)]])
 c = PresentedBAlgebra(mk_tower(), ("t",))
 flat = c.flat_ring
+c2 = PresentedBAlgebra(mk_tower(), ("t",))
 report = compose_descent_check(
-    c, c.structure({"t": (flat.el("t^2"),)}), mk_tower(), {"t": (flat.el("t+eps"),)}
+    c, c.structure({"t": (flat.el("t^2"),)}), c2, c2.structure({"t": (flat.el("t+eps"),)})
 )
 for key, value in sorted(report.items()):
     print(f"  {key}: {value}")

@@ -140,10 +140,7 @@ def _cmd_compose_check(problem, args):
     if problem.second is None:
         raise ParseError("compose-check needs a \"second\" structure block")
     report = compose_descent_check(
-        problem.c,
-        problem.g_structure,
-        problem.second["tower"],
-        problem.second["g_images"],
+        problem.c, problem.g_structure, problem.second["c"], problem.second["g_structure"]
     )
     return report, 0
 

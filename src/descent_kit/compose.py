@@ -186,11 +186,12 @@ def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficient
 
 
 def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
-                          t2: OperatorTower, g2_images: dict) -> dict:
+                          c2: PresentedBAlgebra, g2_struct: DStructure) -> dict:
     """Verify that composition of structures is compatible with descent.
 
     ``g1_struct`` is ``c1.structure(images)``, the first structure on C;
-    ``g2_images`` are the generator images of the second, over ``t2``.
+    ``g2_struct`` is ``c2.structure(images)``, the second, where ``c2``
+    presents the same C over a second tower on the same module algebra B.
     Descends g1, g2, and their composite independently and compares the
     composite of the descents with the descent of the composite, both ways
     around the tensor swap.  For two difference structures the composition
@@ -199,9 +200,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     computes it and every later one reuses it; each ordering of the tensor
     product of the coefficient algebras is built once.
     """
-    t1 = c1.tower
-    c2 = PresentedBAlgebra(t2, c1.generators, c1.relations_flat)
-    g2_struct = c2.structure(g2_images)
+    t1, t2 = c1.tower, c2.tower
     res1 = descend_d_structure(c1, g1_struct)
     classical = res1.classical
     res2 = descend_d_structure(c2, g2_struct, classical)

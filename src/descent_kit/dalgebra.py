@@ -2,13 +2,17 @@
 
 The algebra decomposes as a product of local k-algebras with residue field
 k; the user supplies the orthogonal idempotents and a spanning set of each
-maximal ideal, and everything else (nilpotency, strata, residue
-projections) is validated or computed by exact linear algebra over k.
+maximal ideal, and everything else (nilpotency, strata) is validated or
+computed by exact linear algebra over k.
 
 The basis must be *stratified*: ordered factor by factor and, inside each
 factor, level by level of the maximal-ideal filtration, with the factor
 unit first.  This is the basis ordering that makes the big descent matrix
-block lower triangular.
+block lower triangular.  It also fixes the residue projections: every other
+basis element of a factor lies in its maximal ideal, and every element of
+another factor is killed by its idempotent, so the projection onto factor
+i's residue field is the coordinate at factor i's unit (``factor_units``),
+and nothing is solved for it.
 """
 
 from __future__ import annotations
@@ -33,18 +37,21 @@ class DCoefficientAlgebra:
         "factor_of",
         "stratum_of",
         "strata",
-        "projections",
+        "factor_units",
         "unit",
         "certificates",
     )
 
-    def __init__(self, algebra, factors, factor_of, stratum_of, strata, projections, unit, certificates):
+    def __init__(self, algebra, factors, factor_of, stratum_of, strata, unit, certificates):
         self.algebra = algebra
         self.factors = factors
         self.factor_of = factor_of
         self.stratum_of = stratum_of
         self.strata = strata
-        self.projections = projections
+        # the basis index of each factor's unit: the stratified basis puts it
+        # first in its factor, so the residue projection of factor i reads
+        # the coordinate at factor_units[i]
+        self.factor_units = tuple(levels[0][0] for levels in strata)
         self.unit = unit
         self.certificates = certificates
 
@@ -300,31 +307,12 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
                     )
     certificates.append({"check": "stratified_constant_facts", "ok": True})
 
-    # residue projections: pi_i(x) is the coefficient of the factor unit in
-    # u_i * x modulo the span of the maximal ideal
-    projections = []
-    for i, (idem, m_span) in enumerate(factors):
-        cols = [list(idem)] + [list(v) for v in m_span]
-        mat = [list(col) for col in zip(*cols)]
-        pi = []
-        for q in range(l):
-            target = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
-            sol = linear.solve(field, mat, target)
-            if sol is None:
-                raise NotLocalFactor(
-                    f"factor {i + 1}: unit and maximal ideal do not span the factor"
-                )
-            pi.append(sol[0])
-        projections.append(tuple(pi))
-    certificates.append({"check": "residue_projections", "ok": True})
-
     return DCoefficientAlgebra(
         algebra,
         tuple(factors),
         tuple(factor_of),
         tuple(stratum_of),
         tuple(strata),
-        tuple(projections),
         tuple(unit),
         certificates,
     )

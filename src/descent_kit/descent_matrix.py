@@ -3,16 +3,20 @@
 For an endomorphism sigma of B the r x r matrix has entries
 lambda_n(sigma(b_i)).  For an operator structure f on B the rl x rl matrix
 has blocks (M_mj)_ni = sum_k a_jkm lambda_n(f_k(b_i)); vectors indexed by
-(i, j) flatten at position (j-1)r + i, which matches the block grid.  With
-a stratified coefficient basis the matrix is block lower triangular with
-the associated endomorphism matrices on the diagonal, and that is exactly
-why its invertibility reduces to theirs.
+(i, j) flatten at position (j-1)r + i, so block (m, j) fills rows
+(m-1)r + 1 .. mr and columns (j-1)r + 1 .. jr.  With a stratified
+coefficient basis the matrix is block lower triangular with the associated
+endomorphism matrices on the diagonal, and that is exactly why its
+invertibility reduces to theirs.  The shape is not re-checked here: it
+follows from the structure-constant facts that ``build_d_algebra``
+certifies (a_jkm = 0 for m < j, and a_jkj = [stratum of k is 0] inside a
+factor), so a ``DescentMatrix`` keeps only the one assembled matrix.
 """
 
 from __future__ import annotations
 
 from . import linear
-from .errors import CertificateFailure, NonInvertibleMatrix, SingularBasisChange
+from .errors import NonInvertibleMatrix, SingularBasisChange
 from .matrices import RingMatrix
 from .presented import PresentedRing
 from .tower import OperatorTower
@@ -34,14 +38,12 @@ def endo_matrix(algebra, sigma_images) -> RingMatrix:
 class DescentMatrix:
     """The rl x rl matrix of (B, f), with optional inverse certificate."""
 
-    __slots__ = ("ring", "r", "l", "blocks", "matrix", "inverse", "invertible", "witness",
-                 "_lifts")
+    __slots__ = ("ring", "r", "l", "matrix", "inverse", "invertible", "witness", "_lifts")
 
-    def __init__(self, ring: PresentedRing, r: int, l: int, blocks, matrix: RingMatrix):
+    def __init__(self, ring: PresentedRing, r: int, l: int, matrix: RingMatrix):
         self.ring = ring
         self.r = r
         self.l = l
-        self.blocks = blocks
         self.matrix = matrix
         self.inverse = None
         self.invertible = "unknown"
@@ -73,62 +75,33 @@ class DescentMatrix:
 
 
 def assemble_matrix(ring, r, l, a_const, lam) -> DescentMatrix:
-    """Build the block matrix from raw structure constants and coordinates.
+    """Build the matrix from raw structure constants and coordinates.
 
     ``a_const(j, k, m)`` gives the coefficient-algebra products, ``lam(n, k, i)``
-    the coordinates lambda_n(f_k(b_i)); all indices 0-based.
+    the coordinates lambda_n(f_k(b_i)); all indices 0-based.  Entry
+    (m r + n, j r + i) is (M_mj)_ni.
     """
     field = ring.field
-    blocks = []
+    rows = []
     for m in range(l):
-        row = []
-        for j in range(l):
-            entries = []
-            for n in range(r):
-                entry_row = []
+        for n in range(r):
+            row = []
+            for j in range(l):
                 for i in range(r):
                     acc = ring.zero
                     for k in range(l):
                         c = a_const(j, k, m)
                         if not field.is_zero(c):
                             acc = acc + lam(n, k, i).scale(c)
-                    entry_row.append(ring.nf(acc))
-                entries.append(entry_row)
-            row.append(RingMatrix(ring, entries))
-        blocks.append(tuple(row))
-    matrix = RingMatrix.from_blocks(ring, blocks)
-    return DescentMatrix(ring, r, l, tuple(blocks), matrix)
+                    row.append(acc)
+            rows.append(row)
+    return DescentMatrix(ring, r, l, RingMatrix(ring, rows))
 
 
 def associated_matrix(tower: OperatorTower) -> DescentMatrix:
     """The matrix associated to (B, f) in the stratified coefficient basis."""
-    ring = tower.base_ring
-    r, l = tower.rank, tower.coeff.dim
-    dm = assemble_matrix(ring, r, l, tower.coeff.a, tower.lambda_f)
-    _assert_block_structure(dm, tower)
-    return dm
-
-
-def _assert_block_structure(dm: DescentMatrix, tower: OperatorTower):
-    """With the stratified basis: zero blocks above the diagonal row-wise,
-    and each diagonal block equal to an associated endomorphism matrix
-    (built once per local factor)."""
-    zero = RingMatrix.zero(dm.ring, dm.r, dm.r)
-    for m in range(dm.l):
-        for j in range(dm.l):
-            if m < j and dm.blocks[m][j] != zero:
-                raise CertificateFailure(
-                    "block_structure", f"block ({m + 1},{j + 1}) should vanish"
-                )
-    expected = {}
-    for j in range(dm.l):
-        factor = tower.coeff.factor_of[j]
-        if factor not in expected:
-            expected[factor] = endo_matrix(tower.algebra, tower.endo_images(factor))
-        if dm.blocks[j][j] != expected[factor]:
-            raise CertificateFailure(
-                "block_structure", f"diagonal block {j + 1} is not the endomorphism matrix"
-            )
+    return assemble_matrix(tower.base_ring, tower.rank, tower.coeff.dim, tower.coeff.a,
+                           tower.lambda_f)
 
 
 def invert_descent_matrix(dm: DescentMatrix) -> DescentMatrix:

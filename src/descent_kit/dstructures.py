@@ -104,18 +104,15 @@ class DStructure:
     # -- associated endomorphisms ---------------------------------------------
 
     def associated_images(self, factor: int) -> dict:
-        """Generator images of the associated endomorphism sigma_factor (0-based)."""
-        pi = self.coeff.projections[factor]
+        """Generator images of the associated endomorphism sigma_factor
+        (0-based): the coordinate at the factor's unit."""
+        unit = self.coeff.factor_units[factor]
         out = {}
         for v in self.carrier.variables:
             vec = self.images[v]
             if vec is None:
                 raise TruncationExceeded(f"no operator image assigned to {v!r}")
-            acc = self.carrier.zero
-            for k, c in enumerate(pi):
-                if not self.carrier.field.is_zero(c):
-                    acc = acc + vec[k].scale(c)
-            out[v] = self.carrier.nf(acc)
+            out[v] = vec[unit]
         return out
 
     def associated_endomorphisms(self):

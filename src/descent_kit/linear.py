@@ -41,7 +41,7 @@ def vec_mul(field: ScalarField, constants, x, y):
     return [v % p for v in out] if p else out
 
 
-def rref(ring, rows, first_unit: bool = False):
+def rref(ring, rows, first_unit: bool = False, width: int = None):
     """Reduced row echelon form by unit pivots; returns (rows, pivot_columns).
 
     ``ring`` is a ScalarField or a PresentedRing, and the entries are its
@@ -64,10 +64,16 @@ def rref(ring, rows, first_unit: bool = False):
     it is the first column with a nonzero entry below the pivot rows, and
     the caller decides what the stall means.  Over a field no column
     stalls.
+
+    Only the first ``width`` columns (all of them by default) are searched
+    for pivots; the columns after them are carried through the row
+    operations, as the right-hand side of ``solve`` is.
     """
     rows = [list(r) for r in rows]
+    if width is None:
+        width = len(rows[0]) if rows else 0
     pivots = []
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(width):
         lead = len(pivots)
         if lead == len(rows):
             break
@@ -109,18 +115,19 @@ def solve(ring, a, b):
     Free variables are set to zero, so the answer is deterministic.  Over a
     ring, a stall on a column of A raises ``NotAUnit`` naming the entry it
     stopped at: solvability is then not decided.  A nonzero entry left in
-    the column of b means the system is inconsistent, unit or not.
+    the column of b means the system is inconsistent, unit or not, so no
+    pivot is sought in that column.
     """
     if not a:
         return [] if all(ring.is_zero(x) for x in b) else None
     m = len(a[0])
-    red, pivots = rref(ring, [list(row) + [bv] for row, bv in zip(a, b)])
+    red, pivots = rref(ring, [list(row) + [bv] for row, bv in zip(a, b)], width=m)
     left = red[len(pivots):]
     for col in range(m):
         for row in left:
             if not ring.is_zero(row[col]):
                 raise NotAUnit(ring.render(row[col]))
-    if m in pivots or any(not ring.is_zero(row[m]) for row in left):
+    if any(not ring.is_zero(row[m]) for row in left):
         return None
     x = [ring.zero] * m
     for r, col in enumerate(pivots):

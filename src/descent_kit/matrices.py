@@ -139,16 +139,6 @@ class RingMatrix:
         """M y + c b, each entry summed in one term dict and normalized once."""
         return [_nf_sum(self.ring, zip((c, *row), (bi, *y))) for row, bi in zip(self.rows, b)]
 
-    @staticmethod
-    def from_blocks(ring: PresentedRing, grid) -> "RingMatrix":
-        """Assemble a matrix from a 2D grid of equally sized blocks."""
-        rows = []
-        for block_row in grid:
-            height = block_row[0].nrows
-            for i in range(height):
-                rows.append([e for block in block_row for e in block.rows[i]])
-        return RingMatrix(ring, rows)
-
     # -- determinant and inversion ----------------------------------------------
 
     def charpoly(self):

@@ -149,15 +149,33 @@ def _parse_ring(data, field, path, base: PresentedRing = None) -> PresentedRing:
     return base.extend(variables, rels, base_vars=base.variables)
 
 
-def _parse_images(data, parse, dim, variables, path) -> dict:
+def _parse_images(images, parse, dim, variables, path) -> dict:
+    """The operator image of every variable, from the JSON object at ``path``."""
+    _shape(images, dict, path)
     out = {}
-    images = _shape(data.get("images", {}), dict, f"{path}.images")
     for v in variables:
         if v not in images:
             raise ParseError(f"missing operator image for generator {v!r}")
-        vec = _image_vector(images, v, dim, f"{path}.images")
+        vec = _image_vector(images, v, dim, path)
         out[v] = tuple(parse(str(text)) for text in vec)
     return out
+
+
+def _parse_f_images(images, algebra: StructureAlgebra, coeff: DCoefficientAlgebra, path):
+    """The operator images of B's basis: the unit of D(B) at 1, and every
+    other label's image from the JSON object at ``path``."""
+    flat_b = algebra.flat_ring()
+    unit = algebra.one_el()
+    f_images = [tuple(unit.scale(algebra.base.constant(c)) for c in coeff.unit)]
+    _shape(images, dict, path)
+    for label in algebra.labels[1:]:
+        if label not in images:
+            raise ParseError(f"missing operator image for basis element {label!r}")
+        vec = _image_vector(images, label, coeff.dim, path)
+        f_images.append(tuple(
+            algebra.coordinatize(_flat_poly(str(text), flat_b)) for text in vec
+        ))
+    return f_images
 
 
 def _parse_module_algebra(data, a_ring, coeff, e) -> OperatorTower:
@@ -170,24 +188,7 @@ def _parse_module_algebra(data, a_ring, coeff, e) -> OperatorTower:
                              "B.products must be an r x r table of coordinate vectors",
                              a_ring.el)
     algebra = StructureAlgebra(a_ring, labels, constants)
-    flat_b = algebra.flat_ring()
-    f_images = [None] * r
-    unit_row = []
-    for k in range(coeff.dim):
-        unit_row.append(algebra.one_el().scale(a_ring.constant(coeff.unit[k])))
-    f_images[0] = tuple(unit_row)
-    images = _shape(data.get("images", {}), dict, "B.images")
-    for i in range(1, r):
-        label = labels[i]
-        if label not in images:
-            raise ParseError(f"missing operator image for basis element {label!r}")
-        vec = _image_vector(images, label, coeff.dim, "B.images")
-        f_images[i] = tuple(
-            algebra.coordinatize(
-                _flat_poly(str(text), flat_b)
-            )
-            for text in vec
-        )
+    f_images = _parse_f_images(data.get("images", {}), algebra, coeff, "B.images")
     return OperatorTower(e, algebra, coeff, f_images)
 
 
@@ -207,7 +208,8 @@ def load_problem(data: dict) -> ProblemDescription:
     coeff = _parse_coefficient_algebra(data["D"], field, "D")
     a_data = _shape(data.get("A", {}), dict, "A")
     a_ring = _parse_ring(a_data, field, "A")
-    e_images = _parse_images(a_data, a_ring.el, coeff.dim, a_ring.variables, "A")
+    e_images = _parse_images(a_data.get("images", {}), a_ring.el, coeff.dim, a_ring.variables,
+                             "A.images")
     e = DStructure(a_ring, coeff, e_images)
     e.validate()
     tower = _parse_module_algebra(data["B"], a_ring, coeff, e)
@@ -221,10 +223,11 @@ def load_problem(data: dict) -> ProblemDescription:
         for text in _shape(c_data.get("relations", []), list, "C.relations")
     ]
     c = PresentedBAlgebra(tower, generators, relations)
-    g_images = _parse_images(
-        c_data, lambda text: c.flat_ring.nf(_flat_poly(text, c.flat_ring)), coeff.dim,
-        generators, "C",
-    )
+
+    def parse_c(text):
+        return c.flat_ring.nf(_flat_poly(text, c.flat_ring))
+
+    g_images = _parse_images(c_data.get("images", {}), parse_c, coeff.dim, generators, "C.images")
     g_structure = c.structure(g_images)
     certificates += [
         {"check": f"target_{d['check']}", "ok": True} for d in g_structure.validate()
@@ -235,8 +238,8 @@ def load_problem(data: dict) -> ProblemDescription:
         r_data = _shape(data["R"], dict, "R")
         r_ring = _parse_ring(r_data, field, "R", base=a_ring)
         u_own = _parse_images(
-            r_data, r_ring.el, coeff.dim,
-            tuple(v for v in r_ring.variables if v not in a_ring.variables), "R",
+            r_data.get("images", {}), r_ring.el, coeff.dim,
+            tuple(v for v in r_ring.variables if v not in a_ring.variables), "R.images",
         )
         u_images = {v: e.images[v] for v in a_ring.variables}
         u_images.update(u_own)
@@ -258,42 +261,20 @@ def load_problem(data: dict) -> ProblemDescription:
     if "second" in data:
         s = _shape(data["second"], dict, "second")
         coeff2 = _parse_coefficient_algebra(s["D"], field, "second.D")
-        a_images = _shape(s.get("A_images", {}), dict, "second.A_images")
-        e2_images = {
-            v: tuple(
-                a_ring.el(str(t)) for t in _shape(a_images[v], list, f"second.A_images.{v}")
-            )
-            for v in a_ring.variables
-        }
+        e2_images = _parse_images(s.get("A_images", {}), a_ring.el, coeff2.dim,
+                                  a_ring.variables, "second.A_images")
         e2 = DStructure(a_ring, coeff2, e2_images)
         e2.validate()
-        flat_b = tower.flat_b
-        f2_images = [None] * tower.rank
-        f2_images[0] = tuple(
-            tower.algebra.one_el().scale(a_ring.constant(coeff2.unit[k]))
-            for k in range(coeff2.dim)
-        )
-        for i in range(1, tower.rank):
-            label = tower.algebra.labels[i]
-            vec = _shape(s.get("B_images", {}), dict, "second.B_images").get(label)
-            if vec is None:
-                raise ParseError(f"second structure is missing the image of {label!r}")
-            f2_images[i] = tuple(
-                tower.algebra.coordinatize(_flat_poly(str(t), flat_b))
-                for t in _shape(vec, list, f"second.B_images.{label}")
-            )
+        f2_images = _parse_f_images(s.get("B_images", {}), tower.algebra, coeff2,
+                                    "second.B_images")
         tower2 = OperatorTower(e2, tower.algebra, coeff2, f2_images)
         tower2.validate()
-        g2_images = {}
-        for g in generators:
-            vec = _shape(s.get("C_images", {}), dict, "second.C_images").get(g)
-            if vec is None:
-                raise ParseError(f"second structure is missing the image of {g!r}")
-            g2_images[g] = tuple(
-                c.flat_ring.nf(_flat_poly(str(t), c.flat_ring))
-                for t in _shape(vec, list, f"second.C_images.{g}")
-            )
-        second = {"coeff": coeff2, "tower": tower2, "g_images": g2_images}
+        c2 = PresentedBAlgebra(tower2, generators, relations)
+        g2_images = _parse_images(s.get("C_images", {}), parse_c, coeff2.dim, generators,
+                                  "second.C_images")
+        g2_structure = c2.structure(g2_images)
+        g2_structure.validate()
+        second = {"c": c2, "g_structure": g2_structure}
 
     return ProblemDescription(
         field=field,

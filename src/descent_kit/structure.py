@@ -17,12 +17,19 @@ Derived objects are built once per algebra and kept in slots, the way the
 validation certificate is: ``flat_ring`` builds its presentation once,
 and ``base_change`` returns one algebra per target ring, so elements from
 two base changes to the same ring share their algebra object.
+
+The validation is also what licenses ``flat_ring`` to skip Buchberger:
+once the axioms hold, a table whose label products lead their rewrites
+is already a reduced Groebner basis over the base ring's, so the flat
+ring is read off the table (Kreuzer & Robbiano, *Computational
+Commutative Algebra 2*, section 6.4, on border bases).
 """
 
 from __future__ import annotations
 
 from .errors import InvalidAlgebra
-from .polynomials import Monomial, Polynomial, add_multiple
+from .groebner import GroebnerBasis
+from .polynomials import DegRevLex, Monomial, Polynomial, add_multiple
 from .presented import PresentedRing
 
 
@@ -203,22 +210,27 @@ class StructureAlgebra:
 
         Requires the first basis element to be the unit (label "1"); the
         remaining labels become variables subject to the product rewrites
-        b_i b_j = sum c_ijm b_m.  Built once and kept on the algebra.
+        b_i b_j = sum c_ijm b_m.  When every label product b_i b_j leads its
+        rewrite, the validated table is already a reduced Groebner basis
+        over A's (the border-basis criterion): the rewrites are monic with
+        tails reduced over A, and B is free over A on its labels, so the
+        standard monomials are independent.  The ring is then formed from
+        the table with no S-pair; any other table, and a rank-1 B, runs
+        Buchberger through ``extend``.  Built once and kept on the algebra.
         """
         if self._flat_ring is not None:
             return self._flat_ring
+        base = self.base
         if self.labels[0] != "1" or self.unit_coords != tuple(
-            [self.base.one] + [self.base.zero] * (self.rank - 1)
+            [base.one] + [base.zero] * (self.rank - 1)
         ):
             raise ValueError("flat_ring needs the first basis element to be 1")
         label_vars = self.labels[1:]
-        rels = []
-        field = self.base.field
+        rels, products = [], []
+        field = base.field
         for i in range(1, self.rank):
             for j in range(i, self.rank):
-                lhs = Polynomial(
-                    field, {Monomial({self.labels[i]: 1}).mul(Monomial({self.labels[j]: 1})): field.one}
-                )
+                product = Monomial({self.labels[i]: 1}).mul(Monomial({self.labels[j]: 1}))
                 rhs = Polynomial.zero(field)
                 for m in range(self.rank):
                     c = self.constants[i][j][m]
@@ -226,8 +238,19 @@ class StructureAlgebra:
                         rhs = rhs + c
                     else:
                         rhs = rhs + c * Polynomial.variable(field, self.labels[m])
-                rels.append(lhs - rhs)
-        self._flat_ring = self.base.extend(label_vars, rels, base_vars=self.base.variables)
+                rels.append(Polynomial(field, {product: field.one}) - rhs)
+                products.append(product)
+        variables = base.variables + label_vars
+        if rels and len(set(variables)) == len(variables):
+            order = DegRevLex(variables)
+            if all(order.leading(g)[0] is m for g, m in zip(rels, products)):
+                self.validate()
+                gens = list(base.relations.generators) + rels
+                gens.sort(key=lambda g: order.key_memo[order.leading(g)[0]], reverse=True)
+                self._flat_ring = PresentedRing(
+                    field, variables, GroebnerBasis(gens, order), base.variables)
+                return self._flat_ring
+        self._flat_ring = base.extend(label_vars, rels, base_vars=base.variables)
         return self._flat_ring
 
     def coordinatize(self, flat: Polynomial, extra_env=None) -> "AlgebraElement":

@@ -95,16 +95,10 @@ class OperatorTower:
     # -- associated endomorphisms --------------------------------------------------
 
     def endo_images(self, factor: int):
-        """Images of the basis under the associated endomorphism of a factor."""
-        pi = self.coeff.projections[factor]
-        out = []
-        for i in range(self.rank):
-            acc = self.algebra.zero_el()
-            for k, c in enumerate(pi):
-                if not self.coeff.field.is_zero(c):
-                    acc = acc + self.f_images[i][k].scale(self.base_ring.constant(c))
-            out.append(acc)
-        return out
+        """Images of the basis under the associated endomorphism of a factor:
+        the coordinate of f at the factor's unit."""
+        unit = self.coeff.factor_units[factor]
+        return [self.f_images[i][unit] for i in range(self.rank)]
 
     def difference_subtower(self, factor: int) -> "OperatorTower":
         """The (A, sigma_i) <= (B, tau_i) tower of one associated endomorphism."""

@@ -320,8 +320,10 @@ def test_criterion_9_composition_suite():
         t1, t2 = _identity_tower(field), _identity_tower(field)
         c1 = PresentedBAlgebra(t1, ("t",))
         flat = c1.flat_ring
+        c2 = PresentedBAlgebra(t2, ("t",))
         report = compose_descent_check(
-            c1, c1.structure({"t": (flat.el("t^2"),)}), t2, {"t": (flat.el("t+eps"),)}
+            c1, c1.structure({"t": (flat.el("t^2"),)}),
+            c2, c2.structure({"t": (flat.el("t+eps"),)}),
         )
         assert report["ok"]
         assert report["difference_monoid_law"]
@@ -344,9 +346,10 @@ def test_criterion_9_composition_suite():
         )
         c = PresentedBAlgebra(tw_sigma, ("x",))
         flat2 = c.flat_ring
+        c_delta = PresentedBAlgebra(tw_delta, ("x",))
         report2 = compose_descent_check(
-            c, c.structure({"x": (flat2.el("x+1"),)}), tw_delta,
-            {"x": (flat2.el("x"), flat2.el("1"))},
+            c, c.structure({"x": (flat2.el("x+1"),)}), c_delta,
+            c_delta.structure({"x": (flat2.el("x"), flat2.el("1"))}),
         )
         assert report2["ok"]
         assert report2["inputs_commute"] and report2["descents_commute"]

@@ -1,5 +1,7 @@
 """The command line interface: reports, exit codes, determinism, audit."""
 
+import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -192,18 +194,71 @@ def test_malformed_shape_is_an_error_report(doc, detail, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_failed_certificate_is_an_error_report(tmp_path, capsys, monkeypatch):
-    from descent_kit import descent_matrix
+def _gf2_hom_enumeration():
+    """perfbench/gen.py's gf2-hom-enumeration document for seed 1 (read only):
+    C = B[s]/(s^2) with a second structure block."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", FIXTURES.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.generate("gf2-hom-enumeration", 1)
 
-    # a wrong endomorphism matrix stands in for a kernel defect
-    monkeypatch.setattr(descent_matrix, "endo_matrix", lambda algebra, images: None)
+
+def _second_with(doc, key, name, value, a_variable=None):
+    """``doc`` with second.<key>.<name> set to ``value`` (absent for None);
+    ``a_variable`` adds a base variable to A that the first structure fixes."""
+    doc = copy.deepcopy(doc)
+    if a_variable is not None:
+        doc["A"] = {"variables": [a_variable], "relations": [],
+                    "images": {a_variable: [a_variable] * len(doc["D"]["basis"])}}
+    images = doc["second"][key]
+    images.pop(name, None)
+    if value is not None:
+        images[name] = value
+    return doc
+
+
+COMPOSE = json.loads((FIXTURES / "compose_difference.json").read_text())
+
+
+@pytest.mark.parametrize("doc,error,detail", [
+    (_second_with(_gf2_hom_enumeration(), "C_images", "s", ["1"]), "NotWellDefined", None),
+    (_second_with(COMPOSE, "C_images", "t", ["t", "t"]),
+     "ParseError", "image of 't' needs 1 coordinates"),
+    (_second_with(COMPOSE, "A_images", "b", None, a_variable="b"),
+     "ParseError", "missing operator image for generator 'b'"),
+    (_second_with(COMPOSE, "A_images", "b", ["b", "b"], a_variable="b"),
+     "ParseError", "image of 'b' needs 1 coordinates"),
+    (_second_with(COMPOSE, "B_images", "eps", ["eps", "0"]),
+     "ParseError", "image of 'eps' needs 1 coordinates"),
+], ids=["C-image-not-well-defined", "C-image-too-long", "A-image-missing", "A-image-too-long",
+        "B-image-too-long"])
+def test_malformed_second_block_is_an_error_report(doc, error, detail, tmp_path, capsys):
+    """The second structure is parsed and validated as the first is, by
+    ``validate`` as well as by ``compose-check``."""
+    bad = tmp_path / "second.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "compose-check"):
+        code, report = run_cli([command, "--input", str(bad)], tmp_path)
+        assert (code, report["status"], report["error"]) == (1, "error", error)
+        if detail is not None:
+            assert report["detail"] == detail
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_certificate_is_an_error_report(tmp_path, capsys, monkeypatch):
+    from descent_kit import weil
+
+    # a unit map that misses the relation t^2 stands in for a kernel defect
+    monkeypatch.setattr(weil.WeilDescentResult, "evaluate_under_unit",
+                        lambda self, flat, ring=None: self.tensor_algebra(ring).one_el())
     code, report = run_cli(
-        ["descend", "--input", str(FIXTURES / "differential.json")], tmp_path
+        ["descend", "--input", str(FIXTURES / "adjoint_f2.json")], tmp_path
     )
     assert code == 1
     assert report["status"] == "error"
     assert report["error"] == "CertificateFailure"
-    assert report["detail"].startswith("block_structure: ")
+    assert report["detail"].startswith("classical_descent: ")
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -121,8 +121,9 @@ def test_difference_difference_descent_compatibility():
     t1, t2 = _f2_tower(), _f2_tower()
     c1 = PresentedBAlgebra(t1, ("t",))
     flat = c1.flat_ring
+    c2 = PresentedBAlgebra(t2, ("t",))
     report = compose_descent_check(
-        c1, c1.structure({"t": (flat.el("t^2"),)}), t2, {"t": (flat.el("t+eps"),)}
+        c1, c1.structure({"t": (flat.el("t^2"),)}), c2, c2.structure({"t": (flat.el("t+eps"),)})
     )
     assert report["ok"]
     assert report["theta_compatible"]
@@ -148,9 +149,10 @@ def test_commuting_pair_descends_to_commuting_pair():
     )
     c = PresentedBAlgebra(tw_sigma, ("x",))
     flat = c.flat_ring
+    c_delta = PresentedBAlgebra(tw_delta, ("x",))
     report = compose_descent_check(
-        c, c.structure({"x": (flat.el("x+1"),)}), tw_delta,
-        {"x": (flat.el("x"), flat.el("1"))},
+        c, c.structure({"x": (flat.el("x+1"),)}), c_delta,
+        c_delta.structure({"x": (flat.el("x"), flat.el("1"))}),
     )
     assert report["ok"]
     assert report["inputs_commute"] and report["descents_commute"]

@@ -1,6 +1,13 @@
-"""Coefficient algebras: factor data validation, strata, projections."""
+"""Coefficient algebras: factor data validation, strata, projections.
+
+The residue projections are read at the factor units; ``reference_projections``
+keeps the linear solve that used to compute them, as an oracle.
+"""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from descent_kit import (
     GF,
@@ -12,14 +19,53 @@ from descent_kit import (
     dual_numbers,
     dual_numbers_times_field,
     product_of_fields,
+    tensor_coefficients,
     truncated_jets,
 )
+from descent_kit import linear
 from descent_kit.errors import (
     BadIdempotents,
     NotLocalFactor,
     NotNilpotent,
     StrataMismatch,
 )
+from conftest import COEFF_BUILDERS, random_tower
+
+
+def reference_projections(d):
+    """The residue projections by the linear solve ``build_d_algebra`` used
+    to run: pi_i(x) is the coefficient of the factor unit in u_i * x modulo
+    the span of the maximal ideal."""
+    field = d.field
+    l = d.dim
+    constants = [[[d.a(i, j, m) for m in range(l)] for j in range(l)] for i in range(l)]
+    basis_vectors = [
+        [field.one if q == p else field.zero for q in range(l)] for p in range(l)
+    ]
+    projections = []
+    for i, (idem, m_span) in enumerate(d.factors):
+        cols = [list(idem)] + [list(v) for v in m_span]
+        mat = [list(col) for col in zip(*cols)]
+        pi = []
+        for q in range(l):
+            target = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
+            sol = linear.solve(field, mat, target)
+            if sol is None:
+                raise NotLocalFactor(
+                    f"factor {i + 1}: unit and maximal ideal do not span the factor"
+                )
+            pi.append(sol[0])
+        projections.append(tuple(pi))
+    return tuple(projections)
+
+
+def unit_coordinates(d):
+    """The projections as the unit-coordinate reading gives them."""
+    field = d.field
+    return tuple(
+        tuple(field.one if q == unit else field.zero for q in range(d.dim))
+        for unit in d.factor_units
+    )
 
 
 def test_dual_numbers_strata():
@@ -33,7 +79,8 @@ def test_dual_numbers_strata():
 def test_two_copies_of_k():
     d = product_of_fields(QQ, 2)
     assert d.strata == (((0,),), ((1,),))
-    assert d.projections == ((QQ.one, QQ.zero), (QQ.zero, QQ.one))
+    assert d.factor_units == (0, 1)
+    assert reference_projections(d) == ((QQ.one, QQ.zero), (QQ.zero, QQ.one))
     assert d.unit == (QQ.one, QQ.one)
 
 
@@ -52,14 +99,16 @@ def test_truncated_jets_strata():
 def test_difference_case_is_degenerate():
     d = difference_algebra(GF(5))
     assert d.dim == 1 and d.factor_count == 1
-    assert d.projections == ((GF(5).one,),)
+    assert d.factor_units == (0,)
+    assert reference_projections(d) == ((GF(5).one,),)
 
 
 def test_projection_recovers_unit_coefficient():
     d = dual_numbers_times_field(QQ)
     # pi_1 of e1, eps, e3 = 1, 0, 0 ; pi_2 = 0, 0, 1
-    assert d.projections[0] == (QQ.one, QQ.zero, QQ.zero)
-    assert d.projections[1] == (QQ.zero, QQ.zero, QQ.one)
+    assert d.factor_units == (0, 2)
+    assert reference_projections(d)[0] == (QQ.one, QQ.zero, QQ.zero)
+    assert reference_projections(d)[1] == (QQ.zero, QQ.zero, QQ.one)
 
 
 def _dual_algebra(field):
@@ -126,3 +175,52 @@ def test_stratified_constant_facts_hold():
                                 assert field.is_zero(val)
                             elif m == j and p == 0:
                                 assert val == field.one
+
+
+FIELDS = (QQ, GF(2), GF(5))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(COEFF_BUILDERS))
+def test_unit_coordinate_is_the_residue_projection(name, field):
+    d = COEFF_BUILDERS[name](field)
+    assert unit_coordinates(d) == reference_projections(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(left=st.sampled_from(sorted(COEFF_BUILDERS)),
+       right=st.sampled_from(sorted(COEFF_BUILDERS)),
+       field=st.sampled_from(FIELDS))
+def test_unit_coordinate_is_the_projection_of_tensor_products(left, right, field):
+    product = tensor_coefficients(COEFF_BUILDERS[left](field),
+                                  COEFF_BUILDERS[right](field)).product
+    assert unit_coordinates(product) == reference_projections(product)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(COEFF_BUILDERS)), field=st.sampled_from((QQ, GF(5))),
+       kind=st.sampled_from(("nil2", "split", "nil3")), seed=st.integers(0, 10**6))
+def test_associated_endomorphisms_match_the_projection_sums(name, field, kind, seed):
+    """sigma_i = sum_k pi_i[k] f_k, with pi_i from the reference solve, on
+    the basis of B and on the generators of a structure on B's flat ring."""
+    d = COEFF_BUILDERS[name](field)
+    tower = random_tower(field, d, kind, random.Random(seed))
+    ring = tower.base_ring
+    structure = tower.f_flat
+    for factor, pi in enumerate(reference_projections(d)):
+        expected = []
+        for i in range(tower.rank):
+            acc = tower.algebra.zero_el()
+            for k, c in enumerate(pi):
+                if not field.is_zero(c):
+                    acc = acc + tower.f_images[i][k].scale(ring.constant(c))
+            expected.append(acc.coords)
+        assert [el.coords for el in tower.endo_images(factor)] == expected
+        carrier = structure.carrier
+        images = structure.associated_images(factor)
+        for v in carrier.variables:
+            acc = carrier.zero
+            for k, c in enumerate(pi):
+                if not field.is_zero(c):
+                    acc = acc + structure.images[v][k].scale(c)
+            assert images[v] == carrier.nf(acc)

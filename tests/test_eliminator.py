@@ -273,12 +273,24 @@ def test_inverse_stops_at_the_first_zero_column():
     assert err.value.witness == "column 2 has no nonzero pivot after elimination"
 
 
-def test_non_unit_right_hand_side_is_inconsistent_not_undecided():
+def test_non_unit_right_hand_side_is_inconsistent_not_undecided(monkeypatch):
     """A zero row with a non-unit right-hand side makes the system
-    inconsistent; it is not a stall."""
+    inconsistent; it is not a stall, and the right-hand side is never
+    inverted: no Groebner run asks whether a is a unit."""
+    from descent_kit import presented
+
+    runs = []
+    original = presented.buchberger_extended
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(presented, "buchberger_extended", counted)
     ring = RINGS["QQ[a]/(a^3)"]
     m = RingMatrix(ring, [[ring.one, ring.zero], [ring.zero, ring.zero]])
     assert linear.solve(ring, m.rows, [ring.one, ring.var("a")]) is None
+    assert runs == []
 
 
 def reference_field_inverse(field, a):

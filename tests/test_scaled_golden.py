@@ -5,7 +5,9 @@ these pins give the monomial and normal-form kernels an oracle above that.
 Each problem is built with ``perfbench/gen.py`` (seed 1, the size given
 here; ``perfbench/`` is only read) and run through the CLI in-process.
 The exit codes and report digests were captured at commit 4b0ace1, before
-monomials were interned.
+monomials were interned, and the three above r = 20 at 7b9fa50, before B's
+flat ring was read off its validated table; that commit needed its pair
+budget raised to reach them.
 
 Monomials hash by identity, so no report may depend on the iteration order
 of a set or a dict keyed by them, nor on string hashing: one fixture's
@@ -49,6 +51,14 @@ SCALED = [
      "79b992fbb95da3b46f4395b7876862236fe2ae2c94f1318c0c38f1771d2591ce"),
     ("nilpotent-obstruction", 8, "descend", 2,
      "0c9cdfa687f306160be0a2eabf7cdebbdd79a5b953b572d6e69e3f1e89f93e66"),
+    # past r = 20, where B's table has more S-pairs than the default pair
+    # budget; captured at 7b9fa50 with DEFAULT_PAIR_BUDGET raised to 10^6
+    ("qq-differential", 22, "validate", 0,
+     "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
+    ("qq-differential", 22, "descend --audit", 0,
+     "585a99e3066c6608a71bb6089391c17940f5070faa1b3c779c9f41342472fa21"),
+    ("nilpotent-obstruction", 24, "descend", 2,
+     "b1121e54534c85d46e839458141561f1f964b25e82a6886c1cdb45197726977e"),
 ]
 
 

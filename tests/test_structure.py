@@ -490,3 +490,143 @@ def test_validate_builds_no_elements(monkeypatch):
     certificate = algebra.validate()
     assert [c["axiom"] for c in certificate] == ["commutativity", "unit", "associativity"]
     assert calls == []
+
+
+# -- the flat ring of a validated table ------------------------------------------
+
+
+def cubic_nilpotent_base(field):
+    """k[a]/(a^3)."""
+    return PresentedRing.make(field, ("a",), [PresentedRing.make(field, ("a",), []).el("a^3")])
+
+
+def changed_basis(algebra, x):
+    """The algebra in the basis b'_k = sum_{m <= k} x[k][m] b_m, with x lower
+    unitriangular over the base and x[0] = (1, 0, ...), so b'_0 is still 1."""
+    ring, r = algebra.base, algebra.rank
+    y = [[ring.one if m == k else ring.zero for m in range(r)] for k in range(r)]
+    for k in range(r):
+        for m in range(k):
+            y[k][m] = ring.nf(-sum((x[k][p] * y[p][m] for p in range(m, k)), ring.zero))
+    constants = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            old = [ring.zero] * r  # b'_i b'_j in the old basis
+            for p in range(r):
+                for q in range(r):
+                    for s in range(r):
+                        old[s] = old[s] + x[i][p] * x[j][q] * algebra.constants[p][q][s]
+            row.append([
+                ring.nf(sum((old[s] * y[s][t] for s in range(r)), ring.zero))
+                for t in range(r)
+            ])
+        constants.append(row)
+    return StructureAlgebra(ring, algebra.labels, constants)
+
+
+@st.composite
+def valid_tables(draw):
+    """A valid power-basis algebra over QQ, GF(7) or k[a]/(a^3), in a random
+    unitriangular basis; over k[a]/(a^3) entries with a make some label
+    products lose the lead to a term a*b_m."""
+    field = draw(st.sampled_from((QQ, GF(7))))
+    ring = draw(st.sampled_from([PresentedRing.base_field(field), cubic_nilpotent_base(field)]))
+    elements = st.sampled_from(
+        ["0", "1", "-1", "2", "1/3"] + (["a", "a + 1", "a^2 - 2"] if ring.variables else []))
+    r = draw(st.integers(min_value=1, max_value=4))
+    algebra = power_basis_algebra(ring, [ring.el(draw(elements)) for _ in range(r)])
+    x = [[ring.one if m == k else ring.zero for m in range(r)] for k in range(r)]
+    for k in range(1, r):
+        for m in range(k):
+            x[k][m] = ring.el(draw(elements))
+    return changed_basis(algebra, x)
+
+
+def table_relations(algebra):
+    """b_i b_j - sum_m c_ijm b_m for 1 <= i <= j, b_0 = 1, built term by term."""
+    ring = algebra.base
+    field = ring.field
+    label = [Polynomial.constant(field, 1)] + [
+        Polynomial.variable(field, v) for v in algebra.labels[1:]]
+    rels = []
+    for i in range(1, algebra.rank):
+        for j in range(i, algebra.rank):
+            rhs = sum((c * label[m] for m, c in enumerate(algebra.constants[i][j])),
+                      Polynomial.zero(field))
+            rels.append(label[i] * label[j] - rhs)
+    return rels
+
+
+def flat_ring_and_runs(algebra):
+    """``algebra.flat_ring()`` and the number of Buchberger runs it made."""
+    from descent_kit import presented
+
+    runs = []
+    original = presented.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    presented.buchberger = counted
+    try:
+        return algebra.flat_ring(), len(runs)
+    finally:
+        presented.buchberger = original
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_tables())
+def test_table_ring_is_the_buchberger_basis(algebra):
+    """The flat ring's relations are exactly Buchberger's reduced basis of A's
+    relations plus the table relations, in the same order; above rank 1,
+    Buchberger runs only for a table whose label products do not all lead."""
+    from descent_kit.groebner import buchberger
+    from descent_kit.polynomials import DegRevLex
+
+    base = algebra.base
+    ring, runs = flat_ring_and_runs(algebra)
+    order = DegRevLex(base.variables + algebra.labels[1:])
+    rels = table_relations(algebra)
+    expected = buchberger(list(base.relations.generators) + rels, order)
+    assert ring.relations.generators == expected.generators
+    assert (ring.variables, ring.base_vars) == (order.variables, base.variables)
+    labels = algebra.labels
+    leads = all(
+        order.leading(rel)[0] == Monomial({labels[i]: 1}).mul(Monomial({labels[j]: 1}))
+        for rel, (i, j) in zip(rels, [(i, j) for i in range(1, algebra.rank)
+                                      for j in range(i, algebra.rank)])
+    )
+    if algebra.rank > 1:  # a rank-1 B goes through ``extend`` as before
+        assert runs == (0 if leads else 1)
+
+
+def test_a_leading_tail_term_runs_buchberger():
+    """y^2 = a*y over k[a]/(a^3): a*y leads y^2, so the table is not a basis
+    as it stands and Buchberger builds the ring."""
+    from descent_kit.groebner import buchberger
+
+    ring = cubic_nilpotent_base(QQ)
+    z, o = ring.zero, ring.one
+    algebra = StructureAlgebra(ring, ("1", "y"),
+                               [[[o, z], [z, o]], [[z, o], [z, ring.var("a")]]])
+    (rel,) = table_relations(algebra)
+    flat, runs = flat_ring_and_runs(algebra)
+    assert flat.order.leading(rel)[0] == Monomial({"a": 1, "y": 1})
+    assert runs == 1
+    expected = buchberger(list(ring.relations.generators) + [rel], flat.order)
+    assert flat.relations.generators == expected.generators
+
+
+def test_table_path_validates_first():
+    """A table whose label products lead is licensed by its validation: a
+    non-associative one raises InvalidAlgebra from ``flat_ring``."""
+    ring = PresentedRing.base_field(QQ)
+    algebra = power_basis_algebra(ring, [ring.one, ring.zero, ring.zero])
+    constants = [[list(algebra.constants[i][j]) for j in range(3)] for i in range(3)]
+    constants[2][2][1] = constants[2][2][1] + ring.one
+    broken = StructureAlgebra(ring, algebra.labels, constants)
+    with pytest.raises(InvalidAlgebra) as err:
+        broken.flat_ring()
+    assert err.value.axiom == "associativity"

@@ -1,12 +1,18 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function and method of the package is used somewhere in it.
 
-No linter ships with the test dependencies, so this is the one lint rule
-kept as a test: an import left behind by a refactor fails it.  Package
-``__init__.py`` re-exports its imports and is not checked; ``__future__``
-imports are directives, not names.
+No linter ships with the test dependencies, so these are the lint rules
+kept as tests: an import left behind by a refactor fails the first, and a
+function left behind by a deleted call fails the second.  Package
+``__init__.py`` re-exports its imports and is not checked for them;
+``__future__`` imports are directives, not names.  A private function is a
+module-level function or a method whose name starts with one underscore
+(dunder methods are called by Python); it is used when some module names
+it, as a name, an attribute or an import, outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +67,72 @@ def test_an_unused_import_is_reported():
         "    raise ParseError('x')",
     ])
     assert unused_imports(source) == [(2, "NotAUnit"), (4, "itertools")]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_functions(tree):
+    """The private module-level functions and methods of a module."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in defs:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(item.name):
+                yield item
+
+
+def mentions(tree) -> Counter:
+    """How often each name occurs as a name, an attribute or an import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unused_private_functions(sources: dict):
+    """(module, line, name) of every private function no module mentions
+    outside the function's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for func in private_functions(tree):
+            if everywhere[func.name] - mentions(func)[func.name] <= 0:
+                unused.append((module, func.lineno, func.name))
+    return sorted(unused)
+
+
+def test_package_uses_every_private_function():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unused_private_functions(sources) == []
+
+
+def test_an_unused_private_function_is_reported():
+    sources = {
+        "a.py": "\n".join([
+            "def _used(x):",
+            "    return x",
+            "def _left_behind(n):",
+            "    return _left_behind(n - 1) if n else 0",
+            "class C:",
+            "    def __init__(self):",
+            "        self._cached = None",
+            "    def _helper(self):",
+            "        return 1",
+            "    def _orphan(self):",
+            "        return 2",
+        ]),
+        "b.py": "\n".join([
+            "from .a import _used",
+            "def public(c):",
+            "    return _used(c._helper())",
+        ]),
+    }
+    assert unused_private_functions(sources) == [("a.py", 3, "_left_behind"),
+                                                 ("a.py", 10, "_orphan")]
