@@ -3,14 +3,16 @@
 Exit codes: 0 on success, 1 on malformed input or a usage error (or an
 internal certificate that fails to verify, reported as
 ``CertificateFailure`` with its stage), 2 on a genuine mathematical
-obstruction (a non-invertible descent matrix).  Reports are
-deterministic JSON; timing goes to stderr so report files stay
-byte-identical across runs.
+obstruction (a non-invertible descent matrix).  A report that cannot be
+written exits 1 with no traceback.  Reports are deterministic JSON;
+timing goes to stderr so report files stay byte-identical across runs.
+Run as a program (``run``), the process ends at its flushed report.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -24,13 +26,27 @@ from .problem import dump_report, problem_from_file, render_presentation
 from .weil_d import descend_d_structure, rederive_images, verify_d_hom
 
 
-def _write_report(report: dict, path):
-    text = dump_report(report)
+def _write_report(report: dict, path) -> bool:
+    """Write ``report`` to ``path`` (stdout when None) and flush it.  A report
+    that cannot be written gives no traceback: an unwritable ``path`` puts an
+    error report naming it on stdout, a closed stdout one line on stderr.
+    True when ``report`` itself was written."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dump_report(report))
+        else:
+            sys.stdout.write(dump_report(report))
+            sys.stdout.flush()
+        return True
+    except OSError as exc:
+        error, reason = type(exc).__name__, exc.strerror or str(exc)
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_report({"status": "error", "error": error,
+                       "detail": f"cannot write the report to {path}: {reason}"}, None)
     else:
-        sys.stdout.write(text)
+        print(f"descent-kit: cannot write the report to stdout: {reason}", file=sys.stderr)
+    return False
 
 
 def _cmd_validate(problem, args):
@@ -192,10 +208,26 @@ def main(argv=None) -> int:
     except (DescentKitError, OSError, KeyError, ValueError) as exc:
         report = {"status": "error", "error": type(exc).__name__, "detail": str(exc)}
         code, outcome = 1, "error after"
-    _write_report(report, args.output)
+    if not _write_report(report, args.output):
+        code, outcome = 1, "error after"
     print(f"{outcome} {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 
 
+def run():
+    """The process entry: ``main`` on the command line, then exit at the
+    flushed report.  ``os._exit`` skips interpreter teardown (module cleanup,
+    the final collection, freeing every interned monomial), which takes
+    longer than most commands' own work.  ``SystemExit`` from a usage error
+    or ``--help`` and any uncaught exception leave through the normal exit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

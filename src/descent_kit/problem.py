@@ -64,9 +64,13 @@ def _names(values, path, start=0):
 
 
 def _image_vector(images, name, dim, path):
+    """The image of ``name`` in the JSON object at ``path``: an array of
+    ``dim`` coordinates, or a ParseError naming its JSON path."""
+    if name not in images:
+        raise ParseError(f"missing operator image {path}.{name}")
     vec = _shape(images[name], list, f"{path}.{name}")
     if len(vec) != dim:
-        raise ParseError(f"image of {name!r} needs {dim} coordinates")
+        raise ParseError(f"{path}.{name} needs {dim} coordinates")
     return vec
 
 
@@ -79,15 +83,25 @@ def _parse_field(data) -> ScalarField:
 
 
 def _parse_table(products, n, path, message, parse):
-    """The n x n table of coordinate vectors at ``path``, entries parsed by ``parse``."""
+    """The n x n table of coordinate vectors at ``path``, entries parsed by
+    ``parse``.  Each distinct entry text is parsed once (most are "0"), so
+    equal entries share one immutable value."""
     _shape(products, list, path)
     if len(products) != n or any(
         len(_shape(row, list, f"{path}[{i}]")) != n for i, row in enumerate(products)
     ):
         raise ParseError(message)
+    parsed = {}
+
+    def entry(text):
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse(text)
+        return value
+
     table = [
         [
-            [parse(str(c)) for c in _shape(products[i][j], list, f"{path}[{i}][{j}]")]
+            [entry(str(c)) for c in _shape(products[i][j], list, f"{path}[{i}][{j}]")]
             for j in range(n)
         ]
         for i in range(n)
@@ -154,8 +168,6 @@ def _parse_images(images, parse, dim, variables, path) -> dict:
     _shape(images, dict, path)
     out = {}
     for v in variables:
-        if v not in images:
-            raise ParseError(f"missing operator image for generator {v!r}")
         vec = _image_vector(images, v, dim, path)
         out[v] = tuple(parse(str(text)) for text in vec)
     return out
@@ -169,8 +181,6 @@ def _parse_f_images(images, algebra: StructureAlgebra, coeff: DCoefficientAlgebr
     f_images = [tuple(unit.scale(algebra.base.constant(c)) for c in coeff.unit)]
     _shape(images, dict, path)
     for label in algebra.labels[1:]:
-        if label not in images:
-            raise ParseError(f"missing operator image for basis element {label!r}")
         vec = _image_vector(images, label, coeff.dim, path)
         f_images.append(tuple(
             algebra.coordinatize(_flat_poly(str(text), flat_b)) for text in vec

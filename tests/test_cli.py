@@ -224,13 +224,13 @@ COMPOSE = json.loads((FIXTURES / "compose_difference.json").read_text())
 @pytest.mark.parametrize("doc,error,detail", [
     (_second_with(_gf2_hom_enumeration(), "C_images", "s", ["1"]), "NotWellDefined", None),
     (_second_with(COMPOSE, "C_images", "t", ["t", "t"]),
-     "ParseError", "image of 't' needs 1 coordinates"),
+     "ParseError", "second.C_images.t needs 1 coordinates"),
     (_second_with(COMPOSE, "A_images", "b", None, a_variable="b"),
-     "ParseError", "missing operator image for generator 'b'"),
+     "ParseError", "missing operator image second.A_images.b"),
     (_second_with(COMPOSE, "A_images", "b", ["b", "b"], a_variable="b"),
-     "ParseError", "image of 'b' needs 1 coordinates"),
+     "ParseError", "second.A_images.b needs 1 coordinates"),
     (_second_with(COMPOSE, "B_images", "eps", ["eps", "0"]),
-     "ParseError", "image of 'eps' needs 1 coordinates"),
+     "ParseError", "second.B_images.eps needs 1 coordinates"),
 ], ids=["C-image-not-well-defined", "C-image-too-long", "A-image-missing", "A-image-too-long",
         "B-image-too-long"])
 def test_malformed_second_block_is_an_error_report(doc, error, detail, tmp_path, capsys):
