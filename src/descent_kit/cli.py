@@ -7,23 +7,21 @@ obstruction (a non-invertible descent matrix).  A report that cannot be
 written exits 1 with no traceback.  Reports are deterministic JSON;
 timing goes to stderr so report files stay byte-identical across runs.
 Run as a program (``run``), the process ends at its flushed report.
+Each command imports the layers it runs when it runs, so a command loads
+only its own code.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
+import getopt
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from .compose import compose_descent_check
-from .descent_matrix import associated_matrix, classify_descent_matrix, invertibility_equivalences
-from .dstructures import truncated_operator_polynomials
 from .errors import DescentKitError, NonInvertibleMatrix, ParseError
-from .homs import DEFAULT_BUDGET, adjoint_evidence, adjunction_audit
-from .matrices import RingMatrix
 from .problem import dump_report, problem_from_file, render_presentation
-from .weil_d import descend_d_structure, rederive_images, verify_d_hom
 
 
 def _write_report(report: dict, path) -> bool:
@@ -50,6 +48,8 @@ def _write_report(report: dict, path) -> bool:
 
 
 def _cmd_validate(problem, args):
+    from .dstructures import truncated_operator_polynomials
+
     report = {"status": "ok", "certificates": problem.certificates}
     if args.truncate is not None:
         window = truncated_operator_polynomials(
@@ -66,6 +66,12 @@ def _cmd_validate(problem, args):
 
 
 def _cmd_matrix(problem, args):
+    from .descent_matrix import (
+        associated_matrix,
+        classify_descent_matrix,
+        invertibility_equivalences,
+    )
+
     dm = classify_descent_matrix(associated_matrix(problem.tower))
     report = {
         "matrix": dm.render(),
@@ -102,6 +108,9 @@ def _descend_report(result, audited: bool) -> dict:
         "certificates": result.certificates,
     }
     if audited:
+        from .matrices import RingMatrix
+        from .weil_d import rederive_images, verify_d_hom
+
         rederived = rederive_images(result)
         unit_images = {
             g: result.classical.unit_image(g) for g in result.classical.source.generators
@@ -130,11 +139,17 @@ def _descend_report(result, audited: bool) -> dict:
 
 
 def _cmd_descend(problem, args):
+    from .weil_d import descend_d_structure
+
     result = descend_d_structure(problem.c, problem.g_structure)
     return _descend_report(result, args.audit), 0
 
 
 def _cmd_adjoint_check(problem, args):
+    from .descent_matrix import associated_matrix, classify_descent_matrix
+    from .homs import DEFAULT_BUDGET, adjoint_evidence, adjunction_audit
+    from .weil_d import descend_d_structure
+
     dm = classify_descent_matrix(associated_matrix(problem.tower))
     if dm.invertible == "no":
         if problem.z_coords is None:
@@ -147,26 +162,21 @@ def _cmd_adjoint_check(problem, args):
     if problem.u is None:
         raise ParseError("adjoint-check needs a test algebra \"R\"")
     result = descend_d_structure(problem.c, problem.g_structure, matrix=dm)
-    report = adjunction_audit(result, problem.u, args.budget)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    report = adjunction_audit(result, problem.u, budget)
     report["matrix_invertible"] = True
     return report, 0
 
 
 def _cmd_compose_check(problem, args):
+    from .compose import compose_descent_check
+
     if problem.second is None:
         raise ParseError("compose-check needs a \"second\" structure block")
     report = compose_descent_check(
         problem.c, problem.g_structure, problem.second["c"], problem.second["g_structure"]
     )
     return report, 0
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1, as malformed input does: exit 2 is an obstruction."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 _COMMANDS = {
@@ -177,22 +187,78 @@ _COMMANDS = {
     "compose-check": _cmd_compose_check,
 }
 
+_USAGE = """\
+usage: descent-kit [-h] --input INPUT [--output OUTPUT] [--audit]
+                   [--budget BUDGET] [--truncate TRUNCATE]
+                   {adjoint-check,compose-check,descend,matrix,validate}
+"""
+
+_HELP = _USAGE + """
+Exact Weil restriction for difference/differential algebras
+
+positional arguments:
+  {adjoint-check,compose-check,descend,matrix,validate}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         problem description (JSON)
+  --output OUTPUT       write the report here instead of stdout
+  --audit               re-verify every certificate from scratch
+  --budget BUDGET       candidate cap for homomorphism enumeration
+  --truncate TRUNCATE   also build the operator-polynomial window of this
+                        depth
+"""
+
+# getopt's long options: a trailing "=" takes a value
+_OPTIONS = ["help", "input=", "output=", "audit", "budget=", "truncate="]
+
+
+def _usage_error(message):
+    """Usage errors exit 1, as malformed input does: exit 2 is an obstruction."""
+    sys.stderr.write(f"{_USAGE}descent-kit: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _parse_args(argv):
+    """The command and its options, from ``argv`` in any order.  ``--help``
+    exits 0 with the help text; a usage error exits 1 through
+    ``_usage_error``.  ``budget`` is None when not given."""
+    try:
+        opts, positional = getopt.gnu_getopt(argv, "h", _OPTIONS)
+    except getopt.GetoptError as exc:
+        _usage_error(exc.msg)
+    args = SimpleNamespace(command=None, input=None, output=None, audit=False,
+                           budget=None, truncate=None)
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        name = opt[2:]
+        if name == "audit":
+            value = True
+        elif name in ("budget", "truncate"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {opt}: invalid int value: {value!r}")
+        setattr(args, name, value)
+    if positional:
+        args.command = positional[0]
+        if args.command not in _COMMANDS:
+            choices = ", ".join(map(repr, sorted(_COMMANDS)))
+            _usage_error(f"argument command: invalid choice: {args.command!r} "
+                         f"(choose from {choices})")
+    missing = [name for name, value in (("command", args.command), ("--input", args.input))
+               if value is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if len(positional) > 1:
+        _usage_error(f"unrecognized arguments: {' '.join(positional[1:])}")
+    return args
+
 
 def main(argv=None) -> int:
-    parser = _ArgumentParser(
-        prog="descent-kit",
-        description="Exact Weil restriction for difference/differential algebras",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--input", required=True, help="problem description (JSON)")
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--audit", action="store_true",
-                        help="re-verify every certificate from scratch")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="candidate cap for homomorphism enumeration")
-    parser.add_argument("--truncate", type=int, default=None,
-                        help="also build the operator-polynomial window of this depth")
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     started = time.perf_counter()
     try:
@@ -219,7 +285,13 @@ def run():
     flushed report.  ``os._exit`` skips interpreter teardown (module cleanup,
     the final collection, freeing every interned monomial), which takes
     longer than most commands' own work.  ``SystemExit`` from a usage error
-    or ``--help`` and any uncaught exception leave through the normal exit."""
+    or ``--help`` and any uncaught exception leave through the normal exit.
+
+    The cyclic collector is off for the process: the package makes no
+    reference cycles, so a collection finds nothing to free and only walks
+    the live objects.  ``main`` called in process keeps the caller's
+    collector."""
+    gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -41,6 +41,7 @@ disjoint masks mean disjoint supports.
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from .errors import ResourceLimit, NotFiniteDimensional
 from .polynomials import DegRevLex, Monomial, Polynomial, add_multiple
@@ -355,21 +356,9 @@ def staircase(gb: GroebnerBasis):
         bounds[v] = bound
 
     out = []
-
-    def rec(i, exps):
-        if i == len(variables):
-            m = Monomial(exps)
-            if not any(lm.divides(m) for lm in leads):
-                out.append(m)
-            return
-        v = variables[i]
-        for e in range(bounds[v]):
-            if e:
-                exps[v] = e
-            elif v in exps:
-                del exps[v]
-            rec(i + 1, dict(exps))
-
-    rec(0, {})
+    for exps in itertools.product(*(range(bounds[v]) for v in variables)):
+        m = Monomial(zip(variables, exps))
+        if not any(lm.divides(m) for lm in leads):
+            out.append(m)
     out.sort(key=gb.order.key_memo.__getitem__)
     return out

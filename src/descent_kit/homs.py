@@ -77,19 +77,17 @@ def _evaluate(rel: Polynomial, env: dict, field, table, unit):
     """Staircase coordinates of ``rel`` with every variable mapped by ``env``
     to a coordinate vector; each power is computed once per call."""
     out = [field.zero] * len(unit)
-    powers = {}
-
-    def power(v, e):
-        value = powers.get((v, e))
-        if value is None:
-            value = env[v] if e == 1 else linear.vec_mul(field, table, power(v, e - 1), env[v])
-            powers[v, e] = value
-        return value
+    powers = {}  # v -> [v, v^2, ...] as far as computed
 
     for m, c in rel.terms.items():
         piece = None
         for v, e in m.exps.items():
-            factor = power(v, e)
+            chain = powers.get(v)
+            if chain is None:
+                chain = powers[v] = [env[v]]
+            while len(chain) < e:
+                chain.append(linear.vec_mul(field, table, chain[-1], env[v]))
+            factor = chain[e - 1]
             piece = factor if piece is None else linear.vec_mul(field, table, piece, factor)
         if piece is None:
             piece = unit

@@ -20,6 +20,8 @@ since rings share variable names and pass terms between each other.
 
 from __future__ import annotations
 
+import weakref
+
 from .errors import ParseError
 from .scalars import ScalarField
 
@@ -185,16 +187,17 @@ def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial 
 
 class _KeyMemo(dict):
     """Order keys by monomial; a missing key is computed by ``order.key``
-    once and kept."""
+    once and kept.  The memo holds its order weakly, so the pair makes no
+    reference cycle and is freed by reference counting alone."""
 
     __slots__ = ("order",)
 
     def __init__(self, order):
         super().__init__()
-        self.order = order
+        self.order = weakref.ref(order)
 
     def __missing__(self, m):
-        k = self[m] = self.order.key(m)
+        k = self[m] = self.order().key(m)
         return k
 
 
@@ -210,7 +213,7 @@ class DegRevLex:
     monomial the memo has not seen.
     """
 
-    __slots__ = ("variables", "_index", "key_memo")
+    __slots__ = ("variables", "_index", "key_memo", "__weakref__")
 
     def __init__(self, variables):
         self.variables = tuple(variables)

@@ -1,0 +1,101 @@
+"""What importing the package and running a command load.
+
+``import descent_kit`` loads no submodule: each public name is imported
+from its submodule on first access.  A command imports only the layers it
+runs, so ``validate`` never loads the descent, homomorphism or composition
+code.  The import checks run in fresh interpreters, since this process has
+long since loaded everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import descent_kit
+from conftest import FIXTURES
+
+# the public names of the package by submodule, as its eager imports
+# exported them
+EXPORTED = {
+    "scalars": ["GF", "QQ", "ScalarField", "scalar_arith"],
+    "polynomials": ["DegRevLex", "Monomial", "Polynomial", "parse_polynomial", "render"],
+    "groebner": ["GroebnerBasis", "buchberger", "buchberger_extended", "ideal_equal",
+                 "normal_form", "reduce_extended", "staircase"],
+    "presented": ["PresentedRing", "tensor_power", "tensor_presented"],
+    "structure": ["AlgebraElement", "StructureAlgebra", "evaluate_poly"],
+    "dalgebra": ["DCoefficientAlgebra", "build_d_algebra", "difference_algebra",
+                 "dual_numbers", "dual_numbers_times_field", "product_of_fields",
+                 "truncated_jets"],
+    "dstructures": ["DStructure", "truncated_operator_polynomials"],
+    "tower": ["OperatorTower", "PresentedBAlgebra"],
+    "descent_matrix": ["DescentMatrix", "associated_matrix", "change_of_basis_check",
+                       "classify_descent_matrix", "endo_matrix", "invert_descent_matrix",
+                       "invertibility_equivalences"],
+    "matrices": ["RingMatrix"],
+    "weil": ["WeilDescentResult", "descend_morphism", "tau_forward", "tau_inverse",
+             "weil_descend"],
+    "weil_d": ["DDescentResult", "descend_d_structure", "descended_endomorphisms_check",
+               "rederive_images", "tau_d_forward", "tau_d_inverse", "verify_d_hom"],
+    "compose": ["ComposedStructure", "check_tensor_associated_endos", "commutes",
+                "compose_descent_check", "compose_structures", "compose_towers",
+                "gamma_swap", "tensor_coefficients", "tensor_compose_check"],
+    "homs": ["adjoint_evidence", "adjunction_audit", "enumerate_descended_homs",
+             "enumerate_homs", "enumerate_upstairs_homs", "target_elements"],
+    "problem": ["ProblemDescription", "load_problem", "problem_from_file"],
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+# modules validate has no use for
+NOT_FOR_VALIDATE = {"compose", "homs", "weil", "weil_d", "descent_matrix", "matrices"}
+
+
+def loaded_submodules(code: str) -> set:
+    """The ``descent_kit`` submodules loaded once ``code`` has run in a fresh
+    interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
+    )
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(name for name in sys.modules"
+             " if name.startswith('descent_kit.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {name.split(".", 1)[1] for name in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_submodules("import descent_kit") == set()
+
+
+def test_validate_loads_only_what_it_runs():
+    loaded = loaded_submodules(
+        "import os\n"
+        "from descent_kit.cli import main\n"
+        f"assert main(['validate', '--input', {str(FIXTURES / 'differential.json')!r},"
+        " '--output', os.devnull]) == 0"
+    )
+    assert "problem" in loaded
+    assert loaded.isdisjoint(NOT_FOR_VALIDATE)
+
+
+def test_every_exported_name_resolves_to_its_submodule_object():
+    assert sorted(descent_kit.__all__) == NAMES
+    for module, names in EXPORTED.items():
+        submodule = importlib.import_module(f"descent_kit.{module}")
+        for name in names:
+            assert getattr(descent_kit, name) is getattr(submodule, name)
+
+
+def test_dir_lists_every_name():
+    assert set(NAMES) | {"__version__"} <= set(dir(descent_kit))
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from descent_kit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(descent_kit.__all__) == NAMES
