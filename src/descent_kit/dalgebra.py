@@ -33,6 +33,7 @@ class DCoefficientAlgebra:
 
     __slots__ = (
         "algebra",
+        "constants",
         "factors",
         "factor_of",
         "stratum_of",
@@ -42,8 +43,12 @@ class DCoefficientAlgebra:
         "certificates",
     )
 
-    def __init__(self, algebra, factors, factor_of, stratum_of, strata, unit, certificates):
+    def __init__(self, algebra, constants, factors, factor_of, stratum_of, strata, unit,
+                 certificates):
         self.algebra = algebra
+        # the table as scalars, dense l x l x l: ``linear.vec_mul`` and ``a``
+        # read it
+        self.constants = constants
         self.factors = factors
         self.factor_of = factor_of
         self.stratum_of = stratum_of
@@ -72,7 +77,7 @@ class DCoefficientAlgebra:
 
     def a(self, j: int, k: int, m: int):
         """Structure constant of eps_j eps_k on eps_m (0-based indices)."""
-        return self.algebra.constants[j][k][m].constant_value()
+        return self.constants[j][k][m]
 
     def over(self, carrier: PresentedRing) -> StructureAlgebra:
         """The base change carrier (x) coefficient-algebra, rank dim: the
@@ -93,10 +98,9 @@ def _scalar_constants(algebra: StructureAlgebra):
     if algebra.base.variables:
         raise ValueError("the coefficient algebra must live over the bare field k")
     l = algebra.rank
-    return [
-        [[algebra.constants[i][j][m].constant_value() for m in range(l)] for j in range(l)]
-        for i in range(l)
-    ]
+    zero = algebra.base.field.zero
+    cells = [[{m: c.constant_value() for m, c in cell} for cell in row] for row in algebra.table]
+    return [[[cell.get(m, zero) for m in range(l)] for cell in row] for row in cells]
 
 
 def _span_basis(field, vectors):
@@ -309,6 +313,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
 
     return DCoefficientAlgebra(
         algebra,
+        constants,
         tuple(factors),
         tuple(factor_of),
         tuple(stratum_of),

@@ -124,6 +124,8 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
             kk.constant(field.parse(str(c)))
             for c in _shape(data["unit"], list, f"{path}.unit")
         ]
+        if len(unit) != l:
+            raise ParseError(f"{path}.unit needs {l} coordinates")
     elif basis[:1] == ["1"]:
         unit = None
     else:

@@ -5,6 +5,12 @@ b_i * b_j = sum_m c_ijm b_m.  Elements are coordinate vectors over the base
 ring.  The same machinery carries the module algebra of a descent problem
 (over its base ring) and the operator coefficient algebra (over k).
 
+The constructor takes the dense r x r x r table and keeps it sparse: its
+``table[i][j]`` is the tuple of the pairs (m, c_ijm) whose normal form
+c_ijm is nonzero, m ascending.  ``multiply_coords`` is the one product
+kernel: elements multiply through it, and ``validate`` checks the unit law
+and associativity with the products it returns.
+
 Element coordinates are always normal forms over the base ring.  The public
 constructor normalizes what it is given; products are normalized once per
 output coordinate, and sums, differences, negations and field-scalar
@@ -37,21 +43,34 @@ class StructureAlgebra:
     """A free rank-r module with a commutative unital multiplication."""
 
     __slots__ = (
-        "base", "labels", "constants", "unit_coords", "_certificates", "_flat_ring",
+        "base", "labels", "table", "unit_coords", "_certificates", "_flat_ring",
         "_base_changes",
     )
 
     def __init__(self, base: PresentedRing, labels, constants, unit_coords=None):
-        self.base = base
-        self.labels = tuple(labels)
-        r = len(self.labels)
-        self.constants = tuple(
-            tuple(tuple(base.nf(c) for c in constants[i][j]) for j in range(r))
-            for i in range(r)
-        )
+        labels = tuple(labels)
+        r = len(labels)
+        if len(constants) != r or any(
+            len(row) != r or any(len(cell) != r for cell in row) for row in constants
+        ):
+            raise ValueError("structure constants must form an r x r x r table")
         if unit_coords is None:
             unit_coords = [base.one] + [base.zero] * (r - 1)
-        self.unit_coords = tuple(base.nf(c) for c in unit_coords)
+        if len(unit_coords) != r:
+            raise ValueError("unit vector has the wrong length")
+        self._set(base, labels, [map(enumerate, row) for row in constants], unit_coords)
+
+    def _set(self, base, labels, cells, unit_coords):
+        """Keep, per (i, j), the (m, c_ijm) of ``cells`` whose normal form
+        over ``base`` is nonzero: the constructor and ``base_change`` both
+        build through here."""
+        nf = base.nf
+        self.base = base
+        self.labels = labels
+        self.table = tuple(tuple(
+            tuple((m, c) for m, c in ((m, nf(c)) for m, c in cell) if not c.is_zero())
+            for cell in row) for row in cells)
+        self.unit_coords = tuple(nf(c) for c in unit_coords)
         self._certificates = None
         self._flat_ring = None
         self._base_changes = {}
@@ -65,12 +84,12 @@ class StructureAlgebra:
             isinstance(other, StructureAlgebra)
             and self.base == other.base
             and self.labels == other.labels
-            and self.constants == other.constants
+            and self.table == other.table
             and self.unit_coords == other.unit_coords
         )
 
     def __hash__(self):
-        return hash((self.base, self.labels, self.constants, self.unit_coords))
+        return hash((self.base, self.labels, self.table, self.unit_coords))
 
     def __repr__(self):
         return f"StructureAlgebra(rank {self.rank} over {self.base!r})"
@@ -97,23 +116,21 @@ class StructureAlgebra:
 
     def multiply_coords(self, x, y):
         """Coordinates of x * y: each output coordinate is accumulated in one
-        term dict and normalized once.  A pair (i, j) with b_i b_j = 0 forms
-        no product x_i y_j."""
-        r = self.rank
+        term dict and normalized once.  Only the nonzero constants of the
+        table are visited, so a pair (i, j) with b_i b_j = 0 forms no
+        product x_i y_j."""
         base = self.base
         field = base.field
-        out = [{} for _ in range(r)]
-        for i in range(r):
-            if x[i].is_zero():
+        out = [{} for _ in range(self.rank)]
+        for xi, row in zip(x, self.table):
+            if xi.is_zero():
                 continue
-            row = self.constants[i]
-            for j in range(r):
-                consts = row[j]
-                if y[j].is_zero() or all(c.is_zero() for c in consts):
+            for yj, cell in zip(y, row):
+                if not cell or yj.is_zero():
                     continue
-                prod = (x[i] * y[j]).terms
-                for m in range(r):
-                    for cm, cc in consts[m].terms.items():
+                prod = (xi * yj).terms
+                for m, c in cell:
+                    for cm, cc in c.terms.items():
                         add_multiple(out[m], prod, cc, field, cm)
         return [base.nf(Polynomial.from_terms(field, t)) for t in out]
 
@@ -123,10 +140,10 @@ class StructureAlgebra:
         """Check commutativity, the unit law, and associativity.
 
         The axioms are checked on the structure constants, which are normal
-        forms: commutativity is equality of c_ijm and c_jim; the unit law
-        and associativity compare coordinate vectors of the form
-        (sum_k x_k b_k) * b_m, each coordinate accumulated in one term dict
-        and normalized once.  Commutativity is checked first; with it in
+        forms: commutativity is equality of the stored (m, c_ijm) and
+        (m, c_jim); the unit law and associativity compare coordinate
+        vectors of the form (sum_k x_k b_k) * b_m, each a ``multiply_coords``
+        call with y = b_m.  Commutativity is checked first; with it in
         hand b_i (b_j b_m) = (b_j b_m) b_i, so associativity reads
         (b_i b_j) b_m = (b_j b_m) b_i, and the associator is antisymmetric
         in i and m.  Only i <= m is checked: the first failing (i, j, m) in
@@ -141,29 +158,19 @@ class StructureAlgebra:
             return [dict(c) for c in self._certificates]
         r = self.rank
         base = self.base
-        field = base.field
-        constants = self.constants
+        table = self.table
         checks = []
         for i in range(r):
             for j in range(i + 1, r):
-                for m in range(r):
-                    if constants[i][j][m] != constants[j][i][m]:
-                        raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
+                if table[i][j] != table[j][i]:
+                    m = min(m for m, _ in set(table[i][j]) ^ set(table[j][i]))
+                    raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
         checks.append({"axiom": "commutativity", "ok": True})
 
-        def times_basis(x, m):
-            """Coordinates of (sum_k x_k b_k) * b_m."""
-            out = [{} for _ in range(r)]
-            for k in range(r):
-                for xm, xc in x[k].terms.items():
-                    for acc, c in zip(out, constants[k][m]):
-                        add_multiple(acc, c.terms, xc, field, xm)
-            return tuple(base.nf(Polynomial.from_terms(field, t)) for t in out)
-
         zero, one = base.zero, base.nf(base.one)
+        basis = [[one if k == m else zero for k in range(r)] for m in range(r)]
         for j in range(r):
-            basis_j = tuple(one if k == j else zero for k in range(r))
-            if times_basis(self.unit_coords, j) != basis_j:
+            if self.multiply_coords(self.unit_coords, basis[j]) != basis[j]:
                 raise InvalidAlgebra("unit", (j + 1,))
         checks.append({"axiom": "unit", "ok": True})
         products = {}
@@ -173,7 +180,9 @@ class StructureAlgebra:
             key = (i, j, m) if i <= j else (j, i, m)
             out = products.get(key)
             if out is None:
-                out = products[key] = times_basis(constants[i][j], m)
+                cell = dict(table[i][j])
+                x = [cell.get(k, zero) for k in range(r)]
+                out = products[key] = self.multiply_coords(x, basis[m])
             return out
 
         for i in range(r):
@@ -201,7 +210,8 @@ class StructureAlgebra:
             missing = set(self.base.variables) - set(ring.variables)
             if missing:
                 raise ValueError(f"target ring is missing base variables {sorted(missing)}")
-            changed = StructureAlgebra(ring, self.labels, self.constants, self.unit_coords)
+            changed = StructureAlgebra.__new__(StructureAlgebra)
+            changed._set(ring, self.labels, self.table, self.unit_coords)
             self._base_changes[id(ring)] = changed
         return changed
 
@@ -232,8 +242,7 @@ class StructureAlgebra:
             for j in range(i, self.rank):
                 product = Monomial({self.labels[i]: 1}).mul(Monomial({self.labels[j]: 1}))
                 rhs = Polynomial.zero(field)
-                for m in range(self.rank):
-                    c = self.constants[i][j][m]
+                for m, c in self.table[i][j]:
                     if m == 0:
                         rhs = rhs + c
                     else:

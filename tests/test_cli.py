@@ -157,6 +157,12 @@ def _generator(name):
     return doc
 
 
+def _differential_unit(unit):
+    doc = json.loads((FIXTURES / "differential.json").read_text())
+    doc["D"]["unit"] = unit
+    return doc
+
+
 SHORT_PRODUCT = {
     "basis": ["1", "eps"],
     "products": [[["1"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
@@ -180,9 +186,12 @@ SHORT_PRODUCT = {
     (_adjoint_f2_with("R", "variables", ["u", "u+1"]),
      "R.variables[1] must be an identifier, got 'u+1'"),
     (_adjoint_f2_with("B", "basis", ["1", "w*"]), "B.basis[1] must be an identifier, got 'w*'"),
+    (_differential_unit(["1"]), "D.unit needs 2 coordinates"),
+    (_differential_unit(["1", "0", "0"]), "D.unit needs 2 coordinates"),
 ], ids=["top-level-array", "D.basis-number", "D-string", "C-image-number",
         "B-product-too-short", "C-generator-digit", "C-generator-empty",
-        "C-generator-space", "A-variable-digit-first", "R-variable-plus", "B-label-star"])
+        "C-generator-space", "A-variable-digit-first", "R-variable-plus", "B-label-star",
+        "D-unit-too-short", "D-unit-too-long"])
 def test_malformed_shape_is_an_error_report(doc, detail, tmp_path, capsys):
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps(doc))

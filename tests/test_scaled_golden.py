@@ -5,9 +5,10 @@ these pins give the monomial and normal-form kernels an oracle above that.
 Each problem is built with ``perfbench/gen.py`` (seed 1, the size given
 here; ``perfbench/`` is only read) and run through the CLI in-process.
 The exit codes and report digests were captured at commit 4b0ace1, before
-monomials were interned, and the three above r = 20 at 7b9fa50, before B's
-flat ring was read off its validated table; that commit needed its pair
-budget raised to reach them.
+monomials were interned, the three above r = 20 at 7b9fa50, before B's
+flat ring was read off its validated table (that commit needed its pair
+budget raised to reach them), and the two at r = 32 at 600a483, before the
+structure-constant table was kept sparse.
 
 Monomials hash by identity, so no report may depend on the iteration order
 of a set or a dict keyed by them, nor on string hashing: one fixture's
@@ -59,6 +60,11 @@ SCALED = [
      "585a99e3066c6608a71bb6089391c17940f5070faa1b3c779c9f41342472fa21"),
     ("nilpotent-obstruction", 24, "descend", 2,
      "b1121e54534c85d46e839458141561f1f964b25e82a6886c1cdb45197726977e"),
+    # B's validate on 32 x 32 x 32 tables; captured at 600a483
+    ("qq-differential", 32, "validate", 0,
+     "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
+    ("nilpotent-obstruction", 32, "validate", 0,
+     "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
 ]
 
 

@@ -8,6 +8,13 @@ at the end.  The kernels must give the same polynomials.
 ``reference_validate`` checks the axioms by multiplying basis elements as
 elements; ``validate`` must accept the same algebras and reject the others
 with the same axiom and the same first failing indices.
+
+An algebra keeps only the nonzero entries of its table; ``dense`` rebuilds
+the r x r x r view for the references.  ``reference_dense_validate`` and
+``reference_multiply_coords`` are ``validate`` (with its own
+``times_basis`` product loop) and ``multiply_coords`` as they were over the
+dense table; ``multiply_coords`` is now the one product kernel, and both
+must give the same outcomes as before.
 """
 
 import random
@@ -33,8 +40,20 @@ from descent_kit import (
 )
 from descent_kit import structure
 from descent_kit.errors import InvalidAlgebra, VariableClash
+from descent_kit.polynomials import add_multiple
 from descent_kit.structure import AlgebraElement
 from conftest import dual_basis_algebra
+
+
+def dense(algebra):
+    """The r x r x r table of ``algebra``, zeros filled in."""
+    r = algebra.rank
+    out = [[[algebra.base.zero] * r for _ in range(r)] for _ in range(r)]
+    for i, row in enumerate(algebra.table):
+        for j, cell in enumerate(row):
+            for m, c in cell:
+                out[i][j][m] = c
+    return out
 
 
 def test_dual_numbers_algebra_is_valid():
@@ -139,10 +158,11 @@ def test_base_change_preserves_constants_and_rank():
     bigger = PresentedRing.make(QQ, ("t1", "t2"), [])
     changed = alg.base_change(bigger)
     assert changed.rank == alg.rank
+    old, new = dense(alg), dense(changed)
     for i in range(2):
         for j in range(2):
             for m in range(2):
-                assert changed.constants[i][j][m] == bigger.nf(alg.constants[i][j][m])
+                assert new[i][j][m] == bigger.nf(old[i][j][m])
     assert alg.base_change(a) == alg
 
 
@@ -215,12 +235,13 @@ def reference_evaluate(p, env, algebra):
 
 def reference_multiply(algebra, x, y):
     base = algebra.base
+    constants = dense(algebra)
     out = [base.zero] * algebra.rank
     for i in range(algebra.rank):
         for j in range(algebra.rank):
             prod = x[i] * y[j]
             for m in range(algebra.rank):
-                out[m] = out[m] + prod * algebra.constants[i][j][m]
+                out[m] = out[m] + prod * constants[i][j][m]
     return [base.nf(v) for v in out]
 
 
@@ -383,10 +404,11 @@ def reference_validate(algebra):
     """The element-wise checks: basis elements multiplied as elements."""
     r = algebra.rank
     base = algebra.base
+    constants = dense(algebra)
     for i in range(r):
         for j in range(i + 1, r):
             for m in range(r):
-                if not base.equal(algebra.constants[i][j][m], algebra.constants[j][i][m]):
+                if not base.equal(constants[i][j][m], constants[j][i][m]):
                     raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
     one = algebra.one_el()
     for j in range(r):
@@ -445,7 +467,7 @@ def corrupted_algebras(draw):
     r = draw(st.integers(min_value=1, max_value=4))
     coeffs = [ring.el(draw(elements)) for _ in range(r)]
     algebra = power_basis_algebra(ring, coeffs)
-    constants = [[list(algebra.constants[i][j]) for j in range(r)] for i in range(r)]
+    constants = dense(algebra)
     unit = list(algebra.unit_coords)
     kind = draw(st.sampled_from(["none", "one", "pair", "unit"]))
     delta = ring.el(draw(elements))
@@ -470,8 +492,10 @@ def test_validate_matches_the_element_wise_reference(algebra):
 
 
 def test_validate_builds_no_elements(monkeypatch):
-    """The axioms are checked on the structure constants: no
-    ``multiply_coords`` call and no AlgebraElement, over k[a]/(a^2)."""
+    """The axioms are checked on the structure constants: no AlgebraElement,
+    over k[a]/(a^2).  Every product goes through ``multiply_coords``: one
+    call per unit product b_j and one per memo key (i <= j, m) of
+    (b_i b_j) b_m."""
     ring = nilpotent_base(QQ)
     algebra = power_basis_algebra(ring, [ring.el(t) for t in ("a", "1", "a - 1", "2")])
     calls = []
@@ -489,7 +513,209 @@ def test_validate_builds_no_elements(monkeypatch):
     monkeypatch.setattr(structure, "_wrap", counted("_wrap", structure._wrap))
     certificate = algebra.validate()
     assert [c["axiom"] for c in certificate] == ["commutativity", "unit", "associativity"]
-    assert calls == []
+    r = algebra.rank
+    keys = {(min(i, j), max(i, j), m) for i in range(r) for j in range(r) for m in range(r)}
+    assert calls == ["multiply_coords"] * (r + len(keys)) == ["multiply_coords"] * 44
+
+
+# -- the one product kernel against the dense loops it replaced -------------------
+
+
+def reference_dense_validate(self):
+    """``validate`` over the dense table, with its own product loop."""
+    r = self.rank
+    base = self.base
+    field = base.field
+    constants = dense(self)
+    checks = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            for m in range(r):
+                if constants[i][j][m] != constants[j][i][m]:
+                    raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
+    checks.append({"axiom": "commutativity", "ok": True})
+
+    def times_basis(x, m):
+        """Coordinates of (sum_k x_k b_k) * b_m."""
+        out = [{} for _ in range(r)]
+        for k in range(r):
+            for xm, xc in x[k].terms.items():
+                for acc, c in zip(out, constants[k][m]):
+                    add_multiple(acc, c.terms, xc, field, xm)
+        return tuple(base.nf(Polynomial.from_terms(field, t)) for t in out)
+
+    zero, one = base.zero, base.nf(base.one)
+    for j in range(r):
+        basis_j = tuple(one if k == j else zero for k in range(r))
+        if times_basis(self.unit_coords, j) != basis_j:
+            raise InvalidAlgebra("unit", (j + 1,))
+    checks.append({"axiom": "unit", "ok": True})
+    products = {}
+
+    def product(i, j, m):
+        """Coordinates of (b_i b_j) b_m, computed once per {i, j} and m."""
+        key = (i, j, m) if i <= j else (j, i, m)
+        out = products.get(key)
+        if out is None:
+            out = products[key] = times_basis(constants[i][j], m)
+        return out
+
+    for i in range(r):
+        for j in range(r):
+            for m in range(i, r):
+                if product(i, j, m) != product(j, m, i):
+                    raise InvalidAlgebra("associativity", (i + 1, j + 1, m + 1))
+    checks.append({"axiom": "associativity", "ok": True})
+    return checks
+
+
+def reference_multiply_coords(self, x, y):
+    """``multiply_coords`` over the dense table."""
+    r = self.rank
+    base = self.base
+    field = base.field
+    constants = dense(self)
+    out = [{} for _ in range(r)]
+    for i in range(r):
+        if x[i].is_zero():
+            continue
+        row = constants[i]
+        for j in range(r):
+            consts = row[j]
+            if y[j].is_zero() or all(c.is_zero() for c in consts):
+                continue
+            prod = (x[i] * y[j]).terms
+            for m in range(r):
+                for cm, cc in consts[m].terms.items():
+                    add_multiple(out[m], prod, cc, field, cm)
+    return [base.nf(Polynomial.from_terms(field, t)) for t in out]
+
+
+def tensor_algebra(left, right):
+    """left (x) right over their common base, basis b_a (x) b'_b at a * q + b."""
+    ring, p, q = left.base, left.rank, right.rank
+    lc, rc, n = dense(left), dense(right), p * q
+    constants = [[[ring.zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                constants[i][j][m] = lc[i // q][j // q][m // q] * rc[i % q][j % q][m % q]
+    unit = [a * b for a in left.unit_coords for b in right.unit_coords]
+    labels = ("1",) + tuple(f"t{k}" for k in range(1, n))
+    return StructureAlgebra(ring, labels, constants, unit)
+
+
+KERNEL_FIELDS = (QQ, GF(2), GF(7))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(algebra, words): a valid table with many zero cells, rank at most 6,
+    over QQ, GF(p) or k[a]/(a^2), left as it is or with one constant (or one
+    unit coordinate) changed: set where it was zero, killed where it was
+    not, or shifted.  The change at (i, j, m) may be repeated at
+    (i, j, r - 1 - m), so that a cell differs at two m, and mirrored at
+    (j, i).  ``words`` parse to elements of its base ring, zero often."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    ring = draw(st.sampled_from([PresentedRing.base_field(field), nilpotent_base(field)]))
+    nonzero = ["1", "-1", "2", "1/3"] + (["a", "a + 1", "3*a - 2"] if ring.variables else [])
+    words = ["0"] * 4 + nonzero
+    shape = draw(st.sampled_from(["power", "fields", "tensor"]))
+    if shape == "power":
+        r = draw(st.integers(min_value=1, max_value=6))
+        algebra = power_basis_algebra(ring, [ring.el(draw(st.sampled_from(words)))
+                                             for _ in range(r)])
+    elif shape == "fields":
+        algebra = product_of_fields(field, draw(st.integers(min_value=1, max_value=6))).over(ring)
+    else:
+        p = draw(st.integers(min_value=1, max_value=3))
+        q = draw(st.integers(min_value=1, max_value=6 // p))
+        algebra = tensor_algebra(truncated_jets(field, p).over(ring),
+                                 truncated_jets(field, q).over(ring))
+    r = algebra.rank
+    constants, unit = dense(algebra), list(algebra.unit_coords)
+    cells = [(i, j, m) for i in range(r) for j in range(r) for m in range(r)]
+    set_at = [c for c in cells if constants[c[0]][c[1]][c[2]].is_zero()] or cells
+    kill_at = [c for c in cells if not constants[c[0]][c[1]][c[2]].is_zero()]
+    kind = draw(st.sampled_from(["none", "set", "kill", "shift", "unit"]))
+    delta = ring.el(draw(st.sampled_from(nonzero)))
+    i, j, m = draw(st.sampled_from(kill_at if kind == "kill" else set_at))
+    ms = {m, draw(st.sampled_from([m, r - 1 - m]))}
+    mirrored = draw(st.booleans())
+    for a, b in ((i, j), (j, i)) if mirrored else ((i, j),):
+        for n in ms:
+            if kind == "set":
+                constants[a][b][n] = delta
+            elif kind == "kill":
+                constants[a][b][n] = ring.zero
+            elif kind == "shift":
+                constants[a][b][n] = constants[a][b][n] + delta
+    if kind == "unit":
+        unit[m] = unit[m] + delta
+    return StructureAlgebra(ring, algebra.labels, constants, unit), words
+
+
+def assert_sparse(algebra):
+    """Every stored entry is a nonzero normal form, m ascending."""
+    base = algebra.base
+    for row in algebra.table:
+        for cell in row:
+            assert [m for m, _ in cell] == sorted({m for m, _ in cell})
+            assert all(not c.is_zero() and base.nf(c) == c for _, c in cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_validate_matches_the_dense_reference(inputs):
+    algebra, _ = inputs
+    assert_sparse(algebra)
+    assert outcome(StructureAlgebra.validate, algebra) == outcome(reference_dense_validate,
+                                                                  algebra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs(), st.data())
+def test_multiply_coords_matches_the_dense_reference(inputs, data):
+    algebra, words = inputs
+    ring = algebra.base
+    vectors = st.lists(st.sampled_from(words), min_size=algebra.rank,
+                       max_size=algebra.rank).map(lambda v: [ring.el(w) for w in v])
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert algebra.multiply_coords(x, y) == reference_multiply_coords(algebra, x, y)
+
+
+def test_a_base_change_that_kills_a_constant():
+    """w^3 = a + (a + 1) w^2 over QQ[a], changed to QQ[a]/(a): the constant a
+    is dropped and a + 1 becomes 1, as if the table were built there."""
+    free = PresentedRing.make(QQ, ("a",), [])
+    killed = PresentedRing.make(QQ, ("a",), [free.el("a")])
+    algebra = power_basis_algebra(free, [free.el(t) for t in ("a", "0", "a + 1")])
+    changed = algebra.base_change(killed)
+    direct = StructureAlgebra(killed, algebra.labels, dense(algebra))
+    assert_sparse(changed)
+    stored = [sum(len(cell) for row in alg.table for cell in row) for alg in (algebra, changed)]
+    assert stored[1] < stored[0]
+    assert changed == direct and hash(changed) == hash(direct)
+    assert outcome(StructureAlgebra.validate, changed) == outcome(StructureAlgebra.validate,
+                                                                  direct)
+    x = [killed.el(t) for t in ("1", "2", "-1")]
+    y = [killed.el(t) for t in ("0", "1/3", "1")]
+    assert changed.multiply_coords(x, y) == direct.multiply_coords(x, y)
+
+
+@pytest.mark.parametrize("constants,unit", [
+    ([[[1, 0], [0, 1, 0]], [[0, 1], [0, 0]]], None),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]], None),
+    ([[[1, 0], [0, 1], [0, 0]], [[0, 1], [0, 0]]], None),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1]),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0, 0]),
+], ids=["long-cell", "third-row", "long-row", "short-unit", "long-unit"])
+def test_a_table_or_unit_of_the_wrong_shape_is_rejected(constants, unit):
+    ring = PresentedRing.base_field(QQ)
+    constants = [[[ring.constant(c) for c in cell] for cell in row] for row in constants]
+    unit = unit if unit is None else [ring.constant(c) for c in unit]
+    with pytest.raises(ValueError):
+        StructureAlgebra(ring, ("1", "eps"), constants, unit)
 
 
 # -- the flat ring of a validated table ------------------------------------------
@@ -504,6 +730,7 @@ def changed_basis(algebra, x):
     """The algebra in the basis b'_k = sum_{m <= k} x[k][m] b_m, with x lower
     unitriangular over the base and x[0] = (1, 0, ...), so b'_0 is still 1."""
     ring, r = algebra.base, algebra.rank
+    table = dense(algebra)
     y = [[ring.one if m == k else ring.zero for m in range(r)] for k in range(r)]
     for k in range(r):
         for m in range(k):
@@ -516,7 +743,7 @@ def changed_basis(algebra, x):
             for p in range(r):
                 for q in range(r):
                     for s in range(r):
-                        old[s] = old[s] + x[i][p] * x[j][q] * algebra.constants[p][q][s]
+                        old[s] = old[s] + x[i][p] * x[j][q] * table[p][q][s]
             row.append([
                 ring.nf(sum((old[s] * y[s][t] for s in range(r)), ring.zero))
                 for t in range(r)
@@ -552,7 +779,7 @@ def table_relations(algebra):
     rels = []
     for i in range(1, algebra.rank):
         for j in range(i, algebra.rank):
-            rhs = sum((c * label[m] for m, c in enumerate(algebra.constants[i][j])),
+            rhs = sum((c * label[m] for m, c in enumerate(dense(algebra)[i][j])),
                       Polynomial.zero(field))
             rels.append(label[i] * label[j] - rhs)
     return rels
@@ -624,7 +851,7 @@ def test_table_path_validates_first():
     non-associative one raises InvalidAlgebra from ``flat_ring``."""
     ring = PresentedRing.base_field(QQ)
     algebra = power_basis_algebra(ring, [ring.one, ring.zero, ring.zero])
-    constants = [[list(algebra.constants[i][j]) for j in range(3)] for i in range(3)]
+    constants = dense(algebra)
     constants[2][2][1] = constants[2][2][1] + ring.one
     broken = StructureAlgebra(ring, algebra.labels, constants)
     with pytest.raises(InvalidAlgebra) as err:
