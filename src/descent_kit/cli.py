@@ -112,16 +112,13 @@ def _descend_report(result, audited: bool) -> dict:
         from .weil_d import rederive_images, verify_d_hom
 
         rederived = rederive_images(result)
-        unit_images = {
-            g: result.classical.unit_image(g) for g in result.classical.source.generators
-        }
         audit = {
             "matrix_times_inverse_is_identity": (
                 result.matrix.matrix * result.matrix.inverse
                 == RingMatrix.identity(result.matrix.ring, result.matrix.r * result.matrix.l)
             ),
             "unit_is_operator_hom": verify_d_hom(
-                unit_images, result.c_structure, result.structure,
+                result.classical.unit_map(), result.c_structure, result.structure,
                 result.matrix, result.classical,
             ),
             "descent_ideal_closed": result.pre_structure.is_d_ideal(

@@ -161,12 +161,7 @@ def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None,
     c12 = compose_structures(e1, e2, cc)
     c21 = compose_structures(e2, e1, cc_swapped)
     swapped = gamma_swap(c12, cc_swapped)
-    carrier = e1.carrier
-    for v in carrier.variables:
-        for a, b in zip(swapped.structure.images[v], c21.structure.images[v]):
-            if not carrier.equal(a, b):
-                return False
-    return True
+    return swapped.structure.agrees_with(c21.structure, e1.carrier.variables)
 
 
 def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficients = None):
@@ -182,7 +177,7 @@ def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficient
         for idx, (q, p) in enumerate(cc.index_pair):
             vec[idx] = t2.apply_coordinate(q, t1.f_images[i][p])
         f12.append(tuple(vec))
-    return OperatorTower(e12, t1.algebra, cc.product, f12), cc
+    return OperatorTower(e12, t1.algebra, cc.product, f12)
 
 
 def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
@@ -211,17 +206,13 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     w_ring = res1.classical.descended
 
     cc = tensor_coefficients(t2.coeff, t1.coeff)
-    t12, _ = compose_towers(t1, t2, cc)
+    t12 = compose_towers(t1, t2, cc)
     c12 = PresentedBAlgebra(t12, c1.generators, c1.relations_flat)
     g12_struct = c12.structure(_composite_images(g1_struct, g2_struct, cc, c1.generators))
     res12 = descend_d_structure(c12, g12_struct, classical)
 
     composed_w = compose_structures(res1.structure, res2.structure, cc)
-    theta_ok = True
-    for name in w_ring.variables:
-        for a, b in zip(res12.structure.images[name], composed_w.structure.images[name]):
-            if not w_ring.equal(a, b):
-                theta_ok = False
+    theta_ok = res12.structure.agrees_with(composed_w.structure, w_ring.variables)
 
     # composite associated endomorphisms have invertible matrix (pairwise)
     from .descent_matrix import endo_matrix
@@ -232,7 +223,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
 
     # swap compatibility
     cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
-    t21, _ = compose_towers(t2, t1, cc_swapped)
+    t21 = compose_towers(t2, t1, cc_swapped)
     swapped_c = gamma_swap(
         ComposedStructure(cc, g1_struct, g2_struct, g12_struct), cc_swapped
     )
@@ -242,11 +233,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         classical,
     )
     swapped_w = gamma_swap(composed_w, cc_swapped)
-    gamma_ok = True
-    for name in w_ring.variables:
-        for a, b in zip(res_sw.structure.images[name], swapped_w.structure.images[name]):
-            if not w_ring.equal(a, b):
-                gamma_ok = False
+    gamma_ok = res_sw.structure.agrees_with(swapped_w.structure, w_ring.variables)
 
     report = {
         "theta_compatible": theta_ok,
@@ -260,9 +247,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
             gen: (g1_struct.coordinate_op(1, g2_struct.images[gen][0]),)
             for gen in c1.generators
         }
-        t_h, _ = compose_towers(t2, t1, cc_swapped)  # f1 o f2 at the module level
-        c_h = PresentedBAlgebra(t_h, c1.generators, c1.relations_flat)
-        res_h = descend_d_structure(c_h, c_h.structure(h_images), classical)
+        # the swapped tower t21 carries f1 o f2 at the module level
+        res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical, res_sw.matrix)
         law_ok = True
         for name in w_ring.variables:
             direct = res_h.structure.images[name][0]
@@ -317,13 +303,7 @@ def tensor_compose_check(f1: DStructure, f2: DStructure,
     comp_s = compose_structures(f1, f2, cc)
     comp_t = compose_structures(g1, g2, cc)
     rhs, _, _ = comp_s.structure.tensor(comp_t.structure)
-    carrier = lhs.structure.carrier
-    ok = True
-    for v in carrier.variables:
-        for a, b in zip(lhs.structure.images[v], rhs.images[v]):
-            if not carrier.equal(a, b):
-                ok = False
-    return {"ok": ok}
+    return {"ok": lhs.structure.agrees_with(rhs, lhs.structure.carrier.variables)}
 
 
 def check_tensor_associated_endos(f: DStructure, g: DStructure) -> bool:

@@ -104,7 +104,7 @@ def _scalar_constants(algebra: StructureAlgebra):
 
 
 def _span_basis(field, vectors):
-    reduced, pivots = linear.rref(field, vectors) if vectors else ([], [])
+    reduced, _ = linear.rref(field, vectors) if vectors else ([], [])
     return [row for row in reduced if any(not field.is_zero(x) for x in row)]
 
 
@@ -230,10 +230,10 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     certificates.append({"check": "local_with_residue_field_k", "ok": True})
 
     unit_vectors = [list(f[0]) for f in factors]
-    corrected = _corrected_basis(field, unit_vectors, level_spaces)
 
     def mismatch(reason):
-        return StrataMismatch(f"supplied basis is not stratified: {reason}", corrected)
+        return StrataMismatch(f"supplied basis is not stratified: {reason}",
+                              _corrected_basis(field, unit_vectors, level_spaces))
 
     # assign each supplied basis vector to a factor
     factor_of = []

@@ -3,8 +3,11 @@
 For an endomorphism sigma of B the r x r matrix has entries
 lambda_n(sigma(b_i)).  For an operator structure f on B the rl x rl matrix
 has blocks (M_mj)_ni = sum_k a_jkm lambda_n(f_k(b_i)); vectors indexed by
-(i, j) flatten at position (j-1)r + i, so block (m, j) fills rows
-(m-1)r + 1 .. mr and columns (j-1)r + 1 .. jr.  With a stratified
+(i, j) flatten at position (j-1)r + i, so an (i, j) vector is its l
+coordinate vectors (one per j, each of length r) laid one after another,
+and block (m, j) fills rows (m-1)r + 1 .. mr and columns (j-1)r + 1 .. jr.
+``DescentMatrix.pack`` and ``DescentMatrix.unpack`` are the one place that
+layout is built and read.  With a stratified
 coefficient basis the matrix is block lower triangular with the associated
 endomorphism matrices on the diagonal, and that is exactly why its
 invertibility reduces to theirs.  The shape is not re-checked here: it
@@ -53,6 +56,17 @@ class DescentMatrix:
     def position(self, i: int, j: int) -> int:
         """Flat index of the (i, j) vector entry, both 0-based."""
         return j * self.r + i
+
+    def pack(self, blocks):
+        """The (i, j) vector whose entry at ``position(i, j)`` is
+        ``blocks[j][i]``: the l length-r blocks laid one after another."""
+        return [x for block in blocks for x in block]
+
+    def unpack(self, vector):
+        """For each i, the tuple of entries (i, 0), ..., (i, l - 1) of an
+        (i, j) vector."""
+        r = self.r
+        return [tuple(vector[j * r + i] for j in range(self.l)) for i in range(r)]
 
     def render(self):
         return self.matrix.render()
@@ -211,7 +225,6 @@ def invertibility_equivalences(tower_or_algebra, sigma_images) -> dict:
     x = [[ring.field.one if i == j else ring.field.zero for j in range(r)] for i in range(r)]
     if r >= 2:
         x[0][1] = ring.field.one
-    x_ring = RingMatrix.from_scalars(ring, x)
     y_ring = RingMatrix.from_scalars(ring, linear.inverse(ring.field, x))
     # sigma(b'_i) = sum_j X_ji sigma(b_j); coordinates in the b' basis are Y * lambda
     cols = []

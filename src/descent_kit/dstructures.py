@@ -15,6 +15,7 @@ from .errors import (
     CarrierMismatch,
     NotDIdeal,
     NotWellDefined,
+    ResourceLimit,
     TruncationExceeded,
 )
 from .groebner import buchberger
@@ -100,6 +101,14 @@ class DStructure:
                 raise ValueError(f"letter {letter} outside 1..{self.coeff.dim}")
             out = self.coordinate_op(letter, out)
         return out
+
+    def agrees_with(self, other: "DStructure", variables) -> bool:
+        """Does ``other``, a structure on the same carrier, give every one of
+        ``variables`` the same image as this structure, coordinate by
+        coordinate?"""
+        equal = self.carrier.equal
+        return all(equal(a, b) for v in variables
+                   for a, b in zip(self.images[v], other.images[v]))
 
     # -- associated endomorphisms ---------------------------------------------
 
@@ -234,13 +243,19 @@ class DStructure:
         return DStructure(ring, self.coeff, images, base=self.base), map_s, map_t
 
 
+# the most variables a truncated window may adjoin
+MAX_WINDOW_VARIABLES = 2**14
+
+
 def truncated_operator_polynomials(base_structure: DStructure, names, depth: int):
     """A finite window of the free operator-polynomial algebra.
 
     Adjoins variables ``t_w`` for every name t and operator word w of length
     at most ``depth``; e sends ``t_w`` to sum_j t_wj eps_j while it fits in
     the window, and variables at the boundary have unassigned images (using
-    them raises TruncationExceeded).
+    them raises TruncationExceeded).  The window has names x (1 + l + ... +
+    l^depth) variables; each level of words is counted before it is built,
+    and ResourceLimit is raised when the count passes MAX_WINDOW_VARIABLES.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -253,7 +268,12 @@ def truncated_operator_polynomials(base_structure: DStructure, names, depth: int
 
     words = [()]
     frontier = [()]
-    for _ in range(depth):
+    for _ in range(depth if names else 0):
+        if len(names) * (len(words) + l * len(frontier)) > MAX_WINDOW_VARIABLES:
+            raise ResourceLimit(
+                f"the operator-polynomial window of depth {depth} with {len(names)} name(s)"
+                f" and l = {l} has more than {MAX_WINDOW_VARIABLES} variables"
+            )
         frontier = [w + (j,) for w in frontier for j in range(1, l + 1)]
         words.extend(frontier)
     new_vars = [var_name(n, w) for n in names for w in words]

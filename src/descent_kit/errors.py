@@ -35,7 +35,7 @@ class NotAUnit(DescentKitError):
 
 
 class VariableClash(DescentKitError):
-    """Two presentations share variable names and renaming is disabled."""
+    """A variable adjoined to a presented ring is already one of its variables."""
 
 
 class InvalidAlgebra(DescentKitError):

@@ -206,7 +206,7 @@ def _buchberger_core(gens, order, budget, track, known=0):
 
     processed = 0
     while pairs:
-        deg, i, j = heapq.heappop(pairs)
+        _, i, j = heapq.heappop(pairs)
         processed += 1
         if processed > budget:
             raise ResourceLimit(f"Groebner pair budget {budget} exceeded")

@@ -186,29 +186,28 @@ def enumerate_homs(source: PresentedRing, target: PresentedRing, fixed: dict = N
 def enumerate_descended_homs(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET):
     """Operator homomorphisms W(C) -> R: enumerate algebra maps, then gate.
 
-    Returns (gated, all_algebra_homs); each gated entry is a pair
-    (phi, psi) with psi = tau_d_forward(phi), the image the gate produced.
+    Returns the gated maps, each as a pair (phi, psi) with
+    psi = tau_d_forward(phi), the image the gate produced.
     """
     target = u_structure.carrier
     fixed = {
         v: Polynomial.variable(target.field, v)
         for v in result.classical.source.tower.base_ring.variables
     }
-    algebra_homs = enumerate_homs(result.descended, target, fixed, budget)
     gated = []
-    for phi in algebra_homs:
+    for phi in enumerate_homs(result.descended, target, fixed, budget):
         try:
             psi = tau_d_forward(phi, u_structure, result)
         except NotADHomomorphism:
             continue
         gated.append((phi, psi))
-    return gated, algebra_homs
+    return gated
 
 
 def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET):
     """Operator homomorphisms C -> R (x) B over B: enumerate, then gate.
 
-    Returns (gated, all_b_algebra_homs); images are AlgebraElements over R.
+    Returns the gated maps; images are AlgebraElements over R.
     """
     c = result.classical.source
     tower = c.tower
@@ -218,15 +217,13 @@ def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = D
     fixed = {
         v: Polynomial.variable(flat_target.field, v) for v in tower.flat_b.variables
     }
-    algebra_homs = enumerate_homs(c.flat_ring, flat_target, fixed, budget)
-    all_homs, gated = [], []
-    for psi_flat in algebra_homs:
+    gated = []
+    for psi_flat in enumerate_homs(c.flat_ring, flat_target, fixed, budget):
         psi = {g: ext.coordinatize(psi_flat[g]) for g in c.generators}
-        all_homs.append(psi)
         if verify_d_hom(psi, result.c_structure, u_structure, result.matrix,
                         result.classical):
             gated.append(psi)
-    return gated, all_homs
+    return gated
 
 
 def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET) -> dict:
@@ -237,8 +234,8 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     back by ``tau_d_inverse``, which verifies it again on its own.
     """
     target = u_structure.carrier
-    downstairs, _ = enumerate_descended_homs(result, u_structure, budget)
-    upstairs, _ = enumerate_upstairs_homs(result, u_structure, budget)
+    downstairs = enumerate_descended_homs(result, u_structure, budget)
+    upstairs = enumerate_upstairs_homs(result, u_structure, budget)
     c_gens = result.classical.source.generators
 
     def psi_key(psi):
@@ -292,13 +289,8 @@ def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
     and NonInvertibleMatrix names that entry.
     """
     ring = tower.base_ring
-    r, l = tower.rank, tower.coeff.dim
     dm = associated_matrix(tower) if matrix is None else matrix
-    rhs = [None] * (r * l)
-    for j in range(l):
-        beta = z_coords[j]
-        for i in range(r):
-            rhs[dm.position(i, j)] = ring.nf(beta.coords[i])
+    rhs = dm.pack(beta.coords for beta in z_coords)
     try:
         solution = linear.solve(ring, dm.matrix.rows, rhs)
     except NotAUnit as exc:

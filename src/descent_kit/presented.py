@@ -198,14 +198,13 @@ def _suffix_rename(names, taken, suffix):
     return mapping
 
 
-def tensor_presented(S: PresentedRing, T: PresentedRing, rename: bool = True):
+def tensor_presented(S: PresentedRing, T: PresentedRing):
     """S tensor T over their common base ring.
 
     Both factors must present the same base (same ``base_vars`` naming the
     same subring).  Returns ``(ring, map_S, map_T)`` where the maps send each
     factor's variables to their images in the tensor presentation.  Clashing
-    non-base variables are renamed with positional suffixes ``(1)``/``(2)``
-    unless ``rename`` is disabled.
+    non-base variables are renamed with positional suffixes ``(1)``/``(2)``.
     """
     if S.field != T.field or S.base_vars != T.base_vars:
         raise ValueError("tensor factors must share the base presentation")
@@ -216,8 +215,6 @@ def tensor_presented(S: PresentedRing, T: PresentedRing, rename: bool = True):
     map_s = {v: v for v in S.variables}
     map_t = {v: v for v in T.variables}
     if clash:
-        if not rename:
-            raise VariableClash(f"clashing tensor variables: {sorted(clash)}")
         taken = set(base) | set(s_own) | set(t_own)
         ren_s = _suffix_rename([v for v in s_own if v in clash], taken, 1)
         ren_t = _suffix_rename([v for v in t_own if v in clash], taken, 2)

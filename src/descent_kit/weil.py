@@ -25,7 +25,8 @@ from .tower import PresentedBAlgebra
 class WeilDescentResult:
     """The descended presentation, the descent ideal, and the unit map."""
 
-    __slots__ = ("source", "descended", "ideal_generators", "copy_names", "pre_ring")
+    __slots__ = ("source", "descended", "ideal_generators", "copy_names", "pre_ring",
+                 "_unit_maps")
 
     def __init__(self, source, descended, ideal_generators, copy_names, pre_ring):
         self.source = source
@@ -33,10 +34,29 @@ class WeilDescentResult:
         self.ideal_generators = ideal_generators
         self.copy_names = copy_names
         self.pre_ring = pre_ring
+        self._unit_maps = {}
+
+    def unit_map(self, ring: PresentedRing = None) -> dict:
+        """The unit map {x: sum_i x(i) b_i} into W(C) (x) B (or into R (x) B
+        for a supplied R that holds the copy variables).
+
+        Built once per ring object and kept (each image keeps its ring
+        alive, so the id cannot be reused); callers must not mutate it.
+        """
+        target = ring if ring is not None else self.descended
+        units = self._unit_maps.get(id(target))
+        if units is None:
+            algebra = self.tensor_algebra(target)
+            field = target.field
+            units = self._unit_maps[id(target)] = {
+                g: algebra.element([Polynomial.variable(field, name) for name in names])
+                for g, names in self.copy_names.items()
+            }
+        return units
 
     def unit_image(self, gen: str) -> AlgebraElement:
         """The unit map's value at a generator, as coordinates over W(C)."""
-        return self._unit_element(self.tensor_algebra(), gen)
+        return self.unit_map()[gen]
 
     def for_algebra(self, c: PresentedBAlgebra) -> "WeilDescentResult":
         """This descent as the descent of ``c``, which must present the same
@@ -45,9 +65,11 @@ class WeilDescentResult:
         if (c.tower.algebra != src.tower.algebra or c.generators != src.generators
                 or c.relations_flat != src.relations_flat):
             raise ValueError("the classical descent belongs to a different algebra")
-        return WeilDescentResult(
+        shared = WeilDescentResult(
             c, self.descended, self.ideal_generators, self.copy_names, self.pre_ring
         )
+        shared._unit_maps = self._unit_maps
+        return shared
 
     def tensor_algebra(self, ring: PresentedRing = None) -> StructureAlgebra:
         """W(C) (x)_A B (or R (x)_A B for a supplied R)."""
@@ -55,17 +77,9 @@ class WeilDescentResult:
         return self.source.tower.algebra.base_change(target)
 
     def evaluate_under_unit(self, flat: Polynomial, ring: PresentedRing = None) -> AlgebraElement:
-        """Push a flat element of B[T] through the unit map into W(C) (x) B."""
-        algebra = self.tensor_algebra(ring)
-        extra = {g: self._unit_element(algebra, g) for g in self.source.generators}
-        return algebra.coordinatize(flat, extra)
-
-    def _unit_element(self, algebra: StructureAlgebra, gen: str) -> AlgebraElement:
-        """The unit image of ``gen`` in ``algebra``, a base change of B."""
-        field = algebra.base.field
-        return algebra.element(
-            [Polynomial.variable(field, name) for name in self.copy_names[gen]]
-        )
+        """Push a flat element of B[T] through the unit map into W(C) (x) B
+        (or into R (x) B for a supplied R)."""
+        return self.tensor_algebra(ring).coordinatize(flat, self.unit_map(ring))
 
     def pinned_env(self, images: dict, field) -> dict:
         """``images`` of the copy variables, with A's variables sent to themselves."""
@@ -92,22 +106,17 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
     all_names = [name for g in c.generators for name in copy_names[g]]
     pre_ring = a_ring.extend(tuple(all_names), (), base_vars=a_ring.variables)
 
-    algebra_pre = tower.algebra.base_change(pre_ring)
-    unit_env = {
-        g: algebra_pre.element(
-            [Polynomial.variable(pre_ring.field, n) for n in copy_names[g]]
-        )
-        for g in c.generators
-    }
-    ideal_generators = []
-    for rel in c.relations_flat:
-        image = algebra_pre.coordinatize(rel, unit_env)
-        ideal_generators.extend(pre_ring.nf(coord) for coord in image.coords)
-
+    # the descent ideal is read off the unit map on pre_ring, so the result
+    # holds that map before its descended ring exists
+    result = WeilDescentResult(c, None, (), copy_names, pre_ring)
+    algebra_pre, unit_env = result.tensor_algebra(pre_ring), result.unit_map(pre_ring)
+    result.ideal_generators = tuple(
+        coord for rel in c.relations_flat
+        for coord in algebra_pre.coordinatize(rel, unit_env).coords
+    )
     # the descended ring is the pre-quotient ring's extension by the ideal, so
     # a quotient of a structure on pre_ring by the same ideal is this object
-    descended = pre_ring.extend((), ideal_generators, base_vars=a_ring.variables)
-    result = WeilDescentResult(c, descended, tuple(ideal_generators), copy_names, pre_ring)
+    result.descended = pre_ring.extend((), result.ideal_generators, base_vars=a_ring.variables)
 
     # the unit map must kill every relation of C in W(C) (x) B
     for rel in c.relations_flat:
@@ -161,7 +170,7 @@ def tau_inverse(psi_images: dict, target: PresentedRing, result: WeilDescentResu
     for g in result.source.generators:
         el = psi_images[g]
         for i, name in enumerate(result.copy_names[g]):
-            phi[name] = target.nf(el.coords[i])
+            phi[name] = el.coords[i]
     if result.ideal_violation(result.pinned_env(phi, target.field), target) is not None:
         raise NotAHomomorphism("coordinate map does not kill the descent ideal")
     return phi
@@ -176,7 +185,7 @@ def descend_morphism(h_images: dict, source: WeilDescentResult, target: WeilDesc
     for g in source.source.generators:
         image = target.evaluate_under_unit(h_images[g])
         for i, name in enumerate(source.copy_names[g]):
-            out[name] = target.descended.nf(image.coords[i])
+            out[name] = image.coords[i]
     env = source.pinned_env(out, target.descended.field)
     if source.ideal_violation(env, target.descended) is not None:
         raise NotAHomomorphism("descended morphism does not kill the descent ideal")

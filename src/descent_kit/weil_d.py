@@ -40,17 +40,14 @@ class DDescentResult:
         return self.classical.descended
 
 
-def _unit_coordinate_vector(result: WeilDescentResult, g_structure: DStructure, gen: str,
-                            ring: PresentedRing, matrix: DescentMatrix):
-    """The vector (lambda_i of unit image of g_j(gen)) in the (i, j) layout."""
-    r, l = matrix.r, matrix.l
-    vec = [None] * (r * l)
-    images = g_structure.images[gen]
-    for j in range(l):
-        coords = result.evaluate_under_unit(images[j], ring).coords
-        for i in range(r):
-            vec[matrix.position(i, j)] = ring.nf(coords[i])
-    return vec
+def _image_vector(result: WeilDescentResult, g_structure: DStructure, gen: str,
+                  substitution: dict, ring: PresentedRing, matrix: DescentMatrix):
+    """The (i, j) vector (lambda_i of g_j(gen)), with C's generators sent by
+    ``substitution`` into ``ring`` (x) B: the unit map, or a map psi."""
+    ext = result.tensor_algebra(ring)
+    return matrix.pack(
+        [ext.coordinatize(image, substitution).coords for image in g_structure.images[gen]]
+    )
 
 
 def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStructure,
@@ -62,28 +59,16 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
     both sides assemble into algebra homomorphisms into D(R (x) B).
     """
     target = u_structure.carrier
-    r, l = matrix.r, matrix.l
     lifted = matrix.lift(target)
-    ext = result.tensor_algebra(target)
+    psi = {x: psi_images[x] for x in result.source.generators}
     for gen in result.source.generators:
-        lhs = [None] * (r * l)
-        for j in range(l):
-            image_j = g_structure.images[gen][j]
-            coords = ext.coordinatize(image_j, {
-                x: psi_images[x] for x in result.source.generators
-            }).coords
-            for i in range(r):
-                lhs[matrix.position(i, j)] = target.nf(coords[i])
-        rhs_in = [None] * (r * l)
-        for j in range(l):
-            for i in range(r):
-                rhs_in[matrix.position(i, j)] = u_structure.coordinate_op(
-                    j + 1, psi_images[gen].coords[i]
-                )
-        rhs = lifted.apply(rhs_in)
-        for a, b in zip(lhs, rhs):
-            if not target.equal(a, b):
-                return False
+        lhs = _image_vector(result, g_structure, gen, psi, target, matrix)
+        rhs = lifted.apply(matrix.pack(
+            [[u_structure.coordinate_op(j, c) for c in psi[gen].coords]
+             for j in range(1, matrix.l + 1)]
+        ))
+        if not all(target.equal(a, b) for a, b in zip(lhs, rhs)):
+            return False
     return True
 
 
@@ -119,13 +104,11 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     # operator images of the copy variables on the pre-quotient ring
     pre_ring = classical.pre_ring
     inverse_pre = matrix.lift_inverse(pre_ring)
-    r, l = matrix.r, matrix.l
+    units_pre = classical.unit_map(pre_ring)
     pre_images = {v: tower.e.images[v] for v in tower.base_ring.variables}
     for gen in c.generators:
-        vec = _unit_coordinate_vector(classical, g_structure, gen, pre_ring, matrix)
-        solved = inverse_pre.apply(vec)
-        for i, name in enumerate(classical.copy_names[gen]):
-            pre_images[name] = tuple(solved[matrix.position(i, j)] for j in range(l))
+        vec = _image_vector(classical, g_structure, gen, units_pre, pre_ring, matrix)
+        pre_images.update(zip(classical.copy_names[gen], matrix.unpack(inverse_pre.apply(vec))))
     # well defined because e is: pre_ring only adds free copy variables to A
     pre_structure = DStructure(pre_ring, tower.coeff, pre_images, base=tower.e)
 
@@ -140,8 +123,7 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
         )
     certificates.append({"check": "quotient_structure", "ok": True})
 
-    unit_images = {g: classical.unit_image(g) for g in c.generators}
-    if not verify_d_hom(unit_images, g_structure, structure, matrix, classical):
+    if not verify_d_hom(classical.unit_map(), g_structure, structure, matrix, classical):
         raise NotADHomomorphism("unit map fails the operator-homomorphism identity")
     certificates.append({"check": "unit_is_operator_hom", "ok": True})
 
@@ -166,14 +148,13 @@ def rederive_images(result: DDescentResult) -> dict:
     matrix = result.matrix
     ring = classical.descended
     gens = classical.source.generators
+    units = classical.unit_map()
     vectors = [
-        _unit_coordinate_vector(classical, result.c_structure, gen, ring, matrix)
-        for gen in gens
+        _image_vector(classical, result.c_structure, gen, units, ring, matrix) for gen in gens
     ]
     out = {}
     for gen, solved in zip(gens, matrix.lift(ring).solve_cramer(vectors)):
-        for i, name in enumerate(classical.copy_names[gen]):
-            out[name] = tuple(solved[matrix.position(i, j)] for j in range(matrix.l))
+        out.update(zip(classical.copy_names[gen], matrix.unpack(solved)))
     return out
 
 
@@ -230,13 +211,9 @@ def descended_endomorphisms_check(result: DDescentResult) -> dict:
             for gen in c.generators
         }
         sub_result = descend_d_structure(sub_c, sub_c.structure(eta_images))
-        agree = True
-        for gen in c.generators:
-            for name in result.classical.copy_names[gen]:
-                lhs = sub_result.structure.images[name][0]
-                rhs = rho[factor].images[name][0]
-                if not result.descended.equal(lhs, rhs):
-                    agree = False
+        agree = rho[factor].agrees_with(sub_result.structure, [
+            name for gen in c.generators for name in result.classical.copy_names[gen]
+        ])
         # trivial associated endomorphism descends to the identity
         identity_in = all(
             result.c_structure.carrier.equal(

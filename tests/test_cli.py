@@ -38,6 +38,18 @@ def test_validate_with_truncation_window(tmp_path):
     assert sorted(report["truncated_window"]["variables"]) == ["t", "t_1", "t_2"]
 
 
+def test_truncation_window_over_the_bound_is_an_error_report(tmp_path):
+    """Depth 40 with one name and l = 2 would adjoin 2^41 - 1 variables; the
+    window is counted before it is built and refused at once."""
+    code, report = run_cli(
+        ["validate", "--input", str(FIXTURES / "differential.json"), "--truncate", "40"],
+        tmp_path,
+    )
+    assert (code, report["status"], report["error"]) == (1, "error", "ResourceLimit")
+    assert report["detail"] == ("the operator-polynomial window of depth 40 with 1 name(s)"
+                                " and l = 2 has more than 16384 variables")
+
+
 def test_matrix_on_introduction_instance(tmp_path):
     code, report = run_cli(
         ["matrix", "--input", str(FIXTURES / "introduction.json")], tmp_path

@@ -22,7 +22,7 @@ from descent_kit import (
     tensor_coefficients,
     truncated_jets,
 )
-from descent_kit import linear
+from descent_kit import dalgebra, linear
 from descent_kit.errors import (
     BadIdempotents,
     NotLocalFactor,
@@ -154,6 +154,18 @@ def test_strata_mismatch_reports_corrected_basis():
     with pytest.raises(StrataMismatch) as err:
         build_d_algebra(alg, [((QQ.zero, QQ.one), ((QQ.one, QQ.zero),))])
     assert err.value.corrected_basis == [(QQ.zero, QQ.one), (QQ.one, QQ.zero)]
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_BUILDERS))
+def test_valid_algebra_builds_no_corrected_basis(name, monkeypatch):
+    """The corrected basis is computed only for the StrataMismatch that
+    carries it, never for a D that validates."""
+    def refuse(*args):
+        raise AssertionError("corrected basis built for a valid D")
+
+    monkeypatch.setattr(dalgebra, "_corrected_basis", refuse)
+    left = COEFF_BUILDERS[name](QQ)
+    tensor_coefficients(left, dual_numbers(QQ))
 
 
 def test_stratified_constant_facts_hold():

@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from descent_kit import (
     GF,
     QQ,
+    DescentMatrix,
     DStructure,
     OperatorTower,
     PresentedRing,
@@ -296,3 +298,17 @@ def test_lift_is_built_once_per_ring():
     assert lifted.ring is r and lifted.rows == dm.matrix.rows
     other = dm.lift(PresentedRing.make(GF(2), ("u",), []))
     assert other is not lifted and other.rows == dm.matrix.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 6), l=st.integers(1, 6))
+def test_pack_and_unpack_follow_position(r, l):
+    """pack puts blocks[j][i] at position(i, j); unpack reads entry (i, j) of
+    every j back for each i."""
+    ring = PresentedRing.base_field(QQ)
+    dm = DescentMatrix(ring, r, l, RingMatrix.identity(ring, r * l))
+    vector = dm.pack([[(i, j) for i in range(r)] for j in range(l)])
+    assert len(vector) == r * l
+    assert all(vector[dm.position(i, j)] == (i, j) for i in range(r) for j in range(l))
+    assert sorted(dm.position(i, j) for i in range(r) for j in range(l)) == list(range(r * l))
+    assert dm.unpack(vector) == [tuple((i, j) for j in range(l)) for i in range(r)]

@@ -14,7 +14,14 @@ from descent_kit import (
     product_of_fields,
     truncated_operator_polynomials,
 )
-from descent_kit.errors import BaseMismatch, NotDIdeal, NotWellDefined, TruncationExceeded
+from descent_kit import dstructures
+from descent_kit.errors import (
+    BaseMismatch,
+    NotDIdeal,
+    NotWellDefined,
+    ResourceLimit,
+    TruncationExceeded,
+)
 
 
 @pytest.fixture
@@ -217,6 +224,18 @@ def test_truncated_window_depths():
     assert w1.carrier.render(img[1]) == "t_2"
     with pytest.raises(TruncationExceeded):
         w1.word_apply("11", w1.carrier.var("t"))
+
+
+def test_truncated_window_bound(monkeypatch):
+    """A window may have exactly MAX_WINDOW_VARIABLES variables, not one more:
+    with two names and l = 2, depth 2 has 2 x 7 = 14 variables and depth 3
+    has 30.  A window with no names adds no variables at any depth."""
+    monkeypatch.setattr(dstructures, "MAX_WINDOW_VARIABLES", 14)
+    base = DStructure.identity(PresentedRing.base_field(QQ), dual_numbers(QQ))
+    assert len(truncated_operator_polynomials(base, ["s", "t"], 2).carrier.variables) == 14
+    with pytest.raises(ResourceLimit):
+        truncated_operator_polynomials(base, ["s", "t"], 3)
+    assert truncated_operator_polynomials(base, [], 40).carrier.variables == ()
 
 
 def test_window_evaluation_matches_words(qt):

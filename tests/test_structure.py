@@ -198,12 +198,13 @@ def test_tensor_dimension_count():
     assert len(st.staircase()) == 4
 
 
-def test_tensor_clash_renames_or_errors():
+def test_tensor_clash_renames():
     s = PresentedRing.make(QQ, ("x",), [])
     res, ms, mt = tensor_presented(s, s)
     assert res.variables == ("x(1)", "x(2)")
+    assert (ms, mt) == ({"x": "x(1)"}, {"x": "x(2)"})
     with pytest.raises(VariableClash):
-        tensor_presented(s, s, rename=False)
+        s.extend(("x",))
 
 
 # -- the evaluation kernel against its reference --------------------------------

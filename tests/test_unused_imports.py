@@ -1,14 +1,18 @@
-"""Every name a module of the package imports is used in that module, and
-every private function and method of the package is used somewhere in it.
+"""Every name a module of the package imports is used in that module,
+every private function and method of the package is used somewhere in it,
+and every local a function assigns is read.
 
 No linter ships with the test dependencies, so these are the lint rules
-kept as tests: an import left behind by a refactor fails the first, and a
-function left behind by a deleted call fails the second.  Package
-``__init__.py`` re-exports its imports and is not checked for them;
-``__future__`` imports are directives, not names.  A private function is a
-module-level function or a method whose name starts with one underscore
-(dunder methods are called by Python); it is used when some module names
-it, as a name, an attribute or an import, outside its own body.
+kept as tests: an import left behind by a refactor fails the first, a
+function left behind by a deleted call fails the second, and a value
+computed and thrown away fails the third.  Package ``__init__.py``
+re-exports its imports and is not checked for them; ``__future__`` imports
+are directives, not names.  A private function is a module-level function
+or a method whose name starts with one underscore (dunder methods are
+called by Python); it is used when some module names it, as a name, an
+attribute or an import, outside its own body.  A local is read when the
+function, or a function nested in it, loads it; a target that is never
+read is spelled ``_``.
 """
 
 import ast
@@ -136,3 +140,60 @@ def test_an_unused_private_function_is_reported():
     }
     assert unused_private_functions(sources) == [("a.py", 3, "_left_behind"),
                                                  ("a.py", 10, "_orphan")]
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(func):
+    """The nodes of ``func``'s body, not descending into nested scopes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str):
+    """(line, name) of every local a function assigns and never reads."""
+    unused = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = {}, set()
+        for node in own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unused += [(line, name) for name, line in stored.items()
+                   if name != "_" and name not in read | declared]
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_every_local_it_assigns(module):
+    assert unused_locals((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_local_is_reported():
+    source = "\n".join([
+        "def f(rows):",
+        "    reduced, pivots = rows, []",
+        "    kept, _ = rows, []",
+        "    total = 0",
+        "    for _ in rows:",
+        "        total += 1",
+        "    count = len(rows)",
+        "    def inner():",
+        "        return count + len(kept)",
+        "    return reduced, inner",
+        "def g():",
+        "    global seen",
+        "    seen = 1",
+        "    width = 2",
+    ])
+    assert unused_locals(source) == [(2, "pivots"), (4, "total"), (14, "width")]

@@ -278,6 +278,24 @@ def test_compose_check_descends_the_loaded_structure(tmp_path, monkeypatch):
     assert descended[0] is loaded[0].g_structure
 
 
+def test_compose_check_composes_each_tower_once(tmp_path, monkeypatch):
+    """compose-check on compose_difference.json builds the composite tower and
+    the swapped one once each: the difference-law descent composes f1 o f2,
+    which is the swapped tower, and reuses it with its inverted matrix."""
+    calls = [0]
+    original = compose.compose_towers
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compose, "compose_towers", counted)
+    code = run_cli(["compose-check", "--input", str(FIXTURES / "compose_difference.json")],
+                   tmp_path)
+    assert code == 0
+    assert calls[0] == 2
+
+
 def count_multiplications(monkeypatch):
     calls = [0]
     original = StructureAlgebra.multiply_coords
