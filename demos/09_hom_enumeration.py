@@ -46,7 +46,7 @@ Bq = StructureAlgebra(Aq, ("1", "eps"),
 dq = difference_algebra(QQ)
 tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, dq,
                           [[Bq.basis_el(0)], [Bq.zero_el()]])
-evidence = adjoint_evidence(tau_tower, [Bq.basis_el(1)], "x")
+evidence = adjoint_evidence(tau_tower, [Bq.basis_el(1)])
 print("for the structure x -> eps, the unit would force")
 print("   ", evidence["system_rhs"], "=", evidence["system_matrix"], "* x_bar")
 print("solvable over the base:", evidence["solvable"])

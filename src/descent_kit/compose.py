@@ -11,6 +11,7 @@ on concrete instances, that composition and commutation survive descent.
 from __future__ import annotations
 
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
+from .descent_matrix import endo_matrix
 from .dstructures import DStructure
 from .errors import CarrierMismatch, CertificateFailure
 from .presented import PresentedRing
@@ -98,25 +99,25 @@ def tensor_coefficients(left: DCoefficientAlgebra, right: DCoefficientAlgebra) -
 class ComposedStructure:
     """The composite of a D1-structure with a D2-structure."""
 
-    __slots__ = ("coefficients", "first", "second", "structure")
+    __slots__ = ("coefficients", "structure")
 
-    def __init__(self, coefficients, first, second, structure):
+    def __init__(self, coefficients, structure):
         self.coefficients = coefficients
-        self.first = first
-        self.second = second
         self.structure = structure
+
+
+def _pair_vector(cc: ComposedCoefficients, entry):
+    """The vector indexed by the basis pairs of ``cc``: pair (q, p) holds
+    ``entry(q, p)``."""
+    return tuple(entry(q, p) for q, p in cc.index_pair)
 
 
 def _composite_images(e1: DStructure, e2: DStructure, cc: ComposedCoefficients, variables):
     """Images of the composite at ``variables``: pair (q, p) carries e2_q o e1_p."""
-    images = {}
-    for v in variables:
-        first = e1.images[v]
-        vec = [None] * len(cc.index_pair)
-        for idx, (q, p) in enumerate(cc.index_pair):
-            vec[idx] = e2.coordinate_op(q + 1, first[p])
-        images[v] = tuple(vec)
-    return images
+    return {
+        v: _pair_vector(cc, lambda q, p: e2.coordinate_op(q + 1, e1.images[v][p]))
+        for v in variables
+    }
 
 
 def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None) -> ComposedStructure:
@@ -128,7 +129,7 @@ def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients 
     structure = DStructure(
         e1.carrier, cc.product, _composite_images(e1, e2, cc, e1.carrier.variables)
     )
-    return ComposedStructure(cc, e1, e2, structure)
+    return ComposedStructure(cc, structure)
 
 
 def gamma_swap(cs: ComposedStructure, cc_swapped: ComposedCoefficients = None) -> ComposedStructure:
@@ -137,15 +138,12 @@ def gamma_swap(cs: ComposedStructure, cc_swapped: ComposedCoefficients = None) -
     if cc_swapped is None:
         cc_swapped = tensor_coefficients(cc.right, cc.left)
     carrier = cs.structure.carrier
-    images = {}
-    for v in carrier.variables:
-        old = cs.structure.images[v]
-        vec = [None] * len(cc_swapped.index_pair)
-        for idx, (p, q) in enumerate(cc_swapped.index_pair):
-            vec[idx] = old[cc.pair_index[(q, p)]]
-        images[v] = tuple(vec)
-    structure = DStructure(carrier, cc_swapped.product, images)
-    return ComposedStructure(cc_swapped, cs.second, cs.first, structure)
+    old = cs.structure.images
+    images = {
+        v: _pair_vector(cc_swapped, lambda p, q: old[v][cc.pair_index[(q, p)]])
+        for v in carrier.variables
+    }
+    return ComposedStructure(cc_swapped, DStructure(carrier, cc_swapped.product, images))
 
 
 def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None,
@@ -171,12 +169,7 @@ def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficient
     if cc is None:
         cc = tensor_coefficients(t2.coeff, t1.coeff)
     e12 = compose_structures(t1.e, t2.e, cc).structure
-    f12 = []
-    for i in range(t1.rank):
-        vec = [None] * len(cc.index_pair)
-        for idx, (q, p) in enumerate(cc.index_pair):
-            vec[idx] = t2.apply_coordinate(q, t1.f_images[i][p])
-        f12.append(tuple(vec))
+    f12 = [_pair_vector(cc, lambda q, p: t2.apply_coordinate(q, row[p])) for row in t1.f_images]
     return OperatorTower(e12, t1.algebra, cc.product, f12)
 
 
@@ -215,7 +208,6 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     theta_ok = res12.structure.agrees_with(composed_w.structure, w_ring.variables)
 
     # composite associated endomorphisms have invertible matrix (pairwise)
-    from .descent_matrix import endo_matrix
     pair_invertible = []
     for factor in range(cc.product.factor_count):
         det = endo_matrix(t12.algebra, t12.endo_images(factor)).det()
@@ -224,9 +216,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     # swap compatibility
     cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
     t21 = compose_towers(t2, t1, cc_swapped)
-    swapped_c = gamma_swap(
-        ComposedStructure(cc, g1_struct, g2_struct, g12_struct), cc_swapped
-    )
+    swapped_c = gamma_swap(ComposedStructure(cc, g12_struct), cc_swapped)
     c_sw = PresentedBAlgebra(t21, c1.generators, c1.relations_flat)
     res_sw = descend_d_structure(
         c_sw, c_sw.structure({g: swapped_c.structure.images[g] for g in c1.generators}),
@@ -243,35 +233,21 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
 
     if t1.coeff.dim == 1 and t2.coeff.dim == 1:
         # difference case: (g1 o g2)^W = g1^W o g2^W and identities descend
-        h_images = {
-            gen: (g1_struct.coordinate_op(1, g2_struct.images[gen][0]),)
-            for gen in c1.generators
-        }
+        h_images = _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators)
         # the swapped tower t21 carries f1 o f2 at the module level
         res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical, res_sw.matrix)
-        law_ok = True
-        for name in w_ring.variables:
-            direct = res_h.structure.images[name][0]
-            chained = res1.structure.coordinate_op(1, res2.structure.images[name][0])
-            if not w_ring.equal(direct, chained):
-                law_ok = False
+        chained = compose_structures(res2.structure, res1.structure, cc_swapped).structure
+        law_ok = res_h.structure.agrees_with(chained, w_ring.variables)
         id_tower = OperatorTower(
             DStructure.identity(t1.base_ring, t1.coeff), t1.algebra, t1.coeff,
             [[t1.algebra.basis_el(i)] for i in range(t1.rank)],
         )
         id_c = PresentedBAlgebra(id_tower, c1.generators, c1.relations_flat)
-        from .polynomials import Polynomial
-        id_images = {
-            gen: (Polynomial.variable(w_ring.field, gen),) for gen in c1.generators
-        }
+        id_images = {gen: (id_c.flat_ring.var(gen),) for gen in c1.generators}
         id_res = descend_d_structure(id_c, id_c.structure(id_images), classical)
-        id_ok = all(
-            w_ring.equal(
-                id_res.structure.images[name][0],
-                w_ring.var(name),
-            )
-            for name in w_ring.variables
-            if name not in t1.base_ring.variables
+        id_ok = id_res.structure.agrees_with(
+            DStructure.identity(w_ring, t1.coeff),
+            [name for name in w_ring.variables if name not in t1.base_ring.variables],
         )
         report["difference_monoid_law"] = law_ok
         report["identity_descends_to_identity"] = id_ok
@@ -313,16 +289,10 @@ def check_tensor_associated_endos(f: DStructure, g: DStructure) -> bool:
     sigma = f.associated_endomorphisms()
     tau = g.associated_endomorphisms()
     rho = tens.associated_endomorphisms()
-    from .polynomials import Polynomial
-    for i in range(f.coeff.factor_count):
-        subs_s = {v: Polynomial.variable(carrier.field, w) for v, w in map_s.items()}
-        subs_t = {v: Polynomial.variable(carrier.field, w) for v, w in map_t.items()}
-        for v in f.carrier.variables:
-            expected = sigma[i].images[v][0].substitute(subs_s)
-            if not carrier.equal(rho[i].images[map_s[v]][0], expected):
-                return False
-        for v in g.carrier.variables:
-            expected = tau[i].images[v][0].substitute(subs_t)
-            if not carrier.equal(rho[i].images[map_t[v]][0], expected):
-                return False
+    for factors, mapping in ((sigma, map_s), (tau, map_t)):
+        subs = {v: carrier.var(w) for v, w in mapping.items()}
+        for i, endo in enumerate(factors):
+            for v, w in mapping.items():
+                if not carrier.equal(rho[i].images[w][0], endo.images[v][0].substitute(subs)):
+                    return False
     return True

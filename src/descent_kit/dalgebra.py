@@ -17,6 +17,8 @@ and nothing is solved for it.
 
 from __future__ import annotations
 
+import itertools
+
 from . import linear
 from .errors import (
     BadIdempotents,
@@ -152,6 +154,27 @@ def _corrected_basis(field, unit_vectors, level_spaces):
     return out
 
 
+def _constant_fact_failure(field, constants, factor_of, stratum_of):
+    """The first structure constant c_jkm (in (j, k, m) order) that breaks
+    the vanishing facts of a stratified basis, as a reason, or None.
+
+    Inside one factor, eps_j eps_k has no component below eps_j, and its
+    component on eps_j is 1 when eps_k is the factor unit and 0 otherwise;
+    a product across factors vanishes.
+    """
+    for j, k, m in itertools.product(range(len(constants)), repeat=3):
+        inside = factor_of[j] == factor_of[k] == factor_of[m]
+        if inside and m > j:
+            continue
+        val = constants[j][k][m]
+        if inside and m == j and stratum_of[k] == 0:
+            if val != field.one:
+                return f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
+        elif not field.is_zero(val):
+            return f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
+    return None
+
+
 def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgebra:
     """Validate a coefficient algebra against its declared local factors.
 
@@ -282,33 +305,9 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
         strata.append(tuple(tuple(lev) for lev in per_level))
     certificates.append({"check": "basis_is_stratified", "ok": True})
 
-    # structure-constant vanishing facts for the stratified basis
-    for j in range(l):
-        for k in range(l):
-            for m in range(l):
-                same = factor_of[j] == factor_of[k] == factor_of[m]
-                val = constants[j][k][m]
-                if not same:
-                    expected_zero = True
-                else:
-                    p = stratum_of[k]
-                    if m < j:
-                        expected_zero = True
-                    elif m == j:
-                        if p > 0:
-                            expected_zero = True
-                        else:
-                            if not val == field.one:
-                                raise mismatch(
-                                    f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
-                                )
-                            continue
-                    else:
-                        continue
-                if expected_zero and not field.is_zero(val):
-                    raise mismatch(
-                        f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
-                    )
+    failure = _constant_fact_failure(field, constants, factor_of, stratum_of)
+    if failure is not None:
+        raise mismatch(failure)
     certificates.append({"check": "stratified_constant_facts", "ok": True})
 
     return DCoefficientAlgebra(
@@ -327,19 +326,14 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
 
 
 def difference_algebra(field) -> DCoefficientAlgebra:
-    """D = k itself: structures are single endomorphisms."""
-    kk = PresentedRing.base_field(field)
-    alg = StructureAlgebra(kk, ("1",), [[[kk.one]]])
-    return build_d_algebra(alg, [((field.one,), ())])
+    """D = k itself, the jets of length 1: structures are single endomorphisms."""
+    return truncated_jets(field, 1)
 
 
 def dual_numbers(field) -> DCoefficientAlgebra:
-    """D = k[eps]/(eps^2): an endomorphism with a twisted derivation."""
-    kk = PresentedRing.base_field(field)
-    z, o = kk.zero, kk.one
-    alg = StructureAlgebra(kk, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
-    one, zero = field.one, field.zero
-    return build_d_algebra(alg, [((one, zero), ((zero, one),))])
+    """D = k[eps]/(eps^2), the jets of length 2: an endomorphism with a
+    twisted derivation."""
+    return truncated_jets(field, 2)
 
 
 def product_of_fields(field, copies: int) -> DCoefficientAlgebra:

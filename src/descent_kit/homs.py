@@ -276,8 +276,7 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     }
 
 
-def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
-                     matrix: DescentMatrix = None) -> dict:
+def adjoint_evidence(tower: OperatorTower, z_coords, matrix: DescentMatrix = None) -> dict:
     """Concrete obstruction evidence for a non-invertible matrix.
 
     For the structure on B[t] sending t to the given z in D(B), the unit of
@@ -299,7 +298,7 @@ def adjoint_evidence(tower: OperatorTower, z_coords, gen_name: str = "t",
             dm.matrix.render(),
         ) from None
     report = {
-        "generator": gen_name,
+        "generator": "t",
         "z": [[ring.render(c) for c in beta.coords] for beta in z_coords],
         "system_rhs": [ring.render(x) for x in rhs],
         "system_matrix": dm.render(),

@@ -242,9 +242,6 @@ class DegRevLex:
         lm = max(poly.terms, key=self.key_memo.__getitem__)
         return lm, poly.terms[lm]
 
-    def extend(self, extra_variables) -> "DegRevLex":
-        return DegRevLex(self.variables + tuple(v for v in extra_variables if v not in self._index))
-
     def __eq__(self, other):
         return isinstance(other, DegRevLex) and self.variables == other.variables
 

@@ -15,7 +15,7 @@ import json
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .dstructures import DStructure
 from .errors import ParseError
-from .polynomials import _IDENT_CONT, _IDENT_START, parse_polynomial
+from .polynomials import _IDENT_CONT, _IDENT_START, parse_polynomial, render
 from .presented import PresentedRing
 from .scalars import GF, QQ, ScalarField
 from .structure import StructureAlgebra
@@ -316,7 +316,6 @@ def problem_from_file(path) -> ProblemDescription:
 
 
 def render_presentation(ring: PresentedRing, structure: DStructure) -> dict:
-    from .polynomials import render
     return {
         "variables": list(ring.variables),
         "relations": [render(g, ring.order) for g in ring.relations.generators],

@@ -147,7 +147,7 @@ def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResu
     ext = result.tensor_algebra(target)
     psi = {}
     for g in result.source.generators:
-        psi[g] = ext.element([target.nf(env[name]) for name in result.copy_names[g]])
+        psi[g] = ext.element([env[name] for name in result.copy_names[g]])
     # re-check: psi kills the relations of C inside R (x) B
     for rel in result.source.relations_flat:
         if not ext.coordinatize(rel, psi).is_zero():

@@ -16,7 +16,6 @@ from __future__ import annotations
 from .descent_matrix import DescentMatrix, associated_matrix, invert_descent_matrix
 from .dstructures import DStructure
 from .errors import CarrierMismatch, CertificateFailure, NotADHomomorphism
-from .polynomials import Polynomial
 from .presented import PresentedRing
 from .tower import PresentedBAlgebra
 from .weil import WeilDescentResult, tau_forward, tau_inverse, weil_descend
@@ -196,6 +195,12 @@ def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentRes
     return phi
 
 
+def _is_identity(structure: DStructure) -> bool:
+    """Is ``structure`` the identity x -> x (x) 1 on every carrier variable?"""
+    carrier = structure.carrier
+    return structure.agrees_with(DStructure.identity(carrier, structure.coeff), carrier.variables)
+
+
 def descended_endomorphisms_check(result: DDescentResult) -> dict:
     """Factorwise: descending the associated endomorphism of (C, g) equals
     taking the associated endomorphism of the descended structure."""
@@ -203,34 +208,19 @@ def descended_endomorphisms_check(result: DDescentResult) -> dict:
     tower = c.tower
     report = {"factors": [], "ok": True}
     rho = result.structure.associated_endomorphisms()
+    eta = result.c_structure.associated_endomorphisms()
+    copies = [name for gen in c.generators for name in result.classical.copy_names[gen]]
     for factor in range(tower.coeff.factor_count):
-        sub = tower.difference_subtower(factor)
-        sub_c = PresentedBAlgebra(sub, c.generators, c.relations_flat)
-        eta_images = {
-            gen: (result.c_structure.associated_images(factor)[gen],)
-            for gen in c.generators
-        }
-        sub_result = descend_d_structure(sub_c, sub_c.structure(eta_images))
-        agree = rho[factor].agrees_with(sub_result.structure, [
-            name for gen in c.generators for name in result.classical.copy_names[gen]
-        ])
-        # trivial associated endomorphism descends to the identity
-        identity_in = all(
-            result.c_structure.carrier.equal(
-                result.c_structure.associated_images(factor)[v],
-                Polynomial.variable(result.c_structure.carrier.field, v),
-            )
-            for v in result.c_structure.carrier.variables
-        )
-        identity_out = all(
-            result.descended.equal(
-                rho[factor].images[name][0],
-                Polynomial.variable(result.descended.field, name),
-            )
-            for name in result.descended.variables
-        )
+        sub_c = PresentedBAlgebra(tower.difference_subtower(factor), c.generators,
+                                  c.relations_flat)
+        eta_images = {gen: eta[factor].images[gen] for gen in c.generators}
+        # the subtower keeps B, so W(C) is the one already computed
+        sub_result = descend_d_structure(sub_c, sub_c.structure(eta_images), result.classical)
+        agree = rho[factor].agrees_with(sub_result.structure, copies)
         entry = {"factor": factor + 1, "difference_descent_matches": agree}
-        if identity_in:
+        # trivial associated endomorphism descends to the identity
+        if _is_identity(eta[factor]):
+            identity_out = _is_identity(rho[factor])
             entry["identity_descends_to_identity"] = identity_out
             agree = agree and identity_out
         report["factors"].append(entry)

@@ -377,7 +377,7 @@ def test_criterion_10_adjoint_evidence():
     with criterion(10, "unsolvable unit system as obstruction evidence", 1.0):
         tower = _projection_tower(QQ)
         b = tower.algebra
-        report = adjoint_evidence(tower, [b.basis_el(1)], "x")
+        report = adjoint_evidence(tower, [b.basis_el(1)])
         assert report["system_rhs"] == ["0", "1"]
         assert report["system_matrix"] == [["1", "0"], ["0", "0"]]
         assert report["solvable"] is False

@@ -5,6 +5,7 @@ import pytest
 from descent_kit import (
     GF,
     QQ,
+    DDescentResult,
     DStructure,
     OperatorTower,
     PresentedBAlgebra,
@@ -22,6 +23,7 @@ from descent_kit import (
     tensor_compose_check,
     truncated_jets,
 )
+from descent_kit import compose
 from descent_kit.errors import CarrierMismatch
 from conftest import dual_basis_algebra
 
@@ -117,20 +119,67 @@ def _f2_tower():
     )
 
 
-def test_difference_difference_descent_compatibility():
+def _f2_difference_check():
+    """compose-check on the F_2 difference pair t -> t^2, t -> t + eps."""
     t1, t2 = _f2_tower(), _f2_tower()
     c1 = PresentedBAlgebra(t1, ("t",))
     flat = c1.flat_ring
     c2 = PresentedBAlgebra(t2, ("t",))
-    report = compose_descent_check(
+    return compose_descent_check(
         c1, c1.structure({"t": (flat.el("t^2"),)}), c2, c2.structure({"t": (flat.el("t+eps"),)})
     )
+
+
+def test_difference_difference_descent_compatibility():
+    report = _f2_difference_check()
     assert report["ok"]
     assert report["theta_compatible"]
     assert report["gamma_compatible"]
     assert report["difference_monoid_law"]
     assert report["identity_descends_to_identity"]
     assert report["composite_endomorphisms_invertible"]
+
+
+def _shifted(result):
+    """``result`` with its descended structure moved at one copy variable:
+    every coordinate of the first generator copy gains 1."""
+    structure = result.structure
+    name = result.classical.copy_names[result.classical.source.generators[0]][0]
+    images = dict(structure.images)
+    images[name] = tuple(c + structure.carrier.one for c in images[name])
+    wrong = DStructure(structure.carrier, structure.coeff, images, base=structure.base)
+    return DDescentResult(result.classical, wrong, result.pre_structure, result.matrix,
+                          result.c_structure, result.certificates)
+
+
+def _difference_check_with_one_wrong_descent(monkeypatch, is_wrong):
+    """``_f2_difference_check`` with the descent that
+    ``is_wrong(c, g_structure, matrix)`` picks out handed back moved."""
+    real = compose.descend_d_structure
+
+    def descend(c, g_structure, classical=None, matrix=None):
+        result = real(c, g_structure, classical, matrix)
+        return _shifted(result) if is_wrong(c, g_structure, matrix) else result
+
+    monkeypatch.setattr(compose, "descend_d_structure", descend)
+    return _f2_difference_check()
+
+
+def test_a_wrong_composite_descent_breaks_the_monoid_law(monkeypatch):
+    # only the descent of g1 o g2 is handed the swapped tower's matrix
+    report = _difference_check_with_one_wrong_descent(
+        monkeypatch, lambda c, g, matrix: matrix is not None)
+    assert report["difference_monoid_law"] is False
+    assert report["identity_descends_to_identity"] and not report["ok"]
+
+
+def test_a_wrong_identity_descent_is_reported(monkeypatch):
+    def is_identity(c, g_structure, matrix):
+        return all(g_structure.images[gen] == (c.flat_ring.var(gen),) for gen in c.generators)
+
+    report = _difference_check_with_one_wrong_descent(monkeypatch, is_identity)
+    assert report["identity_descends_to_identity"] is False
+    assert report["difference_monoid_law"] and not report["ok"]
 
 
 def test_commuting_pair_descends_to_commuting_pair():

@@ -1,7 +1,15 @@
 """Coefficient algebras: factor data validation, strata, projections.
 
 The residue projections are read at the factor units; ``reference_projections``
-keeps the linear solve that used to compute them, as an oracle.
+keeps the linear solve that used to compute them, as an oracle.  The
+references below keep what the jets family and the constant-fact rule
+replaced:
+
+- ``reference_difference_algebra`` and ``reference_dual_numbers`` are the
+  literal tables ``difference_algebra`` and ``dual_numbers`` were built
+  from before they became the jets of length 1 and 2;
+- ``reference_constant_facts`` is the nested loop that checked the
+  stratified-constant facts at the end of ``build_d_algebra``.
 """
 
 import random
@@ -189,7 +197,114 @@ def test_stratified_constant_facts_hold():
                                 assert val == field.one
 
 
+def reference_difference_algebra(field):
+    kk = PresentedRing.base_field(field)
+    alg = StructureAlgebra(kk, ("1",), [[[kk.one]]])
+    return build_d_algebra(alg, [((field.one,), ())])
+
+
+def reference_dual_numbers(field):
+    kk = PresentedRing.base_field(field)
+    z, o = kk.zero, kk.one
+    alg = StructureAlgebra(kk, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
+    one, zero = field.one, field.zero
+    return build_d_algebra(alg, [((one, zero), ((zero, one),))])
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(7)), ids=str)
+@pytest.mark.parametrize("build, reference", [
+    (difference_algebra, reference_difference_algebra),
+    (dual_numbers, reference_dual_numbers),
+], ids=["difference", "dual"])
+def test_jets_delegations_equal_the_literal_tables(build, reference, field):
+    d, ref = build(field), reference(field)
+    assert d == ref and hash(d) == hash(ref)
+    assert d.labels() == ref.labels()
+    assert d.algebra.table == ref.algebra.table and d.constants == ref.constants
+    assert d.unit == ref.unit and d.factor_units == ref.factor_units
+    assert d.factors == ref.factors and d.factor_of == ref.factor_of
+    assert d.strata == ref.strata and d.stratum_of == ref.stratum_of
+    assert d.certificates == ref.certificates
+
+
+def reference_constant_facts(field, constants, factor_of, stratum_of):
+    """The first failing reason of the old nested loop, or None."""
+    l = len(constants)
+    for j in range(l):
+        for k in range(l):
+            for m in range(l):
+                same = factor_of[j] == factor_of[k] == factor_of[m]
+                val = constants[j][k][m]
+                if not same:
+                    expected_zero = True
+                else:
+                    p = stratum_of[k]
+                    if m < j:
+                        expected_zero = True
+                    elif m == j:
+                        if p > 0:
+                            expected_zero = True
+                        else:
+                            if not val == field.one:
+                                return f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
+                            continue
+                    else:
+                        continue
+                if expected_zero and not field.is_zero(val):
+                    return f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
+    return None
+
+
 FIELDS = (QQ, GF(2), GF(5))
+
+
+def standard_or_product(name, other, field):
+    """A standard algebra, or its tensor product with another one."""
+    d = COEFF_BUILDERS[name](field)
+    return d if other is None else tensor_coefficients(d, COEFF_BUILDERS[other](field)).product
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(COEFF_BUILDERS)),
+       other=st.none() | st.sampled_from(sorted(COEFF_BUILDERS)),
+       field=st.sampled_from(FIELDS), data=st.data())
+def test_constant_fact_rule_matches_the_nested_loop(name, other, field, data):
+    """Both rules accept the algebra as built; with one constant moved by a
+    nonzero amount, both report the same first (j, k, m) and the same text."""
+    d = standard_or_product(name, other, field)
+    facts = (d.factor_of, d.stratum_of)
+    assert dalgebra._constant_fact_failure(field, d.constants, *facts) is None
+    assert reference_constant_facts(field, d.constants, *facts) is None
+    l = d.dim
+    j, k, m = (data.draw(st.integers(0, l - 1)) for _ in range(3))
+    shift = field.normalize(data.draw(st.integers(1, field.characteristic - 1 if field.characteristic else 5)))
+    perturbed = [[list(cell) for cell in row] for row in d.constants]
+    perturbed[j][k][m] = field.add(perturbed[j][k][m], shift)
+    new = dalgebra._constant_fact_failure(field, perturbed, *facts)
+    assert new == reference_constant_facts(field, perturbed, *facts)
+
+
+@pytest.mark.parametrize("entry, text", [
+    ((0, 0, 0), "product constant (1,1,1) should be 1"),
+    ((1, 0, 0), "product constant (2,1,1) should vanish"),
+])
+def test_a_broken_constant_fact_is_a_strata_mismatch(entry, text, monkeypatch):
+    """build_d_algebra raises each constant-fact text, with the corrected
+    basis riding along, when the rule is handed dual numbers with one
+    constant moved."""
+    real = dalgebra._constant_fact_failure
+
+    def moved(field, constants, factor_of, stratum_of):
+        constants = [[list(cell) for cell in row] for row in constants]
+        j, k, m = entry
+        constants[j][k][m] = field.add(constants[j][k][m], field.one)
+        return real(field, constants, factor_of, stratum_of)
+
+    monkeypatch.setattr(dalgebra, "_constant_fact_failure", moved)
+    with pytest.raises(StrataMismatch) as err:
+        dual_numbers(QQ)
+    assert str(err.value) == f"supplied basis is not stratified: {text}"
+    assert err.value.corrected_basis == [(QQ.one, QQ.zero), (QQ.zero, QQ.one)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -115,13 +115,13 @@ def test_adjoint_evidence_reports():
     tower_q = OperatorTower(
         DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.zero_el()]]
     )
-    report = adjoint_evidence(tower_q, [b.basis_el(1)], "x")
+    report = adjoint_evidence(tower_q, [b.basis_el(1)])
     assert report["system_rhs"] == ["0", "1"]
     assert report["system_matrix"] == [["1", "0"], ["0", "0"]]
     assert report["solvable"] is False
     # z = 0: trivially solvable by the zero vector
-    report0 = adjoint_evidence(tower_q, [b.zero_el()], "x")
+    report0 = adjoint_evidence(tower_q, [b.zero_el()])
     assert report0["solvable"] is True and report0["solution"] == ["0", "0"]
     # z = 1 (x) 1: the first coordinate line is hit
-    report1 = adjoint_evidence(tower_q, [b.basis_el(0)], "x")
+    report1 = adjoint_evidence(tower_q, [b.basis_el(0)])
     assert report1["solvable"] is True

@@ -1,11 +1,15 @@
 """Every name a module of the package imports is used in that module,
 every private function and method of the package is used somewhere in it,
-and every local a function assigns is read.
+every local a function assigns is read, and only the CLI imports inside
+functions.
 
 No linter ships with the test dependencies, so these are the lint rules
 kept as tests: an import left behind by a refactor fails the first, a
-function left behind by a deleted call fails the second, and a value
-computed and thrown away fails the third.  Package ``__init__.py``
+function left behind by a deleted call fails the second, a value
+computed and thrown away fails the third, and an import hidden in a
+function body fails the fourth.  ``cli.py`` imports each command's layers
+inside that command, so a command loads only what it runs; every other
+module imports at its top.  Package ``__init__.py``
 re-exports its imports and is not checked for them; ``__future__`` imports
 are directives, not names.  A private function is a module-level function
 or a method whose name starts with one underscore (dunder methods are
@@ -197,3 +201,41 @@ def test_an_unused_local_is_reported():
         "    width = 2",
     ])
     assert unused_locals(source) == [(2, "pivots"), (4, "total"), (14, "width")]
+
+
+def function_level_imports(source: str):
+    """(line, module) of every import inside a function body."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found += [(node.lineno, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "cli.py"))
+def test_module_imports_only_at_its_top(module):
+    assert function_level_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_function_level_import_is_reported():
+    source = "\n".join([
+        "import json",
+        "from .errors import ParseError",
+        "def f(x):",
+        "    from .polynomials import render",
+        "    def inner():",
+        "        import itertools",
+        "        return itertools",
+        "    return render(x), inner",
+        "class C:",
+        "    def g(self):",
+        "        from . import linear",
+        "        return linear",
+    ])
+    assert function_level_imports(source) == [(4, ".polynomials"), (6, "itertools"),
+                                              (11, ".")]

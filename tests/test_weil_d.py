@@ -7,6 +7,7 @@ import pytest
 from descent_kit import (
     GF,
     QQ,
+    DDescentResult,
     DStructure,
     OperatorTower,
     PresentedBAlgebra,
@@ -26,6 +27,7 @@ from descent_kit import (
     verify_d_hom,
     weil_descend,
 )
+from descent_kit import weil_d
 from descent_kit.errors import NonInvertibleMatrix, NotADHomomorphism
 from conftest import COEFF_BUILDERS, dual_basis_algebra, random_tower
 
@@ -69,6 +71,24 @@ def test_frobenius_square_descends(rng):
     assert descended_endomorphisms_check(res)["ok"]
 
 
+def test_endomorphism_check_reuses_the_classical_descent(monkeypatch):
+    """Each factor's difference subtower keeps B, so the check descends it
+    over the W(C) the result already holds and computes no other."""
+    tower = f2_identity_tower()
+    c = PresentedBAlgebra(tower, ("t",))
+    res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", GF(2)),)}))
+    calls = [0]
+    real = weil_d.weil_descend
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(weil_d, "weil_descend", counted)
+    assert descended_endomorphisms_check(res)["ok"]
+    assert calls[0] == 0
+
+
 def test_projection_structure_obstructs():
     field = QQ
     a = PresentedRing.base_field(field)
@@ -109,6 +129,16 @@ def test_differential_instance():
     # associated endomorphism of the descent is the identity
     rep = descended_endomorphisms_check(res)
     assert rep["ok"] and rep["factors"][0]["identity_descends_to_identity"]
+
+    # a descended structure whose associated endomorphism moves t(1) fails both
+    images = dict(res.structure.images)
+    images["t(1)"] = (ring.el("t(1) + 1"), images["t(1)"][1])
+    wrong = DStructure(ring, res.structure.coeff, images, base=res.structure.base)
+    rep = descended_endomorphisms_check(DDescentResult(
+        res.classical, wrong, res.pre_structure, res.matrix, res.c_structure, res.certificates))
+    assert rep["factors"] == [{"factor": 1, "difference_descent_matches": False,
+                               "identity_descends_to_identity": False}]
+    assert not rep["ok"]
 
 
 def test_independent_linear_solve_oracle():
