@@ -9,7 +9,7 @@ associated endomorphism matrices on the diagonal.
 
 from descent_kit import (
     QQ, DStructure, OperatorTower, PresentedRing, StructureAlgebra,
-    associated_matrix, classify_descent_matrix, change_of_basis_check,
+    associated_matrix, change_of_basis_check,
     difference_algebra, dual_numbers, endo_matrix, invertibility_equivalences,
 )
 
@@ -21,11 +21,11 @@ print("== the projection structure is obstructed ==")
 dk = difference_algebra(QQ)
 tau_tower = OperatorTower(DStructure.identity(A, dk), B, dk,
                           [[B.basis_el(0)], [B.zero_el()]])
-dm = classify_descent_matrix(associated_matrix(tau_tower))
+dm = associated_matrix(tau_tower)
 print("matrix:", dm.render())
 print("invertible:", dm.invertible, "| witness:", dm.witness)
 print("equivalences report:",
-      invertibility_equivalences(tau_tower, tau_tower.endo_images(0)))
+      invertibility_equivalences(tau_tower.algebra, tau_tower.endo_images(0)))
 
 print()
 print("== a non-unit determinant over K[x] ==")
@@ -44,7 +44,7 @@ dd = dual_numbers(QQ)
 tower = OperatorTower(DStructure.identity(A, dd), By, dd,
                       [[By.basis_el(0), By.zero_el()],
                        [By.basis_el(1), By.basis_el(1)]])
-dmd = classify_descent_matrix(associated_matrix(tower))
+dmd = associated_matrix(tower)
 for row in dmd.render():
     print("  ", row)
 print("inverse:")

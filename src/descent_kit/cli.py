@@ -66,13 +66,9 @@ def _cmd_validate(problem, args):
 
 
 def _cmd_matrix(problem, args):
-    from .descent_matrix import (
-        associated_matrix,
-        classify_descent_matrix,
-        invertibility_equivalences,
-    )
+    from .descent_matrix import associated_matrix, invertibility_equivalences
 
-    dm = classify_descent_matrix(associated_matrix(problem.tower))
+    dm = associated_matrix(problem.tower)
     report = {
         "matrix": dm.render(),
         "invertible": dm.invertible,
@@ -143,22 +139,21 @@ def _cmd_descend(problem, args):
 
 
 def _cmd_adjoint_check(problem, args):
-    from .descent_matrix import associated_matrix, classify_descent_matrix
+    from .descent_matrix import associated_matrix
     from .homs import DEFAULT_BUDGET, adjoint_evidence, adjunction_audit
     from .weil_d import descend_d_structure
 
-    dm = classify_descent_matrix(associated_matrix(problem.tower))
-    if dm.invertible == "no":
+    if associated_matrix(problem.tower).inverse is None:
         if problem.z_coords is None:
             raise ParseError(
                 "adjoint-check on a non-invertible instance needs a \"z\" entry"
             )
-        report = adjoint_evidence(problem.tower, problem.z_coords, matrix=dm)
+        report = adjoint_evidence(problem.tower, problem.z_coords)
         report["matrix_invertible"] = False
         return report, 0
     if problem.u is None:
         raise ParseError("adjoint-check needs a test algebra \"R\"")
-    result = descend_d_structure(problem.c, problem.g_structure, matrix=dm)
+    result = descend_d_structure(problem.c, problem.g_structure)
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     report = adjunction_audit(result, problem.u, budget)
     report["matrix_invertible"] = True

@@ -235,7 +235,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         # difference case: (g1 o g2)^W = g1^W o g2^W and identities descend
         h_images = _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators)
         # the swapped tower t21 carries f1 o f2 at the module level
-        res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical, res_sw.matrix)
+        res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical)
         chained = compose_structures(res2.structure, res1.structure, cc_swapped).structure
         law_ok = res_h.structure.agrees_with(chained, w_ring.variables)
         id_tower = OperatorTower(

@@ -43,6 +43,7 @@ class DCoefficientAlgebra:
         "factor_units",
         "unit",
         "certificates",
+        "_difference",
     )
 
     def __init__(self, algebra, constants, factors, factor_of, stratum_of, strata, unit,
@@ -61,6 +62,7 @@ class DCoefficientAlgebra:
         self.factor_units = tuple(levels[0][0] for levels in strata)
         self.unit = unit
         self.certificates = certificates
+        self._difference = None
 
     @property
     def dim(self) -> int:
@@ -80,6 +82,15 @@ class DCoefficientAlgebra:
     def a(self, j: int, k: int, m: int):
         """Structure constant of eps_j eps_k on eps_m (0-based indices)."""
         return self.constants[j][k][m]
+
+    def difference_algebra(self) -> "DCoefficientAlgebra":
+        """D = k over this algebra's field, the coefficient algebra of every
+        associated endomorphism: built on first use and kept here, so it
+        lives as long as this algebra does.  (It is not shared across the
+        process: its ``over`` keeps every carrier it has seen.)"""
+        if self._difference is None:
+            self._difference = difference_algebra(self.field)
+        return self._difference
 
     def over(self, carrier: PresentedRing) -> StructureAlgebra:
         """The base change carrier (x) coefficient-algebra, rank dim: the

@@ -14,6 +14,11 @@ invertibility reduces to theirs.  The shape is not re-checked here: it
 follows from the structure-constant facts that ``build_d_algebra``
 certifies (a_jkm = 0 for m < j, and a_jkj = [stratum of k is 0] inside a
 factor), so a ``DescentMatrix`` keeps only the one assembled matrix.
+
+Invertibility is a fact about the tower alone, so ``associated_matrix``
+builds a tower's matrix once, decides it once (its inverse over the base
+ring, or the witness that there is none) and keeps it on the tower, where
+every later caller finds it.
 """
 
 from __future__ import annotations
@@ -39,25 +44,33 @@ def endo_matrix(algebra, sigma_images) -> RingMatrix:
 
 
 class DescentMatrix:
-    """The rl x rl matrix of (B, f), with optional inverse certificate."""
+    """The rl x rl matrix of (B, f), decided when built: ``inverse`` over the
+    base ring, or None and the ``witness`` of why there is none."""
 
-    __slots__ = ("ring", "r", "l", "matrix", "inverse", "invertible", "witness", "_lifts")
+    __slots__ = ("ring", "r", "l", "matrix", "inverse", "witness", "_lifts")
 
     def __init__(self, ring: PresentedRing, r: int, l: int, matrix: RingMatrix):
         self.ring = ring
         self.r = r
         self.l = l
         self.matrix = matrix
-        self.inverse = None
-        self.invertible = "unknown"
-        self.witness = None
+        self.inverse = self.witness = None
+        try:
+            self.inverse = matrix.inverse()
+        except NonInvertibleMatrix as exc:
+            self.witness = exc.witness
         self._lifts = {}
+
+    @property
+    def invertible(self) -> str:
+        return "no" if self.inverse is None else "yes"
 
     def position(self, i: int, j: int) -> int:
         """Flat index of the (i, j) vector entry, both 0-based."""
         return j * self.r + i
 
-    def pack(self, blocks):
+    @staticmethod
+    def pack(blocks):
         """The (i, j) vector whose entry at ``position(i, j)`` is
         ``blocks[j][i]``: the l length-r blocks laid one after another."""
         return [x for block in blocks for x in block]
@@ -83,12 +96,10 @@ class DescentMatrix:
         return lifted
 
     def lift_inverse(self, ring: PresentedRing) -> RingMatrix:
-        if self.inverse is None:
-            raise NonInvertibleMatrix(self.witness or "inverse not computed")
         return RingMatrix(ring, self.inverse.rows)
 
 
-def assemble_matrix(ring, r, l, a_const, lam) -> DescentMatrix:
+def assemble_matrix(ring, r, l, a_const, lam) -> RingMatrix:
     """Build the matrix from raw structure constants and coordinates.
 
     ``a_const(j, k, m)`` gives the coefficient-algebra products, ``lam(n, k, i)``
@@ -109,36 +120,20 @@ def assemble_matrix(ring, r, l, a_const, lam) -> DescentMatrix:
                             acc = acc + lam(n, k, i).scale(c)
                     row.append(acc)
             rows.append(row)
-    return DescentMatrix(ring, r, l, RingMatrix(ring, rows))
+    return RingMatrix(ring, rows)
 
 
 def associated_matrix(tower: OperatorTower) -> DescentMatrix:
-    """The matrix associated to (B, f) in the stratified coefficient basis."""
-    return assemble_matrix(tower.base_ring, tower.rank, tower.coeff.dim, tower.coeff.a,
-                           tower.lambda_f)
+    """The matrix associated to (B, f) in the stratified coefficient basis.
 
-
-def invert_descent_matrix(dm: DescentMatrix) -> DescentMatrix:
-    """Invert over the base ring; NonInvertibleMatrix is the descent obstruction."""
-    try:
-        inv = dm.matrix.inverse()
-    except NonInvertibleMatrix as exc:
-        dm.invertible = "no"
-        dm.witness = exc.witness
-        exc.matrix = dm.render()
-        raise
-    dm.inverse = inv
-    dm.invertible = "yes"
-    return dm
-
-
-def classify_descent_matrix(dm: DescentMatrix) -> DescentMatrix:
-    """Like invert_descent_matrix but records failure instead of raising."""
-    try:
-        invert_descent_matrix(dm)
-    except NonInvertibleMatrix:
-        pass
-    return dm
+    Built and decided on the first call for a tower, and kept in the slot
+    the tower declares for it, which nothing else fills.
+    """
+    if tower._descent_matrix is None:
+        ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
+        tower._descent_matrix = DescentMatrix(
+            ring, r, l, assemble_matrix(ring, r, l, tower.coeff.a, tower.lambda_f))
+    return tower._descent_matrix
 
 
 def inflate(ring: PresentedRing, scalar_matrix, r: int) -> RingMatrix:
@@ -201,41 +196,40 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
                 acc = acc + tower.lambda_f(n, q, i).scale(y[k][q])
         return ring.nf(acc)
 
-    m_eta = assemble_matrix(ring, r, l, a_eta, lam_eta).matrix
+    m_eta = assemble_matrix(ring, r, l, a_eta, lam_eta)
     m_eps = associated_matrix(tower).matrix
     x_big = inflate(ring, x, r)
     y_big = inflate(ring, y, r)
     return m_eta == y_big * m_eps * x_big
 
 
-def invertibility_equivalences(tower_or_algebra, sigma_images) -> dict:
+def invertibility_equivalences(algebra, sigma_images) -> dict:
     """Evaluate the four equivalent statements about an endomorphism's matrix.
 
     Each clause is decided along its own computational route; the report
     lists the outcomes and whether they all agree.
     """
-    algebra = tower_or_algebra.algebra if isinstance(tower_or_algebra, OperatorTower) else tower_or_algebra
     ring = algebra.base
+    field = ring.field
     r = algebra.rank
     m = endo_matrix(algebra, sigma_images)
 
     clause_i = m.is_invertible()
 
     # (ii): one alternative basis b' = X b with X unitriangular over k
-    x = [[ring.field.one if i == j else ring.field.zero for j in range(r)] for i in range(r)]
+    x = linear.identity(field, r)
     if r >= 2:
-        x[0][1] = ring.field.one
-    y_ring = RingMatrix.from_scalars(ring, linear.inverse(ring.field, x))
+        x[0][1] = field.one
+    y_ring = RingMatrix.from_scalars(ring, linear.inverse(field, x))
     # sigma(b'_i) = sum_j X_ji sigma(b_j); coordinates in the b' basis are Y * lambda
     cols = []
     for i in range(r):
         acc = algebra.zero_el()
         for j in range(r):
-            if not ring.field.is_zero(x[j][i]):
+            if not field.is_zero(x[j][i]):
                 acc = acc + sigma_images[j].scale(ring.constant(x[j][i]))
         cols.append(acc)
-    m_prime_b = RingMatrix(ring, [[cols[i].coords[n] for i in range(r)] for n in range(r)])
-    clause_ii = (y_ring * m_prime_b).is_invertible()
+    clause_ii = (y_ring * endo_matrix(algebra, cols)).is_invertible()
 
     # (iii): sigma(b_1)..sigma(b_r) is a basis iff the change matrix has unit
     # determinant; decided through the determinant route

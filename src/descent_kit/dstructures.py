@@ -125,20 +125,16 @@ class DStructure:
         return out
 
     def associated_endomorphisms(self):
-        """One difference structure per local factor of the coefficient algebra."""
-        out = []
-        base = None
-        if self.base is not None:
-            base = self.base.associated_endomorphisms()
-        for i in range(self.coeff.factor_count):
-            out.append(
-                DStructure.difference(
-                    self.carrier,
-                    self.associated_images(i),
-                    base=None if base is None else base[i],
-                )
-            )
-        return out
+        """One difference structure per local factor of the coefficient
+        algebra, each over the coefficient algebra's one D = k."""
+        dk = self.coeff.difference_algebra()
+        base = None if self.base is None else self.base.associated_endomorphisms()
+        return [
+            DStructure(self.carrier, dk,
+                       {v: (p,) for v, p in self.associated_images(i).items()},
+                       None if base is None else base[i])
+            for i in range(self.coeff.factor_count)
+        ]
 
     # -- validation --------------------------------------------------------------
 

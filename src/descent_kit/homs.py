@@ -5,7 +5,8 @@ of a finitely presented source can be enumerated by trying every
 assignment of generators to staircase combinations.  That turns the
 Hom-set bijection of the descent into a checkable statement, and the
 linear system behind a non-invertible matrix into concrete evidence that
-no descent can exist.
+no descent can exist.  That system's matrix is the tower's own descent
+matrix, which ``associated_matrix`` builds and decides once per tower.
 
 The enumeration works in the GF(p) coordinates of the target's staircase,
 multiplying with one table of structure constants per target.  A relation
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import linear
-from .descent_matrix import DescentMatrix, associated_matrix
+from .descent_matrix import associated_matrix
 from .errors import (
     CombinatorialBudgetExceeded,
     NonInvertibleMatrix,
@@ -276,19 +277,19 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     }
 
 
-def adjoint_evidence(tower: OperatorTower, z_coords, matrix: DescentMatrix = None) -> dict:
+def adjoint_evidence(tower: OperatorTower, z_coords) -> dict:
     """Concrete obstruction evidence for a non-invertible matrix.
 
     For the structure on B[t] sending t to the given z in D(B), the unit of
     any would-be descent forces the linear system a = M x over A, where a
     collects the basis coordinates of z.  The report states the system and
-    whether it is solvable over A.  ``matrix`` may hand in the descent
-    matrix of the tower, already built; by default it is built here.  When
-    the elimination stalls on a non-unit entry, solvability is undecided
-    and NonInvertibleMatrix names that entry.
+    whether it is solvable over A.  M is the tower's own descent matrix
+    (``associated_matrix``).  When the elimination stalls on a non-unit
+    entry, solvability is undecided and NonInvertibleMatrix names that
+    entry.
     """
     ring = tower.base_ring
-    dm = associated_matrix(tower) if matrix is None else matrix
+    dm = associated_matrix(tower)
     rhs = dm.pack(beta.coords for beta in z_coords)
     try:
         solution = linear.solve(ring, dm.matrix.rows, rhs)

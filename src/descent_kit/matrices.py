@@ -65,9 +65,7 @@ class RingMatrix:
 
     @staticmethod
     def identity(ring: PresentedRing, n: int) -> "RingMatrix":
-        return RingMatrix(
-            ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        )
+        return RingMatrix(ring, linear.identity(ring, n))
 
     @staticmethod
     def zero(ring: PresentedRing, n: int, m: int) -> "RingMatrix":

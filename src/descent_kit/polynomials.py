@@ -185,6 +185,22 @@ def add_multiple(terms: dict, p_terms: dict, c, field: ScalarField, m: Monomial 
                 pop(pm, None)
 
 
+def power(x, n: int):
+    """x ** n for n >= 1 by square-and-multiply, for any x with ``*``: a
+    polynomial or an element of a structure algebra.  The product x * x
+    is not formed when n is 1, so x ** 1 is x itself."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 class _KeyMemo(dict):
     """Order keys by monomial; a missing key is computed by ``order.key``
     once and kept.  The memo holds its order weakly, so the pair makes no
@@ -369,19 +385,7 @@ class Polynomial:
         )
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        if n == 0:
-            return Polynomial.constant(self.field, 1)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n) if n else Polynomial.constant(self.field, 1)
 
     def substitute(self, env: dict) -> "Polynomial":
         """Ring-homomorphic substitution; variables absent from env are kept.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .errors import InvalidAlgebra
 from .groebner import GroebnerBasis
-from .polynomials import DegRevLex, Monomial, Polynomial, add_multiple
+from .polynomials import DegRevLex, Monomial, Polynomial, add_multiple, power
 from .presented import PresentedRing
 
 
@@ -330,19 +330,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, [c * a for c in self.coords])
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        if n == 0:
-            return self.algebra.one_el()
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(self, n) if n else self.algebra.one_el()
 
     def equal(self, other) -> bool:
         self._check(other)

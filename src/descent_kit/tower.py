@@ -9,7 +9,7 @@ as symbols) on the flattened presentation of the whole tower.
 
 from __future__ import annotations
 
-from .dalgebra import DCoefficientAlgebra, difference_algebra
+from .dalgebra import DCoefficientAlgebra
 from .dstructures import DStructure
 from .polynomials import Polynomial
 from .presented import PresentedRing
@@ -19,7 +19,7 @@ from .structure import AlgebraElement, StructureAlgebra
 class OperatorTower:
     """(A, e) and a free finite (A, e)-algebra (B, f) with a fixed basis."""
 
-    __slots__ = ("e", "algebra", "coeff", "f_images", "_f_flat")
+    __slots__ = ("e", "algebra", "coeff", "f_images", "_f_flat", "_descent_matrix")
 
     def __init__(self, e: DStructure, algebra: StructureAlgebra, coeff: DCoefficientAlgebra, f_images):
         if e.carrier != algebra.base:
@@ -38,6 +38,10 @@ class OperatorTower:
             rows.append(vec)
         self.f_images = tuple(rows)
         self._f_flat = None
+        # filled by ``descent_matrix.associated_matrix``, the one place that
+        # builds and decides the tower's matrix; this module does not import
+        # the matrix layer, which ``validate`` never loads
+        self._descent_matrix = None
 
     @property
     def base_ring(self) -> PresentedRing:
@@ -102,12 +106,9 @@ class OperatorTower:
 
     def difference_subtower(self, factor: int) -> "OperatorTower":
         """The (A, sigma_i) <= (B, tau_i) tower of one associated endomorphism."""
-        field = self.base_ring.field
-        dk = difference_algebra(field)
+        dk = self.coeff.difference_algebra()
         e_i = DStructure(
-            self.e.carrier,
-            dk,
-            {v: (self.e.associated_images(factor)[v],) for v in self.e.carrier.variables},
+            self.e.carrier, dk, {v: (p,) for v, p in self.e.associated_images(factor).items()}
         )
         tau = [(img,) for img in self.endo_images(factor)]
         return OperatorTower(e_i, self.algebra, dk, tau)

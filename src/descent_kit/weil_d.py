@@ -1,21 +1,22 @@
 """Weil descent of operator structures.
 
 The pipeline, for a validated structure g = c.structure(images) on C:
-invert the matrix of (B, f); classically descend C; read the operator
-images of the copy variables off the inverse matrix applied to the
-coordinates of the unit image of each generator image; present the
-quotient by the descent ideal once, certifying against it that the ideal
-is closed under the pre-quotient structure; induce the quotient structure;
-and certify the unit map is an operator homomorphism.  Uniqueness is
-forced at the generator level because the matrix is invertible, and that
-is recorded as a certificate.
+take the matrix of (B, f), which the tower builds and decides once, and
+stop with the obstruction when it is not invertible; classically descend
+C; read the operator images of the copy variables off the inverse matrix
+applied to the coordinates of the unit image of each generator image;
+present the quotient by the descent ideal once, certifying against it
+that the ideal is closed under the pre-quotient structure; induce the
+quotient structure; and certify the unit map is an operator
+homomorphism.  Uniqueness is forced at the generator level because the
+matrix is invertible, and that is recorded as a certificate.
 """
 
 from __future__ import annotations
 
-from .descent_matrix import DescentMatrix, associated_matrix, invert_descent_matrix
+from .descent_matrix import DescentMatrix, associated_matrix
 from .dstructures import DStructure
-from .errors import CarrierMismatch, CertificateFailure, NotADHomomorphism
+from .errors import CarrierMismatch, CertificateFailure, NonInvertibleMatrix, NotADHomomorphism
 from .presented import PresentedRing
 from .tower import PresentedBAlgebra
 from .weil import WeilDescentResult, tau_forward, tau_inverse, weil_descend
@@ -40,11 +41,11 @@ class DDescentResult:
 
 
 def _image_vector(result: WeilDescentResult, g_structure: DStructure, gen: str,
-                  substitution: dict, ring: PresentedRing, matrix: DescentMatrix):
+                  substitution: dict, ring: PresentedRing):
     """The (i, j) vector (lambda_i of g_j(gen)), with C's generators sent by
     ``substitution`` into ``ring`` (x) B: the unit map, or a map psi."""
     ext = result.tensor_algebra(ring)
-    return matrix.pack(
+    return DescentMatrix.pack(
         [ext.coordinatize(image, substitution).coords for image in g_structure.images[gen]]
     )
 
@@ -61,7 +62,7 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
     lifted = matrix.lift(target)
     psi = {x: psi_images[x] for x in result.source.generators}
     for gen in result.source.generators:
-        lhs = _image_vector(result, g_structure, gen, psi, target, matrix)
+        lhs = _image_vector(result, g_structure, gen, psi, target)
         rhs = lifted.apply(matrix.pack(
             [[u_structure.coordinate_op(j, c) for c in psi[gen].coords]
              for j in range(1, matrix.l + 1)]
@@ -72,18 +73,16 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
 
 
 def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
-                        classical: WeilDescentResult = None,
-                        matrix: DescentMatrix = None) -> DDescentResult:
+                        classical: WeilDescentResult = None) -> DDescentResult:
     """Full descent pipeline for (C, g) over the tower's (A, e) <= (B, f).
 
     ``g_structure`` is ``c.structure(images)``, built from the operator
     coordinates of each generator.  ``classical`` may hand in the classical
     descent W(C) computed for another structure on the same C over the same
-    module algebra B; by default it is computed here.  ``matrix`` may hand
-    in the descent matrix of the tower, already built (and possibly
-    inverted); by default it is built here.  Raises NonInvertibleMatrix
-    when the matrix of (B, f) is singular: that is the obstruction to
-    descent.
+    module algebra B; by default it is computed here.  The descent matrix
+    is the tower's own (``associated_matrix``).  Raises NonInvertibleMatrix,
+    with the witness and the rendered matrix, when the matrix of (B, f) is
+    not invertible: that is the obstruction to descent.
     """
     tower = c.tower
     if g_structure.carrier != c.flat_ring:
@@ -91,10 +90,9 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     certificates = [{"check": f"target_structure_{d['check']}", "ok": True}
                     for d in g_structure.validate()]
 
-    if matrix is None:
-        matrix = associated_matrix(tower)
+    matrix = associated_matrix(tower)
     if matrix.inverse is None:
-        invert_descent_matrix(matrix)
+        raise NonInvertibleMatrix(matrix.witness, matrix.render())
     certificates.append({"check": "matrix_invertible", "ok": True})
 
     classical = weil_descend(c) if classical is None else classical.for_algebra(c)
@@ -106,7 +104,7 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     units_pre = classical.unit_map(pre_ring)
     pre_images = {v: tower.e.images[v] for v in tower.base_ring.variables}
     for gen in c.generators:
-        vec = _image_vector(classical, g_structure, gen, units_pre, pre_ring, matrix)
+        vec = _image_vector(classical, g_structure, gen, units_pre, pre_ring)
         pre_images.update(zip(classical.copy_names[gen], matrix.unpack(inverse_pre.apply(vec))))
     # well defined because e is: pre_ring only adds free copy variables to A
     pre_structure = DStructure(pre_ring, tower.coeff, pre_images, base=tower.e)
@@ -149,7 +147,7 @@ def rederive_images(result: DDescentResult) -> dict:
     gens = classical.source.generators
     units = classical.unit_map()
     vectors = [
-        _image_vector(classical, result.c_structure, gen, units, ring, matrix) for gen in gens
+        _image_vector(classical, result.c_structure, gen, units, ring) for gen in gens
     ]
     out = {}
     for gen, solved in zip(gens, matrix.lift(ring).solve_cramer(vectors)):

@@ -25,7 +25,6 @@ from descent_kit import (
     associated_matrix,
     change_of_basis_check,
     check_tensor_associated_endos,
-    classify_descent_matrix,
     compose_descent_check,
     descend_d_structure,
     descend_morphism,
@@ -156,7 +155,7 @@ def test_criterion_4_invertibility_theorem_randomized():
                 for kind in ("nil2", "split", "nil3"):
                     for _ in range(3):
                         tower = random_tower(field, coeff, kind, rng)
-                        dm = classify_descent_matrix(associated_matrix(tower))
+                        dm = associated_matrix(tower)
                         endos_ok = all(
                             endo_matrix(
                                 tower.algebra, tower.endo_images(i)

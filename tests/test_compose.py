@@ -154,27 +154,31 @@ def _shifted(result):
 
 def _difference_check_with_one_wrong_descent(monkeypatch, is_wrong):
     """``_f2_difference_check`` with the descent that
-    ``is_wrong(c, g_structure, matrix)`` picks out handed back moved."""
+    ``is_wrong(c, g_structure, seen)`` picks out handed back moved; ``seen``
+    lists the towers of the descents that ran before it."""
     real = compose.descend_d_structure
+    seen = []
 
-    def descend(c, g_structure, classical=None, matrix=None):
-        result = real(c, g_structure, classical, matrix)
-        return _shifted(result) if is_wrong(c, g_structure, matrix) else result
+    def descend(c, g_structure, classical=None):
+        result = real(c, g_structure, classical)
+        wrong = is_wrong(c, g_structure, seen)
+        seen.append(c.tower)
+        return _shifted(result) if wrong else result
 
     monkeypatch.setattr(compose, "descend_d_structure", descend)
     return _f2_difference_check()
 
 
 def test_a_wrong_composite_descent_breaks_the_monoid_law(monkeypatch):
-    # only the descent of g1 o g2 is handed the swapped tower's matrix
+    # only the descent of g1 o g2 reuses a tower, the swapped one
     report = _difference_check_with_one_wrong_descent(
-        monkeypatch, lambda c, g, matrix: matrix is not None)
+        monkeypatch, lambda c, g, seen: any(c.tower is t for t in seen))
     assert report["difference_monoid_law"] is False
     assert report["identity_descends_to_identity"] and not report["ok"]
 
 
 def test_a_wrong_identity_descent_is_reported(monkeypatch):
-    def is_identity(c, g_structure, matrix):
+    def is_identity(c, g_structure, seen):
         return all(g_structure.images[gen] == (c.flat_ring.var(gen),) for gen in c.generators)
 
     report = _difference_check_with_one_wrong_descent(monkeypatch, is_identity)

@@ -16,11 +16,9 @@ from descent_kit import (
     StructureAlgebra,
     associated_matrix,
     change_of_basis_check,
-    classify_descent_matrix,
     difference_algebra,
     dual_numbers,
     endo_matrix,
-    invert_descent_matrix,
     invertibility_equivalences,
     tensor_coefficients,
 )
@@ -74,9 +72,9 @@ def test_associated_matrix_difference_case():
     tower = _dual_tower(QQ, lambda b: b.zero_el())
     dm = associated_matrix(tower)
     assert dm.render() == [["1", "0"], ["0", "0"]]
-    with pytest.raises(NonInvertibleMatrix):
-        invert_descent_matrix(dm)
-    assert dm.invertible == "no"
+    assert (dm.inverse, dm.invertible) == (None, "no")
+    assert dm.witness == "column 2 has no nonzero pivot after elimination"
+    assert associated_matrix(tower) is dm
 
 
 def test_associated_matrix_differential_case():
@@ -108,7 +106,8 @@ def test_associated_matrix_differential_case():
                     for k in range(l):
                         acc = acc + tower.lambda_f(n, k, i).scale(d.a(j, k, m))
                     assert a.equal(block(dm, m, j).entry(n, i), acc)
-    inv = invert_descent_matrix(dm).inverse
+    inv = dm.inverse
+    assert dm.invertible == "yes" and dm.witness is None
     assert inv.render() == [
         ["1", "0", "0", "0"],
         ["0", "1", "0", "0"],
@@ -129,7 +128,7 @@ def test_identity_structure_gives_identity_matrix():
     )
     dm = associated_matrix(tower)
     assert dm.matrix == RingMatrix.identity(a, 2)
-    assert invert_descent_matrix(dm).inverse == RingMatrix.identity(a, 2)
+    assert dm.inverse == RingMatrix.identity(a, 2)
 
 
 def test_block_lower_triangular_in_stratified_basis(rng):
@@ -169,7 +168,7 @@ def test_invertibility_theorem_randomized(rng):
             for kind in ("nil2", "split", "nil3"):
                 for _ in range(3):
                     tower = random_tower(field, coeff, kind, rng)
-                    dm = classify_descent_matrix(associated_matrix(tower))
+                    dm = associated_matrix(tower)
                     endos_ok = all(
                         endo_matrix(tower.algebra, tower.endo_images(factor)).is_invertible()
                         for factor in range(coeff.factor_count)
@@ -229,7 +228,7 @@ def test_change_of_basis_identity_and_dual_example(rng):
 
 def test_invertibility_equivalences_examples():
     tower = _dual_tower(QQ, lambda b: b.zero_el())
-    report = invertibility_equivalences(tower, tower.endo_images(0))
+    report = invertibility_equivalences(tower.algebra, tower.endo_images(0))
     assert report["all_agree"] and not report["matrix_invertible_given_basis"]
 
     a = PresentedRing.base_field(QQ)
@@ -251,7 +250,7 @@ def test_invertibility_equivalences_random_agreement(rng):
         for kind in ("nil2", "split", "nil3"):
             for _ in range(4):
                 tower = random_tower(field, coeff, kind, rng)
-                report = invertibility_equivalences(tower, tower.endo_images(0))
+                report = invertibility_equivalences(tower.algebra, tower.endo_images(0))
                 assert report["all_agree"]
 
 

@@ -31,8 +31,7 @@ EXPORTED = {
     "dstructures": ["DStructure", "truncated_operator_polynomials"],
     "tower": ["OperatorTower", "PresentedBAlgebra"],
     "descent_matrix": ["DescentMatrix", "associated_matrix", "change_of_basis_check",
-                       "classify_descent_matrix", "endo_matrix", "invert_descent_matrix",
-                       "invertibility_equivalences"],
+                       "endo_matrix", "invertibility_equivalences"],
     "matrices": ["RingMatrix"],
     "weil": ["WeilDescentResult", "descend_morphism", "tau_forward", "tau_inverse",
              "weil_descend"],

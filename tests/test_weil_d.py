@@ -19,7 +19,6 @@ from descent_kit import (
     descend_morphism,
     difference_algebra,
     dual_numbers,
-    invert_descent_matrix,
     parse_polynomial,
     rederive_images,
     tau_d_forward,
@@ -27,7 +26,7 @@ from descent_kit import (
     verify_d_hom,
     weil_descend,
 )
-from descent_kit import weil_d
+from descent_kit import dalgebra, weil_d
 from descent_kit.errors import NonInvertibleMatrix, NotADHomomorphism
 from conftest import COEFF_BUILDERS, dual_basis_algebra, random_tower
 
@@ -89,6 +88,27 @@ def test_endomorphism_check_reuses_the_classical_descent(monkeypatch):
     assert calls[0] == 0
 
 
+def test_endomorphism_check_builds_one_difference_algebra(monkeypatch):
+    """Every associated endomorphism and every difference subtower of the
+    QQ differential example lives over the one D = k its coefficient
+    algebra keeps, so the check builds at most that one."""
+    tower = differential_tower()
+    c = PresentedBAlgebra(tower, ("t",))
+    res = descend_d_structure(
+        c, c.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})
+    )
+    calls = [0]
+    real = dalgebra.build_d_algebra
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(dalgebra, "build_d_algebra", counted)
+    assert descended_endomorphisms_check(res)["ok"]
+    assert calls[0] <= 1
+
+
 def test_projection_structure_obstructs():
     field = QQ
     a = PresentedRing.base_field(field)
@@ -98,8 +118,10 @@ def test_projection_structure_obstructs():
         DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.zero_el()]]
     )
     c = PresentedBAlgebra(tower, ("x",))
-    with pytest.raises(NonInvertibleMatrix):
+    with pytest.raises(NonInvertibleMatrix) as err:
         descend_d_structure(c, c.structure({"x": (c.flat_ring.el("eps"),)}))
+    assert err.value.witness == "column 2 has no nonzero pivot after elimination"
+    assert err.value.matrix == [["1", "0"], ["0", "0"]]
 
 
 def test_differential_instance():
@@ -260,12 +282,9 @@ def test_rederivation_matches_on_random_towers(rng):
             tower = None
             for _ in range(20):
                 cand = random_tower(field, coeff, "split", rng)
-                try:
-                    invert_descent_matrix(associated_matrix(cand))
-                except NonInvertibleMatrix:
-                    continue
-                tower = cand
-                break
+                if associated_matrix(cand).inverse is not None:
+                    tower = cand
+                    break
             assert tower is not None
             c = PresentedBAlgebra(tower, ("t",), [parse_polynomial("t^2", field)])
             flat = c.flat_ring

@@ -6,7 +6,8 @@ characteristic polynomial for all generators, and the Hom-set audit gates
 each map once and evaluates each relation once per assignment.
 
 Counters are wrapped around the validators, ``groebner.buchberger``,
-``groebner.normal_form``, ``DegRevLex.leading``, ``RingMatrix.inverse``,
+``groebner.normal_form``, ``DegRevLex.leading``,
+``descent_matrix.assemble_matrix``, ``RingMatrix.inverse``,
 ``RingMatrix.charpoly``, ``descend_d_structure``, ``rederive_images``,
 ``StructureAlgebra.multiply_coords`` and ``StructureAlgebra.base_change``,
 for one CLI invocation or one evaluation at a time.
@@ -20,8 +21,9 @@ from collections import Counter
 import pytest
 
 from descent_kit import (
-    GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, difference_algebra,
-    groebner, homs, parse_polynomial, problem_from_file, weil, weil_d, weil_descend,
+    GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, descent_matrix,
+    difference_algebra, groebner, homs, parse_polynomial, problem_from_file, weil, weil_d,
+    weil_descend,
 )
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
@@ -422,22 +424,51 @@ def test_adjoint_check_gates_each_map_once(tmp_path, monkeypatch):
             assert evaluations[index, rel] <= p ** (dim * k)
 
 
+def count_matrix_work(monkeypatch):
+    """[descent matrices assembled, ``RingMatrix.inverse`` calls]."""
+    calls = [0, 0]
+    assemble, inverse = descent_matrix.assemble_matrix, RingMatrix.inverse
+
+    def assemble_counted(*args):
+        calls[0] += 1
+        return assemble(*args)
+
+    def inverse_counted(self):
+        calls[1] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(descent_matrix, "assemble_matrix", assemble_counted)
+    monkeypatch.setattr(RingMatrix, "inverse", inverse_counted)
+    return calls
+
+
 @pytest.mark.parametrize("fixture", ["adjoint_f2.json", "introduction.json"])
 def test_adjoint_check_builds_the_descent_matrix_once(fixture, tmp_path, monkeypatch):
     """The matrix adjoint-check classifies is the one its descent (audit
     path) or its obstruction evidence (non-invertible path) uses."""
-    from descent_kit import descent_matrix
-
-    calls = [0]
-    original = descent_matrix.associated_matrix
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("descent_kit") and getattr(
-                module, "associated_matrix", None) is original:
-            monkeypatch.setattr(module, "associated_matrix", counted)
+    calls = count_matrix_work(monkeypatch)
     assert run_cli(["adjoint-check", "--input", str(FIXTURES / fixture)], tmp_path) == 0
     assert calls[0] == 1
+
+
+# (descent matrices assembled, RingMatrix.inverse calls) per command: a
+# command that needs the tower's matrix builds and decides it once;
+# ``matrix`` also inverts the one associated endomorphism matrix of each
+# fixture twice (equivalences (i) and (ii)); compose-check descends over
+# five towers on compose_difference.json and fails on a missing second
+# structure block elsewhere
+MATRIX_WORK = {
+    "validate": (0, 0), "matrix": (1, 3), "descend": (1, 1), "descend --audit": (1, 1),
+    "adjoint-check": (1, 1), "compose-check": (0, 0),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_descent_matrix_work_per_command(fixture, command, tmp_path, monkeypatch):
+    calls = count_matrix_work(monkeypatch)
+    run_cli(command + ["--input", str(FIXTURES / fixture)], tmp_path)
+    expected = MATRIX_WORK[" ".join(command)]
+    if (fixture, command) == ("compose_difference.json", ["compose-check"]):
+        expected = (5, 5)
+    assert tuple(calls) == expected
