@@ -7,8 +7,9 @@ here; ``perfbench/`` is only read) and run through the CLI in-process.
 The exit codes and report digests were captured at commit 4b0ace1, before
 monomials were interned, the three above r = 20 at 7b9fa50, before B's
 flat ring was read off its validated table (that commit needed its pair
-budget raised to reach them), and the two at r = 32 at 600a483, before the
-structure-constant table was kept sparse.
+budget raised to reach them), the two at r = 32 at 600a483, before the
+structure-constant table was kept sparse, and the Hom enumeration's k = 6
+at 62e2b85, before D and the Hom targets read the same sparse table.
 
 Monomials hash by identity, so no report may depend on the iteration order
 of a set or a dict keyed by them, nor on string hashing: one fixture's
@@ -65,6 +66,9 @@ SCALED = [
      "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
     ("nilpotent-obstruction", 32, "validate", 0,
      "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
+    # the Hom enumeration past the benchmark's k = 3; captured at 62e2b85
+    ("gf2-hom-enumeration", 6, "adjoint-check", 0,
+     "dee7bdbc3ca5e074ac6f16bbacb0e4c96d041f1c3576cbd08778f7477cc3dbbd"),
 ]
 
 
