@@ -5,12 +5,12 @@ fractions, prime-field residues are canonical integers, and polynomials
 are sparse maps from power products to scalars.
 """
 
-from descent_kit import GF, QQ, DegRevLex, parse_polynomial, render, scalar_arith
+from descent_kit import GF, QQ, DegRevLex, parse_polynomial, render
 
 print("== exact scalar arithmetic ==")
-print("1/3 over the rationals:", scalar_arith("div", QQ, 1, 3))
-print("2*3 over GF(5):        ", scalar_arith("mul", GF(5), 2, 3))
-print("1/2 + 1/3:             ", scalar_arith("add", QQ, QQ.parse("1/2"), QQ.parse("1/3")))
+print("1/3 over the rationals:", QQ.div(1, 3))
+print("2*3 over GF(5):        ", GF(5).mul(2, 3))
+print("1/2 + 1/3:             ", QQ.add(QQ.parse("1/2"), QQ.parse("1/3")))
 
 print()
 print("== polynomials and the degrevlex order ==")

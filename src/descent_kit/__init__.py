@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it exports through the package
 _EXPORTS = {
-    "scalars": ("GF", "QQ", "ScalarField", "scalar_arith"),
+    "scalars": ("GF", "QQ", "ScalarField"),
     "polynomials": ("DegRevLex", "Monomial", "Polynomial", "parse_polynomial", "render"),
     "groebner": ("GroebnerBasis", "buchberger", "buchberger_extended", "ideal_equal",
                  "normal_form", "reduce_extended", "staircase"),

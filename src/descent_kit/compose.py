@@ -61,13 +61,14 @@ def tensor_coefficients(left: DCoefficientAlgebra, right: DCoefficientAlgebra) -
     labels = tuple(
         f"{left.labels()[a]}|{right.labels()[b]}" for a, b in pairs
     )
-    dim = len(pairs)
-    constants = [[[kk.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    # (a1, b1)(a2, b2) = sum of a^L_{a1 a2 a3} a^R_{b1 b2 b3} (a3, b3): each
+    # product of a stored left cell and a stored right cell is one constant
+    constants = [[[kk.zero] * len(pairs) for _ in pairs] for _ in pairs]
     for x, (a1, b1) in enumerate(pairs):
         for y, (a2, b2) in enumerate(pairs):
-            for z, (a3, b3) in enumerate(pairs):
-                c = field.mul(left.a(a1, a2, a3), right.a(b1, b2, b3))
-                constants[x][y][z] = kk.constant(c)
+            for a3, ca in left.cells[a1][a2]:
+                for b3, cb in right.cells[b1][b2]:
+                    constants[x][y][pair_index[a3, b3]] = kk.constant(field.mul(ca, cb))
     unit = [
         kk.constant(field.mul(left.unit[a], right.unit[b])) for a, b in pairs
     ]

@@ -13,11 +13,15 @@ basis element of a factor lies in its maximal ideal, and every element of
 another factor is killed by its idempotent, so the projection onto factor
 i's residue field is the coordinate at factor i's unit (``factor_units``),
 and nothing is solved for it.
+
+The products are read from ``cells``: the algebra's own sparse table
+(``StructureAlgebra.table``) with each coefficient taken as its scalar, so
+``cells[j][k]`` holds the pairs (m, a_jkm) with a_jkm nonzero, m
+ascending.  ``linear.vec_mul`` multiplies with it, and the descent matrix,
+the tensor products and the stratification facts read it cell by cell.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import linear
 from .errors import (
@@ -35,7 +39,7 @@ class DCoefficientAlgebra:
 
     __slots__ = (
         "algebra",
-        "constants",
+        "cells",
         "factors",
         "factor_of",
         "stratum_of",
@@ -46,12 +50,12 @@ class DCoefficientAlgebra:
         "_difference",
     )
 
-    def __init__(self, algebra, constants, factors, factor_of, stratum_of, strata, unit,
+    def __init__(self, algebra, cells, factors, factor_of, stratum_of, strata, unit,
                  certificates):
         self.algebra = algebra
-        # the table as scalars, dense l x l x l: ``linear.vec_mul`` and ``a``
-        # read it
-        self.constants = constants
+        # the algebra's sparse table with scalar coefficients: cells[j][k]
+        # holds the (m, a_jkm) with a_jkm nonzero, m ascending
+        self.cells = cells
         self.factors = factors
         self.factor_of = factor_of
         self.stratum_of = stratum_of
@@ -79,10 +83,6 @@ class DCoefficientAlgebra:
     def labels(self):
         return self.algebra.labels
 
-    def a(self, j: int, k: int, m: int):
-        """Structure constant of eps_j eps_k on eps_m (0-based indices)."""
-        return self.constants[j][k][m]
-
     def difference_algebra(self) -> "DCoefficientAlgebra":
         """D = k over this algebra's field, the coefficient algebra of every
         associated endomorphism: built on first use and kept here, so it
@@ -107,13 +107,11 @@ class DCoefficientAlgebra:
         return f"DCoefficientAlgebra(dim {self.dim}, {self.factor_count} local factors)"
 
 
-def _scalar_constants(algebra: StructureAlgebra):
+def _scalar_cells(algebra: StructureAlgebra):
     if algebra.base.variables:
         raise ValueError("the coefficient algebra must live over the bare field k")
-    l = algebra.rank
-    zero = algebra.base.field.zero
-    cells = [[{m: c.constant_value() for m, c in cell} for cell in row] for row in algebra.table]
-    return [[[cell.get(m, zero) for m in range(l)] for cell in row] for row in cells]
+    return tuple(tuple(tuple((m, c.constant_value()) for m, c in cell) for cell in row)
+                 for row in algebra.table)
 
 
 def _span_basis(field, vectors):
@@ -125,7 +123,7 @@ def _is_zero_vec(field, v):
     return all(field.is_zero(x) for x in v)
 
 
-def _powers_of_ideal(field, constants, factor_basis, m_span):
+def _powers_of_ideal(field, cells, factor_basis, m_span):
     """Bases of m^j for j = 0, 1, ... until the zero space.
 
     m^0 is the whole factor; m^{j+1} is spanned by products of the given
@@ -138,7 +136,7 @@ def _powers_of_ideal(field, constants, factor_basis, m_span):
         nxt = []
         for x in m_span:
             for v in current:
-                w = linear.vec_mul(field, constants, list(x), v)
+                w = linear.vec_mul(field, cells, list(x), v)
                 if not _is_zero_vec(field, w):
                     nxt.append(w)
         current = _span_basis(field, nxt)
@@ -165,24 +163,29 @@ def _corrected_basis(field, unit_vectors, level_spaces):
     return out
 
 
-def _constant_fact_failure(field, constants, factor_of, stratum_of):
-    """The first structure constant c_jkm (in (j, k, m) order) that breaks
+def _constant_fact_failure(field, cells, factor_of, stratum_of):
+    """The first structure constant a_jkm (in (j, k, m) order) that breaks
     the vanishing facts of a stratified basis, as a reason, or None.
 
     Inside one factor, eps_j eps_k has no component below eps_j, and its
     component on eps_j is 1 when eps_k is the factor unit and 0 otherwise;
-    a product across factors vanishes.
+    a product across factors vanishes.  So only the stored cells can
+    break a vanishing fact, and the one constant that must be 1 is a_jkj
+    for eps_k a unit of eps_j's factor.
     """
-    for j, k, m in itertools.product(range(len(constants)), repeat=3):
-        inside = factor_of[j] == factor_of[k] == factor_of[m]
-        if inside and m > j:
-            continue
-        val = constants[j][k][m]
-        if inside and m == j and stratum_of[k] == 0:
-            if val != field.one:
-                return f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
-        elif not field.is_zero(val):
-            return f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
+    for j, row in enumerate(cells):
+        for k, cell in enumerate(row):
+            values = dict(cell)
+            unit_on_j = factor_of[j] == factor_of[k] and stratum_of[k] == 0
+            for m in sorted(values.keys() | {j} if unit_on_j else values):
+                if factor_of[j] == factor_of[k] == factor_of[m] and m > j:
+                    continue
+                val = values.get(m, field.zero)
+                if unit_on_j and m == j:
+                    if val != field.one:
+                        return f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
+                elif not field.is_zero(val):
+                    return f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
     return None
 
 
@@ -198,7 +201,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     algebra.validate()
     field = algebra.base.field
     l = algebra.rank
-    constants = _scalar_constants(algebra)
+    cells = _scalar_cells(algebra)
     unit = [c.constant_value() for c in algebra.unit_coords]
     certificates = [{"check": "algebra_axioms", "ok": True}]
 
@@ -216,11 +219,11 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     total = [field.zero] * l
     for i, (idem, _) in enumerate(factors):
         total = [field.add(a, b) for a, b in zip(total, idem)]
-        square = linear.vec_mul(field, constants, list(idem), list(idem))
+        square = linear.vec_mul(field, cells, list(idem), list(idem))
         if square != list(idem):
             raise BadIdempotents(f"factor {i + 1} element is not idempotent")
         for j in range(i + 1, len(factors)):
-            prod = linear.vec_mul(field, constants, list(idem), list(factors[j][0]))
+            prod = linear.vec_mul(field, cells, list(idem), list(factors[j][0]))
             if not _is_zero_vec(field, prod):
                 raise BadIdempotents(f"factors {i + 1} and {j + 1} are not orthogonal")
     if total != unit:
@@ -233,7 +236,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
             w = list(v)
             e = 1
             while e <= l:
-                w = linear.vec_mul(field, constants, w, w)
+                w = linear.vec_mul(field, cells, w, w)
                 e *= 2
             if not _is_zero_vec(field, w):
                 raise NotNilpotent(f"maximal-ideal element of factor {i + 1} is not nilpotent")
@@ -245,15 +248,15 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     ]
     level_spaces = []
     for i, (idem, m_span) in enumerate(factors):
-        inside = [linear.vec_mul(field, constants, list(idem), bv) for bv in basis_vectors]
+        inside = [linear.vec_mul(field, cells, list(idem), bv) for bv in basis_vectors]
         factor_basis = _span_basis(field, inside)
         for v in m_span:
-            prod = linear.vec_mul(field, constants, list(idem), list(v))
+            prod = linear.vec_mul(field, cells, list(idem), list(v))
             if prod != list(v):
                 raise NotLocalFactor(
                     f"a maximal-ideal element of factor {i + 1} lies outside the factor"
                 )
-        levels = _powers_of_ideal(field, constants, factor_basis, m_span)
+        levels = _powers_of_ideal(field, cells, factor_basis, m_span)
         dim_factor = len(levels[0])
         dim_m = len(levels[1]) if len(levels) > 1 else 0
         if dim_factor != dim_m + 1:
@@ -274,7 +277,7 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     for q in range(l):
         home = None
         for i, (idem, _) in enumerate(factors):
-            prod = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
+            prod = linear.vec_mul(field, cells, list(idem), basis_vectors[q])
             if prod == basis_vectors[q]:
                 home = i
                 break
@@ -316,14 +319,14 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
         strata.append(tuple(tuple(lev) for lev in per_level))
     certificates.append({"check": "basis_is_stratified", "ok": True})
 
-    failure = _constant_fact_failure(field, constants, factor_of, stratum_of)
+    failure = _constant_fact_failure(field, cells, factor_of, stratum_of)
     if failure is not None:
         raise mismatch(failure)
     certificates.append({"check": "stratified_constant_facts", "ok": True})
 
     return DCoefficientAlgebra(
         algebra,
-        constants,
+        cells,
         tuple(factors),
         tuple(factor_of),
         tuple(stratum_of),

@@ -7,13 +7,16 @@ has blocks (M_mj)_ni = sum_k a_jkm lambda_n(f_k(b_i)); vectors indexed by
 coordinate vectors (one per j, each of length r) laid one after another,
 and block (m, j) fills rows (m-1)r + 1 .. mr and columns (j-1)r + 1 .. jr.
 ``DescentMatrix.pack`` and ``DescentMatrix.unpack`` are the one place that
-layout is built and read.  With a stratified
-coefficient basis the matrix is block lower triangular with the associated
-endomorphism matrices on the diagonal, and that is exactly why its
-invertibility reduces to theirs.  The shape is not re-checked here: it
-follows from the structure-constant facts that ``build_d_algebra``
-certifies (a_jkm = 0 for m < j, and a_jkj = [stratum of k is 0] inside a
-factor), so a ``DescentMatrix`` keeps only the one assembled matrix.
+layout is built and read.  The a_jkm come from the coefficient algebra's
+sparse ``cells``: each stored (m, a_jkm) of cells[j][k] adds
+a_jkm lambda(f_k) into block (m, j), and a zero constant costs nothing.
+With a stratified coefficient basis the matrix is block lower triangular
+with the associated endomorphism matrices on the diagonal, and that is
+exactly why its invertibility reduces to theirs.  The shape is not
+re-checked here: it follows from the structure-constant facts that
+``build_d_algebra`` certifies (a_jkm = 0 for m < j, and a_jkj = [stratum
+of k is 0] inside a factor), so a ``DescentMatrix`` keeps only the one
+assembled matrix.
 
 Invertibility is a fact about the tower alone, so ``associated_matrix``
 builds a tower's matrix once, decides it once (its inverse over the base
@@ -99,27 +102,23 @@ class DescentMatrix:
         return RingMatrix(ring, self.inverse.rows)
 
 
-def assemble_matrix(ring, r, l, a_const, lam) -> RingMatrix:
-    """Build the matrix from raw structure constants and coordinates.
+def assemble_matrix(ring, r, l, cells, lam) -> RingMatrix:
+    """Build the matrix from sparse structure constants and coordinates.
 
-    ``a_const(j, k, m)`` gives the coefficient-algebra products, ``lam(n, k, i)``
-    the coordinates lambda_n(f_k(b_i)); all indices 0-based.  Entry
-    (m r + n, j r + i) is (M_mj)_ni.
+    ``cells[j][k]`` holds the pairs (m, a_jkm) with a_jkm nonzero, the
+    coefficient-algebra products; ``lam(n, k, i)`` gives the coordinates
+    lambda_n(f_k(b_i)); all indices 0-based.  Each stored (m, a_jkm) adds
+    a_jkm lambda_n(f_k(b_i)) into block (m, j), at entry (m r + n, j r + i),
+    so that entry ends as (M_mj)_ni.
     """
-    field = ring.field
-    rows = []
-    for m in range(l):
-        for n in range(r):
-            row = []
-            for j in range(l):
-                for i in range(r):
-                    acc = ring.zero
-                    for k in range(l):
-                        c = a_const(j, k, m)
-                        if not field.is_zero(c):
-                            acc = acc + lam(n, k, i).scale(c)
-                    row.append(acc)
-            rows.append(row)
+    rows = [[ring.zero] * (r * l) for _ in range(r * l)]
+    for j, row in enumerate(cells):
+        for k, cell in enumerate(row):
+            for m, a in cell:
+                for n in range(r):
+                    out = rows[m * r + n]
+                    for i in range(r):
+                        out[j * r + i] = out[j * r + i] + lam(n, k, i).scale(a)
     return RingMatrix(ring, rows)
 
 
@@ -132,7 +131,7 @@ def associated_matrix(tower: OperatorTower) -> DescentMatrix:
     if tower._descent_matrix is None:
         ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
         tower._descent_matrix = DescentMatrix(
-            ring, r, l, assemble_matrix(ring, r, l, tower.coeff.a, tower.lambda_f))
+            ring, r, l, assemble_matrix(ring, r, l, tower.coeff.cells, tower.lambda_f))
     return tower._descent_matrix
 
 
@@ -167,25 +166,17 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
     if y is None:
         raise SingularBasisChange("the change of basis is singular over k")
 
-    a_eps = tower.coeff.a
-
-    def a_eta(j, k, m):
-        acc = field.zero
-        for q in range(l):
-            if field.is_zero(x[q][j]):
-                continue
-            for kk in range(l):
-                if field.is_zero(x[kk][k]):
-                    continue
-                for p in range(l):
-                    c = a_eps(q, kk, p)
-                    if field.is_zero(c):
-                        continue
-                    acc = field.add(
-                        acc,
-                        field.mul(field.mul(x[q][j], x[kk][k]), field.mul(c, y[m][p])),
-                    )
-        return acc
+    # eta_j eta_k in the eps basis by the table, then into the eta basis by Y
+    columns = [list(col) for col in zip(*x)]
+    cells_eta = []
+    for xj in columns:
+        row_eta = []
+        for xk in columns:
+            prod = linear.vec_mul(field, tower.coeff.cells, xj, xk)
+            coords = [field.normalize(sum(ym * p for ym, p in zip(y_row, prod)))
+                      for y_row in y]
+            row_eta.append(tuple((m, c) for m, c in enumerate(coords) if c))
+        cells_eta.append(row_eta)
 
     ring = tower.base_ring
 
@@ -196,7 +187,7 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
                 acc = acc + tower.lambda_f(n, q, i).scale(y[k][q])
         return ring.nf(acc)
 
-    m_eta = assemble_matrix(ring, r, l, a_eta, lam_eta)
+    m_eta = assemble_matrix(ring, r, l, cells_eta, lam_eta)
     m_eps = associated_matrix(tower).matrix
     x_big = inflate(ring, x, r)
     y_big = inflate(ring, y, r)

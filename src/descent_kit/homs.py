@@ -9,10 +9,12 @@ no descent can exist.  That system's matrix is the tower's own descent
 matrix, which ``associated_matrix`` builds and decides once per tower.
 
 The enumeration works in the GF(p) coordinates of the target's staircase,
-multiplying with one table of structure constants per target.  A relation
-depends only on the images of the variables it mentions, so it is
-evaluated once per assignment of those, and the search stops extending a
-partial assignment as soon as a relation fails on it.  Polynomials are
+multiplying through ``linear.vec_mul`` with one table per target, kept in
+the sparse (m, c) cells that every finite algebra of the package uses:
+most products of staircase monomials have one nonzero coordinate or none.
+A relation depends only on the images of the variables it mentions, so it
+is evaluated once per assignment of those, and the search stops extending
+a partial assignment as soon as a relation fails on it.  Polynomials are
 built only for the maps that are returned.  The audit gates each algebra
 map once and keeps the image the gate produced.
 """
@@ -60,7 +62,8 @@ def target_elements(target: PresentedRing):
 
 
 def _multiplication_table(target: PresentedRing, basis):
-    """``table[i][j][m]``: the m-th staircase coordinate of basis[i] * basis[j].
+    """``table[i][j]``: the pairs (m, c), m ascending, of the nonzero
+    staircase coordinates c of basis[i] * basis[j].
 
     One normal form per unordered pair of staircase monomials.
     """
@@ -70,7 +73,8 @@ def _multiplication_table(target: PresentedRing, basis):
     for i in range(n):
         for j in range(i, n):
             product = Polynomial(field, {basis[i].mul(basis[j]): field.one})
-            table[i][j] = table[j][i] = target.coordinates(product, basis)
+            coords = target.coordinates(product, basis)
+            table[i][j] = table[j][i] = tuple((m, c) for m, c in enumerate(coords) if c)
     return table
 
 

@@ -5,8 +5,11 @@ normal forms over a ring.  ``rref`` is the one Gauss-Jordan loop of the
 package; ``solve`` runs it over either kind of ring, and
 ``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank``,
 ``inverse`` and ``in_span`` are field routines.  ``vec_mul`` multiplies
-coordinate vectors of a finite k-algebra given by its structure
-constants.
+coordinate vectors of a finite k-algebra given by its sparse table of
+structure constants: the (m, c) cells that ``StructureAlgebra.table``
+keeps, with scalar c.  ``StructureAlgebra.multiply_coords`` reads the same
+format with polynomial coefficients over a ring; the two stay separate
+kernels, so that neither branches on its caller.
 """
 
 from __future__ import annotations
@@ -19,24 +22,25 @@ def identity(ring, n: int):
     return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
-def vec_mul(field: ScalarField, constants, x, y):
-    """Coordinates of x * y in a finite k-algebra with structure constants
-    ``constants[i][j][m]`` (the m-th coordinate of b_i b_j).
+def vec_mul(field: ScalarField, cells, x, y):
+    """Coordinates of x * y in a finite k-algebra whose table ``cells[i][j]``
+    holds the pairs (m, c), m ascending, of the nonzero m-th coordinates c
+    of b_i b_j.
 
-    Zero scalars are skipped by truthiness and the arithmetic is inline:
-    plain int/Fraction sums, reduced once per coordinate over GF(p).
+    Only stored cells are visited, zero coordinates of x and y are skipped
+    by truthiness, and the arithmetic is inline: plain int/Fraction sums,
+    reduced once per coordinate over GF(p).
     """
     out = [field.zero] * len(x)
-    for xi, row in zip(x, constants):
+    for xi, row in zip(x, cells):
         if not xi:
             continue
-        for yj, consts in zip(y, row):
+        for yj, cell in zip(y, row):
             if not yj:
                 continue
             c = xi * yj
-            for m, cm in enumerate(consts):
-                if cm:
-                    out[m] += c * cm
+            for m, cm in cell:
+                out[m] += c * cm
     p = field.characteristic
     return [v % p for v in out] if p else out
 

@@ -336,7 +336,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.terms == other.terms
         )
 

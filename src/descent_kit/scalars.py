@@ -165,21 +165,6 @@ class ScalarField:
         return f"{a.numerator}/{a.denominator}"
 
 
-def scalar_arith(op: str, field: ScalarField, a, b):
-    """Four-function scalar arithmetic with explicit field checking."""
-    a = field.normalize(a)
-    b = field.normalize(b)
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 QQ = ScalarField(0)
 
 

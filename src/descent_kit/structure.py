@@ -116,9 +116,10 @@ class StructureAlgebra:
 
     def multiply_coords(self, x, y):
         """Coordinates of x * y: each output coordinate is accumulated in one
-        term dict and normalized once.  Only the nonzero constants of the
-        table are visited, so a pair (i, j) with b_i b_j = 0 forms no
-        product x_i y_j."""
+        term dict and normalized once; a coordinate no term reached is the
+        base ring's zero, with no normal form taken.  Only the nonzero
+        constants of the table are visited, so a pair (i, j) with
+        b_i b_j = 0 forms no product x_i y_j."""
         base = self.base
         field = base.field
         out = [{} for _ in range(self.rank)]
@@ -132,7 +133,8 @@ class StructureAlgebra:
                 for m, c in cell:
                     for cm, cc in c.terms.items():
                         add_multiple(out[m], prod, cc, field, cm)
-        return [base.nf(Polynomial.from_terms(field, t)) for t in out]
+        zero = base.zero
+        return [base.nf(Polynomial.from_terms(field, t)) if t else zero for t in out]
 
     # -- validation -------------------------------------------------------------
 

@@ -57,6 +57,28 @@ def monogenic_algebra(ring, kind):
     raise ValueError(kind)
 
 
+def dense_table(field, cells):
+    """A sparse table of scalars, cells[j][k] holding the nonzero (m, c),
+    as a dense l x l x l table: entry [j][k][m] is a(j, k, m), the
+    coefficient of eps_m in eps_j eps_k."""
+    l = len(cells)
+    table = [[[field.zero] * l for _ in range(l)] for _ in range(l)]
+    for j, row in enumerate(cells):
+        for k, cell in enumerate(row):
+            for m, c in cell:
+                table[j][k][m] = c
+    return table
+
+
+def sparse_cells(field, constants):
+    """The (m, c) cells of a dense table of scalars: cells[i][j] keeps the
+    nonzero c of constants[i][j], m ascending."""
+    return tuple(
+        tuple(tuple((m, c) for m, c in enumerate(cell) if not field.is_zero(c)) for cell in row)
+        for row in constants
+    )
+
+
 def db_elements(coeff, algebra):
     """Helpers for arithmetic in D(B): unit, multiply, scale-by-D-vector."""
     l = coeff.dim
@@ -74,10 +96,8 @@ def db_elements(coeff, algebra):
                 if y[k].is_zero():
                     continue
                 prod = x[j] * y[k]
-                for m in range(l):
-                    a = coeff.a(j, k, m)
-                    if not coeff.field.is_zero(a):
-                        out[m] = out[m] + prod.scale(base.constant(a))
+                for m, a in coeff.cells[j][k]:
+                    out[m] = out[m] + prod.scale(base.constant(a))
         return out
 
     return unit, mul

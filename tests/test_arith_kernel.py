@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial
 from descent_kit.linear import vec_mul
 from descent_kit.polynomials import ONE, add_multiple
+from conftest import sparse_cells
 
 FIELDS = (QQ, GF(2), GF(7), GF(101))
 VARIABLES = ("x", "y", "z")
@@ -257,7 +258,9 @@ def test_prime_field_scalars_are_residues(field, n):
 
 def reference_vec_mul(field, constants, x, y):
     """The method-call loop ``linear.vec_mul`` ran before its arithmetic went
-    inline: one ``field.is_zero`` per scalar, ``field.add``/``field.mul``."""
+    inline and its table went sparse: a dense table, one ``field.is_zero``
+    per scalar, ``field.add``/``field.mul``.  The kernel is handed the same
+    table as (m, c) cells."""
     l = len(x)
     out = [field.zero] * l
     for i in range(l):
@@ -292,7 +295,7 @@ def vec_mul_inputs(draw):
 @given(vec_mul_inputs())
 def test_vec_mul_matches_the_method_call_loop(inputs):
     field, constants, x, y = inputs
-    got = vec_mul(field, constants, x, y)
+    got = vec_mul(field, sparse_cells(field, constants), x, y)
     assert got == reference_vec_mul(field, constants, x, y)
     if field.characteristic:
         assert all(type(v) is int and 0 <= v < field.characteristic for v in got)

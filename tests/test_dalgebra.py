@@ -9,13 +9,16 @@ replaced:
   literal tables ``difference_algebra`` and ``dual_numbers`` were built
   from before they became the jets of length 1 and 2;
 - ``reference_constant_facts`` is the nested loop that checked the
-  stratified-constant facts at the end of ``build_d_algebra``.
+  stratified-constant facts at the end of ``build_d_algebra``, over the
+  dense table (``conftest.dense_table``) that the sparse cells replaced.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from descent_kit import (
     GF,
@@ -37,7 +40,7 @@ from descent_kit.errors import (
     NotNilpotent,
     StrataMismatch,
 )
-from conftest import COEFF_BUILDERS, random_tower
+from conftest import COEFF_BUILDERS, dense_table, random_tower, sparse_cells
 
 
 def reference_projections(d):
@@ -46,7 +49,6 @@ def reference_projections(d):
     the span of the maximal ideal."""
     field = d.field
     l = d.dim
-    constants = [[[d.a(i, j, m) for m in range(l)] for j in range(l)] for i in range(l)]
     basis_vectors = [
         [field.one if q == p else field.zero for q in range(l)] for p in range(l)
     ]
@@ -56,7 +58,7 @@ def reference_projections(d):
         mat = [list(col) for col in zip(*cols)]
         pi = []
         for q in range(l):
-            target = linear.vec_mul(field, constants, list(idem), basis_vectors[q])
+            target = linear.vec_mul(field, d.cells, list(idem), basis_vectors[q])
             sol = linear.solve(field, mat, target)
             if sol is None:
                 raise NotLocalFactor(
@@ -182,11 +184,12 @@ def test_stratified_constant_facts_hold():
         for field in (QQ, GF(5)):
             d = build(field)
             l = d.dim
+            a = dense_table(field, d.cells)
             for j in range(l):
                 for k in range(l):
                     for m in range(l):
                         same = d.factor_of[j] == d.factor_of[k] == d.factor_of[m]
-                        val = d.a(j, k, m)
+                        val = a[j][k][m]
                         if not same:
                             assert field.is_zero(val)
                         else:
@@ -220,7 +223,7 @@ def test_jets_delegations_equal_the_literal_tables(build, reference, field):
     d, ref = build(field), reference(field)
     assert d == ref and hash(d) == hash(ref)
     assert d.labels() == ref.labels()
-    assert d.algebra.table == ref.algebra.table and d.constants == ref.constants
+    assert d.algebra.table == ref.algebra.table and d.cells == ref.cells
     assert d.unit == ref.unit and d.factor_units == ref.factor_units
     assert d.factors == ref.factors and d.factor_of == ref.factor_of
     assert d.strata == ref.strata and d.stratum_of == ref.stratum_of
@@ -273,14 +276,14 @@ def test_constant_fact_rule_matches_the_nested_loop(name, other, field, data):
     nonzero amount, both report the same first (j, k, m) and the same text."""
     d = standard_or_product(name, other, field)
     facts = (d.factor_of, d.stratum_of)
-    assert dalgebra._constant_fact_failure(field, d.constants, *facts) is None
-    assert reference_constant_facts(field, d.constants, *facts) is None
+    assert dalgebra._constant_fact_failure(field, d.cells, *facts) is None
+    assert reference_constant_facts(field, dense_table(field, d.cells), *facts) is None
     l = d.dim
     j, k, m = (data.draw(st.integers(0, l - 1)) for _ in range(3))
     shift = field.normalize(data.draw(st.integers(1, field.characteristic - 1 if field.characteristic else 5)))
-    perturbed = [[list(cell) for cell in row] for row in d.constants]
+    perturbed = dense_table(field, d.cells)
     perturbed[j][k][m] = field.add(perturbed[j][k][m], shift)
-    new = dalgebra._constant_fact_failure(field, perturbed, *facts)
+    new = dalgebra._constant_fact_failure(field, sparse_cells(field, perturbed), *facts)
     assert new == reference_constant_facts(field, perturbed, *facts)
 
 
@@ -294,11 +297,11 @@ def test_a_broken_constant_fact_is_a_strata_mismatch(entry, text, monkeypatch):
     constant moved."""
     real = dalgebra._constant_fact_failure
 
-    def moved(field, constants, factor_of, stratum_of):
-        constants = [[list(cell) for cell in row] for row in constants]
+    def moved(field, cells, factor_of, stratum_of):
+        constants = dense_table(field, cells)
         j, k, m = entry
         constants[j][k][m] = field.add(constants[j][k][m], field.one)
-        return real(field, constants, factor_of, stratum_of)
+        return real(field, sparse_cells(field, constants), factor_of, stratum_of)
 
     monkeypatch.setattr(dalgebra, "_constant_fact_failure", moved)
     with pytest.raises(StrataMismatch) as err:
@@ -322,6 +325,46 @@ def test_unit_coordinate_is_the_projection_of_tensor_products(left, right, field
     product = tensor_coefficients(COEFF_BUILDERS[left](field),
                                   COEFF_BUILDERS[right](field)).product
     assert unit_coordinates(product) == reference_projections(product)
+
+
+def scaled_jets(field):
+    """k[eps]/(eps^3) on the basis 1, eps, 2 eps^2, so that eps * eps is
+    1/2 of the third basis element: a constant other than 0 and 1.  Needs
+    a field of characteristic other than 2."""
+    kk = PresentedRing.base_field(field)
+    z, o, half = kk.zero, kk.one, kk.constant(Fraction(1, 2))
+    alg = StructureAlgebra(kk, ("1", "eps", "eps2"), [
+        [[o, z, z], [z, o, z], [z, z, o]],
+        [[z, o, z], [z, z, half], [z, z, z]],
+        [[z, z, o], [z, z, z], [z, z, z]],
+    ])
+    one, zero = field.one, field.zero
+    return build_d_algebra(alg, [((one, zero, zero), ((zero, one, zero), (zero, zero, one)))])
+
+
+TENSOR_FACTORS = dict(COEFF_BUILDERS, scaled_jets=scaled_jets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=st.sampled_from(sorted(TENSOR_FACTORS)),
+       right=st.sampled_from(sorted(TENSOR_FACTORS)),
+       field=st.sampled_from(FIELDS))
+def test_tensor_cells_follow_the_kronecker_rule(left, right, field):
+    """The product's cells hold c_{(a1,b1),(a2,b2),(a3,b3)} =
+    a^L_{a1a2a3} a^R_{b1b2b3} for every triple of basis pairs, each cell
+    its nonzero constants with m ascending."""
+    assume(field.characteristic != 2 or "scaled_jets" not in (left, right))
+    lhs, rhs = TENSOR_FACTORS[left](field), TENSOR_FACTORS[right](field)
+    cc = tensor_coefficients(lhs, rhs)
+    a_l, a_r = dense_table(field, lhs.cells), dense_table(field, rhs.cells)
+    got = dense_table(field, cc.product.cells)
+    pairs = list(enumerate(cc.index_pair))
+    for (x, (a1, b1)), (y, (a2, b2)), (z, (a3, b3)) in itertools.product(pairs, repeat=3):
+        assert got[x][y][z] == field.mul(a_l[a1][a2][a3], a_r[b1][b2][b3])
+    for row in cc.product.cells:
+        for cell in row:
+            assert [m for m, _ in cell] == sorted({m for m, _ in cell})
+            assert all(not field.is_zero(c) for _, c in cell)
 
 
 @settings(max_examples=30, deadline=None)

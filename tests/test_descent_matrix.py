@@ -24,7 +24,7 @@ from descent_kit import (
 )
 from descent_kit import linear
 from descent_kit.errors import NonInvertibleMatrix, SingularBasisChange
-from conftest import COEFF_BUILDERS, dual_basis_algebra, random_tower
+from conftest import COEFF_BUILDERS, dense_table, dual_basis_algebra, random_tower
 
 
 def block(dm, m, j):
@@ -32,6 +32,18 @@ def block(dm, m, j):
     r = dm.r
     rows = dm.matrix.rows[m * r:(m + 1) * r]
     return RingMatrix(dm.ring, [row[j * r:(j + 1) * r] for row in rows])
+
+
+def assert_defining_formula(tower, dm):
+    """Every block of the assembled matrix equals its defining formula,
+    (M_mj)_ni = sum_k a_jkm lambda_n(f_k(b_i)), summed over a dense table."""
+    ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
+    a = dense_table(ring.field, tower.coeff.cells)
+    for m, j, n, i in itertools.product(range(l), range(l), range(r), range(r)):
+        acc = ring.zero
+        for k in range(l):
+            acc = acc + tower.lambda_f(n, k, i).scale(a[j][k][m])
+        assert ring.equal(block(dm, m, j).entry(n, i), acc)
 
 
 def _dual_tower(field, f_on_eps):
@@ -96,16 +108,7 @@ def test_associated_matrix_differential_case():
         ["0", "0", "1", "0"],
         ["0", "1", "0", "1"],
     ]
-    # independent assembly straight from the defining formula
-    l, r = 2, 2
-    for m in range(l):
-        for j in range(l):
-            for n in range(r):
-                for i in range(r):
-                    acc = a.zero
-                    for k in range(l):
-                        acc = acc + tower.lambda_f(n, k, i).scale(d.a(j, k, m))
-                    assert a.equal(block(dm, m, j).entry(n, i), acc)
+    assert_defining_formula(tower, dm)
     inv = dm.inverse
     assert dm.invertible == "yes" and dm.witness is None
     assert inv.render() == [
@@ -116,6 +119,17 @@ def test_associated_matrix_differential_case():
     ]
     assert dm.matrix * inv == RingMatrix.identity(a, 4)
     assert inv * dm.matrix == RingMatrix.identity(a, 4)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=str)
+@pytest.mark.parametrize("name", sorted(COEFF_BUILDERS))
+def test_assembly_follows_the_defining_formula(name, field, rng):
+    """The sparse assembly agrees with the dense defining formula on random
+    towers over every standard coefficient algebra."""
+    coeff = COEFF_BUILDERS[name](field)
+    for kind in ("nil2", "split", "nil3"):
+        tower = random_tower(field, coeff, kind, rng)
+        assert_defining_formula(tower, associated_matrix(tower))
 
 
 def test_identity_structure_gives_identity_matrix():

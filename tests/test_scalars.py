@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descent_kit import GF, QQ, PresentedRing, scalar_arith
+from descent_kit import GF, QQ, PresentedRing
 from descent_kit.errors import DivisionByZero, NotAUnit
 from descent_kit.scalars import _is_prime
 
@@ -15,20 +15,20 @@ F5 = GF(5)
 
 
 def test_div_exact_rational():
-    assert scalar_arith("div", QQ, 1, 3) == Fraction(1, 3)
+    assert QQ.div(1, 3) == Fraction(1, 3)
 
 
 def test_mul_mod_five():
-    assert scalar_arith("mul", F5, 2, 3) == 1
+    assert F5.mul(2, 3) == 1
 
 
 def test_add_rationals():
-    assert scalar_arith("add", QQ, Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith("div", QQ, 1, 0)
+        QQ.div(1, 0)
     with pytest.raises(DivisionByZero):
         F5.inv(F5.zero)
 
