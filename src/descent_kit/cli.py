@@ -108,10 +108,10 @@ def _descend_report(result, audited: bool) -> dict:
         from .weil_d import rederive_images, verify_d_hom
 
         rederived = rederive_images(result)
+        matrix = result.matrix.matrix
         audit = {
             "matrix_times_inverse_is_identity": (
-                result.matrix.matrix * result.matrix.inverse
-                == RingMatrix.identity(result.matrix.ring, result.matrix.r * result.matrix.l)
+                matrix * result.matrix.inverse == RingMatrix.identity(matrix.ring, matrix.nrows)
             ),
             "unit_is_operator_hom": verify_d_hom(
                 result.classical.unit_map(), result.c_structure, result.structure,

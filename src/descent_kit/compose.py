@@ -13,7 +13,7 @@ from __future__ import annotations
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .descent_matrix import endo_matrix
 from .dstructures import DStructure
-from .errors import CarrierMismatch, CertificateFailure
+from .errors import CarrierMismatch
 from .presented import PresentedRing
 from .structure import StructureAlgebra
 from .tower import OperatorTower, PresentedBAlgebra
@@ -185,19 +185,16 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     composite of the descents with the descent of the composite, both ways
     around the tensor swap.  For two difference structures the composition
     law and identity preservation are also checked directly.  The classical
-    descent W(C) does not depend on the structures, so the first descent
-    computes it and every later one reuses it; each ordering of the tensor
-    product of the coefficient algebras is built once.
+    descent W(C) does not depend on the structures or the towers, so the
+    first descent computes it and every later one holds that same object;
+    each ordering of the tensor product of the coefficient algebras is
+    built once.
     """
     t1, t2 = c1.tower, c2.tower
     res1 = descend_d_structure(c1, g1_struct)
     classical = res1.classical
     res2 = descend_d_structure(c2, g2_struct, classical)
-    if res1.classical.descended != res2.classical.descended:
-        raise CertificateFailure(
-            "compose_presentations", "the two descents produced different presentations"
-        )
-    w_ring = res1.classical.descended
+    w_ring = classical.descended
 
     cc = tensor_coefficients(t2.coeff, t1.coeff)
     t12 = compose_towers(t1, t2, cc)

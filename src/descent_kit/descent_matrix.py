@@ -21,7 +21,9 @@ assembled matrix.
 Invertibility is a fact about the tower alone, so ``associated_matrix``
 builds a tower's matrix once, decides it once (its inverse over the base
 ring, or the witness that there is none) and keeps it on the tower, where
-every later caller finds it.
+every later caller finds it.  The matrix and its inverse stay over A: a
+caller whose vectors live in an extension R of A (W(C), its pre-quotient
+ring, a test algebra) hands R to ``RingMatrix.apply`` or ``solve_cramer``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ class DescentMatrix:
     """The rl x rl matrix of (B, f), decided when built: ``inverse`` over the
     base ring, or None and the ``witness`` of why there is none."""
 
-    __slots__ = ("ring", "r", "l", "matrix", "inverse", "witness", "_lifts")
+    __slots__ = ("r", "l", "matrix", "inverse", "witness")
 
-    def __init__(self, ring: PresentedRing, r: int, l: int, matrix: RingMatrix):
-        self.ring = ring
+    def __init__(self, r: int, l: int, matrix: RingMatrix):
         self.r = r
         self.l = l
         self.matrix = matrix
@@ -62,19 +63,14 @@ class DescentMatrix:
             self.inverse = matrix.inverse()
         except NonInvertibleMatrix as exc:
             self.witness = exc.witness
-        self._lifts = {}
 
     @property
     def invertible(self) -> str:
         return "no" if self.inverse is None else "yes"
 
-    def position(self, i: int, j: int) -> int:
-        """Flat index of the (i, j) vector entry, both 0-based."""
-        return j * self.r + i
-
     @staticmethod
     def pack(blocks):
-        """The (i, j) vector whose entry at ``position(i, j)`` is
+        """The (i, j) vector whose entry at j r + i (both 0-based) is
         ``blocks[j][i]``: the l length-r blocks laid one after another."""
         return [x for block in blocks for x in block]
 
@@ -86,20 +82,6 @@ class DescentMatrix:
 
     def render(self):
         return self.matrix.render()
-
-    def lift(self, ring: PresentedRing) -> RingMatrix:
-        """The matrix reinterpreted over a ring extending the base.
-
-        Built once per ring object and kept on the matrix (the stored
-        matrix keeps ``ring`` alive, so its id cannot be reused).
-        """
-        lifted = self._lifts.get(id(ring))
-        if lifted is None:
-            lifted = self._lifts[id(ring)] = RingMatrix(ring, self.matrix.rows)
-        return lifted
-
-    def lift_inverse(self, ring: PresentedRing) -> RingMatrix:
-        return RingMatrix(ring, self.inverse.rows)
 
 
 def assemble_matrix(ring, r, l, cells, lam) -> RingMatrix:
@@ -131,7 +113,7 @@ def associated_matrix(tower: OperatorTower) -> DescentMatrix:
     if tower._descent_matrix is None:
         ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
         tower._descent_matrix = DescentMatrix(
-            ring, r, l, assemble_matrix(ring, r, l, tower.coeff.cells, tower.lambda_f))
+            r, l, assemble_matrix(ring, r, l, tower.coeff.cells, tower.lambda_f))
     return tower._descent_matrix
 
 

@@ -82,9 +82,6 @@ class GroebnerBasis:
     def __repr__(self):
         return f"GroebnerBasis({list(map(str, self.generators))})"
 
-    def contains_one(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
-
 
 def _reduction_steps(terms, remainder, basis, leads, field, order):
     """Reduce the term dict ``terms`` to zero in place, moving irreducible
@@ -251,8 +248,6 @@ def _interreduce(basis, cofs, leads, order, track):
             basis[i] = r
             if track:
                 cofs[i] = cf
-        else:
-            continue
     # make monic and sort by decreasing leading monomial
     out = []
     for i, g in enumerate(basis):
@@ -325,13 +320,6 @@ def reduce_extended(p: Polynomial, gb: GroebnerBasis):
         Polynomial.from_terms(field, remainder),
         [Polynomial.from_terms(field, t) for t in quotients],
     )
-
-
-def ideal_equal(g1: GroebnerBasis, g2: GroebnerBasis) -> bool:
-    """Two reduced bases generate the same ideal iff they coincide as sets."""
-    if g1.order != g2.order:
-        raise ValueError("ideal_equal requires a common order")
-    return set(g1.generators) == set(g2.generators)
 
 
 def staircase(gb: GroebnerBasis):

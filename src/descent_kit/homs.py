@@ -197,7 +197,7 @@ def enumerate_descended_homs(result: DDescentResult, u_structure, budget: int = 
     target = u_structure.carrier
     fixed = {
         v: Polynomial.variable(target.field, v)
-        for v in result.classical.source.tower.base_ring.variables
+        for v in result.c.tower.base_ring.variables
     }
     gated = []
     for phi in enumerate_homs(result.descended, target, fixed, budget):
@@ -214,7 +214,7 @@ def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = D
 
     Returns the gated maps; images are AlgebraElements over R.
     """
-    c = result.classical.source
+    c = result.c
     tower = c.tower
     target = u_structure.carrier
     ext = tower.algebra.base_change(target)
@@ -241,7 +241,7 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     target = u_structure.carrier
     downstairs = enumerate_descended_homs(result, u_structure, budget)
     upstairs = enumerate_upstairs_homs(result, u_structure, budget)
-    c_gens = result.classical.source.generators
+    c_gens = result.c.generators
 
     def psi_key(psi):
         return tuple(
@@ -260,7 +260,7 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
         matched.add(key)
         phi_back = tau_d_inverse(psi, u_structure, result)
         for name in result.descended.variables:
-            if name in result.classical.source.tower.base_ring.variables:
+            if name in result.c.tower.base_ring.variables:
                 continue
             if not target.equal(phi_back[name], phi[name]):
                 roundtrip_ok = False

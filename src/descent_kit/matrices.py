@@ -16,6 +16,14 @@ normalized once.
 polynomial per matrix, then Cayley-Hamilton by Horner with matrix-vector
 products for every right-hand side.  It shares no code with the
 elimination, so agreement of the two routes means something.
+
+A matrix over A acts in any ring R that extends A's presentation (A's
+relations a prefix of R's, R's new variables after A's in the order):
+``apply`` and ``solve_cramer`` take the ring the vectors live in and
+normalize their sums there.  The R-normal form of a sum of products does
+not depend on whether the A-entries were first re-normalized in R, and an
+A-inverse of the determinant is its R-inverse, so the matrix is never
+rebuilt over R.
 """
 
 from __future__ import annotations
@@ -91,9 +99,6 @@ class RingMatrix:
     def render(self):
         return [[self.ring.render(e) for e in row] for row in self.rows]
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.rows[i][j]
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
@@ -126,16 +131,18 @@ class RingMatrix:
     def scale(self, c: Polynomial) -> "RingMatrix":
         return RingMatrix(self.ring, [[e * c for e in row] for row in self.rows])
 
-    def apply(self, vector):
-        """Matrix-vector product; the vector is a list of ring elements."""
+    def apply(self, vector, ring: PresentedRing = None):
+        """Matrix-vector product, normalized in ``ring``: the ring of the
+        vector's entries, which extends the matrix's (its own by default)."""
         if len(vector) != self.ncols:
             raise ValueError("shape mismatch")
-        zero = self.ring.zero
-        return self._apply_plus(vector, zero, [zero] * self.nrows)
+        ring = self.ring if ring is None else ring
+        return self._apply_plus(vector, ring.zero, [ring.zero] * self.nrows, ring)
 
-    def _apply_plus(self, y, c: Polynomial, b):
-        """M y + c b, each entry summed in one term dict and normalized once."""
-        return [_nf_sum(self.ring, zip((c, *row), (bi, *y))) for row, bi in zip(self.rows, b)]
+    def _apply_plus(self, y, c: Polynomial, b, ring: PresentedRing):
+        """M y + c b, each entry summed in one term dict and normalized once
+        in ``ring``."""
+        return [_nf_sum(ring, zip((c, *row), (bi, *y))) for row, bi in zip(self.rows, b)]
 
     # -- determinant and inversion ----------------------------------------------
 
@@ -240,7 +247,7 @@ class RingMatrix:
         except NonInvertibleMatrix:
             return False
 
-    def solve_cramer(self, vectors):
+    def solve_cramer(self, vectors, ring: PresentedRing = None):
         """Solve M x = b for every b in ``vectors``; requires a unit determinant.
 
         One Berkowitz characteristic polynomial [1, c_{n-1}, ..., c_0] serves
@@ -250,8 +257,10 @@ class RingMatrix:
         y = M^{n-1} b + c_{n-1} M^{n-2} b + ... + c_1 b, computed by Horner
         with matrix-vector products; the adjugate is never formed.  Entry j
         of adj(M) b is det(M_j), M with column j replaced by b, so this is
-        Cramer's quotient det(M_j) / det(M).  Returns one list of normal
-        forms per right-hand side.
+        Cramer's quotient det(M_j) / det(M).  The characteristic polynomial
+        and det(M)^-1 are taken over the matrix's ring; the right-hand sides
+        live in ``ring``, which extends it (the matrix's own by default), and
+        the result is one list of normal forms there per right-hand side.
 
         Kept as an independent route from ``inverse`` so results obtained
         with one can be cross-checked with the other.
@@ -261,13 +270,13 @@ class RingMatrix:
         d_inv = self._unit_det_inverse(coeffs)
         # -c_0^{-1} = (-1)^{n+1} det(M)^{-1}
         scale = d_inv if n % 2 else -d_inv
-        ring = self.ring
+        ring = self.ring if ring is None else ring
         out = []
         for b in vectors:
             if len(b) != n:
                 raise ValueError("shape mismatch")
             y = b
             for c in coeffs[1:n]:
-                y = self._apply_plus(y, c, b)
+                y = self._apply_plus(y, c, b, ring)
             out.append([ring.nf(e * scale) for e in y])
         return out

@@ -329,10 +329,6 @@ class Polynomial:
             out |= m.variables()
         return out
 
-    @property
-    def total_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -135,12 +135,6 @@ class ScalarField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, n: int):
-        p = self.characteristic
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        return pow(a, n, p) if p else a**n
-
     # -- text form -----------------------------------------------------------
 
     def parse(self, text: str):

@@ -63,14 +63,16 @@ class StructureAlgebra:
     def _set(self, base, labels, cells, unit_coords):
         """Keep, per (i, j), the (m, c_ijm) of ``cells`` whose normal form
         over ``base`` is nonzero: the constructor and ``base_change`` both
-        build through here."""
+        build through here.  A zero entry is its own normal form, so only
+        nonzero entries are reduced."""
         nf = base.nf
         self.base = base
         self.labels = labels
         self.table = tuple(tuple(
-            tuple((m, c) for m, c in ((m, nf(c)) for m, c in cell) if not c.is_zero())
+            tuple((m, c) for m, c in ((m, nf(c)) for m, c in cell if not c.is_zero())
+                  if not c.is_zero())
             for cell in row) for row in cells)
-        self.unit_coords = tuple(nf(c) for c in unit_coords)
+        self.unit_coords = tuple(c if c.is_zero() else nf(c) for c in unit_coords)
         self._certificates = None
         self._flat_ring = None
         self._base_changes = {}

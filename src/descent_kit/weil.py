@@ -7,10 +7,10 @@ yields the descent ideal; the descended presentation is the quotient by
 it.  The unit map x -> sum_i x(i) (x) b_i realizes one direction of the
 Hom-set bijection, coordinate extraction the other.
 
-W(C) depends only on C and on B as a free A-module, not on any operator
-structure, so one descent can serve every structure on C: ``for_algebra``
-hands the same rings and ideal to another presentation of C over a tower
-with the same module algebra.
+W(C) depends only on C as a B-algebra, not on any operator structure or
+tower, so a ``WeilDescentResult`` holds B, C's generators and C's flat
+relations and nothing more: one object serves every structure on C, over
+every tower with the same module algebra B.
 """
 
 from __future__ import annotations
@@ -23,15 +23,19 @@ from .tower import PresentedBAlgebra
 
 
 class WeilDescentResult:
-    """The descended presentation, the descent ideal, and the unit map."""
+    """The descended presentation, the descent ideal, and the unit map of
+    C = B[generators]/(relations_flat), with B the module algebra."""
 
-    __slots__ = ("source", "descended", "ideal_generators", "copy_names", "pre_ring",
-                 "_unit_maps")
+    __slots__ = ("algebra", "generators", "relations_flat", "descended", "ideal_generators",
+                 "copy_names", "pre_ring", "_unit_maps")
 
-    def __init__(self, source, descended, ideal_generators, copy_names, pre_ring):
-        self.source = source
-        self.descended = descended
-        self.ideal_generators = ideal_generators
+    def __init__(self, algebra: StructureAlgebra, generators, relations_flat, copy_names,
+                 pre_ring):
+        self.algebra = algebra
+        self.generators = generators
+        self.relations_flat = relations_flat
+        self.descended = None
+        self.ideal_generators = ()
         self.copy_names = copy_names
         self.pre_ring = pre_ring
         self._unit_maps = {}
@@ -58,23 +62,10 @@ class WeilDescentResult:
         """The unit map's value at a generator, as coordinates over W(C)."""
         return self.unit_map()[gen]
 
-    def for_algebra(self, c: PresentedBAlgebra) -> "WeilDescentResult":
-        """This descent as the descent of ``c``, which must present the same
-        algebra over the same module algebra B; the rings are shared."""
-        src = self.source
-        if (c.tower.algebra != src.tower.algebra or c.generators != src.generators
-                or c.relations_flat != src.relations_flat):
-            raise ValueError("the classical descent belongs to a different algebra")
-        shared = WeilDescentResult(
-            c, self.descended, self.ideal_generators, self.copy_names, self.pre_ring
-        )
-        shared._unit_maps = self._unit_maps
-        return shared
-
     def tensor_algebra(self, ring: PresentedRing = None) -> StructureAlgebra:
         """W(C) (x)_A B (or R (x)_A B for a supplied R)."""
         target = ring if ring is not None else self.descended
-        return self.source.tower.algebra.base_change(target)
+        return self.algebra.base_change(target)
 
     def evaluate_under_unit(self, flat: Polynomial, ring: PresentedRing = None) -> AlgebraElement:
         """Push a flat element of B[T] through the unit map into W(C) (x) B
@@ -84,7 +75,7 @@ class WeilDescentResult:
     def pinned_env(self, images: dict, field) -> dict:
         """``images`` of the copy variables, with A's variables sent to themselves."""
         env = dict(images)
-        for v in self.source.tower.base_ring.variables:
+        for v in self.algebra.base.variables:
             env.setdefault(v, Polynomial.variable(field, v))
         return env
 
@@ -108,7 +99,8 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
 
     # the descent ideal is read off the unit map on pre_ring, so the result
     # holds that map before its descended ring exists
-    result = WeilDescentResult(c, None, (), copy_names, pre_ring)
+    result = WeilDescentResult(tower.algebra, c.generators, c.relations_flat, copy_names,
+                               pre_ring)
     algebra_pre, unit_env = result.tensor_algebra(pre_ring), result.unit_map(pre_ring)
     result.ideal_generators = tuple(
         coord for rel in c.relations_flat
@@ -146,10 +138,10 @@ def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResu
         )
     ext = result.tensor_algebra(target)
     psi = {}
-    for g in result.source.generators:
+    for g in result.generators:
         psi[g] = ext.element([env[name] for name in result.copy_names[g]])
     # re-check: psi kills the relations of C inside R (x) B
-    for rel in result.source.relations_flat:
+    for rel in result.relations_flat:
         if not ext.coordinatize(rel, psi).is_zero():
             raise NotAHomomorphism("induced map does not kill a relation of C")
     return psi
@@ -163,11 +155,11 @@ def tau_inverse(psi_images: dict, target: PresentedRing, result: WeilDescentResu
     psi(x).
     """
     ext = result.tensor_algebra(target)
-    for rel in result.source.relations_flat:
+    for rel in result.relations_flat:
         if not ext.coordinatize(rel, psi_images).is_zero():
             raise NotAHomomorphism("psi does not kill a relation of C")
     phi = {}
-    for g in result.source.generators:
+    for g in result.generators:
         el = psi_images[g]
         for i, name in enumerate(result.copy_names[g]):
             phi[name] = el.coords[i]
@@ -182,7 +174,7 @@ def descend_morphism(h_images: dict, source: WeilDescentResult, target: WeilDesc
     Sends x(i) to lambda_i of the unit image of h(x) computed in W(C') (x) B.
     """
     out = {}
-    for g in source.source.generators:
+    for g in source.generators:
         image = target.evaluate_under_unit(h_images[g])
         for i, name in enumerate(source.copy_names[g]):
             out[name] = image.coords[i]

@@ -10,6 +10,12 @@ that the ideal is closed under the pre-quotient structure; induce the
 quotient structure; and certify the unit map is an operator
 homomorphism.  Uniqueness is forced at the generator level because the
 matrix is invertible, and that is recorded as a certificate.
+
+The matrix and its inverse stay over A: each product hands the ring its
+vectors live in (the pre-quotient ring, W(C), a test algebra R) to
+``RingMatrix.apply`` or ``solve_cramer``.  W(C) is tower-free, so a
+classical descent handed in is used as it is, and ``DDescentResult``
+keeps the C it descended.
 """
 
 from __future__ import annotations
@@ -25,9 +31,12 @@ from .weil import WeilDescentResult, tau_forward, tau_inverse, weil_descend
 class DDescentResult:
     """Everything a descent produced, plus its certificate trail."""
 
-    __slots__ = ("classical", "structure", "pre_structure", "matrix", "c_structure", "certificates")
+    __slots__ = ("c", "classical", "structure", "pre_structure", "matrix", "c_structure",
+                 "certificates")
 
-    def __init__(self, classical, structure, pre_structure, matrix, c_structure, certificates):
+    def __init__(self, c, classical, structure, pre_structure, matrix, c_structure,
+                 certificates):
+        self.c = c
         self.classical = classical
         self.structure = structure
         self.pre_structure = pre_structure
@@ -59,14 +68,13 @@ def verify_d_hom(psi_images: dict, g_structure: DStructure, u_structure: DStruct
     both sides assemble into algebra homomorphisms into D(R (x) B).
     """
     target = u_structure.carrier
-    lifted = matrix.lift(target)
-    psi = {x: psi_images[x] for x in result.source.generators}
-    for gen in result.source.generators:
+    psi = {x: psi_images[x] for x in result.generators}
+    for gen in result.generators:
         lhs = _image_vector(result, g_structure, gen, psi, target)
-        rhs = lifted.apply(matrix.pack(
+        rhs = matrix.matrix.apply(matrix.pack(
             [[u_structure.coordinate_op(j, c) for c in psi[gen].coords]
              for j in range(1, matrix.l + 1)]
-        ))
+        ), target)
         if not all(target.equal(a, b) for a, b in zip(lhs, rhs)):
             return False
     return True
@@ -79,10 +87,11 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     ``g_structure`` is ``c.structure(images)``, built from the operator
     coordinates of each generator.  ``classical`` may hand in the classical
     descent W(C) computed for another structure on the same C over the same
-    module algebra B; by default it is computed here.  The descent matrix
-    is the tower's own (``associated_matrix``).  Raises NonInvertibleMatrix,
-    with the witness and the rendered matrix, when the matrix of (B, f) is
-    not invertible: that is the obstruction to descent.
+    module algebra B, and is then used as it is (ValueError when it belongs
+    to another algebra); by default it is computed here.  The descent
+    matrix is the tower's own (``associated_matrix``).  Raises
+    NonInvertibleMatrix, with the witness and the rendered matrix, when the
+    matrix of (B, f) is not invertible: that is the obstruction to descent.
     """
     tower = c.tower
     if g_structure.carrier != c.flat_ring:
@@ -95,17 +104,21 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
         raise NonInvertibleMatrix(matrix.witness, matrix.render())
     certificates.append({"check": "matrix_invertible", "ok": True})
 
-    classical = weil_descend(c) if classical is None else classical.for_algebra(c)
+    if classical is None:
+        classical = weil_descend(c)
+    elif (c.tower.algebra != classical.algebra or c.generators != classical.generators
+          or c.relations_flat != classical.relations_flat):
+        raise ValueError("the classical descent belongs to a different algebra")
     certificates.append({"check": "classical_descent", "ok": True})
 
     # operator images of the copy variables on the pre-quotient ring
     pre_ring = classical.pre_ring
-    inverse_pre = matrix.lift_inverse(pre_ring)
     units_pre = classical.unit_map(pre_ring)
     pre_images = {v: tower.e.images[v] for v in tower.base_ring.variables}
     for gen in c.generators:
         vec = _image_vector(classical, g_structure, gen, units_pre, pre_ring)
-        pre_images.update(zip(classical.copy_names[gen], matrix.unpack(inverse_pre.apply(vec))))
+        solved = matrix.inverse.apply(vec, pre_ring)
+        pre_images.update(zip(classical.copy_names[gen], matrix.unpack(solved)))
     # well defined because e is: pre_ring only adds free copy variables to A
     pre_structure = DStructure(pre_ring, tower.coeff, pre_images, base=tower.e)
 
@@ -130,7 +143,8 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
         "note": "generator images are forced: the matrix is invertible, so the"
                 " coordinate identity determines them uniquely",
     })
-    return DDescentResult(classical, structure, pre_structure, matrix, g_structure, certificates)
+    return DDescentResult(c, classical, structure, pre_structure, matrix, g_structure,
+                          certificates)
 
 
 def rederive_images(result: DDescentResult) -> dict:
@@ -144,13 +158,13 @@ def rederive_images(result: DDescentResult) -> dict:
     classical = result.classical
     matrix = result.matrix
     ring = classical.descended
-    gens = classical.source.generators
+    gens = classical.generators
     units = classical.unit_map()
     vectors = [
         _image_vector(classical, result.c_structure, gen, units, ring) for gen in gens
     ]
     out = {}
-    for gen, solved in zip(gens, matrix.lift(ring).solve_cramer(vectors)):
+    for gen, solved in zip(gens, matrix.matrix.solve_cramer(vectors, ring)):
         out.update(zip(classical.copy_names[gen], matrix.unpack(solved)))
     return out
 
@@ -202,7 +216,7 @@ def _is_identity(structure: DStructure) -> bool:
 def descended_endomorphisms_check(result: DDescentResult) -> dict:
     """Factorwise: descending the associated endomorphism of (C, g) equals
     taking the associated endomorphism of the descended structure."""
-    c = result.classical.source
+    c = result.c
     tower = c.tower
     report = {"factors": [], "ok": True}
     rho = result.structure.associated_endomorphisms()

@@ -257,7 +257,8 @@ def test_criterion_7_differential_instance():
                     solved[idx][mono] = a[idx][4]
         for j in range(2):
             for i, name in enumerate(("t(1)", "t(2)")):
-                oracle = Polynomial(QQ, solved[res.matrix.position(i, j)])
+                # entry (i, j) of a flattened vector sits at j r + i
+                oracle = Polynomial(QQ, solved[j * res.matrix.r + i])
                 assert ring.equal(oracle, images[name][j])
 
         # Leibniz on 20 random pairs

@@ -144,12 +144,12 @@ def _shifted(result):
     """``result`` with its descended structure moved at one copy variable:
     every coordinate of the first generator copy gains 1."""
     structure = result.structure
-    name = result.classical.copy_names[result.classical.source.generators[0]][0]
+    name = result.classical.copy_names[result.c.generators[0]][0]
     images = dict(structure.images)
     images[name] = tuple(c + structure.carrier.one for c in images[name])
     wrong = DStructure(structure.carrier, structure.coeff, images, base=structure.base)
-    return DDescentResult(result.classical, wrong, result.pre_structure, result.matrix,
-                          result.c_structure, result.certificates)
+    return DDescentResult(result.c, result.classical, wrong, result.pre_structure,
+                          result.matrix, result.c_structure, result.certificates)
 
 
 def _difference_check_with_one_wrong_descent(monkeypatch, is_wrong):

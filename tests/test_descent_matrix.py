@@ -1,6 +1,7 @@
 """Endomorphism and structure matrices: assembly, inversion, invariance."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ def block(dm, m, j):
     """Block (m, j), 0-based, sliced out of the assembled matrix."""
     r = dm.r
     rows = dm.matrix.rows[m * r:(m + 1) * r]
-    return RingMatrix(dm.ring, [row[j * r:(j + 1) * r] for row in rows])
+    return RingMatrix(dm.matrix.ring, [row[j * r:(j + 1) * r] for row in rows])
 
 
 def assert_defining_formula(tower, dm):
@@ -43,7 +44,7 @@ def assert_defining_formula(tower, dm):
         acc = ring.zero
         for k in range(l):
             acc = acc + tower.lambda_f(n, k, i).scale(a[j][k][m])
-        assert ring.equal(block(dm, m, j).entry(n, i), acc)
+        assert ring.equal(block(dm, m, j).rows[n][i], acc)
 
 
 def _dual_tower(field, f_on_eps):
@@ -300,28 +301,72 @@ def test_bijectivity_matches_matrix_over_field_base():
     assert k_linear_rank(conj, nonbij) < dim
 
 
-def test_lift_is_built_once_per_ring():
-    """verify_d_hom lifts the matrix to the test algebra on every call; the
-    lift is built once per ring object and has the base matrix's entries."""
-    tower = _dual_tower(GF(2), lambda b: b.basis_el(1))
+EXTENSION_RELATIONS = ["u^2", "u^2 - 1", "u*v - 1", "v^3 + u", "u^2 + v^2 - 2"]
+VECTOR_ENTRIES = ["0", "1", "u", "v", "2*u*v - 1", "u^3 + v", "v^2 - u^2", "u*v^2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]), coeff=st.sampled_from(sorted(COEFF_BUILDERS)),
+       kind=st.sampled_from(["nil2", "split", "nil3"]), seed=st.integers(0, 2**16),
+       relations=st.lists(st.sampled_from(EXTENSION_RELATIONS), max_size=2, unique=True),
+       data=st.data())
+def test_matrix_over_a_applies_in_any_extension(field, coeff, kind, seed, relations, data):
+    """The matrix over A acts on vectors over R, an extension of A by new
+    variables and relations, exactly as the old lift route did: the same
+    rows rebuilt as a RingMatrix over R (kept here as the reference)."""
+    tower = random_tower(field, COEFF_BUILDERS[coeff](field), kind, random.Random(seed))
+    a_ring = tower.base_ring
+    free = a_ring.extend(("u", "v"))
+    ring = a_ring.extend(("u", "v"), [free.el(rel) for rel in relations])
     dm = associated_matrix(tower)
-    r = PresentedRing.make(GF(2), ("u",), [PresentedRing.make(GF(2), ("u",), []).el("u^3")])
-    lifted = dm.lift(r)
-    assert dm.lift(r) is lifted
-    assert lifted.ring is r and lifted.rows == dm.matrix.rows
-    other = dm.lift(PresentedRing.make(GF(2), ("u",), []))
-    assert other is not lifted and other.rows == dm.matrix.rows
+    n = dm.matrix.nrows
+    vectors = [[ring.el(data.draw(st.sampled_from(VECTOR_ENTRIES))) for _ in range(n)]
+               for _ in range(2)]
+    for matrix in (dm.matrix, dm.inverse):
+        if matrix is None:
+            continue
+        lifted = RingMatrix(ring, matrix.rows)
+        for vector in vectors:
+            assert matrix.apply(vector, ring) == lifted.apply(vector)
+    if dm.inverse is not None:
+        assert dm.matrix.solve_cramer(vectors, ring) == RingMatrix(
+            ring, dm.matrix.rows).solve_cramer(vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]), a_relation=st.sampled_from(["a^2 - 2", "a^3"]),
+       relations=st.lists(st.sampled_from(["u - a", "a*u - 1", "v^2 - a", "u*v + a^2"]),
+                          max_size=2, unique=True),
+       data=st.data())
+def test_matrix_over_a_with_relations_applies_in_any_extension(field, a_relation, relations,
+                                                               data):
+    """Over A with a relation, and R relating its new variables to A's, the
+    R-normal form of M v does not depend on re-normalizing M's entries in R,
+    and the A-inverse of det(M) serves as its R-inverse."""
+    free_a = PresentedRing.make(field, ("a",), [])
+    a_ring = PresentedRing.make(field, ("a",), [free_a.el(a_relation)])
+    free = a_ring.extend(("u", "v"))
+    ring = a_ring.extend(("u", "v"), [free.el(rel) for rel in relations])
+    pick = st.sampled_from(["0", "1", "2", "a", "a^2 + 1", "1 - a"])
+    m = RingMatrix(a_ring, [[a_ring.el(data.draw(pick)) for _ in range(2)] for _ in range(2)])
+    vectors = [[ring.el(data.draw(st.sampled_from(VECTOR_ENTRIES + ["a*u", "a^2*v"])))
+                for _ in range(2)] for _ in range(2)]
+    lifted = RingMatrix(ring, m.rows)
+    for vector in vectors:
+        assert m.apply(vector, ring) == lifted.apply(vector)
+    if a_ring.is_unit(m.det()):
+        assert m.solve_cramer(vectors, ring) == lifted.solve_cramer(vectors)
 
 
 @settings(max_examples=60, deadline=None)
 @given(r=st.integers(1, 6), l=st.integers(1, 6))
 def test_pack_and_unpack_follow_position(r, l):
-    """pack puts blocks[j][i] at position(i, j); unpack reads entry (i, j) of
-    every j back for each i."""
+    """pack puts blocks[j][i] at position j r + i; unpack reads entry (i, j)
+    of every j back for each i."""
     ring = PresentedRing.base_field(QQ)
-    dm = DescentMatrix(ring, r, l, RingMatrix.identity(ring, r * l))
+    dm = DescentMatrix(r, l, RingMatrix.identity(ring, r * l))
     vector = dm.pack([[(i, j) for i in range(r)] for j in range(l)])
     assert len(vector) == r * l
-    assert all(vector[dm.position(i, j)] == (i, j) for i in range(r) for j in range(l))
-    assert sorted(dm.position(i, j) for i in range(r) for j in range(l)) == list(range(r * l))
+    # entry (i, j), both 0-based, sits at position j r + i
+    assert all(vector[j * r + i] == (i, j) for i in range(r) for j in range(l))
     assert dm.unpack(vector) == [tuple((i, j) for j in range(l)) for i in range(r)]

@@ -21,8 +21,8 @@ from conftest import FIXTURES
 EXPORTED = {
     "scalars": ["GF", "QQ", "ScalarField"],
     "polynomials": ["DegRevLex", "Monomial", "Polynomial", "parse_polynomial", "render"],
-    "groebner": ["GroebnerBasis", "buchberger", "buchberger_extended", "ideal_equal",
-                 "normal_form", "reduce_extended", "staircase"],
+    "groebner": ["GroebnerBasis", "buchberger", "buchberger_extended", "normal_form",
+                 "reduce_extended", "staircase"],
     "presented": ["PresentedRing", "tensor_power", "tensor_presented"],
     "structure": ["AlgebraElement", "StructureAlgebra", "evaluate_poly"],
     "dalgebra": ["DCoefficientAlgebra", "build_d_algebra", "difference_algebra",

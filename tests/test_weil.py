@@ -8,9 +8,12 @@ from descent_kit import (
     OperatorTower,
     PresentedBAlgebra,
     PresentedRing,
+    descend_d_structure,
     descend_morphism,
+    descended_endomorphisms_check,
     difference_algebra,
     parse_polynomial,
+    product_of_fields,
     tau_forward,
     tau_inverse,
     target_elements,
@@ -184,19 +187,28 @@ def test_tau_round_trips_on_every_hom(f2_tower):
 
 
 def test_one_classical_descent_serves_every_tower_on_the_same_algebra(f2_tower):
-    """W(C) depends on C and B as a module only: handed to C over another
-    tower on the same B it keeps its rings, and the source is the new C."""
+    """W(C) depends on C as a B-algebra only: handed to the descent of C over
+    another tower on the same B, with another D, it is used as it is, and
+    that descent keeps the C it descended."""
     field = GF(2)
     rel = [parse_polynomial("t^2+t", field)]
-    res = weil_descend(PresentedBAlgebra(f2_tower, ("t",), rel))
-    d = f2_tower.coeff
-    other = OperatorTower(f2_tower.e, f2_tower.algebra, d,
-                          [[f2_tower.algebra.basis_el(0)], [f2_tower.algebra.zero_el()]])
-    c_other = PresentedBAlgebra(other, ("t",), rel)
-    shared = res.for_algebra(c_other)
-    assert shared.source is c_other
-    assert shared.descended is res.descended and shared.pre_ring is res.pre_ring
-    assert shared.tensor_algebra() is res.tensor_algebra()
-    assert weil_descend(c_other).descended is res.descended
-    with pytest.raises(ValueError):
-        res.for_algebra(PresentedBAlgebra(other, ("t",), [parse_polynomial("t^2", field)]))
+    c1 = PresentedBAlgebra(f2_tower, ("t",), rel)
+    res1 = descend_d_structure(c1, c1.structure({"t": (c1.flat_ring.var("t"),)}))
+    b = f2_tower.algebra
+    d2 = product_of_fields(field, 2)
+    a = b.base
+    unit = [a.constant(x) for x in d2.unit]
+    tower2 = OperatorTower(DStructure.identity(a, d2), b, d2,
+                           [[b.basis_el(i).scale(u) for u in unit] for i in range(b.rank)])
+    c2 = PresentedBAlgebra(tower2, ("t",), rel)
+    g2 = c2.structure({"t": DStructure.identity(c2.flat_ring, d2).images["t"]})
+    res2 = descend_d_structure(c2, g2, res1.classical)
+    assert res2.classical is res1.classical
+    assert res2.c is c2
+    report = descended_endomorphisms_check(res2)
+    assert [entry["factor"] for entry in report["factors"]] == [1, 2] and report["ok"]
+    assert weil_descend(c2).descended is res1.classical.descended
+    c3 = PresentedBAlgebra(tower2, ("t",), [parse_polynomial("t^2", field)])
+    g3 = c3.structure({"t": DStructure.identity(c3.flat_ring, d2).images["t"]})
+    with pytest.raises(ValueError, match="the classical descent belongs to a different algebra"):
+        descend_d_structure(c3, g3, res1.classical)

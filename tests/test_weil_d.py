@@ -157,7 +157,8 @@ def test_differential_instance():
     images["t(1)"] = (ring.el("t(1) + 1"), images["t(1)"][1])
     wrong = DStructure(ring, res.structure.coeff, images, base=res.structure.base)
     rep = descended_endomorphisms_check(DDescentResult(
-        res.classical, wrong, res.pre_structure, res.matrix, res.c_structure, res.certificates))
+        res.c, res.classical, wrong, res.pre_structure, res.matrix, res.c_structure,
+        res.certificates))
     assert rep["factors"] == [{"factor": 1, "difference_descent_matches": False,
                                "identity_descends_to_identity": False}]
     assert not rep["ok"]
@@ -217,7 +218,8 @@ def test_independent_linear_solve_oracle():
     }
     for j in range(2):
         for i, name in enumerate(("t(1)", "t(2)")):
-            got = Polynomial(QQ, solution[res.matrix.position(i, j)])
+            # entry (i, j) of a flattened vector sits at j r + i
+            got = Polynomial(QQ, solution[j * res.matrix.r + i])
             assert ring.equal(got, expected[(name, j)])
 
 

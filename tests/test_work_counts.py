@@ -22,8 +22,8 @@ import pytest
 
 from descent_kit import (
     GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, descent_matrix,
-    difference_algebra, groebner, homs, parse_polynomial, problem_from_file, weil, weil_d,
-    weil_descend,
+    difference_algebra, groebner, homs, parse_polynomial, problem_from_file, truncated_jets,
+    weil, weil_d, weil_descend,
 )
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
@@ -355,6 +355,24 @@ def test_operator_images_are_wrapped_as_normalized(monkeypatch):
     image = g.apply(x)
     assert calls[0] == 0
     assert all(g.carrier.nf(c) == c for c in image.coords)
+
+
+def test_structure_constants_reduce_only_nonzero_entries(monkeypatch):
+    """A dense table handed to the StructureAlgebra constructor is mostly
+    zeros (36 nonzero cells of the 9 x 9 x 9 table of jets3 (x) jets3), and
+    a zero is its own normal form: no zero reaches ``PresentedRing.nf``."""
+    left, right = truncated_jets(QQ, 3), truncated_jets(QQ, 3)
+    calls = Counter()
+    original = PresentedRing.nf
+
+    def counted(self, p):
+        calls["zero" if p.is_zero() else "nonzero"] += 1
+        return original(self, p)
+
+    monkeypatch.setattr(PresentedRing, "nf", counted)
+    cc = compose.tensor_coefficients(left, right)
+    assert calls["zero"] == 0 and calls["nonzero"] > 0
+    assert sum(len(cell) for row in cc.product.cells for cell in row) == 36
 
 
 def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
