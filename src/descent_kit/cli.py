@@ -44,6 +44,13 @@ def _write_report(report: dict, path) -> bool:
                        "detail": f"cannot write the report to {path}: {reason}"}, None)
     else:
         print(f"descent-kit: cannot write the report to stdout: {reason}", file=sys.stderr)
+        # the unwritten report stays in stdout's buffer: with stdout on
+        # os.devnull, an in-process caller's flush at exit drops it quietly
+        try:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
     return False
 
 
@@ -53,13 +60,13 @@ def _cmd_validate(problem, args):
     report = {"status": "ok", "certificates": problem.certificates}
     if args.truncate is not None:
         window = truncated_operator_polynomials(
-            problem.e, list(problem.c.generators), args.truncate
+            problem.tower.e, list(problem.c.generators), args.truncate
         )
         report["truncated_window"] = {
             "depth": args.truncate,
             "variables": [
                 v for v in window.carrier.variables
-                if v not in problem.a_ring.variables
+                if v not in problem.tower.base_ring.variables
             ],
         }
     return report, 0
@@ -80,7 +87,7 @@ def _cmd_matrix(problem, args):
     if dm.witness:
         report["witness"] = dm.witness
     equivalences = []
-    for factor in range(problem.coeff.factor_count):
+    for factor in range(problem.tower.coeff.factor_count):
         images = problem.tower.endo_images(factor)
         equivalences.append(
             {"factor": factor + 1,

@@ -2,23 +2,30 @@
 
 The algebra decomposes as a product of local k-algebras with residue field
 k; the user supplies the orthogonal idempotents and a spanning set of each
-maximal ideal, and everything else (nilpotency, strata) is validated or
-computed by exact linear algebra over k.
+maximal ideal, and everything else is computed by exact linear algebra
+over k.  The one certificate of a factor is its m-adic filtration
+m ⊋ m^2 ⊋ ... ⊋ 0: that it reaches zero is the nilpotency of m, that m has
+codimension 1 is the residue field k, and the strata are read off it.
 
 The basis must be *stratified*: ordered factor by factor and, inside each
 factor, level by level of the maximal-ideal filtration, with the factor
 unit first.  This is the basis ordering that makes the big descent matrix
-block lower triangular.  It also fixes the residue projections: every other
-basis element of a factor lies in its maximal ideal, and every element of
-another factor is killed by its idempotent, so the projection onto factor
-i's residue field is the coordinate at factor i's unit (``factor_units``),
-and nothing is solved for it.
+block lower triangular: with eps_j in m^(s_j), a product eps_j eps_k lies
+in m^(s_j + s_k), so it has no component below eps_j, and its component
+on eps_j is 1 when eps_k is the factor unit and 0 otherwise; products
+across factors vanish.  These constant facts follow from the
+stratification and are not checked on their own.  The stratification also
+fixes the residue projections: every other basis element of a factor lies
+in its maximal ideal, and every element of another factor is killed by its
+idempotent, so the projection onto factor i's residue field is the
+coordinate at factor i's unit (``factor_units``), and nothing is solved
+for it.
 
 The products are read from ``cells``: the algebra's own sparse table
 (``StructureAlgebra.table``) with each coefficient taken as its scalar, so
 ``cells[j][k]`` holds the pairs (m, a_jkm) with a_jkm nonzero, m
-ascending.  ``linear.vec_mul`` multiplies with it, and the descent matrix,
-the tensor products and the stratification facts read it cell by cell.
+ascending.  ``linear.vec_mul`` multiplies with it, and the descent matrix
+and the tensor products read it cell by cell.
 """
 
 from __future__ import annotations
@@ -46,12 +53,10 @@ class DCoefficientAlgebra:
         "strata",
         "factor_units",
         "unit",
-        "certificates",
         "_difference",
     )
 
-    def __init__(self, algebra, cells, factors, factor_of, stratum_of, strata, unit,
-                 certificates):
+    def __init__(self, algebra, cells, factors, factor_of, stratum_of, strata, unit):
         self.algebra = algebra
         # the algebra's sparse table with scalar coefficients: cells[j][k]
         # holds the (m, a_jkm) with a_jkm nonzero, m ascending
@@ -65,7 +70,6 @@ class DCoefficientAlgebra:
         # the coordinate at factor_units[i]
         self.factor_units = tuple(levels[0][0] for levels in strata)
         self.unit = unit
-        self.certificates = certificates
         self._difference = None
 
     @property
@@ -123,15 +127,21 @@ def _is_zero_vec(field, v):
     return all(field.is_zero(x) for x in v)
 
 
-def _powers_of_ideal(field, cells, factor_basis, m_span):
+def _powers_of_ideal(field, cells, factor_basis, m_span, factor):
     """Bases of m^j for j = 0, 1, ... until the zero space.
 
     m^0 is the whole factor; m^{j+1} is spanned by products of the given
-    spanning set with a basis of m^j.
+    spanning set with a basis of m^j.  The algebra is commutative, so the
+    span of nilpotent elements generates a nilpotent subalgebra, of
+    dimension at most dim D = l: the filtration reaches zero by m^{l+1}
+    exactly when every given element is nilpotent, and NotNilpotent is
+    raised when it does not.
     """
     levels = [_span_basis(field, factor_basis)]
     current = _span_basis(field, list(m_span))
     while current:
+        if len(levels) > len(cells):
+            raise NotNilpotent(f"maximal-ideal element of factor {factor + 1} is not nilpotent")
         levels.append(current)
         nxt = []
         for x in m_span:
@@ -163,47 +173,22 @@ def _corrected_basis(field, unit_vectors, level_spaces):
     return out
 
 
-def _constant_fact_failure(field, cells, factor_of, stratum_of):
-    """The first structure constant a_jkm (in (j, k, m) order) that breaks
-    the vanishing facts of a stratified basis, as a reason, or None.
-
-    Inside one factor, eps_j eps_k has no component below eps_j, and its
-    component on eps_j is 1 when eps_k is the factor unit and 0 otherwise;
-    a product across factors vanishes.  So only the stored cells can
-    break a vanishing fact, and the one constant that must be 1 is a_jkj
-    for eps_k a unit of eps_j's factor.
-    """
-    for j, row in enumerate(cells):
-        for k, cell in enumerate(row):
-            values = dict(cell)
-            unit_on_j = factor_of[j] == factor_of[k] and stratum_of[k] == 0
-            for m in sorted(values.keys() | {j} if unit_on_j else values):
-                if factor_of[j] == factor_of[k] == factor_of[m] and m > j:
-                    continue
-                val = values.get(m, field.zero)
-                if unit_on_j and m == j:
-                    if val != field.one:
-                        return f"product constant ({j + 1},{k + 1},{m + 1}) should be 1"
-                elif not field.is_zero(val):
-                    return f"product constant ({j + 1},{k + 1},{m + 1}) should vanish"
-    return None
-
-
 def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgebra:
     """Validate a coefficient algebra against its declared local factors.
 
     ``factor_data`` is a sequence of ``(idempotent, maximal_ideal_span)``
-    pairs, both given in coordinates of the supplied basis.  Strata are
-    computed by row-reducing products of the span; the supplied basis must
-    already be the stratified one (a corrected basis rides along on the
-    StrataMismatch error otherwise).
+    pairs, both given in coordinates of the supplied basis.  The filtration
+    m ⊋ m^2 ⊋ ... ⊋ 0 of each factor is computed by row-reducing products
+    of the span, and it is the one certificate: it reaches zero (the span
+    is nilpotent), m has codimension 1 in the factor (residue field k),
+    and the supplied basis must already be stratified along it (a
+    corrected basis rides along on the StrataMismatch error otherwise).
     """
     algebra.validate()
     field = algebra.base.field
     l = algebra.rank
     cells = _scalar_cells(algebra)
     unit = [c.constant_value() for c in algebra.unit_coords]
-    certificates = [{"check": "algebra_axioms", "ok": True}]
 
     factors = []
     for idx, (idem, m_span) in enumerate(factor_data):
@@ -228,43 +213,30 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
                 raise BadIdempotents(f"factors {i + 1} and {j + 1} are not orthogonal")
     if total != unit:
         raise BadIdempotents("idempotents do not sum to 1")
-    certificates.append({"check": "orthogonal_idempotents_sum_to_one", "ok": True})
 
-    # nilpotency by repeated squaring up to the algebra dimension
-    for i, (_, m_span) in enumerate(factors):
-        for v in m_span:
-            w = list(v)
-            e = 1
-            while e <= l:
-                w = linear.vec_mul(field, cells, w, w)
-                e *= 2
-            if not _is_zero_vec(field, w):
-                raise NotNilpotent(f"maximal-ideal element of factor {i + 1} is not nilpotent")
-    certificates.append({"check": "maximal_ideals_nilpotent", "ok": True})
-
-    # factor subspaces and residue dimension
+    # each factor's filtration (NotNilpotent unless it reaches zero), then
+    # each factor is local with residue field k
     basis_vectors = [
         [field.one if q == p else field.zero for q in range(l)] for p in range(l)
     ]
-    level_spaces = []
-    for i, (idem, m_span) in enumerate(factors):
-        inside = [linear.vec_mul(field, cells, list(idem), bv) for bv in basis_vectors]
-        factor_basis = _span_basis(field, inside)
+    # inside[i][q] = u_i b_q: factor i is spanned by inside[i]
+    inside = [[linear.vec_mul(field, cells, list(idem), bv) for bv in basis_vectors]
+              for idem, _ in factors]
+    level_spaces = [_powers_of_ideal(field, cells, inside[i], m_span, i)
+                    for i, (_, m_span) in enumerate(factors)]
+    for i, ((idem, m_span), levels) in enumerate(zip(factors, level_spaces)):
         for v in m_span:
             prod = linear.vec_mul(field, cells, list(idem), list(v))
             if prod != list(v):
                 raise NotLocalFactor(
                     f"a maximal-ideal element of factor {i + 1} lies outside the factor"
                 )
-        levels = _powers_of_ideal(field, cells, factor_basis, m_span)
         dim_factor = len(levels[0])
         dim_m = len(levels[1]) if len(levels) > 1 else 0
         if dim_factor != dim_m + 1:
             raise NotLocalFactor(
                 f"factor {i + 1} has residue dimension {dim_factor - dim_m}, expected 1"
             )
-        level_spaces.append(levels)
-    certificates.append({"check": "local_with_residue_field_k", "ok": True})
 
     unit_vectors = [list(f[0]) for f in factors]
 
@@ -275,54 +247,33 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
     # assign each supplied basis vector to a factor
     factor_of = []
     for q in range(l):
-        home = None
-        for i, (idem, _) in enumerate(factors):
-            prod = linear.vec_mul(field, cells, list(idem), basis_vectors[q])
-            if prod == basis_vectors[q]:
-                home = i
-                break
+        home = next((i for i, images in enumerate(inside) if images[q] == basis_vectors[q]), None)
         if home is None:
             raise mismatch(f"basis element {q + 1} is split across factors")
         factor_of.append(home)
     if factor_of != sorted(factor_of):
         raise mismatch("factor blocks are out of order")
 
-    stratum_of = [None] * l
+    # The idempotents split D, so factor i's block holds dim F_i basis
+    # vectors.  It is stratified exactly when, for every j >= 1, its last
+    # dim m^j vectors lie in m^j (and so, being independent, span it); the
+    # strata are those tails.  A product eps_j eps_k inside a factor then
+    # lies in m^(s_j + s_k), spanned by the vectors of stratum >= s_j + s_k:
+    # no component below eps_j, none on eps_j unless eps_k is the unit.
+    stratum_of = []
     strata = []
-    for i in range(len(factors)):
-        block = [q for q in range(l) if factor_of[q] == i]
-        if not block:
-            raise mismatch(f"factor {i + 1} has no basis elements")
-        levels = level_spaces[i]
-        if basis_vectors[block[0]] != unit_vectors[i]:
+    for i, levels in enumerate(level_spaces):
+        start = len(stratum_of)
+        end = start + len(levels[0])
+        if basis_vectors[start] != unit_vectors[i]:
             raise mismatch(f"factor {i + 1} does not start with its unit")
-        per_level = [[] for _ in levels]
-        for q in block:
-            level = 0
-            for j in range(1, len(levels)):
-                if linear.in_span(field, levels[j], basis_vectors[q]):
-                    level = j
-                else:
-                    break
-            stratum_of[q] = level
-            per_level[level].append(q)
-        flat = [q for lev in per_level for q in lev]
-        if flat != block:
-            raise mismatch(f"strata of factor {i + 1} are out of order")
-        if per_level[0] != [block[0]]:
-            raise mismatch(f"stratum 0 of factor {i + 1} is not the unit alone")
+        cuts = [end - len(space) for space in levels] + [end]
         for j in range(1, len(levels)):
-            above = levels[j + 1] if j + 1 < len(levels) else []
-            rows = [list(x) for x in above] + [basis_vectors[q] for q in per_level[j]]
-            if linear.rank(field, rows) != len(levels[j]):
+            if linear.rank(field, levels[j] + basis_vectors[cuts[j]:end]) != len(levels[j]):
                 raise mismatch(f"stratum {j} of factor {i + 1} does not span")
-        strata.append(tuple(tuple(lev) for lev in per_level))
-    certificates.append({"check": "basis_is_stratified", "ok": True})
-
-    failure = _constant_fact_failure(field, cells, factor_of, stratum_of)
-    if failure is not None:
-        raise mismatch(failure)
-    certificates.append({"check": "stratified_constant_facts", "ok": True})
+        factor_strata = tuple(tuple(range(cuts[j], cuts[j + 1])) for j in range(len(levels)))
+        strata.append(factor_strata)
+        stratum_of += [j for j, stratum in enumerate(factor_strata) for _ in stratum]
 
     return DCoefficientAlgebra(
         algebra,
@@ -332,7 +283,6 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
         tuple(stratum_of),
         tuple(strata),
         tuple(unit),
-        certificates,
     )
 
 

@@ -13,10 +13,10 @@ a_jkm lambda(f_k) into block (m, j), and a zero constant costs nothing.
 With a stratified coefficient basis the matrix is block lower triangular
 with the associated endomorphism matrices on the diagonal, and that is
 exactly why its invertibility reduces to theirs.  The shape is not
-re-checked here: it follows from the structure-constant facts that
-``build_d_algebra`` certifies (a_jkm = 0 for m < j, and a_jkj = [stratum
-of k is 0] inside a factor), so a ``DescentMatrix`` keeps only the one
-assembled matrix.
+checked anywhere: it follows from the stratified basis that
+``build_d_algebra`` certifies (a product eps_j eps_k inside a factor
+lies in m^(s_j + s_k), so a_jkm = 0 for m < j, and a_jkj = [stratum of k
+is 0]), so a ``DescentMatrix`` keeps only the one assembled matrix.
 
 Invertibility is a fact about the tower alone, so ``associated_matrix``
 builds a tower's matrix once, decides it once (its inverse over the base

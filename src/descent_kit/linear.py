@@ -3,11 +3,11 @@
 Matrices are plain lists of lists of elements: scalars over a field,
 normal forms over a ring.  ``rref`` is the one Gauss-Jordan loop of the
 package; ``solve`` runs it over either kind of ring, and
-``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank``,
-``inverse`` and ``in_span`` are field routines.  ``vec_mul`` multiplies
-coordinate vectors of a finite k-algebra given by its sparse table of
-structure constants: the (m, c) cells that ``StructureAlgebra.table``
-keeps, with scalar c.  ``StructureAlgebra.multiply_coords`` reads the same
+``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank`` and
+``inverse`` are field routines.  ``vec_mul`` multiplies coordinate
+vectors of a finite k-algebra given by its sparse table of structure
+constants: the (m, c) cells that ``StructureAlgebra.table`` keeps, with
+scalar c.  ``StructureAlgebra.multiply_coords`` reads the same
 format with polynomial coefficients over a ring; the two stay separate
 kernels, so that neither branches on its caller.
 """
@@ -148,10 +148,3 @@ def inverse(field: ScalarField, a):
         return None
     return [row[n:] for row in red]
 
-
-def in_span(field: ScalarField, vectors, target) -> bool:
-    """Is target a linear combination of the given vectors?"""
-    if not vectors:
-        return all(field.is_zero(x) for x in target)
-    a = [list(col) for col in zip(*vectors)]
-    return solve(field, a, list(target)) is not None

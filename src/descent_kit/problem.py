@@ -23,13 +23,10 @@ from .tower import OperatorTower, PresentedBAlgebra
 
 
 class ProblemDescription:
-    """A fully parsed and validated descent problem."""
+    """A fully parsed and validated descent problem.  The tower carries D
+    (``tower.coeff``), A (``tower.base_ring``) and e (``tower.e``)."""
 
     __slots__ = (
-        "field",
-        "coeff",
-        "a_ring",
-        "e",
         "tower",
         "c",
         "g_structure",
@@ -289,10 +286,6 @@ def load_problem(data: dict) -> ProblemDescription:
         second = {"c": c2, "g_structure": g2_structure}
 
     return ProblemDescription(
-        field=field,
-        coeff=coeff,
-        a_ring=a_ring,
-        e=e,
         tower=tower,
         c=c,
         g_structure=g_structure,

@@ -115,17 +115,32 @@ def random_scalar(field, rng):
 
 
 def random_db_element(coeff, algebra, rng):
+    """A random element of D(B): each coefficient a scalar, times 1 or a
+    when B's base ring is k[a]/(...)."""
     l, r = coeff.dim, algebra.rank
     base = algebra.base
-    return [
-        algebra.element([base.constant(random_scalar(coeff.field, rng)) for _ in range(r)])
-        for _ in range(l)
-    ]
+    factors = [base.one, *(base.var(v) for v in base.variables)]
+
+    def coefficient():
+        c = base.constant(random_scalar(coeff.field, rng))
+        return base.mul(c, rng.choice(factors)) if base.variables else c
+
+    return [algebra.element([coefficient() for _ in range(r)]) for _ in range(l)]
 
 
-def random_tower(field, coeff, kind, rng):
-    """A valid (A, e) <= (B, f) with A = k drawn from a parametrized family."""
-    a_ring = PresentedRing.base_field(field)
+BASE_RELATIONS = ("a^2 - 2", "a^3")
+
+
+def random_tower(field, coeff, kind, rng, base_relation=None):
+    """A valid (A, e) <= (B, f) drawn from a parametrized family.  A is k,
+    or k[a]/(base_relation) with e the identity on A; then the D(B)
+    coefficients of f(w) are drawn from {c, c a}, so the descent matrix's
+    entries involve a."""
+    if base_relation is None:
+        a_ring = PresentedRing.base_field(field)
+    else:
+        free = PresentedRing.make(field, ("a",))
+        a_ring = PresentedRing.make(field, ("a",), [free.el(base_relation)])
     algebra = monogenic_algebra(a_ring, kind)
     e = DStructure.identity(a_ring, coeff)
     unit, mul = db_elements(coeff, algebra)

@@ -2,7 +2,7 @@
 
 The residue projections are read at the factor units; ``reference_projections``
 keeps the linear solve that used to compute them, as an oracle.  The
-references below keep what the jets family and the constant-fact rule
+references below keep what the jets family and the m-adic filtration
 replaced:
 
 - ``reference_difference_algebra`` and ``reference_dual_numbers`` are the
@@ -10,11 +10,18 @@ replaced:
   from before they became the jets of length 1 and 2;
 - ``reference_constant_facts`` is the nested loop that checked the
   stratified-constant facts at the end of ``build_d_algebra``, over the
-  dense table (``conftest.dense_table``) that the sparse cells replaced.
+  dense table (``conftest.dense_table``) that the sparse cells replaced;
+  the facts now follow from the stratification and are not checked;
+- ``reference_not_nilpotent`` is the repeated-squaring pass that tested
+  each spanning element for nilpotency before the filtration was built;
+- ``reference_strata`` is the loop that placed each basis vector in its
+  stratum by one span test per level, before the strata were read off
+  the tails of each factor's block.
 """
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +43,7 @@ from descent_kit import (
 from descent_kit import dalgebra, linear
 from descent_kit.errors import (
     BadIdempotents,
+    DescentKitError,
     NotLocalFactor,
     NotNilpotent,
     StrataMismatch,
@@ -227,7 +235,6 @@ def test_jets_delegations_equal_the_literal_tables(build, reference, field):
     assert d.unit == ref.unit and d.factor_units == ref.factor_units
     assert d.factors == ref.factors and d.factor_of == ref.factor_of
     assert d.strata == ref.strata and d.stratum_of == ref.stratum_of
-    assert d.certificates == ref.certificates
 
 
 def reference_constant_facts(field, constants, factor_of, stratum_of):
@@ -267,47 +274,252 @@ def standard_or_product(name, other, field):
     return d if other is None else tensor_coefficients(d, COEFF_BUILDERS[other](field)).product
 
 
-@settings(max_examples=80, deadline=None)
+def presented(d, constants=None, change=None):
+    """(algebra, factor data, dense table) of D rebuilt from the dense
+    table ``constants`` (D's own by default) on a new basis: row i of
+    ``change`` is b'_i on D's basis (the identity by default)."""
+    field, l = d.field, d.dim
+    constants = dense_table(field, d.cells) if constants is None else constants
+    change = linear.identity(field, l) if change is None else change
+    inverse = linear.inverse(field, change)
+
+    def coords(v):
+        """v, given on D's basis, on the new one."""
+        return [field.normalize(sum((v[p] * inverse[p][i] for p in range(l)), field.zero))
+                for i in range(l)]
+
+    table = [[coords([sum((x[p] * y[q] * constants[p][q][m]
+                           for p in range(l) for q in range(l)), field.zero)
+                      for m in range(l)])
+              for y in change] for x in change]
+    kk = PresentedRing.base_field(field)
+    algebra = StructureAlgebra(kk, [f"b{i + 1}" for i in range(l)],
+                               [[[kk.constant(c) for c in cell] for cell in row] for row in table],
+                               unit_coords=[kk.constant(c) for c in coords(d.unit)])
+    factors = [(tuple(coords(idem)), tuple(tuple(coords(v)) for v in span))
+               for idem, span in d.factors]
+    return algebra, factors, table
+
+
+def governed_by_a_constant_fact(d, j, k, m):
+    """Does a stratified-constant fact fix a_jkm: a product across factors,
+    or a component at or below eps_j?"""
+    return not d.factor_of[j] == d.factor_of[k] == d.factor_of[m] or m <= j
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(COEFF_BUILDERS)),
+       other=st.none() | st.sampled_from(sorted(COEFF_BUILDERS)),
+       field=st.sampled_from(FIELDS + (GF(3),)), partner=st.booleans(), data=st.data())
+def test_a_broken_constant_fact_is_rejected(name, other, field, partner, data):
+    """With one constant a_jkm that a stratified-constant fact fixes moved
+    by a nonzero amount (and a_kjm with it, when ``partner``), the nested
+    loop finds a broken fact and ``build_d_algebra`` rejects the table."""
+    d = standard_or_product(name, other, field)
+    facts = (d.factor_of, d.stratum_of)
+    constants = dense_table(field, d.cells)
+    assert reference_constant_facts(field, constants, *facts) is None
+    l = d.dim
+    governed = [(j, k, m) for j, k, m in itertools.product(range(l), repeat=3)
+                if governed_by_a_constant_fact(d, j, k, m)]
+    j, k, m = data.draw(st.sampled_from(governed))
+    top = field.characteristic - 1 if field.characteristic else 5
+    shift = field.normalize(data.draw(st.integers(1, top)))
+    for a, b in {(j, k), (k, j)} if partner else {(j, k)}:
+        constants[a][b][m] = field.add(constants[a][b][m], shift)
+    assert reference_constant_facts(field, constants, *facts) is not None
+    algebra, factors, _ = presented(d, constants)
+    with pytest.raises(DescentKitError):
+        build_d_algebra(algebra, factors)
+
+
+def reference_not_nilpotent(field, cells, vectors):
+    """The old nilpotency pass: is some vector still nonzero after squaring
+    it until the exponent passes the algebra's dimension?"""
+    l = len(cells)
+    for v in vectors:
+        w = list(v)
+        e = 1
+        while e <= l:
+            w = linear.vec_mul(field, cells, w, w)
+            e *= 2
+        if any(not field.is_zero(x) for x in w):
+            return True
+    return False
+
+
+def reference_in_span(field, vectors, target):
+    """Is target a linear combination of the given vectors?"""
+    if not vectors:
+        return all(field.is_zero(x) for x in target)
+    return linear.solve(field, [list(row) for row in zip(*vectors)], list(target)) is not None
+
+
+def reference_levels(field, cells, idem, m_span):
+    """Bases of m^0 (the factor), m, m^2, ... up to the last nonzero power;
+    the span must be nilpotent."""
+    l = len(cells)
+
+    def span_basis(vectors):
+        reduced = linear.rref(field, vectors)[0] if vectors else []
+        return [row for row in reduced if any(not field.is_zero(x) for x in row)]
+
+    basis = [[field.one if q == p else field.zero for q in range(l)] for p in range(l)]
+    levels = [span_basis([linear.vec_mul(field, cells, list(idem), b) for b in basis])]
+    current = span_basis([list(v) for v in m_span])
+    while current:
+        levels.append(current)
+        current = span_basis([linear.vec_mul(field, cells, list(x), v)
+                              for x in m_span for v in current])
+    return levels
+
+
+def reference_strata(field, cells, factors):
+    """The old stratification of ``build_d_algebra``: (factor_of,
+    stratum_of, strata), each basis vector's stratum found by one span
+    test per level, or the StrataMismatch it raised."""
+    l = len(cells)
+    basis = [[field.one if q == p else field.zero for q in range(l)] for p in range(l)]
+    level_spaces = [reference_levels(field, cells, idem, span) for idem, span in factors]
+    unit_vectors = [list(idem) for idem, _ in factors]
+
+    def mismatch(reason):
+        return StrataMismatch(f"supplied basis is not stratified: {reason}",
+                              dalgebra._corrected_basis(field, unit_vectors, level_spaces))
+
+    factor_of = []
+    for q in range(l):
+        homes = [i for i, (idem, _) in enumerate(factors)
+                 if linear.vec_mul(field, cells, list(idem), basis[q]) == basis[q]]
+        if not homes:
+            raise mismatch(f"basis element {q + 1} is split across factors")
+        factor_of.append(homes[0])
+    if factor_of != sorted(factor_of):
+        raise mismatch("factor blocks are out of order")
+    stratum_of = [None] * l
+    strata = []
+    for i, levels in enumerate(level_spaces):
+        block = [q for q in range(l) if factor_of[q] == i]
+        if not block:
+            raise mismatch(f"factor {i + 1} has no basis elements")
+        if basis[block[0]] != unit_vectors[i]:
+            raise mismatch(f"factor {i + 1} does not start with its unit")
+        per_level = [[] for _ in levels]
+        for q in block:
+            level = 0
+            for j in range(1, len(levels)):
+                if not reference_in_span(field, levels[j], basis[q]):
+                    break
+                level = j
+            stratum_of[q] = level
+            per_level[level].append(q)
+        if [q for lev in per_level for q in lev] != block:
+            raise mismatch(f"strata of factor {i + 1} are out of order")
+        if per_level[0] != [block[0]]:
+            raise mismatch(f"stratum 0 of factor {i + 1} is not the unit alone")
+        for j in range(1, len(levels)):
+            above = levels[j + 1] if j + 1 < len(levels) else []
+            rows = [list(x) for x in above] + [basis[q] for q in per_level[j]]
+            if linear.rank(field, rows) != len(levels[j]):
+                raise mismatch(f"stratum {j} of factor {i + 1} does not span")
+        strata.append(tuple(tuple(lev) for lev in per_level))
+    return tuple(factor_of), tuple(stratum_of), tuple(strata)
+
+
+# the per-vector loop's texts that the tails' rank test words as the first
+# stratum whose tail does not span, in the same factor
+RETIRED_TEXTS = re.compile(r"(.*: )(?:strata of factor (\d+) are out of order"
+                           r"|stratum 0 of factor (\d+) is not the unit alone)")
+
+
+@settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(sorted(COEFF_BUILDERS)),
        other=st.none() | st.sampled_from(sorted(COEFF_BUILDERS)),
        field=st.sampled_from(FIELDS), data=st.data())
-def test_constant_fact_rule_matches_the_nested_loop(name, other, field, data):
-    """Both rules accept the algebra as built; with one constant moved by a
-    nonzero amount, both report the same first (j, k, m) and the same text."""
+def test_a_changed_basis_is_judged_as_the_reference_loop_judges_it(name, other, field, data):
+    """On a permuted basis, or one with up to two rows b'_i += c b'_j added
+    after the permutation, ``build_d_algebra`` accepts exactly when the
+    per-vector loop does, with the same strata, and otherwise raises the
+    same StrataMismatch with the same corrected basis.  The texts agree
+    but for the two that the loop alone could reach (``RETIRED_TEXTS``);
+    a permuted basis reaches only the first."""
     d = standard_or_product(name, other, field)
-    facts = (d.factor_of, d.stratum_of)
-    assert dalgebra._constant_fact_failure(field, d.cells, *facts) is None
-    assert reference_constant_facts(field, dense_table(field, d.cells), *facts) is None
     l = d.dim
-    j, k, m = (data.draw(st.integers(0, l - 1)) for _ in range(3))
-    shift = field.normalize(data.draw(st.integers(1, field.characteristic - 1 if field.characteristic else 5)))
-    perturbed = dense_table(field, d.cells)
-    perturbed[j][k][m] = field.add(perturbed[j][k][m], shift)
-    new = dalgebra._constant_fact_failure(field, sparse_cells(field, perturbed), *facts)
-    assert new == reference_constant_facts(field, perturbed, *facts)
+    order = data.draw(st.permutations(range(l)))
+    change = [[field.one if q == p else field.zero for q in range(l)] for p in order]
+    if l > 1:
+        pairs = st.tuples(*2 * [st.integers(0, l - 1)]).filter(lambda ij: ij[0] != ij[1])
+        for i, j in data.draw(st.lists(pairs, max_size=2)):
+            c = field.normalize(data.draw(st.sampled_from([1, -1, 2])))
+            change[i] = [field.add(x, field.mul(c, y)) for x, y in zip(change[i], change[j])]
+    algebra, factors, table = presented(d, change=change)
+    try:
+        expected = reference_strata(field, sparse_cells(field, table), factors)
+    except StrataMismatch as exc:
+        with pytest.raises(StrataMismatch) as err:
+            build_d_algebra(algebra, factors)
+        assert err.value.corrected_basis == exc.corrected_basis
+        retired = RETIRED_TEXTS.fullmatch(str(exc))
+        if retired:
+            factor = retired[2] or retired[3]
+            new_text = rf"stratum \d+ of factor {factor} does not span"
+            assert re.fullmatch(re.escape(retired[1]) + new_text, str(err.value))
+        else:
+            assert str(err.value) == str(exc)
+    else:
+        got = build_d_algebra(algebra, factors)
+        assert (got.factor_of, got.stratum_of, got.strata) == expected
 
 
-@pytest.mark.parametrize("entry, text", [
-    ((0, 0, 0), "product constant (1,1,1) should be 1"),
-    ((1, 0, 0), "product constant (2,1,1) should vanish"),
-])
-def test_a_broken_constant_fact_is_a_strata_mismatch(entry, text, monkeypatch):
-    """build_d_algebra raises each constant-fact text, with the corrected
-    basis riding along, when the rule is handed dual numbers with one
-    constant moved."""
-    real = dalgebra._constant_fact_failure
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(COEFF_BUILDERS)),
+       other=st.none() | st.sampled_from(sorted(COEFF_BUILDERS)),
+       field=st.sampled_from(FIELDS), nil=st.booleans(), data=st.data())
+def test_not_nilpotent_exactly_when_the_reference_finds_an_element(name, other, field, nil,
+                                                                   data):
+    """Spanning vectors drawn inside one factor (with a zero unit
+    coordinate when ``nil``) replace its maximal-ideal span: NotNilpotent
+    comes exactly when repeated squaring finds a non-nilpotent one."""
+    d = standard_or_product(name, other, field)
+    i = data.draw(st.integers(0, d.factor_count - 1))
+    unit = d.factor_units[i]
+    scalar = st.sampled_from([0, 1, -1, 2]).map(field.normalize)
+    vectors = [
+        tuple(field.zero if d.factor_of[q] != i or (nil and q == unit) else data.draw(scalar)
+              for q in range(d.dim))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    factors = list(d.factors)
+    factors[i] = (factors[i][0], tuple(vectors))
+    try:
+        build_d_algebra(d.algebra, factors)
+    except NotNilpotent as exc:
+        assert reference_not_nilpotent(field, d.cells, vectors)
+        assert str(exc) == f"maximal-ideal element of factor {i + 1} is not nilpotent"
+    except (NotLocalFactor, StrataMismatch):
+        assert not reference_not_nilpotent(field, d.cells, vectors)
+    else:
+        assert not reference_not_nilpotent(field, d.cells, vectors)
 
-    def moved(field, cells, factor_of, stratum_of):
-        constants = dense_table(field, cells)
-        j, k, m = entry
-        constants[j][k][m] = field.add(constants[j][k][m], field.one)
-        return real(field, sparse_cells(field, constants), factor_of, stratum_of)
 
-    monkeypatch.setattr(dalgebra, "_constant_fact_failure", moved)
+def test_a_second_element_outside_m_is_a_strata_mismatch():
+    """Dual numbers on the basis 1, v = 1 + eps: the tail after the unit is
+    not in m, so stratum 1 does not span.  The per-vector loop put v in
+    stratum 0 and said so; the corrected basis is the same."""
+    kk = PresentedRing.base_field(QQ)
+    z, o, t = kk.zero, kk.one, kk.constant(2)
+    # v^2 = 1 + 2 eps = 2 v - 1
+    alg = StructureAlgebra(kk, ("1", "v"), [[[o, z], [z, o]], [[z, o], [-o, t]]])
+    factors = [((QQ.one, QQ.zero), ((-QQ.one, QQ.one),))]
     with pytest.raises(StrataMismatch) as err:
-        dual_numbers(QQ)
-    assert str(err.value) == f"supplied basis is not stratified: {text}"
-    assert err.value.corrected_basis == [(QQ.one, QQ.zero), (QQ.zero, QQ.one)]
+        build_d_algebra(alg, factors)
+    with pytest.raises(StrataMismatch) as ref:
+        reference_strata(QQ, dalgebra._scalar_cells(alg), factors)
+    assert str(err.value) == "supplied basis is not stratified: stratum 1 of factor 1 does not span"
+    assert str(ref.value) == ("supplied basis is not stratified: "
+                              "stratum 0 of factor 1 is not the unit alone")
+    assert err.value.corrected_basis == ref.value.corrected_basis == [(QQ.one, QQ.zero),
+                                                                      (QQ.one, -QQ.one)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -25,7 +25,8 @@ from descent_kit import (
 )
 from descent_kit import linear
 from descent_kit.errors import NonInvertibleMatrix, SingularBasisChange
-from conftest import COEFF_BUILDERS, dense_table, dual_basis_algebra, random_tower
+from conftest import (BASE_RELATIONS, COEFF_BUILDERS, dense_table, dual_basis_algebra,
+                      random_tower)
 
 
 def block(dm, m, j):
@@ -308,13 +309,17 @@ VECTOR_ENTRIES = ["0", "1", "u", "v", "2*u*v - 1", "u^3 + v", "v^2 - u^2", "u*v^
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from([QQ, GF(5)]), coeff=st.sampled_from(sorted(COEFF_BUILDERS)),
        kind=st.sampled_from(["nil2", "split", "nil3"]), seed=st.integers(0, 2**16),
-       relations=st.lists(st.sampled_from(EXTENSION_RELATIONS), max_size=2, unique=True),
-       data=st.data())
-def test_matrix_over_a_applies_in_any_extension(field, coeff, kind, seed, relations, data):
+       base_relation=st.sampled_from((None, *BASE_RELATIONS)), data=st.data())
+def test_matrix_over_a_applies_in_any_extension(field, coeff, kind, seed, base_relation, data):
     """The matrix over A acts on vectors over R, an extension of A by new
     variables and relations, exactly as the old lift route did: the same
-    rows rebuilt as a RingMatrix over R (kept here as the reference)."""
-    tower = random_tower(field, COEFF_BUILDERS[coeff](field), kind, random.Random(seed))
+    rows rebuilt as a RingMatrix over R (kept here as the reference).  A is
+    k or k[a]/(base_relation); over the latter R's relations may tie u to
+    a."""
+    tower = random_tower(field, COEFF_BUILDERS[coeff](field), kind, random.Random(seed),
+                         base_relation)
+    pool = EXTENSION_RELATIONS + ([] if base_relation is None else ["u - a", "a*u - 1"])
+    relations = data.draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
     a_ring = tower.base_ring
     free = a_ring.extend(("u", "v"))
     ring = a_ring.extend(("u", "v"), [free.el(rel) for rel in relations])

@@ -28,14 +28,15 @@ FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 OUTCOMES = ("done in ", "obstruction after ", "error after ")
 
 
-def _child(argv, unbuffered=False):
+def _child(argv, unbuffered=False, entry=("-m", "descent_kit.cli")):
+    """``python <entry> <argv>``: the program by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
     )
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "descent_kit.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, *entry, *argv], env=env,
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
 
@@ -73,6 +74,22 @@ def test_closed_stdout_is_one_line_on_stderr(unbuffered):
     proc = _child(["validate", "--input", str(FIXTURES / "differential.json")],
                   unbuffered=unbuffered)
     # the child never holds the read end, so its report meets a broken pipe
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    lines = stderr.splitlines()
+    assert lines[0] == "descent-kit: cannot write the report to stdout: Broken pipe"
+    assert len(lines) == 2 and lines[1].startswith("error after ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_seen_from_an_in_process_caller(unbuffered):
+    """A caller that runs ``main`` in process and then leaves through the
+    normal exit, with its report unflushed at interpreter teardown, still
+    gets exit 1 and the one line: no "Exception ignored", no exit 120."""
+    call = ("import sys; from descent_kit.cli import main; "
+            f"sys.exit(main(['validate', '--input', {str(FIXTURES / 'differential.json')!r}]))")
+    proc = _child([], unbuffered=unbuffered, entry=("-c", call))
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1

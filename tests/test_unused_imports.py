@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-every private function and method of the package is used somewhere in it,
-every local a function assigns is read, and only the CLI imports inside
+every helper function of the package is used somewhere in it, every
+local a function assigns is read, and only the CLI imports inside
 functions.
 
 No linter ships with the test dependencies, so these are the lint rules
@@ -11,12 +11,14 @@ function body fails the fourth.  ``cli.py`` imports each command's layers
 inside that command, so a command loads only what it runs; every other
 module imports at its top.  Package ``__init__.py``
 re-exports its imports and is not checked for them; ``__future__`` imports
-are directives, not names.  A private function is a module-level function
-or a method whose name starts with one underscore (dunder methods are
-called by Python); it is used when some module names it, as a name, an
-attribute or an import, outside its own body.  A local is read when the
-function, or a function nested in it, loads it; a target that is never
-read is spelled ``_``.
+are directives, not names.  A helper function is a private method (its
+name starts with one underscore; dunder methods are called by Python), a
+private module-level function, or a public module-level function that
+``__init__.py`` does not export (its ``_EXPORTS`` table): no caller
+outside the package reaches it but through its module.  It is used when
+some module names it, as a name, an attribute or an import, outside its
+own body.  A local is read when the function, or a function nested in
+it, loads it; a target that is never read is spelled ``_``.
 """
 
 import ast
@@ -77,17 +79,34 @@ def test_an_unused_import_is_reported():
     assert unused_imports(source) == [(2, "NotAUnit"), (4, "itertools")]
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def is_private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not is_dunder(name)
 
 
-def private_functions(tree):
-    """The private module-level functions and methods of a module."""
+def exported_names(init_source: str) -> set:
+    """The public names the package exports: every name listed in the
+    ``_EXPORTS`` table of its ``__init__.py``."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return {name for names in ast.literal_eval(node.value).values() for name in names}
+
+
+def helper_functions(tree, exported):
+    """The private methods of a module, and its module-level functions,
+    dunders aside, that the package does not export."""
     for node in tree.body:
-        defs = node.body if isinstance(node, ast.ClassDef) else [node]
-        for item in defs:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(item.name):
-                yield item
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and is_private(item.name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                is_dunder(node.name) or node.name in exported):
+            yield node
 
 
 def mentions(tree) -> Counter:
@@ -103,22 +122,23 @@ def mentions(tree) -> Counter:
     return out
 
 
-def unused_private_functions(sources: dict):
-    """(module, line, name) of every private function no module mentions
-    outside the function's own body."""
+def unused_helper_functions(sources: dict, exported):
+    """(module, line, name) of every helper function (``helper_functions``)
+    no module mentions outside the function's own body."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        for func in private_functions(tree):
+        for func in helper_functions(tree, exported):
             if everywhere[func.name] - mentions(func)[func.name] <= 0:
                 unused.append((module, func.lineno, func.name))
     return sorted(unused)
 
 
 def test_package_uses_every_private_function():
+    """Every helper function: private ones and unexported public ones."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert unused_private_functions(sources) == []
+    assert unused_helper_functions(sources, exported_names(sources["__init__.py"])) == []
 
 
 def test_an_unused_private_function_is_reported():
@@ -142,8 +162,39 @@ def test_an_unused_private_function_is_reported():
             "    return _used(c._helper())",
         ]),
     }
-    assert unused_private_functions(sources) == [("a.py", 3, "_left_behind"),
-                                                 ("a.py", 10, "_orphan")]
+    assert unused_helper_functions(sources, {"public"}) == [("a.py", 3, "_left_behind"),
+                                                            ("a.py", 10, "_orphan")]
+
+
+def test_an_unexported_function_left_behind_is_reported():
+    sources = {
+        "__init__.py": "\n".join([
+            "_EXPORTS = {'a': ('exported',)}",
+            "def __getattr__(name):",
+            "    return name",
+        ]),
+        "a.py": "\n".join([
+            "def exported(x):",
+            "    return x",
+            "def in_span(vectors, target):",
+            "    return target in vectors",
+            "def rank(rows):",
+            "    return len(rows)",
+            "class C:",
+            "    def public_method(self):",
+            "        return 1",
+        ]),
+        "b.py": "\n".join([
+            "from . import a",
+            "def inverse(rows):",
+            "    return a.rank(rows)",
+            "if __name__ == '__main__':",
+            "    inverse([])",
+        ]),
+    }
+    exported = exported_names(sources["__init__.py"])
+    assert exported == {"exported"}
+    assert unused_helper_functions(sources, exported) == [("a.py", 3, "in_span")]
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
