@@ -289,6 +289,30 @@ def build_d_algebra(algebra: StructureAlgebra, factor_data) -> DCoefficientAlgeb
 # -- standard coefficient algebras ----------------------------------------------
 
 
+def _jets_product(field, lengths, labels) -> DCoefficientAlgebra:
+    """D = k[eps]/(eps^n_1) x ... x k[eps]/(eps^n_s) for ``lengths`` n_1..n_s,
+    on the stratified basis 1, eps, ..., eps^(n_i - 1) of each factor in
+    turn, named by ``labels``."""
+    kk = PresentedRing.base_field(field)
+    l = sum(lengths)
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    constants = [[[kk.zero] * l for _ in range(l)] for _ in range(l)]
+    for s, n in zip(starts, lengths):
+        for i in range(n):
+            for j in range(n - i):
+                constants[s + i][s + j][s + i + j] = kk.one
+    unit = [kk.one if q in starts else kk.zero for q in range(l)]
+    alg = StructureAlgebra(kk, labels, constants, unit_coords=unit)
+
+    def basis_vector(p):
+        return tuple(field.one if q == p else field.zero for q in range(l))
+
+    return build_d_algebra(alg, [
+        (basis_vector(s), tuple(basis_vector(p) for p in range(s + 1, s + n)))
+        for s, n in zip(starts, lengths)
+    ])
+
+
 def difference_algebra(field) -> DCoefficientAlgebra:
     """D = k itself, the jets of length 1: structures are single endomorphisms."""
     return truncated_jets(field, 1)
@@ -302,57 +326,16 @@ def dual_numbers(field) -> DCoefficientAlgebra:
 
 def product_of_fields(field, copies: int) -> DCoefficientAlgebra:
     """D = k^l: structures are l independent endomorphisms."""
-    kk = PresentedRing.base_field(field)
-    z, o = kk.zero, kk.one
-    labels = tuple(f"e{i + 1}" for i in range(copies))
-    constants = [
-        [[o if (i == j and m == i) else z for m in range(copies)] for j in range(copies)]
-        for i in range(copies)
-    ]
-    alg = StructureAlgebra(kk, labels, constants, unit_coords=[o] * copies)
-    one, zero = field.one, field.zero
-    factors = []
-    for i in range(copies):
-        idem = tuple(one if q == i else zero for q in range(copies))
-        factors.append((idem, ()))
-    return build_d_algebra(alg, factors)
+    return _jets_product(field, [1] * copies, [f"e{i + 1}" for i in range(copies)])
 
 
 def truncated_jets(field, length: int) -> DCoefficientAlgebra:
     """D = k[eps]/(eps^length): truncated higher derivations."""
-    kk = PresentedRing.base_field(field)
-    z, o = kk.zero, kk.one
-    labels = ("1",) + tuple(f"eps{'' if i == 1 else i}" for i in range(1, length))
-    constants = [
-        [[o if m == i + j else z for m in range(length)] for j in range(length)]
-        for i in range(length)
-    ]
-    alg = StructureAlgebra(kk, labels, constants)
-    one, zero = field.one, field.zero
-    span = tuple(
-        tuple(one if q == i else zero for q in range(length)) for i in range(1, length)
-    )
-    return build_d_algebra(alg, [((one,) + (zero,) * (length - 1), span)])
+    labels = ["1"] + [f"eps{'' if i == 1 else i}" for i in range(1, length)]
+    return _jets_product(field, [length], labels)
 
 
 def dual_numbers_times_field(field) -> DCoefficientAlgebra:
-    """D = k[eps]/(eps^2) x k: endomorphisms sigma1, sigma2 and a derivation."""
-    kk = PresentedRing.base_field(field)
-    z, o = kk.zero, kk.one
-    # basis (1,0), (eps,0), (0,1)
-    labels = ("e1", "eps", "e3")
-    zero3 = [z, z, z]
-    constants = [
-        [[o, z, z], [z, o, z], list(zero3)],
-        [[z, o, z], list(zero3), list(zero3)],
-        [list(zero3), list(zero3), [z, z, o]],
-    ]
-    alg = StructureAlgebra(kk, labels, constants, unit_coords=[o, z, o])
-    one, zero = field.one, field.zero
-    return build_d_algebra(
-        alg,
-        [
-            ((one, zero, zero), ((zero, one, zero),)),
-            ((zero, zero, one), ()),
-        ],
-    )
+    """D = k[eps]/(eps^2) x k: endomorphisms sigma1, sigma2 and a derivation,
+    on the basis (1,0), (eps,0), (0,1)."""
+    return _jets_product(field, [2, 1], ["e1", "eps", "e3"])

@@ -3,19 +3,26 @@
 Inversion runs the package's one Gauss-Jordan loop, ``linear.rref``, on
 [M | I] with the first unit of each column as its pivot (unit inverses
 come with Groebner certificates).  When elimination stalls on a column of
-nonzero non-units, it falls back to the adjugate route: one division-free
-Berkowitz characteristic polynomial gives both the determinant and the
-adjugate, and the matrix is invertible exactly when the determinant is a
-unit.
+nonzero non-units, it falls back to the adjugate route: the division-free
+Berkowitz characteristic polynomial gives the determinant, the matrix is
+invertible exactly when the determinant is a unit, and the inverse is
+adj(M) det(M)^-1.
+
+The characteristic polynomial is computed at most once per matrix and kept
+on it: the determinant, the adjugate, the fallback inverse and
+``solve_cramer`` all read that one run.  Cayley-Hamilton is evaluated one
+way only, by Horner with matrix-vector products (``_adjugate_times``):
+on the unit vectors for the adjugate and the fallback inverse, on the
+right-hand sides for ``solve_cramer``.  No matrix power is formed.
 
 Every sum of products (a matrix product entry, a Berkowitz dot product,
 power entry or Toeplitz entry) is accumulated in one term dict and
 normalized once.
 
 ``solve_cramer`` is a second, independent solve: one characteristic
-polynomial per matrix, then Cayley-Hamilton by Horner with matrix-vector
-products for every right-hand side.  It shares no code with the
-elimination, so agreement of the two routes means something.
+polynomial per matrix, then Cayley-Hamilton for every right-hand side.  It
+shares no code with the elimination, so agreement of the two routes means
+something.
 
 A matrix over A acts in any ring R that extends A's presentation (A's
 relations a prefix of R's, R's new variables after A's in the order):
@@ -53,10 +60,11 @@ def _nf_sum(ring: PresentedRing, pairs, terms=None, negate=False) -> Polynomial:
 class RingMatrix:
     """An immutable matrix over a PresentedRing, entries in normal form."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "rows", "_charpoly")
 
     def __init__(self, ring: PresentedRing, rows):
         self.ring = ring
+        self._charpoly = None
         self.rows = tuple(tuple(ring.nf(e) for e in row) for row in rows)
         if self.rows:
             w = len(self.rows[0])
@@ -74,10 +82,6 @@ class RingMatrix:
     @staticmethod
     def identity(ring: PresentedRing, n: int) -> "RingMatrix":
         return RingMatrix(ring, linear.identity(ring, n))
-
-    @staticmethod
-    def zero(ring: PresentedRing, n: int, m: int) -> "RingMatrix":
-        return RingMatrix(ring, [[ring.zero] * m for _ in range(n)])
 
     @staticmethod
     def from_scalars(ring: PresentedRing, rows) -> "RingMatrix":
@@ -101,21 +105,6 @@ class RingMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other):
-        return RingMatrix(
-            self.ring,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        return RingMatrix(
-            self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self):
-        return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])
-
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -127,9 +116,6 @@ class RingMatrix:
             for row in self.rows
         ]
         return RingMatrix(self.ring, out)
-
-    def scale(self, c: Polynomial) -> "RingMatrix":
-        return RingMatrix(self.ring, [[e * c for e in row] for row in self.rows])
 
     def apply(self, vector, ring: PresentedRing = None):
         """Matrix-vector product, normalized in ``ring``: the ring of the
@@ -149,7 +135,9 @@ class RingMatrix:
     def charpoly(self):
         """Berkowitz characteristic polynomial: [1, c_{n-1}, ..., c_0].
 
-        Division-free, so it works over any presented ring.
+        Division-free, so it works over any presented ring.  Every run
+        computes; the routines below read the first run's result, kept on
+        the matrix.
         """
         n = self.nrows
         if n != self.ncols:
@@ -178,30 +166,56 @@ class RingMatrix:
             coeffs = new
         return coeffs
 
-    def det(self) -> Polynomial:
-        return self._det_of(self.charpoly())
+    def _coeffs(self):
+        """The characteristic polynomial of the first ``charpoly`` run."""
+        if self._charpoly is None:
+            self._charpoly = self.charpoly()
+        return self._charpoly
 
-    def _det_of(self, coeffs) -> Polynomial:
-        """det(M) = (-1)^n c_0 from the characteristic polynomial of M."""
-        c0 = coeffs[-1]
+    def det(self) -> Polynomial:
+        """det(M) = (-1)^n c_0."""
+        c0 = self._coeffs()[-1]
         return self.ring.nf(c0 if self.nrows % 2 == 0 else -c0)
+
+    def _unit_det_inverse(self) -> Polynomial:
+        """det(M)^-1, or NonInvertibleMatrix."""
+        d = self.det()
+        try:
+            return self.ring.unit_inverse(d)
+        except NotAUnit:
+            raise NonInvertibleMatrix(
+                f"determinant {self.ring.render(d)} is not a unit"
+            ) from None
+
+    def _adjugate_times(self, vectors, scale: Polynomial, ring: PresentedRing):
+        """adj(M) b * scale for every b, normalized in ``ring``.
+
+        By Cayley-Hamilton adj(M) = (-1)^{n-1} (M^{n-1} + c_{n-1} M^{n-2} +
+        ... + c_1 I), so adj(M) b is y = M^{n-1} b + ... + c_1 b up to sign,
+        computed by Horner with matrix-vector products; the adjugate itself
+        is never formed.  This is the one Cayley-Hamilton evaluation.
+        """
+        n = self.nrows
+        coeffs = self._coeffs()
+        scale = scale if n % 2 else -scale
+        out = []
+        for b in vectors:
+            if len(b) != n:
+                raise ValueError("shape mismatch")
+            y = b
+            for c in coeffs[1:n]:
+                y = self._apply_plus(y, c, b, ring)
+            out.append([ring.nf(e * scale) for e in y])
+        return out
+
+    def _adjugate_columns(self, scale: Polynomial) -> "RingMatrix":
+        """adj(M) * scale, one unit vector per column."""
+        units = linear.identity(self.ring, self.nrows)
+        return RingMatrix(self.ring, zip(*self._adjugate_times(units, scale, self.ring)))
 
     def adjugate(self) -> "RingMatrix":
         """adj(M) with M*adj(M) = det(M)*I, via Cayley-Hamilton."""
-        return self._adjugate_of(self.charpoly())
-
-    def _adjugate_of(self, coeffs) -> "RingMatrix":
-        n = self.nrows
-        # B = M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I ; adj = (-1)^{n-1} B
-        acc = RingMatrix.zero(self.ring, n, n)
-        power = RingMatrix.identity(self.ring, n)
-        for k in range(n):
-            c = self.ring.one if k == n - 1 else coeffs[n - 1 - k]
-            acc = acc + power.scale(c)
-            power = power * self
-        if (n - 1) % 2 == 1:
-            acc = -acc
-        return acc
+        return self._adjugate_columns(self.ring.one)
 
     def inverse(self) -> "RingMatrix":
         """The two-sided inverse, or NonInvertibleMatrix with a witness.
@@ -226,19 +240,8 @@ class RingMatrix:
         raise NonInvertibleMatrix(f"column {col + 1} has no nonzero pivot after elimination")
 
     def _inverse_adjugate(self) -> "RingMatrix":
-        coeffs = self.charpoly()
-        d_inv = self._unit_det_inverse(coeffs)
-        return self._adjugate_of(coeffs).scale(d_inv)
-
-    def _unit_det_inverse(self, coeffs) -> Polynomial:
-        """det(M)^-1 from the characteristic polynomial, or NonInvertibleMatrix."""
-        d = self._det_of(coeffs)
-        try:
-            return self.ring.unit_inverse(d)
-        except NotAUnit:
-            raise NonInvertibleMatrix(
-                f"determinant {self.ring.render(d)} is not a unit"
-            ) from None
+        """adj(M) * det(M)^-1, or NonInvertibleMatrix naming the determinant."""
+        return self._adjugate_columns(self._unit_det_inverse())
 
     def is_invertible(self) -> bool:
         try:
@@ -250,33 +253,16 @@ class RingMatrix:
     def solve_cramer(self, vectors, ring: PresentedRing = None):
         """Solve M x = b for every b in ``vectors``; requires a unit determinant.
 
-        One Berkowitz characteristic polynomial [1, c_{n-1}, ..., c_0] serves
-        every right-hand side.  By Cayley-Hamilton,
-        adj(M) = (-1)^{n-1} (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) and
-        det(M) = (-1)^n c_0, so x = adj(M) b / det(M) = -c_0^{-1} y with
-        y = M^{n-1} b + c_{n-1} M^{n-2} b + ... + c_1 b, computed by Horner
-        with matrix-vector products; the adjugate is never formed.  Entry j
-        of adj(M) b is det(M_j), M with column j replaced by b, so this is
-        Cramer's quotient det(M_j) / det(M).  The characteristic polynomial
-        and det(M)^-1 are taken over the matrix's ring; the right-hand sides
-        live in ``ring``, which extends it (the matrix's own by default), and
-        the result is one list of normal forms there per right-hand side.
+        x = adj(M) b / det(M), from the matrix's one characteristic
+        polynomial by ``_adjugate_times``.  Entry j of adj(M) b is det(M_j),
+        M with column j replaced by b, so this is Cramer's quotient
+        det(M_j) / det(M).  The characteristic polynomial and det(M)^-1 are
+        taken over the matrix's ring; the right-hand sides live in ``ring``,
+        which extends it (the matrix's own by default), and the result is one
+        list of normal forms there per right-hand side.
 
         Kept as an independent route from ``inverse`` so results obtained
         with one can be cross-checked with the other.
         """
-        n = self.nrows
-        coeffs = self.charpoly()
-        d_inv = self._unit_det_inverse(coeffs)
-        # -c_0^{-1} = (-1)^{n+1} det(M)^{-1}
-        scale = d_inv if n % 2 else -d_inv
-        ring = self.ring if ring is None else ring
-        out = []
-        for b in vectors:
-            if len(b) != n:
-                raise ValueError("shape mismatch")
-            y = b
-            for c in coeffs[1:n]:
-                y = self._apply_plus(y, c, b, ring)
-            out.append([ring.nf(e * scale) for e in y])
-        return out
+        d_inv = self._unit_det_inverse()
+        return self._adjugate_times(vectors, d_inv, self.ring if ring is None else ring)

@@ -8,6 +8,9 @@ replaced:
 - ``reference_difference_algebra`` and ``reference_dual_numbers`` are the
   literal tables ``difference_algebra`` and ``dual_numbers`` were built
   from before they became the jets of length 1 and 2;
+  ``reference_product_of_fields``, ``reference_truncated_jets`` and
+  ``reference_dual_numbers_times_field`` are the hand-built tables those
+  three builders held before they became products of truncated jets;
 - ``reference_constant_facts`` is the nested loop that checked the
   stratified-constant facts at the end of ``build_d_algebra``, over the
   dense table (``conftest.dense_table``) that the sparse cells replaced;
@@ -19,6 +22,7 @@ replaced:
   the tails of each factor's block.
 """
 
+import functools
 import itertools
 import random
 import re
@@ -222,16 +226,84 @@ def reference_dual_numbers(field):
     return build_d_algebra(alg, [((one, zero), ((zero, one),))])
 
 
+def reference_product_of_fields(field, copies):
+    kk = PresentedRing.base_field(field)
+    z, o = kk.zero, kk.one
+    labels = tuple(f"e{i + 1}" for i in range(copies))
+    constants = [
+        [[o if (i == j and m == i) else z for m in range(copies)] for j in range(copies)]
+        for i in range(copies)
+    ]
+    alg = StructureAlgebra(kk, labels, constants, unit_coords=[o] * copies)
+    one, zero = field.one, field.zero
+    factors = []
+    for i in range(copies):
+        idem = tuple(one if q == i else zero for q in range(copies))
+        factors.append((idem, ()))
+    return build_d_algebra(alg, factors)
+
+
+def reference_truncated_jets(field, length):
+    kk = PresentedRing.base_field(field)
+    z, o = kk.zero, kk.one
+    labels = ("1",) + tuple(f"eps{'' if i == 1 else i}" for i in range(1, length))
+    constants = [
+        [[o if m == i + j else z for m in range(length)] for j in range(length)]
+        for i in range(length)
+    ]
+    alg = StructureAlgebra(kk, labels, constants)
+    one, zero = field.one, field.zero
+    span = tuple(
+        tuple(one if q == i else zero for q in range(length)) for i in range(1, length)
+    )
+    return build_d_algebra(alg, [((one,) + (zero,) * (length - 1), span)])
+
+
+def reference_dual_numbers_times_field(field):
+    kk = PresentedRing.base_field(field)
+    z, o = kk.zero, kk.one
+    labels = ("e1", "eps", "e3")
+    zero3 = [z, z, z]
+    constants = [
+        [[o, z, z], [z, o, z], list(zero3)],
+        [[z, o, z], list(zero3), list(zero3)],
+        [list(zero3), list(zero3), [z, z, o]],
+    ]
+    alg = StructureAlgebra(kk, labels, constants, unit_coords=[o, z, o])
+    one, zero = field.one, field.zero
+    return build_d_algebra(
+        alg,
+        [
+            ((one, zero, zero), ((zero, one, zero),)),
+            ((zero, zero, one), ()),
+        ],
+    )
+
+
+JETS_REFERENCES = [
+    ("difference", difference_algebra, reference_difference_algebra),
+    ("dual", dual_numbers, reference_dual_numbers),
+    ("dual-times-field", dual_numbers_times_field, reference_dual_numbers_times_field),
+] + [
+    (f"fields-{l}", functools.partial(product_of_fields, copies=l),
+     functools.partial(reference_product_of_fields, copies=l))
+    for l in range(1, 6)
+] + [
+    (f"jets-{l}", functools.partial(truncated_jets, length=l),
+     functools.partial(reference_truncated_jets, length=l))
+    for l in range(1, 6)
+]
+
+
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(7)), ids=str)
-@pytest.mark.parametrize("build, reference", [
-    (difference_algebra, reference_difference_algebra),
-    (dual_numbers, reference_dual_numbers),
-], ids=["difference", "dual"])
+@pytest.mark.parametrize("build, reference", [case[1:] for case in JETS_REFERENCES],
+                         ids=[case[0] for case in JETS_REFERENCES])
 def test_jets_delegations_equal_the_literal_tables(build, reference, field):
     d, ref = build(field), reference(field)
     assert d == ref and hash(d) == hash(ref)
     assert d.labels() == ref.labels()
     assert d.algebra.table == ref.algebra.table and d.cells == ref.cells
+    assert d.algebra.unit_coords == ref.algebra.unit_coords
     assert d.unit == ref.unit and d.factor_units == ref.factor_units
     assert d.factors == ref.factors and d.factor_of == ref.factor_of
     assert d.strata == ref.strata and d.stratum_of == ref.stratum_of

@@ -158,7 +158,7 @@ def test_block_lower_triangular_in_stratified_basis(rng):
         for coeff, kind in itertools.product(builders, ("nil2", "split", "nil3")):
             tower = random_tower(field, coeff, kind, rng)
             dm = associated_matrix(tower)
-            zero = RingMatrix.zero(tower.base_ring, dm.r, dm.r)
+            zero = RingMatrix(tower.base_ring, [[tower.base_ring.zero] * dm.r] * dm.r)
             for m in range(dm.l):
                 for j in range(dm.l):
                     if m < j:

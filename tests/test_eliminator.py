@@ -5,7 +5,10 @@ their witnesses.
 - ``reference_inverse`` is the earlier ``RingMatrix.inverse`` loop: the
   first unit of each column is the pivot, a column of nonzero non-units
   goes to the adjugate route, and elimination stops at the first column
-  with no nonzero entry.
+  with no nonzero entry.  Its adjugate route is
+  ``test_matrices.reference_adjugate_inverse``, the matrix-power adjugate
+  times det^-1, so the package's fallback is compared with a route of its
+  own.
 - ``reference_solve_over_ring`` is the earlier ``homs._solve_over_ring``:
   the first nonzero entry is the pivot and must be a unit, a zero column is
   passed over, and a nonzero right-hand side left below the pivots makes
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from descent_kit import GF, QQ, Monomial, Polynomial, PresentedRing, linear
 from descent_kit.errors import NonInvertibleMatrix, NotAUnit
 from descent_kit.matrices import RingMatrix
+from test_matrices import reference_adjugate_inverse
 
 
 def reference_inverse(self):
@@ -49,7 +53,7 @@ def reference_inverse(self):
                 raise NonInvertibleMatrix(
                     f"column {col + 1} has no nonzero pivot after elimination"
                 )
-            return self._inverse_adjugate()
+            return reference_adjugate_inverse(self)
         i, scale = pivot
         a[col], a[i] = a[i], a[col]
         inv[col], inv[i] = inv[i], inv[col]

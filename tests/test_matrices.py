@@ -1,19 +1,25 @@
 """The Cayley-Hamilton Cramer solve against the per-column determinant loop
-it replaced, and the term-dict Berkowitz and matrix product against the
-``sum()``/``+`` loops they replaced.
+it replaced, the term-dict Berkowitz and matrix product against the
+``sum()``/``+`` loops they replaced, and the Horner adjugate against the
+matrix-power sum it replaced.
 
 ``reference_cramer`` computes det(M) and then det(M_j), M with column j
 replaced by b, for every j: one Berkowitz characteristic polynomial per
 determinant.  ``RingMatrix.solve_cramer`` must give the same normal forms
 for every right-hand side, solve M x = b, and refuse a matrix whose
 determinant is not a unit with the same message.
+
+``reference_adjugate`` is the deleted matrix-power route,
+(-1)^{n-1} (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) summed as whole
+matrices, on ``reference_charpoly``; ``reference_adjugate_inverse`` scales
+it by the inverse of ``reference_det``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descent_kit import GF, QQ, Monomial, Polynomial, PresentedRing
+from descent_kit import GF, QQ, Monomial, Polynomial, PresentedRing, linear
 from descent_kit.errors import NonInvertibleMatrix, NotAUnit
 from descent_kit.matrices import RingMatrix
 
@@ -163,6 +169,12 @@ def test_adjugate_fallback_runs_berkowitz_once(monkeypatch):
     inv = m.inverse()
     assert counts["charpoly"] == 1
     assert m * inv == RingMatrix.identity(ring, 2)
+    # the determinant, the adjugate and the audit solve read the same run
+    d = m.det()
+    assert m.adjugate() * m == RingMatrix(ring, [[d, ring.zero], [ring.zero, d]])
+    solved = m.solve_cramer(linear.identity(ring, 2))
+    assert [list(col) for col in zip(*solved)] == [list(row) for row in inv.rows]
+    assert counts["charpoly"] == 1
     counts.update(charpoly=0, __mul__=0)
     singular = RingMatrix(ring, [[ring.el("a"), ring.zero], [ring.zero, ring.el("a")]])
     with pytest.raises(NonInvertibleMatrix, match="determinant a is not a unit"):
@@ -231,3 +243,80 @@ def test_charpoly_and_product_match_the_sum_loops(case):
     assert square.rows == reference_product(m, m).rows
     ring = m.ring
     assert all(ring.nf(e) == e for row in square.rows for e in row)
+
+
+def reference_det(m):
+    """det(M) = (-1)^n c_0 on ``reference_charpoly``."""
+    c0 = reference_charpoly(m)[-1]
+    return m.ring.nf(c0 if m.nrows % 2 == 0 else -c0)
+
+
+def reference_adjugate(m):
+    """(-1)^{n-1} sum_k c_{k+1} M^k with c_n = 1, by whole-matrix sums,
+    scalings and powers."""
+    ring, n = m.ring, m.nrows
+    coeffs = reference_charpoly(m)
+    acc = [[ring.zero] * n for _ in range(n)]
+    power = RingMatrix.identity(ring, n)
+    for k in range(n):
+        c = ring.one if k == n - 1 else coeffs[n - 1 - k]
+        acc = [[ring.nf(a + p * c) for a, p in zip(ra, rp)]
+               for ra, rp in zip(acc, power.rows)]
+        power = reference_product(power, m)
+    if (n - 1) % 2 == 1:
+        acc = [[-a for a in row] for row in acc]
+    return RingMatrix(ring, acc)
+
+
+def reference_adjugate_inverse(m):
+    """adj(M) det(M)^-1 on the references, or the determinant's witness."""
+    ring = m.ring
+    d = reference_det(m)
+    try:
+        d_inv = ring.unit_inverse(d)
+    except NotAUnit:
+        raise NonInvertibleMatrix(f"determinant {ring.render(d)} is not a unit") from None
+    return RingMatrix(ring, [[e * d_inv for e in row] for row in reference_adjugate(m).rows])
+
+
+# k, k[a] and rings with relations; the entry degree in a of each
+ADJUGATE_RINGS = {
+    "QQ": (PresentedRing.base_field(QQ), 1),
+    "GF(5)": (PresentedRing.base_field(GF(5)), 1),
+    "QQ[a]": (PresentedRing.make(QQ, ("a",), []), 2),
+    "GF(5)[a]": (PresentedRing.make(GF(5), ("a",), []), 2),
+    "QQ[a]/(a^2 - 2)": (PresentedRing.make(QQ, ("a",), [
+        Polynomial.variable(QQ, "a") ** 2 - Polynomial.constant(QQ, 2)]), 2),
+    "QQ[a]/(a^3)": (local_ring(QQ, 3), 3),
+}
+
+
+@st.composite
+def square_matrices(draw):
+    ring, degree = ADJUGATE_RINGS[draw(st.sampled_from(sorted(ADJUGATE_RINGS)))]
+    n = draw(st.integers(1, 4))
+    coeffs = st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)
+    entry = coeffs.map(lambda c: element(ring, degree, c))
+    return RingMatrix(ring, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                          min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_horner_adjugate_matches_the_matrix_power_sum(m):
+    ring, n = m.ring, m.nrows
+    adj = m.adjugate()
+    assert adj == reference_adjugate(m)
+    d = m.det()
+    assert d == reference_det(m)
+    scalar = RingMatrix(ring, [[d if i == j else ring.zero for j in range(n)]
+                               for i in range(n)])
+    assert m * adj == scalar and adj * m == scalar
+    try:
+        expected = reference_adjugate_inverse(m)
+    except NonInvertibleMatrix as err:
+        with pytest.raises(NonInvertibleMatrix) as ours:
+            m._inverse_adjugate()
+        assert ours.value.witness == err.witness
+        return
+    assert m._inverse_adjugate() == expected

@@ -75,7 +75,8 @@ def test_closed_stdout_is_one_line_on_stderr(unbuffered):
                   unbuffered=unbuffered)
     # the child never holds the read end, so its report meets a broken pipe
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     lines = stderr.splitlines()
     assert lines[0] == "descent-kit: cannot write the report to stdout: Broken pipe"
@@ -91,7 +92,8 @@ def test_closed_stdout_seen_from_an_in_process_caller(unbuffered):
             f"sys.exit(main(['validate', '--input', {str(FIXTURES / 'differential.json')!r}]))")
     proc = _child([], unbuffered=unbuffered, entry=("-c", call))
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     lines = stderr.splitlines()
     assert lines[0] == "descent-kit: cannot write the report to stdout: Broken pipe"

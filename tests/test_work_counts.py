@@ -3,7 +3,8 @@ matrix is built once per command, a normal form never recomputes a
 leading term the basis already holds, evaluation in a structure algebra
 multiplies only what it must, the audit's Cramer solve runs one
 characteristic polynomial for all generators, and the Hom-set audit gates
-each map once and evaluates each relation once per assignment.
+each map once and evaluates each relation once per assignment; each matrix
+runs Berkowitz at most once.
 
 Counters are wrapped around the validators, ``groebner.buchberger``,
 ``groebner.normal_form``, ``DegRevLex.leading``,
@@ -15,6 +16,7 @@ for one CLI invocation or one evaluation at a time.
 
 import contextlib
 import io
+import json
 import sys
 from collections import Counter
 
@@ -31,6 +33,7 @@ from descent_kit.matrices import RingMatrix
 from descent_kit.polynomials import DegRevLex
 from descent_kit.structure import AlgebraElement, StructureAlgebra, evaluate_poly
 from conftest import FIXTURES, dual_basis_algebra
+from test_scaled_golden import GEN
 
 COMMANDS = (
     ["validate"], ["matrix"], ["descend"], ["descend", "--audit"],
@@ -490,3 +493,37 @@ def test_descent_matrix_work_per_command(fixture, command, tmp_path, monkeypatch
     if (fixture, command) == ("compose_difference.json", ["compose-check"]):
         expected = (5, 5)
     assert tuple(calls) == expected
+
+
+# Berkowitz runs per command (validate, matrix, descend, descend --audit,
+# adjoint-check, compose-check) on each seed-1 benchmark workload: one per
+# matrix.  ``matrix`` runs one on each associated endomorphism matrix, whose
+# clauses (i) (on a stall), (iii) and (iv) share it; on nilpotent-obstruction
+# the descent matrix's fallback inverse and the clause (ii) product matrix
+# run one each as well.
+BERKOWITZ_RUNS = {
+    "gf2-hom-enumeration": (0, 1, 0, 1, 0, 1),
+    "gfp-relations": (0, 1, 0, 1, 0, 1),
+    "nilpotent-obstruction": (0, 3, 1, 1, 1, 1),
+    "qq-differential": (0, 1, 0, 1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BERKOWITZ_RUNS))
+def test_berkowitz_runs_once_per_matrix(workload, tmp_path, monkeypatch):
+    calls = [0]
+    original = RingMatrix.charpoly
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(RingMatrix, "charpoly", counted)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(GEN.generate(workload, 1)), encoding="utf-8")
+    runs = []
+    for command in COMMANDS:
+        calls[0] = 0
+        run_cli(command + ["--input", str(problem)], tmp_path)
+        runs.append(calls[0])
+    assert tuple(runs) == BERKOWITZ_RUNS[workload]
