@@ -7,12 +7,19 @@ derivation twisted by an endomorphism for the dual numbers, truncated
 higher derivations for jet algebras.
 """
 
+import sys
+from pathlib import Path
+
+# the paper's proposition checks live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 from descent_kit import (
     QQ, GF, DStructure, PresentedRing,
     dual_numbers, product_of_fields,
     truncated_operator_polynomials,
 )
 from descent_kit.errors import TruncationExceeded
+from paper_checks import associated_endomorphisms
 
 print("== the dual numbers give a twisted derivation ==")
 ring = PresentedRing.make(QQ, ("t",), [])
@@ -35,7 +42,7 @@ print("== k^2 gives two independent endomorphisms ==")
 f5 = GF(5)
 r5 = PresentedRing.make(f5, ("x",), [])
 e2 = DStructure(r5, product_of_fields(f5, 2), {"x": (r5.el("x^2"), r5.el("x+1"))})
-sigmas = e2.associated_endomorphisms()
+sigmas = associated_endomorphisms(e2)
 print("sigma_1(x) =", r5.render(sigmas[0].images["x"][0]))
 print("sigma_2(x) =", r5.render(sigmas[1].images["x"][0]))
 

@@ -7,11 +7,18 @@ stratified coefficient basis it is block lower triangular with the
 associated endomorphism matrices on the diagonal.
 """
 
+import sys
+from pathlib import Path
+
+# the paper's proposition checks live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 from descent_kit import (
     QQ, DStructure, OperatorTower, PresentedRing, StructureAlgebra,
-    associated_matrix, change_of_basis_check,
-    difference_algebra, dual_numbers, endo_matrix, invertibility_equivalences,
+    associated_matrix, difference_algebra, dual_numbers, endo_matrix,
+    invertibility_equivalences,
 )
+from paper_checks import change_of_basis_check
 
 A = PresentedRing.base_field(QQ)
 z, o = A.zero, A.one

@@ -6,11 +6,18 @@ coordinates generate the descent ideal.  Algebra maps downstairs
 correspond exactly to module-algebra maps upstairs.
 """
 
+import sys
+from pathlib import Path
+
+# the paper's proposition checks live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 from descent_kit import (
     GF, DStructure, OperatorTower, PresentedBAlgebra, PresentedRing,
-    StructureAlgebra, descend_morphism, difference_algebra, parse_polynomial,
+    StructureAlgebra, difference_algebra, parse_polynomial,
     tau_forward, tau_inverse, weil_descend,
 )
+from paper_checks import descend_morphism
 
 field = GF(2)
 A = PresentedRing.base_field(field)

@@ -6,12 +6,19 @@ hand, the images of the copy variables are forced, the descent ideal is
 certified stable, and the unit map is certified an operator map.
 """
 
+import sys
+from pathlib import Path
+
+# the paper's proposition checks live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 from descent_kit import (
     GF, QQ, DStructure, OperatorTower, PresentedBAlgebra, PresentedRing,
-    StructureAlgebra, descend_d_structure, descended_endomorphisms_check,
-    difference_algebra, dual_numbers, parse_polynomial, rederive_images,
+    StructureAlgebra, descend_d_structure, difference_algebra, dual_numbers,
+    parse_polynomial, rederive_images,
 )
 from descent_kit.errors import NonInvertibleMatrix
+from paper_checks import descended_endomorphisms_check
 
 print("== the squaring endomorphism over GF(2) ==")
 field = GF(2)

@@ -4,8 +4,10 @@ A structure with coefficients D1 and one with coefficients D2 on the same
 carrier compose into a structure with coefficients D2 (x) D1, coordinate
 operators (e2)_q o (e1)_p indexed by basis pairs.  The product algebra
 inherits a stratification (stratum of a pair is the sum of strata), and
-the swap of tensor factors reindexes coordinates.  The checks here verify,
-on concrete instances, that composition and commutation survive descent.
+the swap of tensor factors reindexes coordinates.  The check here
+verifies, on concrete instances, that composition and commutation survive
+descent; that composition commutes with tensor products of structures is
+checked by the tests (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
@@ -260,37 +262,3 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         v for k, v in report.items() if isinstance(v, bool) and k != "inputs_commute"
     )
     return report
-
-
-def tensor_compose_check(f1: DStructure, f2: DStructure,
-                         g1: DStructure, g2: DStructure) -> dict:
-    """Composition commutes with tensor products of structures.
-
-    f1, f2 live on S; g1, g2 on T; f1, g1 share the coefficient algebra D1
-    and f2, g2 share D2.  Compares D1(f2 (x) g2) o (f1 (x) g1) with
-    (D1(f2) o f1) (x) (D1(g2) o g1) on generators.
-    """
-    cc = tensor_coefficients(f2.coeff, f1.coeff)
-    t1, _, _ = f1.tensor(g1)
-    t2, _, _ = f2.tensor(g2)
-    lhs = compose_structures(t1, t2, cc)
-    comp_s = compose_structures(f1, f2, cc)
-    comp_t = compose_structures(g1, g2, cc)
-    rhs, _, _ = comp_s.structure.tensor(comp_t.structure)
-    return {"ok": lhs.structure.agrees_with(rhs, lhs.structure.carrier.variables)}
-
-
-def check_tensor_associated_endos(f: DStructure, g: DStructure) -> bool:
-    """Associated endomorphisms of a tensor structure act factorwise."""
-    tens, map_s, map_t = f.tensor(g)
-    carrier = tens.carrier
-    sigma = f.associated_endomorphisms()
-    tau = g.associated_endomorphisms()
-    rho = tens.associated_endomorphisms()
-    for factors, mapping in ((sigma, map_s), (tau, map_t)):
-        subs = {v: carrier.var(w) for v, w in mapping.items()}
-        for i, endo in enumerate(factors):
-            for v, w in mapping.items():
-                if not carrier.equal(rho[i].images[w][0], endo.images[v][0].substitute(subs)):
-                    return False
-    return True

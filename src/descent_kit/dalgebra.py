@@ -53,7 +53,6 @@ class DCoefficientAlgebra:
         "strata",
         "factor_units",
         "unit",
-        "_difference",
     )
 
     def __init__(self, algebra, cells, factors, factor_of, stratum_of, strata, unit):
@@ -70,7 +69,6 @@ class DCoefficientAlgebra:
         # the coordinate at factor_units[i]
         self.factor_units = tuple(levels[0][0] for levels in strata)
         self.unit = unit
-        self._difference = None
 
     @property
     def dim(self) -> int:
@@ -86,15 +84,6 @@ class DCoefficientAlgebra:
 
     def labels(self):
         return self.algebra.labels
-
-    def difference_algebra(self) -> "DCoefficientAlgebra":
-        """D = k over this algebra's field, the coefficient algebra of every
-        associated endomorphism: built on first use and kept here, so it
-        lives as long as this algebra does.  (It is not shared across the
-        process: its ``over`` keeps every carrier it has seen.)"""
-        if self._difference is None:
-            self._difference = difference_algebra(self.field)
-        return self._difference
 
     def over(self, carrier: PresentedRing) -> StructureAlgebra:
         """The base change carrier (x) coefficient-algebra, rank dim: the

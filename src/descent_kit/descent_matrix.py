@@ -29,9 +29,8 @@ ring, a test algebra) hands R to ``RingMatrix.apply`` or ``solve_cramer``.
 from __future__ import annotations
 
 from . import linear
-from .errors import NonInvertibleMatrix, SingularBasisChange
+from .errors import NonInvertibleMatrix
 from .matrices import RingMatrix
-from .presented import PresentedRing
 from .tower import OperatorTower
 
 
@@ -115,65 +114,6 @@ def associated_matrix(tower: OperatorTower) -> DescentMatrix:
         tower._descent_matrix = DescentMatrix(
             r, l, assemble_matrix(ring, r, l, tower.coeff.cells, tower.lambda_f))
     return tower._descent_matrix
-
-
-def inflate(ring: PresentedRing, scalar_matrix, r: int) -> RingMatrix:
-    """Replace each scalar entry x by the r x r block x*I."""
-    l = len(scalar_matrix)
-    rows = []
-    for bi in range(l):
-        for n in range(r):
-            row = []
-            for bj in range(l):
-                x = scalar_matrix[bi][bj]
-                for i in range(r):
-                    row.append(ring.constant(x) if i == n else ring.zero)
-            rows.append(row)
-    return RingMatrix(ring, rows)
-
-
-def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
-    """Recompute the matrix in a changed coefficient basis and compare.
-
-    ``x_matrix`` is an l x l change of basis over k with eta_j = sum_q X_qj eps_q.
-    The check rebuilds the structure constants and coordinate operators in
-    the eta basis from scratch and compares with conjugation by the
-    inflated X.  Exact equality is required.
-    """
-    field = tower.base_ring.field
-    l = tower.coeff.dim
-    r = tower.rank
-    x = [[field.normalize(c) for c in row] for row in x_matrix]
-    y = linear.inverse(field, x)
-    if y is None:
-        raise SingularBasisChange("the change of basis is singular over k")
-
-    # eta_j eta_k in the eps basis by the table, then into the eta basis by Y
-    columns = [list(col) for col in zip(*x)]
-    cells_eta = []
-    for xj in columns:
-        row_eta = []
-        for xk in columns:
-            prod = linear.vec_mul(field, tower.coeff.cells, xj, xk)
-            coords = [field.normalize(sum(ym * p for ym, p in zip(y_row, prod)))
-                      for y_row in y]
-            row_eta.append(tuple((m, c) for m, c in enumerate(coords) if c))
-        cells_eta.append(row_eta)
-
-    ring = tower.base_ring
-
-    def lam_eta(n, k, i):
-        acc = ring.zero
-        for q in range(l):
-            if not field.is_zero(y[k][q]):
-                acc = acc + tower.lambda_f(n, q, i).scale(y[k][q])
-        return ring.nf(acc)
-
-    m_eta = assemble_matrix(ring, r, l, cells_eta, lam_eta)
-    m_eps = associated_matrix(tower).matrix
-    x_big = inflate(ring, x, r)
-    y_big = inflate(ring, y, r)
-    return m_eta == y_big * m_eps * x_big
 
 
 def invertibility_equivalences(algebra, sigma_images) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from .dalgebra import DCoefficientAlgebra, difference_algebra
 from .errors import (
     BaseMismatch,
-    CarrierMismatch,
     NotDIdeal,
     NotWellDefined,
     ResourceLimit,
@@ -20,7 +19,7 @@ from .errors import (
 )
 from .groebner import buchberger
 from .polynomials import Polynomial, render
-from .presented import PresentedRing, tensor_presented
+from .presented import PresentedRing
 from .structure import _wrap, evaluate_poly
 
 
@@ -110,32 +109,6 @@ class DStructure:
         return all(equal(a, b) for v in variables
                    for a, b in zip(self.images[v], other.images[v]))
 
-    # -- associated endomorphisms ---------------------------------------------
-
-    def associated_images(self, factor: int) -> dict:
-        """Generator images of the associated endomorphism sigma_factor
-        (0-based): the coordinate at the factor's unit."""
-        unit = self.coeff.factor_units[factor]
-        out = {}
-        for v in self.carrier.variables:
-            vec = self.images[v]
-            if vec is None:
-                raise TruncationExceeded(f"no operator image assigned to {v!r}")
-            out[v] = vec[unit]
-        return out
-
-    def associated_endomorphisms(self):
-        """One difference structure per local factor of the coefficient
-        algebra, each over the coefficient algebra's one D = k."""
-        dk = self.coeff.difference_algebra()
-        base = None if self.base is None else self.base.associated_endomorphisms()
-        return [
-            DStructure(self.carrier, dk,
-                       {v: (p,) for v, p in self.associated_images(i).items()},
-                       None if base is None else base[i])
-            for i in range(self.coeff.factor_count)
-        ]
-
     # -- validation --------------------------------------------------------------
 
     def validate(self):
@@ -206,37 +179,6 @@ class DStructure:
             raise NotDIdeal("the ideal is not closed under the coordinate operators")
         return induced
 
-    # -- tensor products -------------------------------------------------------------
-
-    def tensor(self, other: "DStructure"):
-        """The unique structure on S (x)_R T extending both factors.
-
-        Both structures must extend the same structure on the shared base
-        presentation.  Returns (structure, map_S, map_T).
-        """
-        if self.coeff != other.coeff:
-            raise CarrierMismatch("tensor factors use different coefficient algebras")
-        if self.carrier.base_vars != other.carrier.base_vars:
-            raise BaseMismatch("tensor factors have different base presentations")
-        for v in self.carrier.base_vars:
-            for a, b in zip(self.images[v], other.images[v]):
-                if (a is None) or (b is None) or not self.carrier.equal(a, self.carrier.nf(b)):
-                    raise BaseMismatch(f"images of base variable {v!r} disagree")
-        ring, map_s, map_t = tensor_presented(self.carrier, other.carrier)
-        field = ring.field
-
-        def push(vec, mapping):
-            if vec is None:
-                return None
-            subs = {v: Polynomial.variable(field, w) for v, w in mapping.items()}
-            return tuple(c.substitute(subs) for c in vec)
-
-        images = {}
-        for v in self.carrier.variables:
-            images[map_s[v]] = push(self.images[v], map_s)
-        for v in other.carrier.variables:
-            images.setdefault(map_t[v], push(other.images[v], map_t))
-        return DStructure(ring, self.coeff, images, base=self.base), map_s, map_t
 
 
 # the most variables a truncated window may adjoin

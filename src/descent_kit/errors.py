@@ -106,10 +106,6 @@ class NonInvertibleMatrix(DescentKitError):
         self.matrix = matrix
 
 
-class SingularBasisChange(DescentKitError):
-    """A change-of-basis matrix is singular over k."""
-
-
 class NotAHomomorphism(DescentKitError):
     """Generator images do not kill the required relations."""
 

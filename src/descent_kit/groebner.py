@@ -304,24 +304,6 @@ def buchberger_extended(gens, order: DegRevLex, budget: int = DEFAULT_PAIR_BUDGE
     return GroebnerBasis(basis, order), [tuple(c) for c in cofs]
 
 
-def reduce_extended(p: Polynomial, gb: GroebnerBasis):
-    """Reduce p, also returning quotients over the basis elements.
-
-    Returns (remainder, quotients) with ``p == sum_i quotients[i]*gb[i] + remainder``.
-    """
-    field = p.field
-    terms, remainder = dict(p.terms), {}
-    quotients = [{} for _ in gb.generators]
-    for gi, q, factor in _reduction_steps(
-        terms, remainder, gb.generators, gb.leads, field, gb.order
-    ):
-        quotients[gi][q] = factor
-    return (
-        Polynomial.from_terms(field, remainder),
-        [Polynomial.from_terms(field, t) for t in quotients],
-    )
-
-
 def staircase(gb: GroebnerBasis):
     """All monomials outside the leading-term ideal, if finitely many.
 

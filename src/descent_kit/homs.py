@@ -40,27 +40,6 @@ from .weil_d import DDescentResult, tau_d_forward, tau_d_inverse, verify_d_hom
 DEFAULT_BUDGET = 2**20
 
 
-def target_elements(target: PresentedRing):
-    """Every element of a finite-dimensional algebra over a finite field.
-
-    Deterministic order: staircase monomials ascending, coefficient tuples
-    in lexicographic order over 0..p-1.
-    """
-    p = target.field.characteristic
-    if p == 0:
-        raise NotFiniteDimensional("the coefficient field is infinite")
-    basis = target.staircase()
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        out.append(
-            Polynomial(
-                target.field,
-                {m: target.field.normalize(c) for m, c in zip(basis, coeffs)},
-            )
-        )
-    return out
-
-
 def _multiplication_table(target: PresentedRing, basis):
     """``table[i][j]``: the pairs (m, c), m ascending, of the nonzero
     staircase coordinates c of basis[i] * basis[j].
@@ -106,9 +85,10 @@ def enumerate_homs(source: PresentedRing, target: PresentedRing, fixed: dict = N
 
     ``fixed`` maps pinned source variables to target elements (the shared
     base variables of a flattened tower, typically to themselves).  Returns
-    a deterministically ordered list of {variable: image} dicts: the free
-    variables take the elements of ``target_elements`` in
-    ``itertools.product`` order, and every image is a normal form.
+    a deterministically ordered list of {variable: image} dicts: each free
+    variable runs over the target's elements, their staircase coordinate
+    tuples in lexicographic order over 0..p-1, and the free variables
+    together in ``itertools.product`` order; every image is a normal form.
 
     Candidates are checked in staircase coordinates over GF(p).  Each
     relation is evaluated once per assignment of the free variables it

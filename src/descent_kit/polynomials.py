@@ -332,7 +332,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and (self.field is other.field or self.field == other.field)
+            and self.field is other.field
             and self.terms == other.terms
         )
 

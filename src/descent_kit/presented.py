@@ -185,73 +185,3 @@ class PresentedRing:
             gb = buchberger(known + new_rels, DegRevLex(variables), known=len(known))
             ring = self._extensions[key] = PresentedRing(self.field, variables, gb, base_vars)
         return ring
-
-
-def _suffix_rename(names, taken, suffix):
-    mapping = {}
-    for v in names:
-        w = f"{v}({suffix})"
-        while w in taken:
-            w = f"{w}'"
-        mapping[v] = w
-        taken.add(w)
-    return mapping
-
-
-def tensor_presented(S: PresentedRing, T: PresentedRing):
-    """S tensor T over their common base ring.
-
-    Both factors must present the same base (same ``base_vars`` naming the
-    same subring).  Returns ``(ring, map_S, map_T)`` where the maps send each
-    factor's variables to their images in the tensor presentation.  Clashing
-    non-base variables are renamed with positional suffixes ``(1)``/``(2)``.
-    """
-    if S.field != T.field or S.base_vars != T.base_vars:
-        raise ValueError("tensor factors must share the base presentation")
-    base = S.base_vars
-    s_own = tuple(v for v in S.variables if v not in base)
-    t_own = tuple(v for v in T.variables if v not in base)
-    clash = set(s_own) & set(t_own)
-    map_s = {v: v for v in S.variables}
-    map_t = {v: v for v in T.variables}
-    if clash:
-        taken = set(base) | set(s_own) | set(t_own)
-        ren_s = _suffix_rename([v for v in s_own if v in clash], taken, 1)
-        ren_t = _suffix_rename([v for v in t_own if v in clash], taken, 2)
-        map_s.update(ren_s)
-        map_t.update(ren_t)
-    variables = (
-        tuple(base)
-        + tuple(map_s[v] for v in s_own)
-        + tuple(map_t[v] for v in t_own)
-    )
-    subs_s = {v: Polynomial.variable(S.field, w) for v, w in map_s.items()}
-    subs_t = {v: Polynomial.variable(T.field, w) for v, w in map_t.items()}
-    rels = [g.substitute(subs_s) for g in S.relations.generators]
-    rels += [g.substitute(subs_t) for g in T.relations.generators]
-    ring = PresentedRing.make(S.field, variables, rels, base)
-    return ring, map_s, map_t
-
-
-def tensor_power(S: PresentedRing, r: int):
-    """r-fold tensor power of S over its base; variables become ``x(i)``.
-
-    Returns ``(ring, maps)`` with ``maps[i]`` sending each non-base variable
-    x of S to its i-th copy x(i+1).
-    """
-    base = S.base_vars
-    own = tuple(v for v in S.variables if v not in base)
-    variables = tuple(base)
-    maps = []
-    for i in range(1, r + 1):
-        m = {v: v for v in base}
-        for v in own:
-            m[v] = f"{v}({i})"
-        maps.append(m)
-        variables += tuple(m[v] for v in own)
-    rels = []
-    for i in range(r):
-        subs = {v: Polynomial.variable(S.field, w) for v, w in maps[i].items()}
-        rels += [g.substitute(subs) for g in S.relations.generators]
-    ring = PresentedRing.make(S.field, variables, rels, base)
-    return ring, maps

@@ -46,29 +46,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_FIELDS = {}  # characteristic -> its one ScalarField
+
+
 class ScalarField:
     """The base field k: characteristic 0 means QQ, a prime p means GF(p).
 
-    ``zero`` and ``one`` are the canonical constants, set once here.
+    There is one field per characteristic: the constructor (and so ``GF``,
+    copies and unpickling) returns the object kept in ``_FIELDS``, checking
+    p only the first time, so fields compare and hash by identity, as
+    ``Monomial`` does.  ``zero`` and ``one`` are the canonical constants,
+    set once here.
     """
 
     __slots__ = ("characteristic", "zero", "one")
 
-    def __init__(self, characteristic: int = 0):
-        if characteristic:
-            if characteristic >= _WORD_BOUND:
-                raise ValueError("prime fields are restricted to word-sized p")
-            if not _is_prime(characteristic):
-                raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
-        self.characteristic = characteristic
-        self.zero = self.normalize(0)
-        self.one = self.normalize(1)
+    def __new__(cls, characteristic: int = 0):
+        field = _FIELDS.get(characteristic)
+        if field is None:
+            if characteristic:
+                if characteristic >= _WORD_BOUND:
+                    raise ValueError("prime fields are restricted to word-sized p")
+                if not _is_prime(characteristic):
+                    raise ValueError(
+                        f"characteristic must be 0 or a prime, got {characteristic}")
+            field = object.__new__(cls)
+            field.characteristic = characteristic
+            field.zero = field.normalize(0)
+            field.one = field.normalize(1)
+            _FIELDS[characteristic] = field
+        return field
 
-    def __eq__(self, other):
-        return isinstance(other, ScalarField) and self.characteristic == other.characteristic
-
-    def __hash__(self):
-        return hash(("ScalarField", self.characteristic))
+    def __reduce__(self):
+        return ScalarField, (self.characteristic,)
 
     def __repr__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

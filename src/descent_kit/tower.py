@@ -104,15 +104,6 @@ class OperatorTower:
         unit = self.coeff.factor_units[factor]
         return [self.f_images[i][unit] for i in range(self.rank)]
 
-    def difference_subtower(self, factor: int) -> "OperatorTower":
-        """The (A, sigma_i) <= (B, tau_i) tower of one associated endomorphism."""
-        dk = self.coeff.difference_algebra()
-        e_i = DStructure(
-            self.e.carrier, dk, {v: (p,) for v, p in self.e.associated_images(factor).items()}
-        )
-        tau = [(img,) for img in self.endo_images(factor)]
-        return OperatorTower(e_i, self.algebra, dk, tau)
-
 
 class PresentedBAlgebra:
     """C = B[generators] / (relations), relations written flat over A, labels, gens."""

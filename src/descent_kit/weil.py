@@ -166,19 +166,3 @@ def tau_inverse(psi_images: dict, target: PresentedRing, result: WeilDescentResu
     if result.ideal_violation(result.pinned_env(phi, target.field), target) is not None:
         raise NotAHomomorphism("coordinate map does not kill the descent ideal")
     return phi
-
-
-def descend_morphism(h_images: dict, source: WeilDescentResult, target: WeilDescentResult) -> dict:
-    """W(h) for a B-algebra map h: C -> C' given flat on generators.
-
-    Sends x(i) to lambda_i of the unit image of h(x) computed in W(C') (x) B.
-    """
-    out = {}
-    for g in source.generators:
-        image = target.evaluate_under_unit(h_images[g])
-        for i, name in enumerate(source.copy_names[g]):
-            out[name] = image.coords[i]
-    env = source.pinned_env(out, target.descended.field)
-    if source.ideal_violation(env, target.descended) is not None:
-        raise NotAHomomorphism("descended morphism does not kill the descent ideal")
-    return out

@@ -205,36 +205,3 @@ def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentRes
     if _gate_failure(phi, u_structure, result) is not None:
         raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
     return phi
-
-
-def _is_identity(structure: DStructure) -> bool:
-    """Is ``structure`` the identity x -> x (x) 1 on every carrier variable?"""
-    carrier = structure.carrier
-    return structure.agrees_with(DStructure.identity(carrier, structure.coeff), carrier.variables)
-
-
-def descended_endomorphisms_check(result: DDescentResult) -> dict:
-    """Factorwise: descending the associated endomorphism of (C, g) equals
-    taking the associated endomorphism of the descended structure."""
-    c = result.c
-    tower = c.tower
-    report = {"factors": [], "ok": True}
-    rho = result.structure.associated_endomorphisms()
-    eta = result.c_structure.associated_endomorphisms()
-    copies = [name for gen in c.generators for name in result.classical.copy_names[gen]]
-    for factor in range(tower.coeff.factor_count):
-        sub_c = PresentedBAlgebra(tower.difference_subtower(factor), c.generators,
-                                  c.relations_flat)
-        eta_images = {gen: eta[factor].images[gen] for gen in c.generators}
-        # the subtower keeps B, so W(C) is the one already computed
-        sub_result = descend_d_structure(sub_c, sub_c.structure(eta_images), result.classical)
-        agree = rho[factor].agrees_with(sub_result.structure, copies)
-        entry = {"factor": factor + 1, "difference_descent_matches": agree}
-        # trivial associated endomorphism descends to the identity
-        if _is_identity(eta[factor]):
-            identity_out = _is_identity(rho[factor])
-            entry["identity_descends_to_identity"] = identity_out
-            agree = agree and identity_out
-        report["factors"].append(entry)
-        report["ok"] = report["ok"] and agree
-    return report

@@ -1,10 +1,15 @@
-"""Shared builders for the test suite.
+"""Shared builders and oracles for the test suite.
 
 ``random_tower`` draws valid module structures from parametrized families
 (monogenic algebras with structure images guaranteed to satisfy the
 defining relation), so randomized suites never need rejection sampling.
+``target_elements`` lists every element of a finite algebra over a finite
+field, the brute-force reference of the Hom-set tests; ``reduce_extended``
+records the quotients of a reduction, so a test can check the division
+identity p = sum_i q_i g_i + r.
 """
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -15,7 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from descent_kit import (  # noqa: E402
     DStructure,
+    GroebnerBasis,
     OperatorTower,
+    Polynomial,
     PresentedRing,
     StructureAlgebra,
     difference_algebra,
@@ -24,8 +31,50 @@ from descent_kit import (  # noqa: E402
     product_of_fields,
     truncated_jets,
 )
+from descent_kit.errors import NotFiniteDimensional  # noqa: E402
+from descent_kit.groebner import _reduction_steps  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def target_elements(target: PresentedRing):
+    """Every element of a finite-dimensional algebra over a finite field.
+
+    Deterministic order: staircase monomials ascending, coefficient tuples
+    in lexicographic order over 0..p-1.
+    """
+    p = target.field.characteristic
+    if p == 0:
+        raise NotFiniteDimensional("the coefficient field is infinite")
+    basis = target.staircase()
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        out.append(
+            Polynomial(
+                target.field,
+                {m: target.field.normalize(c) for m, c in zip(basis, coeffs)},
+            )
+        )
+    return out
+
+
+def reduce_extended(p: Polynomial, gb: GroebnerBasis):
+    """Reduce p, also returning quotients over the basis elements, through
+    the reduction steps of the package's own normal form.
+
+    Returns (remainder, quotients) with ``p == sum_i quotients[i]*gb[i] + remainder``.
+    """
+    field = p.field
+    terms, remainder = dict(p.terms), {}
+    quotients = [{} for _ in gb.generators]
+    for gi, q, factor in _reduction_steps(
+        terms, remainder, gb.generators, gb.leads, field, gb.order
+    ):
+        quotients[gi][q] = factor
+    return (
+        Polynomial.from_terms(field, remainder),
+        [Polynomial.from_terms(field, t) for t in quotients],
+    )
 
 
 def dual_basis_algebra(ring, label="eps"):

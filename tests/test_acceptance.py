@@ -23,11 +23,8 @@ from descent_kit import (
     adjoint_evidence,
     adjunction_audit,
     associated_matrix,
-    change_of_basis_check,
-    check_tensor_associated_endos,
     compose_descent_check,
     descend_d_structure,
-    descend_morphism,
     difference_algebra,
     dual_numbers,
     dual_numbers_times_field,
@@ -35,7 +32,6 @@ from descent_kit import (
     parse_polynomial,
     product_of_fields,
     rederive_images,
-    tensor_compose_check,
     truncated_jets,
     verify_d_hom,
     weil_descend,
@@ -43,6 +39,12 @@ from descent_kit import (
 from descent_kit.cli import main as cli_main
 from descent_kit.errors import NonInvertibleMatrix, NotAUnit
 from conftest import FIXTURES, dual_basis_algebra, random_tower
+from paper_checks import (
+    change_of_basis_check,
+    check_tensor_associated_endos,
+    descend_morphism,
+    tensor_compose_check,
+)
 
 
 @contextlib.contextmanager

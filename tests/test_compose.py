@@ -11,7 +11,6 @@ from descent_kit import (
     PresentedBAlgebra,
     PresentedRing,
     StructureAlgebra,
-    check_tensor_associated_endos,
     commutes,
     compose_descent_check,
     compose_structures,
@@ -20,12 +19,12 @@ from descent_kit import (
     gamma_swap,
     product_of_fields,
     tensor_coefficients,
-    tensor_compose_check,
     truncated_jets,
 )
 from descent_kit import compose
 from descent_kit.errors import CarrierMismatch
 from conftest import dual_basis_algebra
+from paper_checks import check_tensor_associated_endos, tensor_compose_check
 
 
 def test_product_coefficients_pass_validation():

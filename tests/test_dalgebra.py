@@ -53,6 +53,7 @@ from descent_kit.errors import (
     StrataMismatch,
 )
 from conftest import COEFF_BUILDERS, dense_table, random_tower, sparse_cells
+from paper_checks import associated_images
 
 
 def reference_projections(d):
@@ -671,7 +672,7 @@ def test_associated_endomorphisms_match_the_projection_sums(name, field, kind, s
             expected.append(acc.coords)
         assert [el.coords for el in tower.endo_images(factor)] == expected
         carrier = structure.carrier
-        images = structure.associated_images(factor)
+        images = associated_images(structure, factor)
         for v in carrier.variables:
             acc = carrier.zero
             for k, c in enumerate(pi):

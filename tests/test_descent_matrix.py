@@ -16,7 +16,6 @@ from descent_kit import (
     RingMatrix,
     StructureAlgebra,
     associated_matrix,
-    change_of_basis_check,
     difference_algebra,
     dual_numbers,
     endo_matrix,
@@ -24,9 +23,10 @@ from descent_kit import (
     tensor_coefficients,
 )
 from descent_kit import linear
-from descent_kit.errors import NonInvertibleMatrix, SingularBasisChange
+from descent_kit.errors import NonInvertibleMatrix
 from conftest import (BASE_RELATIONS, COEFF_BUILDERS, dense_table, dual_basis_algebra,
                       random_tower)
+from paper_checks import SingularBasisChange, change_of_basis_check
 
 
 def block(dm, m, j):

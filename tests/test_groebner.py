@@ -14,11 +14,11 @@ from descent_kit import (
     buchberger_extended,
     normal_form,
     parse_polynomial,
-    reduce_extended,
     render,
     staircase,
 )
 from descent_kit.errors import NotFiniteDimensional, ResourceLimit
+from conftest import reduce_extended
 
 F2 = GF(2)
 

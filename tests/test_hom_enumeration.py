@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descent_kit import GF, Monomial, Polynomial, PresentedRing, enumerate_homs, target_elements
+from descent_kit import GF, Monomial, Polynomial, PresentedRing, enumerate_homs
 from descent_kit.errors import CombinatorialBudgetExceeded
 from descent_kit.homs import DEFAULT_BUDGET
+from conftest import target_elements
 
 FIELDS = (GF(2), GF(3), GF(5))
 SOURCE_VARS = ("x1", "x2", "x3")

@@ -15,10 +15,9 @@ from descent_kit import (
     difference_algebra,
     enumerate_homs,
     parse_polynomial,
-    target_elements,
 )
 from descent_kit.errors import CombinatorialBudgetExceeded, NotFiniteDimensional
-from conftest import dual_basis_algebra
+from conftest import dual_basis_algebra, target_elements
 
 F2 = GF(2)
 

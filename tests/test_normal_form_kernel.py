@@ -21,10 +21,10 @@ from descent_kit import (
     buchberger,
     buchberger_extended,
     normal_form,
-    reduce_extended,
 )
 from descent_kit.errors import ResourceLimit
 from descent_kit.groebner import _reduce_full
+from conftest import reduce_extended
 
 ORDER = DegRevLex(("x", "y", "z"))
 ORDER2 = DegRevLex(("x", "y"))

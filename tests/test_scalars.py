@@ -1,5 +1,8 @@
-"""Field arithmetic: exactness, canonical forms, unit certificates."""
+"""Field arithmetic: exactness, canonical forms, unit certificates, one
+field object per characteristic."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -7,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descent_kit import GF, QQ, PresentedRing
+from descent_kit import GF, QQ, PresentedRing, ScalarField
 from descent_kit.errors import DivisionByZero, NotAUnit
+from descent_kit import scalars
 from descent_kit.scalars import _is_prime
 
 F5 = GF(5)
@@ -38,6 +42,28 @@ def test_prime_field_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(2**63 + 9)
+
+
+def test_one_field_per_characteristic():
+    assert GF(7) is GF(7) and ScalarField(7) is GF(7)
+    assert ScalarField(0) is QQ and ScalarField() is QQ
+    assert GF(7) is not GF(11)
+    for field in (QQ, GF(7), GF(2**61 - 1)):
+        assert copy.copy(field) is field
+        assert copy.deepcopy(field) is field
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(field, protocol)) is field
+    # a polynomial copied or unpickled keeps the one field, so it stays equal
+    p = PresentedRing.make(F5, ("x",)).el("x^2 + 2")
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+
+def test_a_known_characteristic_is_not_tested_again(monkeypatch):
+    GF(13)
+    calls = []
+    monkeypatch.setattr(scalars, "_is_prime", lambda n: calls.append(n) or True)
+    assert GF(13).characteristic == 13
+    assert calls == []
 
 
 def _is_prime_by_trial_division(n):

@@ -34,8 +34,6 @@ from descent_kit import (
     dual_numbers,
     evaluate_poly,
     product_of_fields,
-    tensor_power,
-    tensor_presented,
     truncated_jets,
 )
 from descent_kit import structure
@@ -43,6 +41,7 @@ from descent_kit.errors import InvalidAlgebra, VariableClash
 from descent_kit.polynomials import add_multiple
 from descent_kit.structure import AlgebraElement
 from conftest import dual_basis_algebra
+from paper_checks import tensor_presented
 
 
 def dense(algebra):
@@ -173,13 +172,6 @@ def test_base_change_flattened_tower():
     flat = alg.flat_ring()
     assert set(flat.variables) == {"u", "y"}
     assert len(flat.staircase()) == 4
-
-
-def test_tensor_power_names_match_convention():
-    a = PresentedRing.make(QQ, ("t",), [])
-    t2, maps = tensor_power(a, 2)
-    assert t2.variables == ("t(1)", "t(2)")
-    assert maps[0]["t"] == "t(1)" and maps[1]["t"] == "t(2)"
 
 
 def test_tensor_unit():

@@ -9,18 +9,16 @@ from descent_kit import (
     PresentedBAlgebra,
     PresentedRing,
     descend_d_structure,
-    descend_morphism,
-    descended_endomorphisms_check,
     difference_algebra,
     parse_polynomial,
     product_of_fields,
     tau_forward,
     tau_inverse,
-    target_elements,
     weil_descend,
 )
 from descent_kit.errors import NotAHomomorphism
-from conftest import dual_basis_algebra
+from conftest import dual_basis_algebra, target_elements
+from paper_checks import descend_morphism, descended_endomorphisms_check
 
 
 @pytest.fixture

@@ -15,8 +15,6 @@ from descent_kit import (
     StructureAlgebra,
     associated_matrix,
     descend_d_structure,
-    descended_endomorphisms_check,
-    descend_morphism,
     difference_algebra,
     dual_numbers,
     parse_polynomial,
@@ -29,6 +27,7 @@ from descent_kit import (
 from descent_kit import dalgebra, weil_d
 from descent_kit.errors import NonInvertibleMatrix, NotADHomomorphism
 from conftest import COEFF_BUILDERS, dual_basis_algebra, random_tower
+from paper_checks import descend_morphism, descended_endomorphisms_check
 
 
 def f2_identity_tower():
@@ -90,8 +89,8 @@ def test_endomorphism_check_reuses_the_classical_descent(monkeypatch):
 
 def test_endomorphism_check_builds_one_difference_algebra(monkeypatch):
     """Every associated endomorphism and every difference subtower of the
-    QQ differential example lives over the one D = k its coefficient
-    algebra keeps, so the check builds at most that one."""
+    QQ differential example lives over the one D = k the check builds, so
+    it builds at most that one."""
     tower = differential_tower()
     c = PresentedBAlgebra(tower, ("t",))
     res = descend_d_structure(
