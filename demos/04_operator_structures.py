@@ -35,7 +35,8 @@ print("delta(p)*q + p*delta(q)  =",
 
 print()
 print("== words compose coordinate operators ==")
-print("delta(delta(t)) via the word '22':", ring.render(e.word_apply("22", ring.var("t"))))
+print("delta(delta(t)), the word '22':",
+      ring.render(e.coordinate_op(2, e.coordinate_op(2, ring.var("t")))))
 
 print()
 print("== k^2 gives two independent endomorphisms ==")
@@ -71,6 +72,6 @@ window = truncated_operator_polynomials(base, ["t"], 1)
 print("depth-1 window variables:", window.carrier.variables)
 print("e(t) coordinates:", [window.carrier.render(c) for c in window.images["t"]])
 try:
-    window.word_apply("11", window.carrier.var("t"))
+    window.coordinate_op(1, window.coordinate_op(1, window.carrier.var("t")))
 except TruncationExceeded as err:
     print("depth exceeded:", err)

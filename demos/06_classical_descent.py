@@ -31,7 +31,7 @@ print("== a free algebra descends to a polynomial ring ==")
 c_free = PresentedBAlgebra(tower, ("t",))
 res_free = weil_descend(c_free)
 print("W(B[t]) =", res_free.descended)
-print("unit map: t ->", res_free.unit_image("t"))
+print("unit map: t ->", res_free.unit_map()["t"])
 
 print()
 print("== relations become coordinate relations ==")

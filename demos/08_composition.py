@@ -16,27 +16,27 @@ print("== composing an endomorphism with a derivation ==")
 ring = PresentedRing.make(QQ, ("x",), [])
 sigma = DStructure.difference(ring, {"x": ring.el("x+1")})
 delta = DStructure(ring, dual_numbers(QQ), {"x": (ring.var("x"), ring.one)})
-comp = compose_structures(sigma, delta)
-print("pair basis:", comp.coefficients.index_pair)
-print("composite images of x:",
-      [ring.render(c) for c in comp.structure.images["x"]])
-swapped = gamma_swap(comp)
-print("after the swap:",
-      [ring.render(c) for c in swapped.structure.images["x"]])
+# the composite's coefficients are D2 (x) D1; the swap goes to D1 (x) D2
+cc = tensor_coefficients(delta.coeff, sigma.coeff)
+cc_swapped = tensor_coefficients(sigma.coeff, delta.coeff)
+comp = compose_structures(sigma, delta, cc)
+print("pair basis:", cc.index_pair)
+print("composite images of x:", [ring.render(c) for c in comp.images["x"]])
+swapped = gamma_swap(comp, cc, cc_swapped)
+print("after the swap:", [ring.render(c) for c in swapped.images["x"]])
 print("swap twice returns the original:",
-      all(ring.equal(a, b) for a, b in
-          zip(gamma_swap(swapped).structure.images["x"], comp.structure.images["x"])))
+      gamma_swap(swapped, cc_swapped, cc).agrees_with(comp, ring.variables))
 
 print()
 print("== commutation is operator-wise commutation ==")
-print("shift and d/dx commute:        ", commutes(sigma, delta))
+print("shift and d/dx commute:        ", commutes(sigma, delta, cc, cc_swapped))
 squaring = DStructure.difference(ring, {"x": ring.el("x^2")})
-print("squaring and d/dx commute:     ", commutes(squaring, delta))
+print("squaring and d/dx commute:     ", commutes(squaring, delta, cc, cc_swapped))
 
 print()
 print("== the product coefficient algebra inherits its stratification ==")
-cc = tensor_coefficients(dual_numbers(QQ), dual_numbers(QQ))
-print("dual (x) dual strata:", cc.product.strata)
+dual2 = tensor_coefficients(dual_numbers(QQ), dual_numbers(QQ))
+print("dual (x) dual strata:", dual2.product.strata)
 
 print()
 print("== composites descend to composites ==")

@@ -32,8 +32,8 @@ _EXPORTS = {
     "weil": ("WeilDescentResult", "tau_forward", "tau_inverse", "weil_descend"),
     "weil_d": ("DDescentResult", "descend_d_structure", "rederive_images", "tau_d_forward",
                "tau_d_inverse", "verify_d_hom"),
-    "compose": ("ComposedStructure", "commutes", "compose_descent_check", "compose_structures",
-                "compose_towers", "gamma_swap", "tensor_coefficients"),
+    "compose": ("commutes", "compose_descent_check", "compose_structures", "compose_towers",
+                "gamma_swap", "tensor_coefficients"),
     "homs": ("adjoint_evidence", "adjunction_audit", "enumerate_descended_homs",
              "enumerate_homs", "enumerate_upstairs_homs"),
     "problem": ("ProblemDescription", "load_problem", "problem_from_file"),

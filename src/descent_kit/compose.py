@@ -29,11 +29,9 @@ class ComposedCoefficients:
     by total stratum, so the product passes the stratification validator.
     """
 
-    __slots__ = ("left", "right", "product", "index_pair", "pair_index")
+    __slots__ = ("product", "index_pair", "pair_index")
 
-    def __init__(self, left, right, product, index_pair, pair_index):
-        self.left = left
-        self.right = right
+    def __init__(self, product, index_pair, pair_index):
         self.product = product
         self.index_pair = index_pair
         self.pair_index = pair_index
@@ -96,17 +94,7 @@ def tensor_coefficients(left: DCoefficientAlgebra, right: DCoefficientAlgebra) -
                     span.append(pair_vector(va, nu))
             factor_data.append((idem, span))
     product = build_d_algebra(algebra, factor_data)
-    return ComposedCoefficients(left, right, product, tuple(pairs), pair_index)
-
-
-class ComposedStructure:
-    """The composite of a D1-structure with a D2-structure."""
-
-    __slots__ = ("coefficients", "structure")
-
-    def __init__(self, coefficients, structure):
-        self.coefficients = coefficients
-        self.structure = structure
+    return ComposedCoefficients(product, tuple(pairs), pair_index)
 
 
 def _pair_vector(cc: ComposedCoefficients, entry):
@@ -123,55 +111,46 @@ def _composite_images(e1: DStructure, e2: DStructure, cc: ComposedCoefficients, 
     }
 
 
-def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None) -> ComposedStructure:
-    """The composite structure with coefficients D2 (x) D1."""
+def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients) -> DStructure:
+    """The composite structure with coefficients ``cc``, which is D2 (x) D1:
+    ``tensor_coefficients(e2.coeff, e1.coeff)``."""
     if e1.carrier != e2.carrier:
         raise CarrierMismatch("composition needs a common carrier")
-    if cc is None:
-        cc = tensor_coefficients(e2.coeff, e1.coeff)
-    structure = DStructure(
-        e1.carrier, cc.product, _composite_images(e1, e2, cc, e1.carrier.variables)
-    )
-    return ComposedStructure(cc, structure)
+    return DStructure(e1.carrier, cc.product,
+                      _composite_images(e1, e2, cc, e1.carrier.variables))
 
 
-def gamma_swap(cs: ComposedStructure, cc_swapped: ComposedCoefficients = None) -> ComposedStructure:
-    """Reindex the composite along the tensor-factor swap; an involution."""
-    cc = cs.coefficients
-    if cc_swapped is None:
-        cc_swapped = tensor_coefficients(cc.right, cc.left)
-    carrier = cs.structure.carrier
-    old = cs.structure.images
+def gamma_swap(structure: DStructure, cc: ComposedCoefficients,
+               cc_swapped: ComposedCoefficients) -> DStructure:
+    """Reindex a structure with coefficients ``cc`` = D2 (x) D1 along the
+    tensor-factor swap, onto ``cc_swapped`` = D1 (x) D2; an involution."""
+    old = structure.images
     images = {
         v: _pair_vector(cc_swapped, lambda p, q: old[v][cc.pair_index[(q, p)]])
-        for v in carrier.variables
+        for v in structure.carrier.variables
     }
-    return ComposedStructure(cc_swapped, DStructure(carrier, cc_swapped.product, images))
+    return DStructure(structure.carrier, cc_swapped.product, images)
 
 
-def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients = None,
-             cc_swapped: ComposedCoefficients = None) -> bool:
+def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients,
+             cc_swapped: ComposedCoefficients) -> bool:
     """Do the two structures commute (every operator with every operator)?
 
     Checked as exact equality of the swapped composite with the reverse
     composite on the carrier's generators.  ``cc`` and ``cc_swapped`` are
-    D2 (x) D1 and D1 (x) D2 when already built.
+    D2 (x) D1 and D1 (x) D2.
     """
-    if cc_swapped is None:
-        cc_swapped = tensor_coefficients(e1.coeff, e2.coeff)
     c12 = compose_structures(e1, e2, cc)
     c21 = compose_structures(e2, e1, cc_swapped)
-    swapped = gamma_swap(c12, cc_swapped)
-    return swapped.structure.agrees_with(c21.structure, e1.carrier.variables)
+    return gamma_swap(c12, cc, cc_swapped).agrees_with(c21, e1.carrier.variables)
 
 
-def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficients = None):
-    """The composite tower: base structure and module structure composed."""
+def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficients):
+    """The composite tower, with coefficients ``cc`` = D2 (x) D1: base
+    structure and module structure composed."""
     if t1.algebra != t2.algebra:
         raise CarrierMismatch("towers must share the module algebra")
-    if cc is None:
-        cc = tensor_coefficients(t2.coeff, t1.coeff)
-    e12 = compose_structures(t1.e, t2.e, cc).structure
+    e12 = compose_structures(t1.e, t2.e, cc)
     f12 = [_pair_vector(cc, lambda q, p: t2.apply_coordinate(q, row[p])) for row in t1.f_images]
     return OperatorTower(e12, t1.algebra, cc.product, f12)
 
@@ -205,7 +184,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     res12 = descend_d_structure(c12, g12_struct, classical)
 
     composed_w = compose_structures(res1.structure, res2.structure, cc)
-    theta_ok = res12.structure.agrees_with(composed_w.structure, w_ring.variables)
+    theta_ok = res12.structure.agrees_with(composed_w, w_ring.variables)
 
     # composite associated endomorphisms have invertible matrix (pairwise)
     pair_invertible = []
@@ -216,14 +195,13 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     # swap compatibility
     cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
     t21 = compose_towers(t2, t1, cc_swapped)
-    swapped_c = gamma_swap(ComposedStructure(cc, g12_struct), cc_swapped)
+    swapped_c = gamma_swap(g12_struct, cc, cc_swapped)
     c_sw = PresentedBAlgebra(t21, c1.generators, c1.relations_flat)
     res_sw = descend_d_structure(
-        c_sw, c_sw.structure({g: swapped_c.structure.images[g] for g in c1.generators}),
-        classical,
+        c_sw, c_sw.structure({g: swapped_c.images[g] for g in c1.generators}), classical,
     )
-    swapped_w = gamma_swap(composed_w, cc_swapped)
-    gamma_ok = res_sw.structure.agrees_with(swapped_w.structure, w_ring.variables)
+    swapped_w = gamma_swap(composed_w, cc, cc_swapped)
+    gamma_ok = res_sw.structure.agrees_with(swapped_w, w_ring.variables)
 
     report = {
         "theta_compatible": theta_ok,
@@ -236,7 +214,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         h_images = _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators)
         # the swapped tower t21 carries f1 o f2 at the module level
         res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical)
-        chained = compose_structures(res2.structure, res1.structure, cc_swapped).structure
+        chained = compose_structures(res2.structure, res1.structure, cc_swapped)
         law_ok = res_h.structure.agrees_with(chained, w_ring.variables)
         id_tower = OperatorTower(
             DStructure.identity(t1.base_ring, t1.coeff), t1.algebra, t1.coeff,

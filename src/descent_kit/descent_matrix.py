@@ -129,11 +129,14 @@ def invertibility_equivalences(algebra, sigma_images) -> dict:
 
     clause_i = m.is_invertible()
 
-    # (ii): one alternative basis b' = X b with X unitriangular over k
+    # (ii): one alternative basis b' = X b with X = I + E_12 over k, whose
+    # inverse is Y = I - E_12
     x = linear.identity(field, r)
+    y = linear.identity(ring, r)
     if r >= 2:
         x[0][1] = field.one
-    y_ring = RingMatrix.from_scalars(ring, linear.inverse(field, x))
+        y[0][1] = ring.constant(field.neg(field.one))
+    y_ring = RingMatrix(ring, y)
     # sigma(b'_i) = sum_j X_ji sigma(b_j); coordinates in the b' basis are Y * lambda
     cols = []
     for i in range(r):

@@ -91,16 +91,6 @@ class DStructure:
         """The coordinate operator e_j (1-based j, matching the basis order)."""
         return self.apply(x).coords[j - 1]
 
-    def word_apply(self, word, x: Polynomial) -> Polynomial:
-        """e_theta(x): letters act left to right, the empty word is the identity."""
-        letters = [int(ch) for ch in word] if isinstance(word, str) else list(word)
-        out = self.carrier.nf(x)
-        for letter in letters:
-            if not 1 <= letter <= self.coeff.dim:
-                raise ValueError(f"letter {letter} outside 1..{self.coeff.dim}")
-            out = self.coordinate_op(letter, out)
-        return out
-
     def agrees_with(self, other: "DStructure", variables) -> bool:
         """Does ``other``, a structure on the same carrier, give every one of
         ``variables`` the same image as this structure, coordinate by

@@ -3,8 +3,8 @@
 Matrices are plain lists of lists of elements: scalars over a field,
 normal forms over a ring.  ``rref`` is the one Gauss-Jordan loop of the
 package; ``solve`` runs it over either kind of ring, and
-``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank`` and
-``inverse`` are field routines.  ``vec_mul`` multiplies coordinate
+``RingMatrix.inverse`` runs it with its own pivot rule.  ``rank`` is a
+field routine.  ``vec_mul`` multiplies coordinate
 vectors of a finite k-algebra given by its sparse table of structure
 constants: the (m, c) cells that ``StructureAlgebra.table`` keeps, with
 scalar c.  ``StructureAlgebra.multiply_coords`` reads the same
@@ -137,14 +137,4 @@ def solve(ring, a, b):
     for r, col in enumerate(pivots):
         x[col] = red[r][m]
     return x
-
-
-def inverse(field: ScalarField, a):
-    """Matrix inverse over the field, or None when singular."""
-    n = len(a)
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(field, n))]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 

@@ -83,10 +83,6 @@ class RingMatrix:
     def identity(ring: PresentedRing, n: int) -> "RingMatrix":
         return RingMatrix(ring, linear.identity(ring, n))
 
-    @staticmethod
-    def from_scalars(ring: PresentedRing, rows) -> "RingMatrix":
-        return RingMatrix(ring, [[ring.constant(c) for c in row] for row in rows])
-
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)

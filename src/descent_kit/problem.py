@@ -49,15 +49,6 @@ def _shape(value, kind, path):
     return value
 
 
-def _required(node, key, path=None):
-    """``node[key]`` of the JSON object ``node``, or a ParseError naming the
-    missing key's JSON path (``path`` is the object's, None at the root)."""
-    try:
-        return node[key]
-    except KeyError:
-        raise ParseError(f"missing {key}" if path is None else f"missing {path}.{key}") from None
-
-
 def _names(values, path, start=0):
     """The names listed at ``path`` as strings; each from index ``start`` on
     must be an identifier of the term grammar, or a ParseError names it."""
@@ -81,11 +72,22 @@ def _image_vector(images, name, dim, path):
 
 
 def _parse_field(data) -> ScalarField:
+    """QQ for "rationals", GF(p) for {"prime": p}: p is a JSON integer or a
+    decimal string, and a prime below 2^63."""
     if data == "rationals":
         return QQ
-    if isinstance(data, dict) and isinstance(data.get("prime"), (int, str)):
-        return GF(int(data["prime"]))
-    raise ParseError(f"field must be \"rationals\" or {{\"prime\": p}}, got {data!r}")
+    if not isinstance(data, dict) or "prime" not in data:
+        raise ParseError(f"field must be \"rationals\" or {{\"prime\": p}}, got {data!r}")
+    p = data["prime"]
+    try:
+        if isinstance(p, str) and p.isascii() and p.isdigit():
+            p = int(p)
+        if type(p) is int:
+            return GF(p)
+    except ValueError:
+        pass
+    raise ParseError(f"field.prime must be a prime below 2^63, as a JSON integer or a"
+                     f" decimal string, got {data['prime']!r}")
 
 
 def _parse_table(products, n, path, message, parse):
@@ -119,10 +121,10 @@ def _parse_table(products, n, path, message, parse):
 
 def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
     _shape(data, dict, path)
-    basis = [str(x) for x in _shape(_required(data, "basis", path), list, f"{path}.basis")]
+    basis = [str(x) for x in _shape(data.get("basis"), list, f"{path}.basis")]
     l = len(basis)
     kk = PresentedRing.base_field(field)
-    constants = _parse_table(_required(data, "products", path), l, f"{path}.products",
+    constants = _parse_table(data.get("products"), l, f"{path}.products",
                              "D.products must be an l x l table of coordinate vectors",
                              lambda text: kk.constant(field.parse(text)))
     if "unit" in data:
@@ -138,13 +140,12 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
         raise ParseError("D needs an explicit unit unless its first basis element is 1")
     algebra = StructureAlgebra(kk, basis, constants, unit)
     factors = []
-    for n, fac in enumerate(_shape(_required(data, "factors", path), list, f"{path}.factors")):
+    for n, fac in enumerate(_shape(data.get("factors"), list, f"{path}.factors")):
         fac_path = f"{path}.factors[{n}]"
         _shape(fac, dict, fac_path)
         idem = tuple(
             field.parse(str(c))
-            for c in _shape(_required(fac, "idempotent", fac_path), list,
-                            f"{fac_path}.idempotent")
+            for c in _shape(fac.get("idempotent"), list, f"{fac_path}.idempotent")
         )
         span = tuple(
             tuple(field.parse(str(c))
@@ -199,11 +200,11 @@ def _parse_f_images(images, algebra: StructureAlgebra, coeff: DCoefficientAlgebr
 
 def _parse_module_algebra(data, a_ring, coeff, e) -> OperatorTower:
     _shape(data, dict, "B")
-    labels = _names(_required(data, "basis", "B"), "B.basis", start=1)
+    labels = _names(data.get("basis"), "B.basis", start=1)
     if labels[:1] != ("1",):
         raise ParseError("the first basis element of B must be 1")
     r = len(labels)
-    constants = _parse_table(_required(data, "products", "B"), r, "B.products",
+    constants = _parse_table(data.get("products"), r, "B.products",
                              "B.products must be an r x r table of coordinate vectors",
                              a_ring.el)
     algebra = StructureAlgebra(a_ring, labels, constants)
@@ -223,15 +224,15 @@ def load_problem(data: dict) -> ProblemDescription:
     """Build and validate every object named by a problem document, once:
     each object keeps its certificate for later ``validate()`` calls."""
     _shape(data, dict, "the problem document")
-    field = _parse_field(_required(data, "field"))
-    coeff = _parse_coefficient_algebra(_required(data, "D"), field, "D")
+    field = _parse_field(data.get("field"))
+    coeff = _parse_coefficient_algebra(data.get("D"), field, "D")
     a_data = _shape(data.get("A", {}), dict, "A")
     a_ring = _parse_ring(a_data, field, "A")
     e_images = _parse_images(a_data.get("images", {}), a_ring.el, coeff.dim, a_ring.variables,
                              "A.images")
     e = DStructure(a_ring, coeff, e_images)
     e.validate()
-    tower = _parse_module_algebra(_required(data, "B"), a_ring, coeff, e)
+    tower = _parse_module_algebra(data.get("B"), a_ring, coeff, e)
     certificates = tower.validate()
 
     c_data = _shape(data.get("C", {}), dict, "C")
@@ -279,7 +280,7 @@ def load_problem(data: dict) -> ProblemDescription:
     second = None
     if "second" in data:
         s = _shape(data["second"], dict, "second")
-        coeff2 = _parse_coefficient_algebra(_required(s, "D", "second"), field, "second.D")
+        coeff2 = _parse_coefficient_algebra(s.get("D"), field, "second.D")
         e2_images = _parse_images(s.get("A_images", {}), a_ring.el, coeff2.dim,
                                   a_ring.variables, "second.A_images")
         e2 = DStructure(a_ring, coeff2, e2_images)

@@ -173,4 +173,7 @@ QQ = ScalarField(0)
 
 
 def GF(p: int) -> ScalarField:
+    """The prime field of p elements; QQ is ``ScalarField(0)``, not GF(0)."""
+    if p < 2:
+        raise ValueError(f"characteristic must be a prime, got {p}")
     return ScalarField(p)

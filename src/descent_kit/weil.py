@@ -58,10 +58,6 @@ class WeilDescentResult:
             }
         return units
 
-    def unit_image(self, gen: str) -> AlgebraElement:
-        """The unit map's value at a generator, as coordinates over W(C)."""
-        return self.unit_map()[gen]
-
     def tensor_algebra(self, ring: PresentedRing = None) -> StructureAlgebra:
         """W(C) (x)_A B (or R (x)_A B for a supplied R)."""
         target = ring if ring is not None else self.descended

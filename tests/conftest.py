@@ -6,7 +6,8 @@ defining relation), so randomized suites never need rejection sampling.
 ``target_elements`` lists every element of a finite algebra over a finite
 field, the brute-force reference of the Hom-set tests; ``reduce_extended``
 records the quotients of a reduction, so a test can check the division
-identity p = sum_i q_i g_i + r.
+identity p = sum_i q_i g_i + r.  ``field_inverse`` is the tests' matrix
+inverse over k.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from descent_kit import (  # noqa: E402
     product_of_fields,
     truncated_jets,
 )
+from descent_kit import linear  # noqa: E402
 from descent_kit.errors import NotFiniteDimensional  # noqa: E402
 from descent_kit.groebner import _reduction_steps  # noqa: E402
 
@@ -104,6 +106,17 @@ def monogenic_algebra(ring, kind):
         ]
         return StructureAlgebra(ring, ("1", "w", "w2"), rows)
     raise ValueError(kind)
+
+
+def field_inverse(field, a):
+    """The inverse of the square matrix ``a`` over the field, or None when
+    it is singular: the right half of the reduced [a | I]."""
+    n = len(a)
+    aug = [list(row) + ident for row, ident in zip(a, linear.identity(field, n))]
+    red, pivots = linear.rref(field, aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 def dense_table(field, cells):

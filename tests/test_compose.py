@@ -27,6 +27,11 @@ from conftest import dual_basis_algebra
 from paper_checks import check_tensor_associated_endos, tensor_compose_check
 
 
+def pair_coefficients(e1, e2):
+    """D2 (x) D1 and D1 (x) D2 for a structure e1 over D1 and e2 over D2."""
+    return tensor_coefficients(e2.coeff, e1.coeff), tensor_coefficients(e1.coeff, e2.coeff)
+
+
 def test_product_coefficients_pass_validation():
     for field in (QQ, GF(5), GF(2)):
         for left, right in (
@@ -51,10 +56,11 @@ def test_difference_difference_composition_is_plain_composition():
     dk = difference_algebra(QQ)
     s1 = DStructure.difference(ring, {"x": ring.el("x^2")})
     s2 = DStructure.difference(ring, {"x": ring.el("x+1")})
-    comp = compose_structures(s1, s2)
-    assert comp.coefficients.product.dim == 1
+    cc = tensor_coefficients(dk, dk)
+    assert cc.product.dim == 1
+    comp = compose_structures(s1, s2, cc)
     # the composite applies e1 first, then e2: s2(s1(x)) = s2(x)^2 = (x+1)^2
-    assert ring.equal(comp.structure.images["x"][0], ring.el("x^2+2*x+1"))
+    assert ring.equal(comp.images["x"][0], ring.el("x^2+2*x+1"))
 
 
 def test_identity_second_factor_reindexes():
@@ -62,9 +68,10 @@ def test_identity_second_factor_reindexes():
     dd = dual_numbers(QQ)
     e1 = DStructure(ring, dd, {"x": (ring.el("x"), ring.el("x^2"))})
     e2 = DStructure.identity(ring, difference_algebra(QQ))
-    comp = compose_structures(e1, e2)
-    for idx, (q, p) in enumerate(comp.coefficients.index_pair):
-        assert ring.equal(comp.structure.images["x"][idx], e1.images["x"][p])
+    cc, _ = pair_coefficients(e1, e2)
+    comp = compose_structures(e1, e2, cc)
+    for idx, (q, p) in enumerate(cc.index_pair):
+        assert ring.equal(comp.images["x"][idx], e1.images["x"][p])
 
 
 def test_composite_coordinates_endo_then_derivation():
@@ -72,8 +79,8 @@ def test_composite_coordinates_endo_then_derivation():
     ring = PresentedRing.make(QQ, ("x",), [])
     sig = DStructure.difference(ring, {"x": ring.el("x+1")})
     delta = DStructure(ring, dual_numbers(QQ), {"x": (ring.var("x"), ring.one)})
-    comp = compose_structures(sig, delta)
-    vals = {ring.render(c) for c in comp.structure.images["x"]}
+    comp = compose_structures(sig, delta, pair_coefficients(sig, delta)[0])
+    vals = {ring.render(c) for c in comp.images["x"]}
     # sigma(x) = x+1 and delta(sigma(x)) = 1
     assert vals == {"x + 1", "1"}
 
@@ -82,30 +89,31 @@ def test_gamma_swap_is_involution():
     ring = PresentedRing.make(QQ, ("x",), [])
     sig = DStructure.difference(ring, {"x": ring.el("x+1")})
     delta = DStructure(ring, dual_numbers(QQ), {"x": (ring.var("x"), ring.el("x^2"))})
-    comp = compose_structures(sig, delta)
-    back = gamma_swap(gamma_swap(comp))
-    for a, b in zip(back.structure.images["x"], comp.structure.images["x"]):
+    cc, cc_swapped = pair_coefficients(sig, delta)
+    comp = compose_structures(sig, delta, cc)
+    back = gamma_swap(gamma_swap(comp, cc, cc_swapped), cc_swapped, cc)
+    for a, b in zip(back.images["x"], comp.images["x"]):
         assert ring.equal(a, b)
     # degenerate case: k (x) k is a no-op
     s2 = DStructure.difference(ring, {"x": ring.el("x^2")})
-    comp2 = compose_structures(sig, s2)
-    sw2 = gamma_swap(comp2)
-    assert ring.equal(
-        sw2.structure.images["x"][0], comp2.structure.images["x"][0]
-    )
+    cc2, cc2_swapped = pair_coefficients(sig, s2)
+    comp2 = compose_structures(sig, s2, cc2)
+    sw2 = gamma_swap(comp2, cc2, cc2_swapped)
+    assert ring.equal(sw2.images["x"][0], comp2.images["x"][0])
 
 
 def test_commutes_examples():
     ring = PresentedRing.make(QQ, ("x",), [])
     sig = DStructure.difference(ring, {"x": ring.el("x+1")})
-    assert commutes(sig, sig)
+    assert commutes(sig, sig, *pair_coefficients(sig, sig))
     delta = DStructure(ring, dual_numbers(QQ), {"x": (ring.var("x"), ring.one)})
-    assert commutes(sig, delta)
+    assert commutes(sig, delta, *pair_coefficients(sig, delta))
     sq = DStructure.difference(ring, {"x": ring.el("x^2")})
-    assert not commutes(sq, delta)
+    assert not commutes(sq, delta, *pair_coefficients(sq, delta))
+    y_ring = PresentedRing.make(QQ, ("y",), [])
+    other = DStructure.difference(y_ring, {"y": y_ring.el("y")})
     with pytest.raises(CarrierMismatch):
-        commutes(sig, DStructure.difference(PresentedRing.make(QQ, ("y",), []),
-                                            {"y": PresentedRing.make(QQ, ("y",), []).el("y")}))
+        commutes(sig, other, *pair_coefficients(sig, other))
 
 
 def _f2_tower():
@@ -227,9 +235,10 @@ def test_self_commuting_structures_stay_commuting():
     g = {"t": (flat.el("t+1"), flat.el("t+eps"))}
     g_struct = c.structure(g)
     from descent_kit import descend_d_structure
-    if commutes(g_struct, g_struct):
+    cc = pair_coefficients(g_struct, g_struct)
+    if commutes(g_struct, g_struct, *cc):
         res = descend_d_structure(c, c.structure(g))
-        assert commutes(res.structure, res.structure)
+        assert commutes(res.structure, res.structure, *cc)
     # (m, n) = (1, 1): the commuting sigma/delta pair over QQ via dual x k
     # handled coordinatewise in test_commuting_pair_descends_to_commuting_pair
 

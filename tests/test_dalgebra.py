@@ -52,7 +52,7 @@ from descent_kit.errors import (
     NotNilpotent,
     StrataMismatch,
 )
-from conftest import COEFF_BUILDERS, dense_table, random_tower, sparse_cells
+from conftest import COEFF_BUILDERS, dense_table, field_inverse, random_tower, sparse_cells
 from paper_checks import associated_images
 
 
@@ -354,7 +354,7 @@ def presented(d, constants=None, change=None):
     field, l = d.field, d.dim
     constants = dense_table(field, d.cells) if constants is None else constants
     change = linear.identity(field, l) if change is None else change
-    inverse = linear.inverse(field, change)
+    inverse = field_inverse(field, change)
 
     def coords(v):
         """v, given on D's basis, on the new one."""

@@ -25,7 +25,7 @@ from descent_kit import (
 from descent_kit import linear
 from descent_kit.errors import NonInvertibleMatrix
 from conftest import (BASE_RELATIONS, COEFF_BUILDERS, dense_table, dual_basis_algebra,
-                      random_tower)
+                      field_inverse, random_tower)
 from paper_checks import SingularBasisChange, change_of_basis_check
 
 
@@ -210,7 +210,7 @@ def _random_invertible(field, size, rng):
             [field.normalize(rng.randrange(5) - 2) for _ in range(size)]
             for _ in range(size)
         ]
-        if linear.inverse(field, rows) is not None:
+        if field_inverse(field, rows) is not None:
             return rows
 
 

@@ -14,7 +14,8 @@ their witnesses.
   passed over, and a nonzero right-hand side left below the pivots makes
   the system inconsistent.
 - ``reference_rref`` is the earlier field-only ``linear.rref``, with the
-  ``solve`` and ``rank`` built on it.
+  ``solve`` and ``rank`` built on it, and ``reference_field_inverse`` the
+  field inverse built on it, the reference of ``conftest.field_inverse``.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from descent_kit import GF, QQ, Monomial, Polynomial, PresentedRing, linear
 from descent_kit.errors import NonInvertibleMatrix, NotAUnit
 from descent_kit.matrices import RingMatrix
+from conftest import field_inverse
 from test_matrices import reference_adjugate_inverse
 
 
@@ -329,4 +331,4 @@ def test_field_solve_rank_and_inverse_match_the_earlier_loop(case):
     assert linear.rref(field, rows) == reference_rref(field, rows)
     assert linear.rank(field, rows) == len(reference_rref(field, rows)[1])
     if len(rows) == len(rows[0]):
-        assert linear.inverse(field, rows) == reference_field_inverse(field, rows)
+        assert field_inverse(field, rows) == reference_field_inverse(field, rows)

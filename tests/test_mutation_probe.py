@@ -9,8 +9,11 @@ unit one coordinate too short and one too long.  Every command
 exit code 0, 1 or 2 and a JSON report.
 
 Each required key of each fixture is also removed in turn: every command
-must then exit 1 with a ``ParseError`` whose detail names the key's JSON
-path, such as ``missing D.factors[0].idempotent``.
+must then exit 1 with a ``ParseError`` whose detail begins with the key's
+JSON path, such as ``D.factors[0].idempotent must be a JSON array``.  And
+every command must exit 1 with a ``ParseError`` naming ``field.prime`` when
+the field's prime is not a prime below 2^63 given as a JSON integer or a
+decimal string (``BAD_PRIMES``).
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from conftest import FIXTURES
 
 BAD_VALUES = [None, 0, -1, 1.5, "", "x", "1/0", [], {}, True, "(("]
 FIELD_VALUES = [{"prime": 2**61 - 1}]
+BAD_PRIMES = [0, "0", 1, True, 4, -7, "abc", 2**63, str(2**63), 2**64 + 13]
 STATUS = {0: "ok", 1: "error", 2: "obstruction"}
 COMMANDS = (["validate"], ["matrix"], ["descend"], ["descend", "--audit"], ["adjoint-check"],
             ["compose-check"])
@@ -138,5 +142,14 @@ def _removed_keys(doc):
 def test_a_missing_required_key_is_named_by_its_path(fixture, tmp_path):
     for path, mutant in _removed_keys(json.loads((FIXTURES / fixture).read_text())):
         for command, code, report in _reports(mutant, tmp_path):
-            assert (code, report) == (1, {"status": "error", "error": "ParseError",
-                                          "detail": f"missing {path}"}), command
+            assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
+            assert report["detail"].startswith(f"{path} must be "), (command, report)
+
+
+@pytest.mark.parametrize("prime", BAD_PRIMES, ids=repr)
+def test_a_field_prime_that_is_not_a_word_sized_prime_is_named(prime, tmp_path):
+    doc = json.loads((FIXTURES / "differential.json").read_text())
+    doc["field"] = {"prime": prime}
+    for command, code, report in _reports(doc, tmp_path):
+        assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
+        assert report["detail"].startswith("field.prime must be "), (command, report)

@@ -42,6 +42,10 @@ def test_prime_field_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(2**63 + 9)
+    # GF(0) is not the rationals: QQ is ScalarField(0)
+    for p in (0, 1, -7):
+        with pytest.raises(ValueError):
+            GF(p)
 
 
 def test_one_field_per_characteristic():
