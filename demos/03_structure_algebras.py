@@ -59,5 +59,5 @@ print()
 print("== tensor products of presentations ==")
 S = PresentedRing.make(GF(2), ("x",), [PresentedRing.make(GF(2), ("x",), []).el("x^2")])
 T = PresentedRing.make(GF(2), ("y",), [PresentedRing.make(GF(2), ("y",), []).el("y^2")])
-ST, _, _ = tensor_presented(S, T)
+ST, _, _ = tensor_presented(S, T, ())
 print("GF(2)[x]/(x^2) (x) GF(2)[y]/(y^2) has dimension", len(ST.staircase()))

@@ -111,17 +111,21 @@ def _descend_report(result, audited: bool) -> dict:
         "certificates": result.certificates,
     }
     if audited:
+        from .dstructures import DStructure
         from .matrices import RingMatrix
         from .weil_d import rederive_images, verify_d_hom
 
+        # the unit gate reads the rederived images, not the main route's
         rederived = rederive_images(result)
+        e = result.c.tower.e
+        audited_structure = DStructure(ring, e.coeff, {**e.images, **rederived})
         matrix = result.matrix.matrix
         audit = {
             "matrix_times_inverse_is_identity": (
                 matrix * result.matrix.inverse == RingMatrix.identity(matrix.ring, matrix.nrows)
             ),
             "unit_is_operator_hom": verify_d_hom(
-                result.classical.unit_map(), result.c_structure, result.structure,
+                result.classical.unit_map(), result.c_structure, audited_structure,
                 result.matrix, result.classical,
             ),
             "descent_ideal_closed": result.pre_structure.is_d_ideal(

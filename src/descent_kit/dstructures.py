@@ -63,10 +63,10 @@ class DStructure:
         return DStructure(carrier, coeff, images)
 
     @staticmethod
-    def difference(carrier: PresentedRing, endo_images: dict, base=None) -> "DStructure":
+    def difference(carrier: PresentedRing, endo_images: dict) -> "DStructure":
         """A single-endomorphism structure (coefficient algebra k)."""
         coeff = difference_algebra(carrier.field)
-        return DStructure(carrier, coeff, {v: (p,) for v, p in endo_images.items()}, base)
+        return DStructure(carrier, coeff, {v: (p,) for v, p in endo_images.items()})
 
     def _image_element(self, v: str):
         vec = self.images[v]
@@ -148,7 +148,7 @@ class DStructure:
         gens = [carrier.nf(g) for g in ideal_gens]
         known = carrier.relations.generators
         basis = buchberger(known + tuple(gens), carrier.order, known=len(known))
-        quotient = PresentedRing(carrier.field, carrier.variables, basis, carrier.base_vars)
+        quotient = PresentedRing(carrier.field, basis)
         return all(quotient.is_zero(c) for g in gens for c in self.apply(g).coords)
 
     def quotient(self, ideal_gens) -> "DStructure":
@@ -162,7 +162,7 @@ class DStructure:
         Its products are reduced modulo the larger basis as they are formed.
         """
         gens = [self.carrier.nf(g) for g in ideal_gens]
-        new_carrier = self.carrier.extend((), gens, base_vars=self.carrier.base_vars)
+        new_carrier = self.carrier.extend((), gens)
         # the constructor reduces the images modulo the new relations
         induced = DStructure(new_carrier, self.coeff, self.images, base=self.base)
         if not all(induced.apply(g).is_zero() for g in gens):
@@ -205,7 +205,7 @@ def truncated_operator_polynomials(base_structure: DStructure, names, depth: int
         frontier = [w + (j,) for w in frontier for j in range(1, l + 1)]
         words.extend(frontier)
     new_vars = [var_name(n, w) for n in names for w in words]
-    ring = carrier.extend(tuple(new_vars), (), base_vars=carrier.base_vars)
+    ring = carrier.extend(tuple(new_vars))
 
     images = {v: base_structure.images[v] for v in carrier.variables}
     for n in names:

@@ -2,17 +2,18 @@
 
 A ``PresentedRing`` is k[variables]/(relations) with the relations kept as
 a reduced Groebner basis, so equality of elements is decidable via normal
-forms.  Towers (an algebra over an algebra over k) are always flattened to
-a single presentation over k; ``base_vars`` remembers which variables came
-from the base ring.
+forms.  The ring's variables and monomial order are those of its basis, so
+its normal forms and its rendering share one order and one key memo.
+Towers (an algebra over an algebra over k) are always flattened to a single
+presentation over k.
 
 A ring is built once per extension: ``extend`` keeps every ring it built
-in a slot of the ring it extended, keyed by the new variables, the new
-relations and the base variables, and returns the same object when asked
-again.  New variables go at the end of the monomial order, so the old
-relations stay a Groebner basis and Buchberger starts from them as a known
-prefix.  ``unit_inverse`` reuses that prefix too, and tracks only the
-cofactor of the element it inverts.
+in a slot of the ring it extended, keyed by the new variables and the
+nonzero new relations, and returns the same object when asked again.  New
+variables go at the end of the monomial order, so the old relations stay a
+Groebner basis and Buchberger starts from them as a known prefix.
+``unit_inverse`` reuses that prefix too, and tracks only the cofactor of
+the element it inverts.
 """
 
 from __future__ import annotations
@@ -26,26 +27,18 @@ from .scalars import ScalarField
 class PresentedRing:
     """k[variables]/(relations), with decidable element equality."""
 
-    __slots__ = ("field", "variables", "relations", "base_vars", "order", "_extensions")
+    __slots__ = ("field", "variables", "relations", "order", "_extensions")
 
-    def __init__(self, field: ScalarField, variables, relations: GroebnerBasis, base_vars=()):
+    def __init__(self, field: ScalarField, relations: GroebnerBasis):
         self.field = field
-        self.variables = tuple(variables)
-        self.order = DegRevLex(self.variables)
-        if relations.order != self.order:
-            raise ValueError("relations computed under a different variable order")
         self.relations = relations
-        self.base_vars = tuple(base_vars)
-        missing = set(self.base_vars) - set(self.variables)
-        if missing:
-            raise ValueError(f"base variables {missing} not among variables")
+        self.order = relations.order
+        self.variables = self.order.variables
         self._extensions = {}
 
     @staticmethod
-    def make(field, variables, relation_polys=(), base_vars=()) -> "PresentedRing":
-        order = DegRevLex(tuple(variables))
-        gb = buchberger(list(relation_polys), order)
-        return PresentedRing(field, tuple(variables), gb, base_vars)
+    def make(field, variables, relation_polys=()) -> "PresentedRing":
+        return PresentedRing(field, buchberger(list(relation_polys), DegRevLex(variables)))
 
     @staticmethod
     def base_field(field: ScalarField) -> "PresentedRing":
@@ -58,11 +51,10 @@ class PresentedRing:
             and self.field == other.field
             and self.variables == other.variables
             and self.relations == other.relations
-            and self.base_vars == other.base_vars
         )
 
     def __hash__(self):
-        return hash((self.field, self.variables, self.relations, self.base_vars))
+        return hash((self.field, self.variables, self.relations))
 
     def __repr__(self):
         rel = ", ".join(render(g, self.order) for g in self.relations.generators)
@@ -162,26 +154,25 @@ class PresentedRing:
 
     # -- construction of larger rings -------------------------------------------
 
-    def extend(self, new_vars, new_relation_polys=(), base_vars=None) -> "PresentedRing":
+    def extend(self, new_vars, new_relation_polys=()) -> "PresentedRing":
         """Adjoin variables and relations, flattening the tower over k.
 
-        The same new variables, nonzero relations and base variables give
-        the same ring object: it is built once and kept on this ring.  An
-        extension that adds nothing is this ring itself.
+        The same new variables and nonzero relations give the same ring
+        object: it is built once and kept on this ring.  An extension that
+        adds nothing is this ring itself.
         """
         new_vars = tuple(new_vars)
         for v in new_vars:
             if v in self.variables:
                 raise VariableClash(f"variable {v!r} already present")
         new_rels = tuple(p for p in new_relation_polys if not p.is_zero())
-        base_vars = self.variables if base_vars is None else tuple(base_vars)
-        if not new_vars and not new_rels and base_vars == self.base_vars:
+        if not new_vars and not new_rels:
             return self
-        key = (new_vars, new_rels, base_vars)
+        key = (new_vars, new_rels)
         ring = self._extensions.get(key)
         if ring is None:
-            variables = self.variables + new_vars
             known = self.relations.generators
-            gb = buchberger(known + new_rels, DegRevLex(variables), known=len(known))
-            ring = self._extensions[key] = PresentedRing(self.field, variables, gb, base_vars)
+            gb = buchberger(known + new_rels, DegRevLex(self.variables + new_vars),
+                            known=len(known))
+            ring = self._extensions[key] = PresentedRing(self.field, gb)
         return ring

@@ -170,7 +170,7 @@ def _parse_ring(data, field, path, base: PresentedRing = None) -> PresentedRing:
         rels.append(p)
     if base is None:
         return PresentedRing.make(field, variables, rels)
-    return base.extend(variables, rels, base_vars=base.variables)
+    return base.extend(variables, rels)
 
 
 def _parse_images(images, parse, dim, variables, path) -> dict:
@@ -237,7 +237,7 @@ def load_problem(data: dict) -> ProblemDescription:
 
     c_data = _shape(data.get("C", {}), dict, "C")
     generators = _names(c_data.get("generators", []), "C.generators")
-    flat_free = tower.flat_b.extend(generators, (), base_vars=tower.flat_b.variables)
+    flat_free = tower.flat_b.extend(generators)
     relations = [
         _flat_poly(str(text), flat_free)
         for text in _shape(c_data.get("relations", []), list, "C.relations")
@@ -311,7 +311,7 @@ def problem_from_file(path) -> ProblemDescription:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
             raise ParseError(f"invalid JSON: {exc}") from None
     return load_problem(data)
 

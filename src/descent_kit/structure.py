@@ -260,10 +260,9 @@ class StructureAlgebra:
                 self.validate()
                 gens = list(base.relations.generators) + rels
                 gens.sort(key=lambda g: order.key_memo[order.leading(g)[0]], reverse=True)
-                self._flat_ring = PresentedRing(
-                    field, variables, GroebnerBasis(gens, order), base.variables)
+                self._flat_ring = PresentedRing(field, GroebnerBasis(gens, order))
                 return self._flat_ring
-        self._flat_ring = base.extend(label_vars, rels, base_vars=base.variables)
+        self._flat_ring = base.extend(label_vars, rels)
         return self._flat_ring
 
     def coordinatize(self, flat: Polynomial, extra_env=None) -> "AlgebraElement":

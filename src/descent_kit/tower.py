@@ -120,11 +120,7 @@ class PresentedBAlgebra:
     def flat_ring(self) -> PresentedRing:
         """The whole tower flattened: A-vars + basis labels + generators."""
         if self._flat_ring is None:
-            self._flat_ring = self.tower.flat_b.extend(
-                self.generators,
-                self.relations_flat,
-                base_vars=self.tower.flat_b.variables,
-            )
+            self._flat_ring = self.tower.flat_b.extend(self.generators, self.relations_flat)
         return self._flat_ring
 
     def structure(self, images: dict) -> DStructure:

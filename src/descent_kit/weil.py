@@ -91,7 +91,7 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
     r = tower.rank
     copy_names = {g: tuple(f"{g}({i})" for i in range(1, r + 1)) for g in c.generators}
     all_names = [name for g in c.generators for name in copy_names[g]]
-    pre_ring = a_ring.extend(tuple(all_names), (), base_vars=a_ring.variables)
+    pre_ring = a_ring.extend(tuple(all_names))
 
     # the descent ideal is read off the unit map on pre_ring, so the result
     # holds that map before its descended ring exists
@@ -104,7 +104,7 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
     )
     # the descended ring is the pre-quotient ring's extension by the ideal, so
     # a quotient of a structure on pre_ring by the same ideal is this object
-    result.descended = pre_ring.extend((), result.ideal_generators, base_vars=a_ring.variables)
+    result.descended = pre_ring.extend((), result.ideal_generators)
 
     # the unit map must kill every relation of C in W(C) (x) B
     for rel in c.relations_flat:

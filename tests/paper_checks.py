@@ -5,7 +5,8 @@ the classical descent W(C) and the operator descent.  The propositions
 around it are checked here, on whatever instance a test or a demo builds:
 
 - tensor compatibility: ``tensor_presented`` and ``tensor_structures``
-  build S (x) T and the structure on it that extends both factors;
+  build S (x) T over a shared base, named by its variables, and the
+  structure on it that extends both factors;
   ``tensor_compose_check`` compares composition with the tensor product,
   ``check_tensor_associated_endos`` the associated endomorphisms;
 - independence of the coefficient basis: ``change_of_basis_check``
@@ -16,8 +17,12 @@ around it are checked here, on whatever instance a test or a demo builds:
   ``difference_subtower`` and ``descended_endomorphisms_check``;
 - functoriality of W: ``descend_morphism``.
 
+``field_inverse`` is the matrix inverse over k that the change of basis
+uses, and the tests' reference inverse.
+
 No module of the package imports this one, and pytest does not collect
-it; tests import it by name, demos through a ``sys.path`` entry.
+it; tests import it by name, demos through a ``sys.path`` entry.  It
+imports nothing but the package, so the demos run without pytest.
 """
 
 from descent_kit import (
@@ -44,11 +49,21 @@ from descent_kit.errors import (
     TruncationExceeded,
 )
 from descent_kit.matrices import RingMatrix
-from conftest import field_inverse
 
 
 class SingularBasisChange(DescentKitError):
     """A change-of-basis matrix is singular over k."""
+
+
+def field_inverse(field, a):
+    """The inverse of the square matrix ``a`` over the field, or None when
+    it is singular: the right half of the reduced [a | I]."""
+    n = len(a)
+    aug = [list(row) + ident for row, ident in zip(a, linear.identity(field, n))]
+    red, pivots = linear.rref(field, aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 # -- tensor compatibility --------------------------------------------------------
@@ -65,17 +80,18 @@ def _suffix_rename(names, taken, suffix):
     return mapping
 
 
-def tensor_presented(S: PresentedRing, T: PresentedRing):
+def tensor_presented(S: PresentedRing, T: PresentedRing, base):
     """S tensor T over their common base ring.
 
-    Both factors must present the same base (same ``base_vars`` naming the
-    same subring).  Returns ``(ring, map_S, map_T)`` where the maps send each
-    factor's variables to their images in the tensor presentation.  Clashing
-    non-base variables are renamed with positional suffixes ``(1)``/``(2)``.
+    ``base`` names the variables of the shared base ring (``()`` for k);
+    both factors must have them.  Returns ``(ring, map_S, map_T)`` where the
+    maps send each factor's variables to their images in the tensor
+    presentation.  Clashing non-base variables are renamed with positional
+    suffixes ``(1)``/``(2)``.
     """
-    if S.field != T.field or S.base_vars != T.base_vars:
+    base = tuple(base)
+    if S.field != T.field or not set(base) <= set(S.variables) & set(T.variables):
         raise ValueError("tensor factors must share the base presentation")
-    base = S.base_vars
     s_own = tuple(v for v in S.variables if v not in base)
     t_own = tuple(v for v in T.variables if v not in base)
     clash = set(s_own) & set(t_own)
@@ -96,25 +112,26 @@ def tensor_presented(S: PresentedRing, T: PresentedRing):
     subs_t = {v: Polynomial.variable(T.field, w) for v, w in map_t.items()}
     rels = [g.substitute(subs_s) for g in S.relations.generators]
     rels += [g.substitute(subs_t) for g in T.relations.generators]
-    ring = PresentedRing.make(S.field, variables, rels, base)
+    ring = PresentedRing.make(S.field, variables, rels)
     return ring, map_s, map_t
 
 
-def tensor_structures(f: DStructure, g: DStructure):
+def tensor_structures(f: DStructure, g: DStructure, base):
     """The unique structure on S (x)_R T extending both factors.
 
-    Both structures must extend the same structure on the shared base
-    presentation.  Returns (structure, map_S, map_T).
+    ``base`` names the variables of the shared base R, as for
+    ``tensor_presented``; both structures must give them the same images.
+    Returns (structure, map_S, map_T).
     """
     if f.coeff != g.coeff:
         raise CarrierMismatch("tensor factors use different coefficient algebras")
-    if f.carrier.base_vars != g.carrier.base_vars:
+    if not set(base) <= set(f.carrier.variables) & set(g.carrier.variables):
         raise BaseMismatch("tensor factors have different base presentations")
-    for v in f.carrier.base_vars:
+    for v in base:
         for a, b in zip(f.images[v], g.images[v]):
             if (a is None) or (b is None) or not f.carrier.equal(a, f.carrier.nf(b)):
                 raise BaseMismatch(f"images of base variable {v!r} disagree")
-    ring, map_s, map_t = tensor_presented(f.carrier, g.carrier)
+    ring, map_s, map_t = tensor_presented(f.carrier, g.carrier, base)
     field = ring.field
 
     def push(vec, mapping):
@@ -132,24 +149,27 @@ def tensor_structures(f: DStructure, g: DStructure):
 
 
 def tensor_compose_check(f1: DStructure, f2: DStructure,
-                         g1: DStructure, g2: DStructure) -> dict:
+                         g1: DStructure, g2: DStructure, base) -> dict:
     """Composition commutes with tensor products of structures.
 
-    f1, f2 live on S; g1, g2 on T; f1, g1 share the coefficient algebra D1
-    and f2, g2 share D2.  Compares D1(f2 (x) g2) o (f1 (x) g1) with
-    (D1(f2) o f1) (x) (D1(g2) o g1) on generators.
+    f1, f2 live on S; g1, g2 on T; S and T share the base named by
+    ``base``; f1, g1 share the coefficient algebra D1 and f2, g2 share D2.
+    Compares D1(f2 (x) g2) o (f1 (x) g1) with (D1(f2) o f1) (x) (D1(g2) o g1)
+    on generators.
     """
     cc = tensor_coefficients(f2.coeff, f1.coeff)
-    t1, _, _ = tensor_structures(f1, g1)
-    t2, _, _ = tensor_structures(f2, g2)
+    t1, _, _ = tensor_structures(f1, g1, base)
+    t2, _, _ = tensor_structures(f2, g2, base)
     lhs = compose_structures(t1, t2, cc)
-    rhs, _, _ = tensor_structures(compose_structures(f1, f2, cc), compose_structures(g1, g2, cc))
+    rhs, _, _ = tensor_structures(compose_structures(f1, f2, cc),
+                                  compose_structures(g1, g2, cc), base)
     return {"ok": lhs.agrees_with(rhs, lhs.carrier.variables)}
 
 
-def check_tensor_associated_endos(f: DStructure, g: DStructure) -> bool:
-    """Associated endomorphisms of a tensor structure act factorwise."""
-    tens, map_s, map_t = tensor_structures(f, g)
+def check_tensor_associated_endos(f: DStructure, g: DStructure, base) -> bool:
+    """Associated endomorphisms of a tensor structure over the base named by
+    ``base`` act factorwise."""
+    tens, map_s, map_t = tensor_structures(f, g, base)
     carrier = tens.carrier
     dk = difference_algebra(f.coeff.field)
     sigma = associated_endomorphisms(f, dk)

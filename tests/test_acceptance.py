@@ -359,16 +359,16 @@ def test_criterion_9_composition_suite():
         g1 = DStructure.difference(t, {"t": t.el("t+1")})
         f2 = DStructure.difference(s, {"s": s.el("s+1")})
         g2 = DStructure.difference(t, {"t": t.el("t^2")})
-        assert tensor_compose_check(f1, f2, g1, g2)["ok"]
+        assert tensor_compose_check(f1, f2, g1, g2, ())["ok"]
         fd = DStructure(s, dual_numbers(QQ), {"s": (s.var("s"), s.el("s^2"))})
         gd = DStructure(t, dual_numbers(QQ), {"t": (t.var("t"), t.one)})
         fd2 = DStructure(s, dual_numbers(QQ), {"s": (s.var("s"), s.one)})
         gd2 = DStructure(t, dual_numbers(QQ), {"t": (t.var("t"), t.el("t"))})
-        assert tensor_compose_check(fd, fd2, gd, gd2)["ok"]
+        assert tensor_compose_check(fd, fd2, gd, gd2, ())["ok"]
 
         # associated endomorphisms of tensor structures act factorwise
-        assert check_tensor_associated_endos(fd, gd)
-        assert check_tensor_associated_endos(f1, g1)
+        assert check_tensor_associated_endos(fd, gd, ())
+        assert check_tensor_associated_endos(f1, g1, ())
 
 
 def test_criterion_10_adjoint_evidence():

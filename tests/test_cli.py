@@ -81,6 +81,30 @@ def test_descend_example_with_audit(tmp_path):
     assert report["audit"]["ok"]
 
 
+@pytest.mark.parametrize("fixture", ["frobenius_square.json", "differential.json"])
+def test_audit_unit_gate_reads_the_rederived_images(fixture, tmp_path, monkeypatch):
+    """The audit checks the unit map against the images it rederives, not
+    against the main route's structure: one changed coordinate fails it."""
+    from descent_kit import Polynomial, weil_d
+
+    rederive = weil_d.rederive_images
+
+    def off_by_one(result):
+        images = rederive(result)
+        name = sorted(images)[0]
+        first, *rest = images[name]
+        images[name] = (first + Polynomial.constant(first.field, 1), *rest)
+        return images
+
+    monkeypatch.setattr(weil_d, "rederive_images", off_by_one)
+    code, report = run_cli(["descend", "--input", str(FIXTURES / fixture), "--audit"], tmp_path)
+    assert code == 0
+    audit = report["audit"]
+    assert audit["matrix_times_inverse_is_identity"] and audit["descent_ideal_closed"]
+    assert not audit["unit_is_operator_hom"]
+    assert not audit["independent_rederivation_matches"] and not audit["ok"]
+
+
 def test_descend_differential_fixture(tmp_path):
     code, report = run_cli(
         ["descend", "--input", str(FIXTURES / "differential.json")], tmp_path

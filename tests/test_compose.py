@@ -250,7 +250,7 @@ def test_tensor_compose_difference_case():
     g1 = DStructure.difference(t, {"t": t.el("t+1")})
     f2 = DStructure.difference(s, {"s": s.el("s+1")})
     g2 = DStructure.difference(t, {"t": t.el("t^2")})
-    assert tensor_compose_check(f1, f2, g1, g2)["ok"]
+    assert tensor_compose_check(f1, f2, g1, g2, ())["ok"]
 
 
 def test_tensor_compose_dual_numbers_case():
@@ -261,7 +261,7 @@ def test_tensor_compose_dual_numbers_case():
     g1 = DStructure(t, dd, {"t": (t.var("t"), t.one)})
     f2 = DStructure(s, dd, {"s": (s.var("s"), s.one)})
     g2 = DStructure(t, dd, {"t": (t.var("t"), t.el("t"))})
-    assert tensor_compose_check(f1, f2, g1, g2)["ok"]
+    assert tensor_compose_check(f1, f2, g1, g2, ())["ok"]
 
 
 def test_tensor_compose_identity_case():
@@ -270,7 +270,7 @@ def test_tensor_compose_identity_case():
     dd = dual_numbers(QQ)
     ids = DStructure.identity(s, dd)
     idt = DStructure.identity(t, dd)
-    assert tensor_compose_check(ids, ids, idt, idt)["ok"]
+    assert tensor_compose_check(ids, ids, idt, idt, ())["ok"]
 
 
 def test_tensor_associated_endomorphisms_factorwise():
@@ -279,14 +279,14 @@ def test_tensor_associated_endomorphisms_factorwise():
     dd = dual_numbers(QQ)
     f = DStructure(s, dd, {"s": (s.el("s"), s.el("s^2"))})
     g = DStructure(t, dd, {"t": (t.el("t"), t.one)})
-    assert check_tensor_associated_endos(f, g)
+    assert check_tensor_associated_endos(f, g, ())
     dk = difference_algebra(GF(5))
     s5 = PresentedRing.make(GF(5), ("s",), [])
     t5 = PresentedRing.make(GF(5), ("t",), [])
     f5 = DStructure.difference(s5, {"s": s5.el("s^2")})
     g5 = DStructure.difference(t5, {"t": t5.el("t+1")})
-    assert check_tensor_associated_endos(f5, g5)
+    assert check_tensor_associated_endos(f5, g5, ())
     d2 = product_of_fields(QQ, 2)
     fp = DStructure(s, d2, {"s": (s.el("s+1"), s.el("s^2"))})
     gp = DStructure(t, d2, {"t": (t.el("t"), t.el("t^3"))})
-    assert check_tensor_associated_endos(fp, gp)
+    assert check_tensor_associated_endos(fp, gp, ())

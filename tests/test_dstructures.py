@@ -125,7 +125,7 @@ def test_base_compatibility():
     base = PresentedRing.make(QQ, ("a",), [])
     d = difference_algebra(QQ)
     e = DStructure(base, d, {"a": (base.el("a+1"),)})
-    carrier = base.extend(("x",), [], base_vars=base.variables)
+    carrier = base.extend(("x",))
     good = DStructure(carrier, d, {"a": (carrier.el("a+1"),), "x": (carrier.el("x"),)}, base=e)
     good.validate()
     bad = DStructure(carrier, d, {"a": (carrier.el("a"),), "x": (carrier.el("x"),)}, base=e)
@@ -268,7 +268,7 @@ def test_tensor_structures():
     dd = dual_numbers(QQ)
     f = DStructure(s, dd, {"s": (s.var("s"), s.el("s^2"))})
     g = DStructure(t, dd, {"t": (t.var("t"), t.one)})
-    tens, _, _ = tensor_structures(f, g)
+    tens, _, _ = tensor_structures(f, g, ())
     tens.validate()
     carrier = tens.carrier
     assert carrier.equal(
@@ -278,13 +278,13 @@ def test_tensor_structures():
     dk = difference_algebra(QQ)
     f2 = DStructure.difference(s, {"s": s.el("s^2")})
     g2 = DStructure.difference(t, {"t": t.el("t+1")})
-    tens2, _, _ = tensor_structures(f2, g2)
+    tens2, _, _ = tensor_structures(f2, g2, ())
     assert tens2.carrier.equal(
         tens2.coordinate_op(1, tens2.carrier.el("s*t")),
         tens2.carrier.el("s^2*t + s^2"),
     )
     # identity tensor identity = identity
-    ti, _, _ = tensor_structures(DStructure.identity(s, dd), DStructure.identity(t, dd))
+    ti, _, _ = tensor_structures(DStructure.identity(s, dd), DStructure.identity(t, dd), ())
     for v in ti.carrier.variables:
         assert ti.carrier.equal(ti.images[v][0], ti.carrier.var(v))
         assert ti.images[v][1].is_zero()

@@ -59,8 +59,7 @@ def test_enumerate_homs_upstairs_count():
     r = PresentedRing.make(F2, ("u",), [parse_polynomial("u^2", F2)])
     ext = tower.algebra.base_change(r)
     flat = ext.flat_ring()
-    source = tower.flat_b.extend(("t",), [parse_polynomial("t^2", F2)],
-                                 base_vars=tower.flat_b.variables)
+    source = tower.flat_b.extend(("t",), [parse_polynomial("t^2", F2)])
     fixed = {v: parse_polynomial(v, F2) for v in tower.flat_b.variables}
     homs = enumerate_homs(source, flat, fixed)
     assert len(homs) == 8

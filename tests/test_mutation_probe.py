@@ -13,13 +13,17 @@ must then exit 1 with a ``ParseError`` whose detail begins with the key's
 JSON path, such as ``D.factors[0].idempotent must be a JSON array``.  And
 every command must exit 1 with a ``ParseError`` naming ``field.prime`` when
 the field's prime is not a prime below 2^63 given as a JSON integer or a
-decimal string (``BAD_PRIMES``).
+decimal string (``BAD_PRIMES``), and with a ``ParseError`` whose detail
+begins ``invalid JSON`` on a file that ``json.load`` cannot read: one with a
+byte that is not UTF-8, and one whose field prime has more digits than
+Python converts (``UNREADABLE``).
 """
 
 import contextlib
 import copy
 import io
 import json
+import sys
 
 import pytest
 
@@ -56,10 +60,11 @@ def _replaced(doc, path, value):
     return doc
 
 
-def _reports(doc, tmp_path):
-    """(command, exit code, report) of every command run in process on ``doc``."""
+def _reports(doc, tmp_path, raw=None):
+    """(command, exit code, report) of every command run in process on ``doc``,
+    or on the file contents ``raw`` when they are given."""
     source, report = tmp_path / "mutant.json", tmp_path / "report.json"
-    source.write_text(json.dumps(doc))
+    source.write_bytes(json.dumps(doc).encode() if raw is None else raw)
     for command in COMMANDS:
         report.unlink(missing_ok=True)
         with contextlib.redirect_stderr(io.StringIO()):
@@ -153,3 +158,30 @@ def test_a_field_prime_that_is_not_a_word_sized_prime_is_named(prime, tmp_path):
     for command, code, report in _reports(doc, tmp_path):
         assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
         assert report["detail"].startswith("field.prime must be "), (command, report)
+
+
+def _unreadable(kind):
+    """differential.json made unreadable to ``json.load``."""
+    text = (FIXTURES / "differential.json").read_text()
+    if kind == "not-utf-8":
+        return text.encode().replace(b'"', b'"\xff', 1)
+    doc = json.loads(text)
+    doc["field"] = {"prime": "PRIME"}
+    digits = sys.get_int_max_str_digits() + 1
+    return json.dumps(doc).replace('"PRIME"', "7" * digits).encode()
+
+
+# Python before 3.10.7 reads integers of any length
+LIMITED = hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() > 0
+UNREADABLE = [
+    "not-utf-8",
+    pytest.param("long-integer", marks=pytest.mark.skipif(
+        not LIMITED, reason="no limit on the digits of an integer")),
+]
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_a_file_json_cannot_read_is_a_parse_error(kind, tmp_path):
+    for command, code, report in _reports(None, tmp_path, _unreadable(kind)):
+        assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
+        assert report["detail"].startswith("invalid JSON"), (command, report)

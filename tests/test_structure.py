@@ -176,9 +176,8 @@ def test_base_change_flattened_tower():
 
 def test_tensor_unit():
     base = PresentedRing.make(QQ, ("a",), [PresentedRing.make(QQ, ("a",), []).el("a^2-2")])
-    s = base.extend(("x",), [], base_vars=base.variables)
-    r_as_algebra = PresentedRing(base.field, base.variables, base.relations, base.variables)
-    res, _, _ = tensor_presented(s, r_as_algebra)
+    s = base.extend(("x",))
+    res, _, _ = tensor_presented(s, base, base.variables)
     assert res == s
 
 
@@ -186,13 +185,13 @@ def test_tensor_dimension_count():
     f2 = GF(2)
     s = PresentedRing.make(f2, ("x",), [PresentedRing.make(f2, ("x",), []).el("x^2")])
     t = PresentedRing.make(f2, ("y",), [PresentedRing.make(f2, ("y",), []).el("y^2")])
-    st, _, _ = tensor_presented(s, t)
+    st, _, _ = tensor_presented(s, t, ())
     assert len(st.staircase()) == 4
 
 
 def test_tensor_clash_renames():
     s = PresentedRing.make(QQ, ("x",), [])
-    res, ms, mt = tensor_presented(s, s)
+    res, ms, mt = tensor_presented(s, s, ())
     assert res.variables == ("x(1)", "x(2)")
     assert (ms, mt) == ({"x": "x(1)"}, {"x": "x(2)"})
     with pytest.raises(VariableClash):
@@ -811,7 +810,7 @@ def test_table_ring_is_the_buchberger_basis(algebra):
     rels = table_relations(algebra)
     expected = buchberger(list(base.relations.generators) + rels, order)
     assert ring.relations.generators == expected.generators
-    assert (ring.variables, ring.base_vars) == (order.variables, base.variables)
+    assert ring.variables == order.variables
     labels = algebra.labels
     leads = all(
         order.leading(rel)[0] == Monomial({labels[i]: 1}).mul(Monomial({labels[j]: 1}))
@@ -837,6 +836,27 @@ def test_a_leading_tail_term_runs_buchberger():
     assert runs == 1
     expected = buchberger(list(ring.relations.generators) + [rel], flat.order)
     assert flat.relations.generators == expected.generators
+
+
+def test_a_ring_orders_its_elements_by_its_basis():
+    """Each ring's variables and monomial order are its Groebner basis's: one
+    DegRevLex object, whichever way the ring was built."""
+    base = cubic_nilpotent_base(QQ)
+    z, o = base.zero, base.one
+    leading = StructureAlgebra(base, ("1", "y"), [[[o, z], [z, o]], [[z, o], [z, z]]])
+    tail = StructureAlgebra(base, ("1", "y"), [[[o, z], [z, o]], [[z, o], [z, base.var("a")]]])
+    rings = [
+        base,
+        PresentedRing.base_field(QQ),
+        base.extend(("x",)),
+        base.extend(("x",), [base.el("a^2")]),
+        leading.flat_ring(),
+        flat_ring_and_runs(tail)[0],
+    ]
+    for ring in rings:
+        assert ring.order is ring.relations.order
+        assert ring.variables == ring.order.variables
+    assert base.extend((), [base.el("a^3")]) is base
 
 
 def test_table_path_validates_first():
