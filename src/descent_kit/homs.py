@@ -224,9 +224,9 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
     c_gens = result.c.generators
 
     def psi_key(psi):
-        return tuple(
-            tuple(target.render(c) for c in psi[g].coords) for g in c_gens
-        )
+        # coordinates are normal forms over the target, so equal maps have
+        # equal coordinate tuples
+        return tuple(psi[g].coords for g in c_gens)
 
     upstairs_keys = {psi_key(psi): idx for idx, psi in enumerate(upstairs)}
     matched = set()

@@ -18,7 +18,7 @@ the element it inverts.
 
 from __future__ import annotations
 
-from .errors import CertificateFailure, NotAUnit, VariableClash
+from .errors import CertificateFailure, NotAUnit, ParseError, VariableClash
 from .groebner import GroebnerBasis, buchberger, buchberger_extended, normal_form, staircase
 from .polynomials import DegRevLex, Polynomial, parse_polynomial, render
 from .scalars import ScalarField
@@ -96,11 +96,13 @@ class PresentedRing:
         return Polynomial.variable(self.field, name)
 
     def el(self, text: str) -> Polynomial:
-        """Parse an element from the term grammar and normalize it."""
+        """Parse an element from the term grammar and normalize it.  A text
+        that does not parse, or that names a variable the ring lacks, raises
+        ParseError."""
         p = parse_polynomial(text, self.field)
         extra = p.variables() - set(self.variables)
         if extra:
-            raise ValueError(f"unknown variables {sorted(extra)} in {text!r}")
+            raise ParseError(f"unknown variables {sorted(extra)} in {text!r}")
         return self.nf(p)
 
     def render(self, p: Polynomial) -> str:

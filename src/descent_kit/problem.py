@@ -6,6 +6,12 @@ the base pair (A, e), the module algebra (B, f), the target algebra
 evidence, and a second structure set for composition checks.  Polynomials
 are strings in the term grammar; scalars render canonically so identical
 inputs produce byte-identical reports.
+
+Each kind of value has one reader: ``_read`` reads a term with ``ring.el``
+in the ring it belongs to and a scalar of D with ``field.parse``, ``_names``
+reads every list of names, ``_parse_table`` both tables of products, and
+``_parse_structures`` both structure sets.  A read fault is a ParseError
+whose detail begins with the JSON path of the value.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ import json
 
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .dstructures import DStructure
-from .errors import ParseError
-from .polynomials import _IDENT_CONT, _IDENT_START, parse_polynomial, render
+from .errors import DivisionByZero, ParseError
+from .groebner import GroebnerBasis
+from .polynomials import _IDENT_CONT, _IDENT_START, DegRevLex, render
 from .presented import PresentedRing
 from .scalars import GF, QQ, ScalarField
 from .structure import StructureAlgebra
@@ -49,26 +56,40 @@ def _shape(value, kind, path):
     return value
 
 
-def _names(values, path, start=0):
-    """The names listed at ``path`` as strings; each from index ``start`` on
-    must be an identifier of the term grammar, or a ParseError names it."""
+def _names(values, path, taken=(), start=0):
+    """The names listed at ``path`` as strings.  Each from index ``start`` on
+    must be an identifier of the term grammar, and none may repeat an
+    earlier name or one of ``taken``; a ParseError names the first that fails."""
     names = tuple(str(v) for v in _shape(values, list, path))
-    for k in range(start, len(names)):
-        name = names[k]
-        if name[:1] not in _IDENT_START or any(ch not in _IDENT_CONT for ch in name):
+    seen = set(taken)
+    for k, name in enumerate(names):
+        if k >= start and (name[:1] not in _IDENT_START
+                           or any(ch not in _IDENT_CONT for ch in name)):
             raise ParseError(f"{path}[{k}] must be an identifier, got {name!r}")
+        if name in seen:
+            raise ParseError(f"{path}[{k}] must be a new name, got {name!r}")
+        seen.add(name)
     return names
 
 
-def _image_vector(images, name, dim, path):
-    """The image of ``name`` in the JSON object at ``path``: an array of
-    ``dim`` coordinates, or a ParseError naming its JSON path."""
-    if name not in images:
-        raise ParseError(f"missing operator image {path}.{name}")
-    vec = _shape(images[name], list, f"{path}.{name}")
-    if len(vec) != dim:
-        raise ParseError(f"{path}.{name} needs {dim} coordinates")
-    return vec
+def _read(parse, text, path):
+    """``parse`` applied to the JSON value ``text`` at ``path`` as a string:
+    ``ring.el`` for a term, ``field.parse`` for a scalar of D.  A read fault
+    (bad syntax, an unknown variable, a denominator that vanishes mod p) is
+    a ParseError whose detail begins with the path."""
+    try:
+        return parse(str(text))
+    except (ParseError, DivisionByZero) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _vector(values, parse, path, dim=None):
+    """The values listed in the JSON array at ``path``, each read by
+    ``parse``; there must be ``dim`` of them when ``dim`` is given."""
+    vec = _shape(values, list, path)
+    if dim is not None and len(vec) != dim:
+        raise ParseError(f"{path} needs {dim} coordinates")
+    return tuple(_read(parse, text, f"{path}[{k}]") for k, text in enumerate(vec))
 
 
 def _parse_field(data) -> ScalarField:
@@ -90,10 +111,12 @@ def _parse_field(data) -> ScalarField:
                      f" decimal string, got {data['prime']!r}")
 
 
-def _parse_table(products, n, path, message, parse):
-    """The n x n table of coordinate vectors at ``path``, entries parsed by
-    ``parse``.  Each distinct entry text is parsed once (most are "0"), so
-    equal entries share one immutable value."""
+def _parse_table(products, n, path, size, parse):
+    """The n x n table of coordinate vectors at ``path``, entries read by
+    ``parse``; ``size`` names n in the report of a table of another shape.
+    Each distinct entry text is read once (most are "0"), so equal entries
+    share one immutable value."""
+    message = f"{path} must be an {size} x {size} table of coordinate vectors"
     _shape(products, list, path)
     if len(products) != n or any(
         len(_shape(row, list, f"{path}[{i}]")) != n for i, row in enumerate(products)
@@ -101,15 +124,16 @@ def _parse_table(products, n, path, message, parse):
         raise ParseError(message)
     parsed = {}
 
-    def entry(text):
+    def entry(text, i, j, m):
         value = parsed.get(text)
         if value is None:
-            value = parsed[text] = parse(text)
+            value = parsed[text] = _read(parse, text, f"{path}[{i}][{j}][{m}]")
         return value
 
     table = [
         [
-            [entry(str(c)) for c in _shape(products[i][j], list, f"{path}[{i}][{j}]")]
+            [entry(str(c), i, j, m)
+             for m, c in enumerate(_shape(products[i][j], list, f"{path}[{i}][{j}]"))]
             for j in range(n)
         ]
         for i in range(n)
@@ -124,100 +148,76 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
     basis = [str(x) for x in _shape(data.get("basis"), list, f"{path}.basis")]
     l = len(basis)
     kk = PresentedRing.base_field(field)
-    constants = _parse_table(data.get("products"), l, f"{path}.products",
-                             "D.products must be an l x l table of coordinate vectors",
-                             lambda text: kk.constant(field.parse(text)))
+
+    def scalar(text):
+        return kk.constant(field.parse(text))
+
+    constants = _parse_table(data.get("products"), l, f"{path}.products", "l", scalar)
     if "unit" in data:
-        unit = [
-            kk.constant(field.parse(str(c)))
-            for c in _shape(data["unit"], list, f"{path}.unit")
-        ]
-        if len(unit) != l:
-            raise ParseError(f"{path}.unit needs {l} coordinates")
+        unit = _vector(data["unit"], scalar, f"{path}.unit", l)
     elif basis[:1] == ["1"]:
         unit = None
     else:
-        raise ParseError("D needs an explicit unit unless its first basis element is 1")
+        raise ParseError(f"{path} needs an explicit unit unless its first basis element is 1")
     algebra = StructureAlgebra(kk, basis, constants, unit)
     factors = []
     for n, fac in enumerate(_shape(data.get("factors"), list, f"{path}.factors")):
         fac_path = f"{path}.factors[{n}]"
         _shape(fac, dict, fac_path)
-        idem = tuple(
-            field.parse(str(c))
-            for c in _shape(fac.get("idempotent"), list, f"{fac_path}.idempotent")
-        )
-        span = tuple(
-            tuple(field.parse(str(c))
-                  for c in _shape(vec, list, f"{fac_path}.maximal_ideal[{m}]"))
-            for m, vec in enumerate(
-                _shape(fac.get("maximal_ideal", []), list, f"{fac_path}.maximal_ideal")
-            )
-        )
-        factors.append((idem, span))
+        idem = _vector(fac.get("idempotent"), field.parse, f"{fac_path}.idempotent")
+        span = _shape(fac.get("maximal_ideal", []), list, f"{fac_path}.maximal_ideal")
+        factors.append((idem, tuple(
+            _vector(vec, field.parse, f"{fac_path}.maximal_ideal[{m}]")
+            for m, vec in enumerate(span)
+        )))
     return build_d_algebra(algebra, factors)
 
 
 def _parse_ring(data, field, path, base: PresentedRing = None) -> PresentedRing:
-    variables = _names(data.get("variables", []), f"{path}.variables")
-    allowed = set(variables) | (set(base.variables) if base else set())
-    rels = []
-    for text in _shape(data.get("relations", []), list, f"{path}.relations"):
-        p = parse_polynomial(str(text), field)
-        extra = p.variables() - allowed
-        if extra:
-            raise ParseError(f"unknown variables {sorted(extra)} in relation {text!r}")
-        rels.append(p)
+    """The ring presented at ``path``, by one extension of ``base`` when it
+    is given.  Its relations are read in the free ring on all its
+    variables, whose empty basis takes no Groebner run."""
+    old = base.variables if base else ()
+    variables = _names(data.get("variables", []), f"{path}.variables", old)
+    free = PresentedRing(field, GroebnerBasis((), DegRevLex(old + variables)))
+    rels = _vector(data.get("relations", []), free.el, f"{path}.relations")
     if base is None:
         return PresentedRing.make(field, variables, rels)
     return base.extend(variables, rels)
 
 
-def _parse_images(images, parse, dim, variables, path) -> dict:
-    """The operator image of every variable, from the JSON object at ``path``."""
+def _parse_images(images, ring, dim, variables, path) -> dict:
+    """The operator image of every variable, ``dim`` terms read in ``ring``,
+    from the JSON object at ``path``."""
     _shape(images, dict, path)
     out = {}
     for v in variables:
-        vec = _image_vector(images, v, dim, path)
-        out[v] = tuple(parse(str(text)) for text in vec)
+        if v not in images:
+            raise ParseError(f"missing operator image {path}.{v}")
+        out[v] = _vector(images[v], ring.el, f"{path}.{v}", dim)
     return out
 
 
-def _parse_f_images(images, algebra: StructureAlgebra, coeff: DCoefficientAlgebra, path):
-    """The operator images of B's basis: the unit of D(B) at 1, and every
-    other label's image from the JSON object at ``path``."""
-    flat_b = algebra.flat_ring()
+def _parse_structures(values, paths, a_ring, algebra, generators, relations):
+    """One structure set on A, B and C = B[generators]/(relations): D, read
+    from ``values[0]``, and the images on A, B and C, from ``values[1:]``,
+    whose JSON paths are ``paths``.  Builds e, the tower (B, f) and g, and
+    validates each once; returns (tower, C, g, certificates)."""
+    coeff = _parse_coefficient_algebra(values[0], a_ring.field, paths[0])
+    e = DStructure(a_ring, coeff,
+                   _parse_images(values[1], a_ring, coeff.dim, a_ring.variables, paths[1]))
+    labels = algebra.labels[1:]
+    b_images = _parse_images(values[2], algebra.flat_ring(), coeff.dim, labels, paths[2])
+    # f(1) is the unit of D(B); the other labels' images are coordinatized
     unit = algebra.one_el()
-    f_images = [tuple(unit.scale(algebra.base.constant(c)) for c in coeff.unit)]
-    _shape(images, dict, path)
-    for label in algebra.labels[1:]:
-        vec = _image_vector(images, label, coeff.dim, path)
-        f_images.append(tuple(
-            algebra.coordinatize(_flat_poly(str(text), flat_b)) for text in vec
-        ))
-    return f_images
-
-
-def _parse_module_algebra(data, a_ring, coeff, e) -> OperatorTower:
-    _shape(data, dict, "B")
-    labels = _names(data.get("basis"), "B.basis", start=1)
-    if labels[:1] != ("1",):
-        raise ParseError("the first basis element of B must be 1")
-    r = len(labels)
-    constants = _parse_table(data.get("products"), r, "B.products",
-                             "B.products must be an r x r table of coordinate vectors",
-                             a_ring.el)
-    algebra = StructureAlgebra(a_ring, labels, constants)
-    f_images = _parse_f_images(data.get("images", {}), algebra, coeff, "B.images")
-    return OperatorTower(e, algebra, coeff, f_images)
-
-
-def _flat_poly(text, ring: PresentedRing):
-    p = parse_polynomial(text, ring.field)
-    extra = p.variables() - set(ring.variables)
-    if extra:
-        raise ParseError(f"unknown variables {sorted(extra)} in {text!r}")
-    return p
+    f_images = [tuple(unit.scale(a_ring.constant(c)) for c in coeff.unit)]
+    f_images += [tuple(map(algebra.coordinatize, b_images[label])) for label in labels]
+    tower = OperatorTower(e, algebra, coeff, f_images)
+    certificates = tower.validate()
+    c = PresentedBAlgebra(tower, generators, relations)
+    g = c.structure(_parse_images(values[3], c.flat_ring, coeff.dim, generators, paths[3]))
+    certificates += [{"check": f"target_{d['check']}", "ok": True} for d in g.validate()]
+    return tower, c, g, certificates
 
 
 def load_problem(data: dict) -> ProblemDescription:
@@ -225,75 +225,49 @@ def load_problem(data: dict) -> ProblemDescription:
     each object keeps its certificate for later ``validate()`` calls."""
     _shape(data, dict, "the problem document")
     field = _parse_field(data.get("field"))
-    coeff = _parse_coefficient_algebra(data.get("D"), field, "D")
     a_data = _shape(data.get("A", {}), dict, "A")
     a_ring = _parse_ring(a_data, field, "A")
-    e_images = _parse_images(a_data.get("images", {}), a_ring.el, coeff.dim, a_ring.variables,
-                             "A.images")
-    e = DStructure(a_ring, coeff, e_images)
-    e.validate()
-    tower = _parse_module_algebra(data.get("B"), a_ring, coeff, e)
-    certificates = tower.validate()
+
+    b_data = _shape(data.get("B"), dict, "B")
+    labels = _names(b_data.get("basis"), "B.basis", a_ring.variables, start=1)
+    if labels[:1] != ("1",):
+        raise ParseError("the first basis element of B must be 1")
+    constants = _parse_table(b_data.get("products"), len(labels), "B.products", "r", a_ring.el)
+    algebra = StructureAlgebra(a_ring, labels, constants)
+    flat_b = algebra.flat_ring()
 
     c_data = _shape(data.get("C", {}), dict, "C")
-    generators = _names(c_data.get("generators", []), "C.generators")
-    flat_free = tower.flat_b.extend(generators)
-    relations = [
-        _flat_poly(str(text), flat_free)
-        for text in _shape(c_data.get("relations", []), list, "C.relations")
-    ]
-    c = PresentedBAlgebra(tower, generators, relations)
-
-    def parse_c(text):
-        return c.flat_ring.nf(_flat_poly(text, c.flat_ring))
-
-    g_images = _parse_images(c_data.get("images", {}), parse_c, coeff.dim, generators, "C.images")
-    g_structure = c.structure(g_images)
-    certificates += [
-        {"check": f"target_{d['check']}", "ok": True} for d in g_structure.validate()
-    ]
+    generators = _names(c_data.get("generators", []), "C.generators", flat_b.variables)
+    relations = _vector(c_data.get("relations", []), flat_b.extend(generators).el, "C.relations")
+    tower, c, g_structure, certificates = _parse_structures(
+        (data.get("D"), a_data.get("images", {}), b_data.get("images", {}),
+         c_data.get("images", {})),
+        ("D", "A.images", "B.images", "C.images"), a_ring, algebra, generators, relations)
 
     u = None
     if "R" in data:
         r_data = _shape(data["R"], dict, "R")
         r_ring = _parse_ring(r_data, field, "R", base=a_ring)
-        u_own = _parse_images(
-            r_data.get("images", {}), r_ring.el, coeff.dim,
-            tuple(v for v in r_ring.variables if v not in a_ring.variables), "R.images",
-        )
-        u_images = {v: e.images[v] for v in a_ring.variables}
-        u_images.update(u_own)
-        u = DStructure(r_ring, coeff, u_images, base=e)
+        u_images = dict(tower.e.images)
+        u_images.update(_parse_images(r_data.get("images", {}), r_ring, tower.coeff.dim,
+                                      r_ring.variables[len(a_ring.variables):], "R.images"))
+        u = DStructure(r_ring, tower.coeff, u_images, base=tower.e)
         certificates += [
             {"check": f"test_algebra_{d['check']}", "ok": True} for d in u.validate()
         ]
 
     z_coords = None
     if "z" in data:
-        vec = _shape(data["z"], list, "z")
-        if len(vec) != coeff.dim:
-            raise ParseError(f"z needs {coeff.dim} coordinates")
-        z_coords = [
-            tower.algebra.coordinatize(_flat_poly(str(t), tower.flat_b)) for t in vec
-        ]
+        z_coords = [algebra.coordinatize(p)
+                    for p in _vector(data["z"], flat_b.el, "z", tower.coeff.dim)]
 
     second = None
     if "second" in data:
         s = _shape(data["second"], dict, "second")
-        coeff2 = _parse_coefficient_algebra(s.get("D"), field, "second.D")
-        e2_images = _parse_images(s.get("A_images", {}), a_ring.el, coeff2.dim,
-                                  a_ring.variables, "second.A_images")
-        e2 = DStructure(a_ring, coeff2, e2_images)
-        e2.validate()
-        f2_images = _parse_f_images(s.get("B_images", {}), tower.algebra, coeff2,
-                                    "second.B_images")
-        tower2 = OperatorTower(e2, tower.algebra, coeff2, f2_images)
-        tower2.validate()
-        c2 = PresentedBAlgebra(tower2, generators, relations)
-        g2_images = _parse_images(s.get("C_images", {}), parse_c, coeff2.dim, generators,
-                                  "second.C_images")
-        g2_structure = c2.structure(g2_images)
-        g2_structure.validate()
+        _, c2, g2_structure, _ = _parse_structures(
+            (s.get("D"), s.get("A_images", {}), s.get("B_images", {}), s.get("C_images", {})),
+            ("second.D", "second.A_images", "second.B_images", "second.C_images"),
+            a_ring, algebra, generators, relations)
         second = {"c": c2, "g_structure": g2_structure}
 
     return ProblemDescription(

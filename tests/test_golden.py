@@ -46,6 +46,12 @@ GOLDEN = [
     ("introduction.json", "descend --audit", 2, "ddd6e183357b468e2e310e09f8389337e3da0380cea056c1e5874e5a1fa16159"),
     ("introduction.json", "adjoint-check", 0, "55f637e0c60a773557b892bf23c2aefc166de1ce0993a7286304b20f43526c01"),
     ("introduction.json", "compose-check", 1, "86c1d7c9328d6727e229591e79008c40f456681969384a7a0281baa9e0256aa0"),
+    ("unit_pivot.json", "validate", 0, "d8fbff9c08e89ed0a3e058cce4d3a831221f66d0a10f10b44d32d691ee160263"),
+    ("unit_pivot.json", "matrix", 0, "100c1caaa23d9b0497c075533b97bd39af49b3a59fc68516e24dc2c12ea117de"),
+    ("unit_pivot.json", "descend", 0, "d09f4b03c9035422f8def8993574dd703e7029517432659475b6464e3fefe176"),
+    ("unit_pivot.json", "descend --audit", 0, "0faf5cfe57377ec5861a324bbfdf5fe993d2924236ce1696c3d227bf9a7455aa"),
+    ("unit_pivot.json", "adjoint-check", 0, "b14a53b494eab34c64ee00d57757d33b9b08c15cfd195ee5c864b9f996cf3aca"),
+    ("unit_pivot.json", "compose-check", 0, "a02f5d752c74de5f8e07db3fa75714d183cb8a0bc518493fd87a5a3ee05402ba"),
 ]
 
 

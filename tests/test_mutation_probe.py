@@ -17,6 +17,15 @@ decimal string (``BAD_PRIMES``), and with a ``ParseError`` whose detail
 begins ``invalid JSON`` on a file that ``json.load`` cannot read: one with a
 byte that is not UTF-8, and one whose field prime has more digits than
 Python converts (``UNREADABLE``).
+
+Each string that is read as a term (a relation, an image, a B product or
+a coordinate of z, in the first structure set and in the second) or as a
+scalar of D is replaced in turn by a bad one (``BAD_STRINGS``): an unknown
+variable, a syntax error and, over GF(3), a denominator that vanishes
+mod 3.  Each name list is given a repeated name
+or a name that is already a variable of the ring it extends.  Every command
+must then exit 1 with a ``ParseError`` whose detail begins with the JSON
+path of the string, such as ``C.images.t[0]: `` or ``C.generators[1] ``.
 """
 
 import contextlib
@@ -49,14 +58,22 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (index,))
 
 
+def _json_path(path):
+    """``("C", "images", "t", 0)`` written as ``C.images.t[0]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
     doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _node(doc, path[:-1])[path[-1]] = value
     return doc
 
 
@@ -101,9 +118,7 @@ def _resized(doc):
     """(label, document) for every array of ``doc`` one element shorter and
     one longer, and for D's unit one coordinate shorter and one longer."""
     for path in _paths(doc):
-        node = doc
-        for key in path:
-            node = node[key]
+        node = _node(doc, path)
         if isinstance(node, list):
             if node:
                 yield (path, "shorter"), _replaced(doc, path, node[:-1])
@@ -135,12 +150,8 @@ def _removed_keys(doc):
         paths += coefficient_keys(("second", "D"), doc["second"]["D"])
     for path in paths:
         mutant = copy.deepcopy(doc)
-        node = mutant
-        for key in path[:-1]:
-            node = node[key]
-        del node[path[-1]]
-        text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
-        yield text[1:], mutant
+        del _node(mutant, path[:-1])[path[-1]]
+        yield _json_path(path), mutant
 
 
 @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
@@ -185,3 +196,59 @@ def test_a_file_json_cannot_read_is_a_parse_error(kind, tmp_path):
     for command, code, report in _reports(None, tmp_path, _unreadable(kind)):
         assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
         assert report["detail"].startswith("invalid JSON"), (command, report)
+
+
+# an unknown variable (for a scalar of D, a bad literal) and a syntax error
+BAD_STRINGS = ["zz", "1 +"]
+NAME_KEYS = {"variables", "generators", "basis"}
+
+
+def _read_strings(doc):
+    """(path, bad values) for every string of ``doc`` read as a term or as a
+    scalar of D: every string outside ``field`` and the name lists."""
+    gf3 = doc["field"] == {"prime": 3}
+    for path in _paths(doc):
+        if (isinstance(_node(doc, path), str) and "field" not in path
+                and not NAME_KEYS & set(path)):
+            # over GF(3) a denominator that vanishes mod 3; the term grammar
+            # reads the scalar before it checks the variable
+            vanishing = ["1/3" if "D" in path else "1/3*zz"] if gf3 else []
+            yield path, BAD_STRINGS + vanishing
+
+
+def _assert_named(path, mutant, tmp_path, separator):
+    """Every command exits 1 on ``mutant`` with a ParseError whose detail
+    begins with ``path`` and ``separator``."""
+    for command, code, report in _reports(mutant, tmp_path):
+        assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), \
+            (path, command, report)
+        assert report["detail"].startswith(path + separator), (command, report)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_a_bad_term_or_scalar_is_named_by_its_path(fixture, tmp_path):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    strings = list(_read_strings(doc))
+    assert any("B" in path for path, _ in strings)
+    for path, values in strings:
+        for value in values:
+            _assert_named(_json_path(path), _replaced(doc, path, value), tmp_path, ": ")
+
+
+def _renamed(doc):
+    """(JSON path of the bad name, document) for unit_pivot.json with a name
+    list that repeats a name or takes one of the ring it extends: A's
+    variable a, B's label y, C's generator t and R's variable u."""
+    cases = [
+        ("A", "variables", ["a", "a"], 1), ("R", "variables", ["u", "u"], 1),
+        ("R", "variables", ["a"], 0), ("B", "basis", ["1", "a"], 1),
+        ("B", "basis", ["1", "y", "y"], 2), ("C", "generators", ["t", "t"], 1),
+        ("C", "generators", ["y"], 0), ("C", "generators", ["a"], 0),
+    ]
+    for section, key, names, bad in cases:
+        yield _json_path((section, key, bad)), _replaced(doc, (section, key), names)
+
+
+def test_a_repeated_name_is_named_by_its_path(tmp_path):
+    for path, mutant in _renamed(json.loads((FIXTURES / "unit_pivot.json").read_text())):
+        _assert_named(path, mutant, tmp_path, " ")
