@@ -120,14 +120,18 @@ def compose_structures(e1: DStructure, e2: DStructure, cc: ComposedCoefficients)
                       _composite_images(e1, e2, cc, e1.carrier.variables))
 
 
+def _swapped(vector, cc: ComposedCoefficients, cc_swapped: ComposedCoefficients):
+    """A vector indexed by the pairs of ``cc`` = D2 (x) D1, reindexed onto
+    the pairs of ``cc_swapped`` = D1 (x) D2 along the tensor-factor swap."""
+    return _pair_vector(cc_swapped, lambda p, q: vector[cc.pair_index[(q, p)]])
+
+
 def gamma_swap(structure: DStructure, cc: ComposedCoefficients,
                cc_swapped: ComposedCoefficients) -> DStructure:
     """Reindex a structure with coefficients ``cc`` = D2 (x) D1 along the
     tensor-factor swap, onto ``cc_swapped`` = D1 (x) D2; an involution."""
-    old = structure.images
     images = {
-        v: _pair_vector(cc_swapped, lambda p, q: old[v][cc.pair_index[(q, p)]])
-        for v in structure.carrier.variables
+        v: _swapped(structure.images[v], cc, cc_swapped) for v in structure.carrier.variables
     }
     return DStructure(structure.carrier, cc_swapped.product, images)
 
@@ -162,14 +166,17 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     ``g1_struct`` is ``c1.structure(images)``, the first structure on C;
     ``g2_struct`` is ``c2.structure(images)``, the second, where ``c2``
     presents the same C over a second tower on the same module algebra B.
-    Descends g1, g2, and their composite independently and compares the
-    composite of the descents with the descent of the composite, both ways
-    around the tensor swap.  For two difference structures the composition
-    law and identity preservation are also checked directly.  The classical
-    descent W(C) does not depend on the structures or the towers, so the
-    first descent computes it and every later one holds that same object;
-    each ordering of the tensor product of the coefficient algebras is
-    built once.
+    Descends g1, g2, and their composite g12 over the composite tower t12,
+    and compares the composite of the descents with the descent of the
+    composite (theta); gamma descends the swapped composite over the
+    swapped composite tower, t12 reindexed along the tensor swap, and
+    compares it with the swapped composite of the descents.  For two
+    difference structures the monoid law (g1 o g2 descended over
+    f1 o f2) and identity preservation are also checked directly.  Every
+    composite descends by one route, over C's presentation on its own
+    tower; the classical descent W(C) does not depend on the structures or
+    the towers, so the first descent computes it and every later one holds
+    that same object.
     """
     t1, t2 = c1.tower, c2.tower
     res1 = descend_d_structure(c1, g1_struct)
@@ -177,14 +184,17 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     res2 = descend_d_structure(c2, g2_struct, classical)
     w_ring = classical.descended
 
-    cc = tensor_coefficients(t2.coeff, t1.coeff)
-    t12 = compose_towers(t1, t2, cc)
-    c12 = PresentedBAlgebra(t12, c1.generators, c1.relations_flat)
-    g12_struct = c12.structure(_composite_images(g1_struct, g2_struct, cc, c1.generators))
-    res12 = descend_d_structure(c12, g12_struct, classical)
+    def descend(tower, images):
+        """The descended structure of C over ``tower`` with generator images ``images``."""
+        c = PresentedBAlgebra(tower, c1.generators, c1.relations_flat)
+        return descend_d_structure(c, c.structure(images), classical).structure
 
+    cc = tensor_coefficients(t2.coeff, t1.coeff)
+    cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
+    t12 = compose_towers(t1, t2, cc)
+    g12 = _composite_images(g1_struct, g2_struct, cc, c1.generators)
     composed_w = compose_structures(res1.structure, res2.structure, cc)
-    theta_ok = res12.structure.agrees_with(composed_w, w_ring.variables)
+    theta_ok = descend(t12, g12).agrees_with(composed_w, w_ring.variables)
 
     # composite associated endomorphisms have invertible matrix (pairwise)
     pair_invertible = []
@@ -192,16 +202,14 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
         det = endo_matrix(t12.algebra, t12.endo_images(factor)).det()
         pair_invertible.append(t12.base_ring.is_unit(det))
 
-    # swap compatibility
-    cc_swapped = tensor_coefficients(t1.coeff, t2.coeff)
-    t21 = compose_towers(t2, t1, cc_swapped)
-    swapped_c = gamma_swap(g12_struct, cc, cc_swapped)
-    c_sw = PresentedBAlgebra(t21, c1.generators, c1.relations_flat)
-    res_sw = descend_d_structure(
-        c_sw, c_sw.structure({g: swapped_c.images[g] for g in c1.generators}), classical,
+    # swap compatibility: gamma(g12) lives over gamma(t12)
+    t12_swapped = OperatorTower(
+        gamma_swap(t12.e, cc, cc_swapped), t12.algebra, cc_swapped.product,
+        [_swapped(row, cc, cc_swapped) for row in t12.f_images],
     )
-    swapped_w = gamma_swap(composed_w, cc, cc_swapped)
-    gamma_ok = res_sw.structure.agrees_with(swapped_w, w_ring.variables)
+    g12_swapped = {gen: _swapped(g12[gen], cc, cc_swapped) for gen in c1.generators}
+    gamma_ok = descend(t12_swapped, g12_swapped).agrees_with(
+        gamma_swap(composed_w, cc, cc_swapped), w_ring.variables)
 
     report = {
         "theta_compatible": theta_ok,
@@ -210,25 +218,21 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     }
 
     if t1.coeff.dim == 1 and t2.coeff.dim == 1:
-        # difference case: (g1 o g2)^W = g1^W o g2^W and identities descend
-        h_images = _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators)
-        # the swapped tower t21 carries f1 o f2 at the module level
-        res_h = descend_d_structure(c_sw, c_sw.structure(h_images), classical)
-        chained = compose_structures(res2.structure, res1.structure, cc_swapped)
-        law_ok = res_h.structure.agrees_with(chained, w_ring.variables)
+        # difference case: g1 o g2 descends over f1 o f2 to g1^W o g2^W, and
+        # identities descend
+        law_w = descend(compose_towers(t2, t1, cc_swapped),
+                        _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators))
+        report["difference_monoid_law"] = law_w.agrees_with(
+            compose_structures(res2.structure, res1.structure, cc_swapped), w_ring.variables)
         id_tower = OperatorTower(
             DStructure.identity(t1.base_ring, t1.coeff), t1.algebra, t1.coeff,
             [[t1.algebra.basis_el(i)] for i in range(t1.rank)],
         )
-        id_c = PresentedBAlgebra(id_tower, c1.generators, c1.relations_flat)
-        id_images = {gen: (id_c.flat_ring.var(gen),) for gen in c1.generators}
-        id_res = descend_d_structure(id_c, id_c.structure(id_images), classical)
-        id_ok = id_res.structure.agrees_with(
+        id_w = descend(id_tower, {gen: (c1.flat_ring.var(gen),) for gen in c1.generators})
+        report["identity_descends_to_identity"] = id_w.agrees_with(
             DStructure.identity(w_ring, t1.coeff),
             [name for name in w_ring.variables if name not in t1.base_ring.variables],
         )
-        report["difference_monoid_law"] = law_ok
-        report["identity_descends_to_identity"] = id_ok
 
     if commutes(g1_struct, g2_struct, cc, cc_swapped):
         report["inputs_commute"] = True

@@ -182,17 +182,21 @@ def random_db_element(coeff, algebra, rng):
 BASE_RELATIONS = ("a^2 - 2", "a^3")
 
 
-def random_tower(field, coeff, kind, rng, base_relation=None):
+def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None):
     """A valid (A, e) <= (B, f) drawn from a parametrized family.  A is k,
     or k[a]/(base_relation) with e the identity on A; then the D(B)
     coefficients of f(w) are drawn from {c, c a}, so the descent matrix's
-    entries involve a."""
-    if base_relation is None:
-        a_ring = PresentedRing.base_field(field)
-    else:
-        free = PresentedRing.make(field, ("a",))
-        a_ring = PresentedRing.make(field, ("a",), [free.el(base_relation)])
-    algebra = monogenic_algebra(a_ring, kind)
+    entries involve a.  ``algebra``, when given, is the module algebra B to
+    reuse, ``monogenic_algebra(A, kind)`` of an earlier draw, so that two
+    towers share it; A is then its base ring."""
+    if algebra is None:
+        if base_relation is None:
+            a_ring = PresentedRing.base_field(field)
+        else:
+            free = PresentedRing.make(field, ("a",))
+            a_ring = PresentedRing.make(field, ("a",), [free.el(base_relation)])
+        algebra = monogenic_algebra(a_ring, kind)
+    a_ring = algebra.base
     e = DStructure.identity(a_ring, coeff)
     unit, mul = db_elements(coeff, algebra)
     l = coeff.dim

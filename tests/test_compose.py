@@ -1,5 +1,8 @@
 """Composition of structures, the swap, commutation, and their descents."""
 
+import json
+import random
+
 import pytest
 
 from descent_kit import (
@@ -11,6 +14,7 @@ from descent_kit import (
     PresentedBAlgebra,
     PresentedRing,
     StructureAlgebra,
+    associated_matrix,
     commutes,
     compose_descent_check,
     compose_structures,
@@ -22,8 +26,10 @@ from descent_kit import (
     truncated_jets,
 )
 from descent_kit import compose
+from descent_kit.cli import main
 from descent_kit.errors import CarrierMismatch
-from conftest import dual_basis_algebra
+from conftest import (BASE_RELATIONS, COEFF_BUILDERS, FIXTURES, dual_basis_algebra,
+                      monogenic_algebra, random_tower)
 from paper_checks import check_tensor_associated_endos, tensor_compose_check
 
 
@@ -177,9 +183,22 @@ def _difference_check_with_one_wrong_descent(monkeypatch, is_wrong):
 
 
 def test_a_wrong_composite_descent_breaks_the_monoid_law(monkeypatch):
-    # only the descent of g1 o g2 reuses a tower, the swapped one
-    report = _difference_check_with_one_wrong_descent(
-        monkeypatch, lambda c, g, seen: any(c.tower is t for t in seen))
+    # the monoid law descends g1 o g2 over f1 o f2, the tower that
+    # compose_towers(t2, t1, .) builds; seen[0] and seen[1] are t1 and t2
+    real = compose.compose_towers
+    built = []
+
+    def compose_towers(first, second, cc):
+        tower = real(first, second, cc)
+        built.append((first, second, tower))
+        return tower
+
+    def over_f1_after_f2(c, g_structure, seen):
+        return any(c.tower is tower and first is seen[1] and second is seen[0]
+                   for first, second, tower in built)
+
+    monkeypatch.setattr(compose, "compose_towers", compose_towers)
+    report = _difference_check_with_one_wrong_descent(monkeypatch, over_f1_after_f2)
     assert report["difference_monoid_law"] is False
     assert report["identity_descends_to_identity"] and not report["ok"]
 
@@ -290,3 +309,92 @@ def test_tensor_associated_endomorphisms_factorwise():
     fp = DStructure(s, d2, {"s": (s.el("s+1"), s.el("s^2"))})
     gp = DStructure(t, d2, {"t": (t.el("t"), t.el("t^3"))})
     assert check_tensor_associated_endos(fp, gp, ())
+
+
+# gamma over the swapped composite tower: two towers that do not commute,
+# so f1 o f2 is not the swapped composite tower f2 o f1 reindexed
+
+def test_gamma_holds_on_a_non_commuting_unit_pivot_pair(tmp_path):
+    # a -> 2*a on A and y -> y on B against the first set's a -> a, y -> y + a*y
+    problem = json.loads((FIXTURES / "unit_pivot.json").read_text())
+    problem["second"]["A_images"] = {"a": ["2*a"]}
+    problem["second"]["B_images"] = {"y": ["y"]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    out = tmp_path / "report.json"
+    assert main(["compose-check", "--input", str(path), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["inputs_commute"] is False
+    assert report["theta_compatible"] and report["gamma_compatible"] and report["ok"]
+
+
+def _dual_numbers_tower(algebra, w_image, w2_image):
+    """(QQ, id) <= (B = QQ[w]/(w^3), f) over the dual numbers, f given on
+    the basis 1, w, w^2 as (sigma, delta) pairs; validated."""
+    dd = dual_numbers(QQ)
+    tower = OperatorTower(DStructure.identity(algebra.base, dd), algebra, dd,
+                          [(algebra.one_el(), algebra.zero_el()), w_image, w2_image])
+    tower.validate()
+    return tower
+
+
+def test_gamma_holds_on_non_commuting_dual_number_towers():
+    algebra = monogenic_algebra(PresentedRing.base_field(QQ), "nil3")
+    w, w2, zero = algebra.basis_el(1), algebra.basis_el(2), algebra.zero_el()
+    four = algebra.base.constant(4)
+    # f1: sigma = id, delta(w) = w^2, so w^2 -> (w^2, 0);
+    # f2: sigma(w) = 2 w, delta(w) = w, so w^2 -> (4 w^2, 4 w^2)
+    t1 = _dual_numbers_tower(algebra, (w, w2), (w2, zero))
+    t2 = _dual_numbers_tower(algebra, (w.scale(algebra.base.constant(2)), w),
+                             (w2.scale(four), w2.scale(four)))
+    c1, c2 = PresentedBAlgebra(t1, ("x",)), PresentedBAlgebra(t2, ("x",))
+    flat = c1.flat_ring
+    g = {"x": (flat.var("x"), flat.zero)}
+    cc, cc_swapped = pair_coefficients(t1.e, t2.e)
+    # the swap permutes the four basis pairs
+    assert [cc.pair_index[(q, p)] for p, q in cc_swapped.index_pair] != [0, 1, 2, 3]
+    report = compose_descent_check(c1, c1.structure(g), c2, c2.structure(g))
+    assert report["inputs_commute"] is False
+    assert report["theta_compatible"] and report["gamma_compatible"] and report["ok"]
+
+
+# (D1, D2) for the randomized compose checks: difference and derivation
+# cases, and pairs of coefficient algebras of dimension 2 or 3 each
+COEFF_PAIRS = [("difference", "dual"), ("dual", "difference"), ("dual", "dual"),
+               ("dual", "pair_of_fields"), ("jets3", "dual"), ("dual_times_field", "difference")]
+IMAGE_TERMS = ["0", "x", "x + 1", "2*x", "w*x", "x^2", "x + w"]
+
+
+def _random_images(c, rng):
+    """Random operator images of x on C = B[x], one term per coordinate of D,
+    each times 1, or times a when A is k[a]/(relation)."""
+    flat = c.flat_ring
+    factors = ["1", *c.tower.base_ring.variables]
+    return {"x": tuple(flat.mul(flat.el(rng.choice(IMAGE_TERMS)), flat.el(rng.choice(factors)))
+                       for _ in range(c.tower.coeff.dim))}
+
+
+def test_theta_and_gamma_hold_on_random_tower_pairs():
+    """120 draws of two towers on one module algebra, A = k or k[a]/(relation);
+    every draw whose two descent matrices are invertible is checked."""
+    rng = random.Random(30)
+    checked, both_wide, non_commuting = 0, 0, 0
+    for field in (QQ, GF(5)):
+        for names in COEFF_PAIRS:
+            for _ in range(10):
+                kind = rng.choice(("nil2", "split", "nil3"))
+                base_relation = rng.choice((None, *BASE_RELATIONS))
+                d1, d2 = (COEFF_BUILDERS[name](field) for name in names)
+                t1 = random_tower(field, d1, kind, rng, base_relation)
+                t2 = random_tower(field, d2, kind, rng, algebra=t1.algebra)
+                if associated_matrix(t1).inverse is None or associated_matrix(t2).inverse is None:
+                    continue
+                c1, c2 = PresentedBAlgebra(t1, ("x",)), PresentedBAlgebra(t2, ("x",))
+                report = compose_descent_check(c1, c1.structure(_random_images(c1, rng)),
+                                               c2, c2.structure(_random_images(c2, rng)))
+                assert report["theta_compatible"] and report["gamma_compatible"], (
+                    field, names, kind, base_relation)
+                checked += 1
+                both_wide += d1.dim >= 2 and d2.dim >= 2
+                non_commuting += not report["inputs_commute"]
+    assert checked >= 25 and both_wide >= 10 and non_commuting >= 20

@@ -20,7 +20,9 @@ from descent_kit import (
     dual_numbers,
     endo_matrix,
     invertibility_equivalences,
+    product_of_fields,
     tensor_coefficients,
+    truncated_jets,
 )
 from descent_kit import linear
 from descent_kit.errors import NonInvertibleMatrix
@@ -147,6 +149,19 @@ def test_identity_structure_gives_identity_matrix():
     assert dm.inverse == RingMatrix.identity(a, 2)
 
 
+def assert_block_lower_triangular(tower, dm):
+    """Zero blocks above the diagonal and the associated endomorphism
+    matrices on it."""
+    zero = RingMatrix(tower.base_ring, [[tower.base_ring.zero] * dm.r] * dm.r)
+    for m in range(dm.l):
+        for j in range(dm.l):
+            if m < j:
+                assert block(dm, m, j) == zero
+    for j in range(dm.l):
+        factor = tower.coeff.factor_of[j]
+        assert block(dm, j, j) == endo_matrix(tower.algebra, tower.endo_images(factor))
+
+
 def test_block_lower_triangular_in_stratified_basis(rng):
     """The shape ``associated_matrix`` no longer re-checks: zero blocks above
     the diagonal and the associated endomorphism matrices on it, for every
@@ -157,17 +172,55 @@ def test_block_lower_triangular_in_stratified_basis(rng):
                                             COEFF_BUILDERS["pair_of_fields"](field)).product)
         for coeff, kind in itertools.product(builders, ("nil2", "split", "nil3")):
             tower = random_tower(field, coeff, kind, rng)
+            assert_block_lower_triangular(tower, associated_matrix(tower))
+
+
+def block_forward_inverse(dm):
+    """The inverse of a block-lower-triangular matrix from the inverses of
+    its diagonal blocks: X_jj = M_jj^-1 and, below the diagonal,
+    X_mj = -M_mm^-1 (M_mj X_jj + ... + M_m,m-1 X_m-1,j)."""
+    ring, r, l = dm.matrix.ring, dm.r, dm.l
+    zero = RingMatrix(ring, [[ring.zero] * r] * r)
+    diagonal_inverse = [block(dm, j, j).inverse() for j in range(l)]
+    x = [[zero] * l for _ in range(l)]
+    for j in range(l):
+        x[j][j] = diagonal_inverse[j]
+        for m in range(j + 1, l):
+            acc = [[ring.zero] * r for _ in range(r)]
+            for k in range(j, m):
+                product = block(dm, m, k) * x[k][j]
+                acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, product.rows)]
+            x[m][j] = diagonal_inverse[m] * RingMatrix(ring, [[-a for a in row] for row in acc])
+    return RingMatrix(ring, [[e for j in range(l) for e in x[m][j].rows[n]]
+                             for m in range(l) for n in range(r)])
+
+
+def test_block_theorem_gives_the_determinant_and_the_inverse():
+    """The block-lower-triangular shape over A = k and A = k[a]/(relation),
+    up to l = 6: det M is the product of the determinants of the diagonal
+    blocks, and when each of these is invertible block forward substitution
+    gives the inverse ``associated_matrix`` computed."""
+    rng = random.Random(3)
+    inverted = 0
+    for field in (QQ, GF(5)):
+        builders = [COEFF_BUILDERS[name](field) for name in sorted(COEFF_BUILDERS)]
+        builders += [truncated_jets(field, 6), product_of_fields(field, 3)]
+        for coeff, kind, base_relation in itertools.product(
+                builders, ("nil2", "split", "nil3"), (None, *BASE_RELATIONS)):
+            tower = random_tower(field, coeff, kind, rng, base_relation)
             dm = associated_matrix(tower)
-            zero = RingMatrix(tower.base_ring, [[tower.base_ring.zero] * dm.r] * dm.r)
-            for m in range(dm.l):
-                for j in range(dm.l):
-                    if m < j:
-                        assert block(dm, m, j) == zero
+            assert_block_lower_triangular(tower, dm)
+            ring = tower.base_ring
+            product = ring.one
             for j in range(dm.l):
-                factor = coeff.factor_of[j]
-                assert block(dm, j, j) == endo_matrix(
-                    tower.algebra, tower.endo_images(factor)
-                )
+                product = ring.mul(product, block(dm, j, j).det())
+            assert dm.matrix.det() == ring.nf(product)
+            if all(block(dm, j, j).is_invertible() for j in range(dm.l)):
+                assert block_forward_inverse(dm) == dm.inverse
+                inverted += 1
+            else:
+                assert dm.inverse is None
+    assert inverted >= 50
 
 
 def test_invertibility_theorem_randomized(rng):

@@ -4,9 +4,12 @@
 from its submodule on first access.  A command imports only the layers it
 runs, so ``validate`` never loads the descent, homomorphism or composition
 code.  The import checks run in fresh interpreters, since this process has
-long since loaded everything.
+long since loaded everything.  The modules from outside the package that
+package modules import at their top are listed, since every CLI process
+pays for them at start-up.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -46,6 +49,15 @@ NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
 # modules validate has no use for
 NOT_FOR_VALIDATE = {"compose", "homs", "weil", "weil_d", "descent_matrix", "matrices"}
+
+# the modules from outside the package that some package module imports at
+# its top, outside any function: a CLI process loads them all before its
+# command runs, and start-up is most of a run on small inputs, so one added
+# here is a change to this set
+STARTUP_IMPORTS = frozenset({
+    "__future__", "fractions", "gc", "getopt", "heapq", "importlib", "itertools", "json",
+    "os", "sys", "time", "types", "weakref",
+})
 
 
 def loaded_submodules(code: str) -> set:
@@ -96,3 +108,25 @@ def test_star_import_binds_exactly_all():
     exec("from descent_kit import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(descent_kit.__all__) == NAMES
+
+
+def top_imports(tree):
+    """The top-level names of the modules ``tree`` imports outside function
+    bodies, relative imports left out."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module.split(".")[0]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_start_up_imports_are_the_listed_ones():
+    imported = set()
+    for path in (FIXTURES.parent / "src" / "descent_kit").glob("*.py"):
+        imported.update(top_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    assert imported - {"descent_kit"} == STARTUP_IMPORTS

@@ -284,9 +284,10 @@ def test_compose_check_descends_the_loaded_structure(tmp_path, monkeypatch):
 
 
 def test_compose_check_composes_each_tower_once(tmp_path, monkeypatch):
-    """compose-check on compose_difference.json builds the composite tower and
-    the swapped one once each: the difference-law descent composes f1 o f2,
-    which is the swapped tower, and reuses it with its inverted matrix."""
+    """compose-check on compose_difference.json composes two towers, each
+    once: f2 o f1, the composite tower of theta (gamma reindexes it along
+    the swap rather than composing again), and f1 o f2, the tower of the
+    difference-case monoid law."""
     calls = [0]
     original = compose.compose_towers
 
@@ -476,9 +477,11 @@ def test_adjoint_check_builds_the_descent_matrix_once(fixture, tmp_path, monkeyp
 # command that needs the tower's matrix builds and decides it once;
 # ``matrix`` also inverts the one associated endomorphism matrix of each
 # fixture twice (equivalences (i) and (ii)); compose-check descends over
-# five towers on the fixtures with a second structure block
-# (compose_difference.json, unit_pivot.json) and fails on a missing second
-# structure block elsewhere
+# six towers on the fixtures with a second structure block
+# (compose_difference.json, unit_pivot.json), each law over its own: t1,
+# t2, the composite t12 (theta), t12 reindexed along the swap (gamma),
+# f1 o f2 (the difference-case monoid law) and the identity tower; it fails
+# on a missing second structure block elsewhere
 MATRIX_WORK = {
     "validate": (0, 0), "matrix": (1, 3), "descend": (1, 1), "descend --audit": (1, 1),
     "adjoint-check": (1, 1), "compose-check": (0, 0),
@@ -493,7 +496,7 @@ def test_descent_matrix_work_per_command(fixture, command, tmp_path, monkeypatch
     expected = MATRIX_WORK[" ".join(command)]
     if command == ["compose-check"] and fixture in ("compose_difference.json",
                                                     "unit_pivot.json"):
-        expected = (5, 5)
+        expected = (6, 6)
     assert tuple(calls) == expected
 
 
