@@ -59,7 +59,7 @@ def tensor_coefficients(left: DCoefficientAlgebra, right: DCoefficientAlgebra) -
     pair_index = {ab: i for i, ab in enumerate(pairs)}
     kk = PresentedRing.base_field(field)
     labels = tuple(
-        f"{left.labels()[a]}|{right.labels()[b]}" for a, b in pairs
+        f"{left.algebra.labels[a]}|{right.algebra.labels[b]}" for a, b in pairs
     )
     # (a1, b1)(a2, b2) = sum of a^L_{a1 a2 a3} a^R_{b1 b2 b3} (a3, b3): each
     # product of a stored left cell and a stored right cell is one constant

@@ -82,14 +82,6 @@ class DCoefficientAlgebra:
     def factor_count(self) -> int:
         return len(self.factors)
 
-    def labels(self):
-        return self.algebra.labels
-
-    def over(self, carrier: PresentedRing) -> StructureAlgebra:
-        """The base change carrier (x) coefficient-algebra, rank dim: the
-        coefficient algebra's own ``base_change``, built once per carrier."""
-        return self.algebra.base_change(carrier)
-
     def __eq__(self, other):
         return isinstance(other, DCoefficientAlgebra) and self.algebra == other.algebra
 

@@ -47,7 +47,7 @@ class DStructure:
             if v not in norm:
                 raise ValueError(f"no image for variable {v!r}")
         self.images = norm
-        self._ext = coeff.over(carrier)
+        self._ext = coeff.algebra.base_change(carrier)
         self._certificates = None
         self._applied = {}
 

@@ -12,8 +12,9 @@ The characteristic polynomial is computed at most once per matrix and kept
 on it: the determinant, the adjugate, the fallback inverse and
 ``solve_cramer`` all read that one run.  Cayley-Hamilton is evaluated one
 way only, by Horner with matrix-vector products (``_adjugate_times``):
-on the unit vectors for the adjugate and the fallback inverse, on the
-right-hand sides for ``solve_cramer``.  No matrix power is formed.
+on the unit vectors for the adjugate, which the fallback inverse scales
+by det(M)^-1, and on the right-hand sides for ``solve_cramer``.  No
+matrix power is formed.
 
 Every sum of products (a matrix product entry, a Berkowitz dot product,
 power entry or Toeplitz entry) is accumulated in one term dict and
@@ -204,14 +205,11 @@ class RingMatrix:
             out.append([ring.nf(e * scale) for e in y])
         return out
 
-    def _adjugate_columns(self, scale: Polynomial) -> "RingMatrix":
-        """adj(M) * scale, one unit vector per column."""
-        units = linear.identity(self.ring, self.nrows)
-        return RingMatrix(self.ring, zip(*self._adjugate_times(units, scale, self.ring)))
-
     def adjugate(self) -> "RingMatrix":
-        """adj(M) with M*adj(M) = det(M)*I, via Cayley-Hamilton."""
-        return self._adjugate_columns(self.ring.one)
+        """adj(M) with M*adj(M) = det(M)*I, one unit vector per column."""
+        ring = self.ring
+        units = linear.identity(ring, self.nrows)
+        return RingMatrix(ring, zip(*self._adjugate_times(units, ring.one, ring)))
 
     def inverse(self) -> "RingMatrix":
         """The two-sided inverse, or NonInvertibleMatrix with a witness.
@@ -237,7 +235,8 @@ class RingMatrix:
 
     def _inverse_adjugate(self) -> "RingMatrix":
         """adj(M) * det(M)^-1, or NonInvertibleMatrix naming the determinant."""
-        return self._adjugate_columns(self._unit_det_inverse())
+        d_inv = self._unit_det_inverse()
+        return RingMatrix(self.ring, [[e * d_inv for e in row] for row in self.adjugate().rows])
 
     def is_invertible(self) -> bool:
         try:

@@ -189,8 +189,8 @@ def power(x, n: int):
     """x ** n for n >= 1 by square-and-multiply, for any x with ``*``: a
     polynomial or an element of a structure algebra.  The product x * x
     is not formed when n is 1, so x ** 1 is x itself."""
-    if n < 0:
-        raise ValueError("negative power")
+    if n < 1:
+        raise ValueError(f"power needs n >= 1, got {n}")
     result = None
     while True:
         if n & 1:
@@ -454,9 +454,9 @@ def parse_polynomial(text: str, field: ScalarField) -> Polynomial:
     poly = Polynomial.zero(field)
     pos = 0
 
-    def term(sign):
+    def term(negative):
         nonlocal pos
-        coeff = field.one if sign > 0 else field.neg(field.one)
+        coeff = field.neg(field.one) if negative else field.one
         exps = {}
         expect_factor = True
         while pos < len(tokens):
@@ -495,23 +495,15 @@ def parse_polynomial(text: str, field: ScalarField) -> Polynomial:
             raise ParseError("dangling operator", tokens[pos - 1][1] if pos else 0)
         return Polynomial(field, {Monomial(exps): coeff})
 
-    sign = 1
-    if tokens[0][0] == "-":
-        sign = -1
-        pos = 1
-    elif tokens[0][0] == "+":
+    if tokens[0][0] == "+":
         raise ParseError("leading '+'", tokens[0][1])
-    poly = poly + term(sign)
+    # a term ends at the end of the tokens or at the '+' or '-' that leads
+    # the next one; only the first term may have no sign
     while pos < len(tokens):
-        tok, at = tokens[pos]
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ParseError("terms must be joined by '+' or '-'", at)
-        pos += 1
-        poly = poly + term(sign)
+        sign = tokens[pos][0]
+        if sign in ("+", "-"):
+            pos += 1
+        poly = poly + term(sign == "-")
     return poly
 
 

@@ -164,21 +164,22 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
     for n, fac in enumerate(_shape(data.get("factors"), list, f"{path}.factors")):
         fac_path = f"{path}.factors[{n}]"
         _shape(fac, dict, fac_path)
-        idem = _vector(fac.get("idempotent"), field.parse, f"{fac_path}.idempotent")
+        idem = _vector(fac.get("idempotent"), field.parse, f"{fac_path}.idempotent", l)
         span = _shape(fac.get("maximal_ideal", []), list, f"{fac_path}.maximal_ideal")
         factors.append((idem, tuple(
-            _vector(vec, field.parse, f"{fac_path}.maximal_ideal[{m}]")
+            _vector(vec, field.parse, f"{fac_path}.maximal_ideal[{m}]", l)
             for m, vec in enumerate(span)
         )))
     return build_d_algebra(algebra, factors)
 
 
-def _parse_ring(data, field, path, base: PresentedRing = None) -> PresentedRing:
+def _parse_ring(data, field, path, base: PresentedRing = None, taken=()) -> PresentedRing:
     """The ring presented at ``path``, by one extension of ``base`` when it
-    is given.  Its relations are read in the free ring on all its
+    is given.  Its new variables may not be named like ``base``'s or like
+    any of ``taken``.  Its relations are read in the free ring on all its
     variables, whose empty basis takes no Groebner run."""
     old = base.variables if base else ()
-    variables = _names(data.get("variables", []), f"{path}.variables", old)
+    variables = _names(data.get("variables", []), f"{path}.variables", old + taken)
     free = PresentedRing(field, GroebnerBasis((), DegRevLex(old + variables)))
     rels = _vector(data.get("relations", []), free.el, f"{path}.relations")
     if base is None:
@@ -247,7 +248,8 @@ def load_problem(data: dict) -> ProblemDescription:
     u = None
     if "R" in data:
         r_data = _shape(data["R"], dict, "R")
-        r_ring = _parse_ring(r_data, field, "R", base=a_ring)
+        # R (x) B is flattened on R's variables and B's labels
+        r_ring = _parse_ring(r_data, field, "R", base=a_ring, taken=labels)
         u_images = dict(tower.e.images)
         u_images.update(_parse_images(r_data.get("images", {}), r_ring, tower.coeff.dim,
                                       r_ring.variables[len(a_ring.variables):], "R.images"))

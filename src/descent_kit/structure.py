@@ -253,9 +253,8 @@ class StructureAlgebra:
                         rhs = rhs + c * Polynomial.variable(field, self.labels[m])
                 rels.append(Polynomial(field, {product: field.one}) - rhs)
                 products.append(product)
-        variables = base.variables + label_vars
-        if rels and len(set(variables)) == len(variables):
-            order = DegRevLex(variables)
+        if rels:
+            order = DegRevLex(base.variables + label_vars)
             if all(order.leading(g)[0] is m for g, m in zip(rels, products)):
                 self.validate()
                 gens = list(base.relations.generators) + rels

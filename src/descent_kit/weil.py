@@ -63,10 +63,9 @@ class WeilDescentResult:
         target = ring if ring is not None else self.descended
         return self.algebra.base_change(target)
 
-    def evaluate_under_unit(self, flat: Polynomial, ring: PresentedRing = None) -> AlgebraElement:
-        """Push a flat element of B[T] through the unit map into W(C) (x) B
-        (or into R (x) B for a supplied R)."""
-        return self.tensor_algebra(ring).coordinatize(flat, self.unit_map(ring))
+    def evaluate_under_unit(self, flat: Polynomial) -> AlgebraElement:
+        """Push a flat element of B[T] through the unit map into W(C) (x) B."""
+        return self.tensor_algebra().coordinatize(flat, self.unit_map())
 
     def pinned_env(self, images: dict, field) -> dict:
         """``images`` of the copy variables, with A's variables sent to themselves."""

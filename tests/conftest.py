@@ -37,6 +37,9 @@ from descent_kit.groebner import _reduction_steps  # noqa: E402
 from paper_checks import field_inverse  # noqa: E402,F401
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# valid documents that each pin a route no fixture takes: the golden and
+# the reach tests run them, the per-fixture tests do not
+DOCUMENTS = Path(__file__).resolve().parent / "documents"
 
 
 def target_elements(target: PresentedRing):

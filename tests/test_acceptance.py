@@ -237,7 +237,7 @@ def test_criterion_7_differential_instance():
         ]
         rhs = []
         for j in range(2):
-            img = res.classical.evaluate_under_unit(res.c_structure.images["t"][j], ring)
+            img = res.classical.evaluate_under_unit(res.c_structure.images["t"][j])
             rhs.extend(img.coords[:2])
         monomials = sorted({m for p in rhs for m in p.terms}, key=ring.order.key)
         solved = [dict() for _ in range(4)]

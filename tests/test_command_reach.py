@@ -1,9 +1,10 @@
 """Every function of the package is reached by a command, or says why not.
 
-The five fixtures and the seed-1 problem of each ``perfbench/gen.py``
-workload are run under every command: ``validate``, ``validate --truncate
-2``, ``matrix``, ``descend``, ``descend --audit``, ``adjoint-check`` and
-``compose-check``, 63 runs of ``cli.main`` in one fresh interpreter under
+The fixtures, the documents under ``tests/documents`` and the seed-1
+problem of each ``perfbench/gen.py`` workload are run under every command:
+``validate``, ``validate --truncate 2``, ``matrix``, ``descend``,
+``descend --audit``, ``adjoint-check`` and ``compose-check``, seven runs
+of ``cli.main`` per document in one fresh interpreter under
 ``sys.setprofile``.  The interpreter is fresh so that what earlier tests
 imported or cached does not change what is entered, and the hook is set
 before the package is imported, so a function called while a module loads
@@ -32,7 +33,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import FIXTURES
+from conftest import DOCUMENTS, FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "descent_kit"
@@ -44,11 +45,9 @@ COMMANDS = (["validate"], ["validate", "--truncate", "2"], ["matrix"], ["descend
 DUNDER = "a dunder: Python calls it on demand, and no command needs this one"
 ERROR_PATH = "an error path that valid inputs never take"
 ENTRY = "the process entry: the runs here call main in process"
-ADJUGATE = ("the adjugate route's success path: it needs a stalled elimination with a"
-            " unit determinant, and no fixture or workload has one")
 LIBRARY = ("a standard coefficient algebra, or DStructure.difference, that the demos and"
            " the README tour build with")
-REASONS = (DUNDER, ERROR_PATH, ENTRY, ADJUGATE, LIBRARY)
+REASONS = (DUNDER, ERROR_PATH, ENTRY, LIBRARY)
 
 NOT_REACHED = {
     "__init__.__dir__": DUNDER,
@@ -84,8 +83,6 @@ NOT_REACHED = {
     "errors.NotWellDefined.__init__": ERROR_PATH,
     "errors.StrataMismatch.__init__": ERROR_PATH,
     "cli.run": ENTRY,
-    "matrices.RingMatrix._adjugate_columns": ADJUGATE,
-    "matrices.RingMatrix.adjugate": ADJUGATE,
     "dalgebra._jets_product": LIBRARY,
     "dalgebra._jets_product.basis_vector": LIBRARY,
     "dalgebra.difference_algebra": LIBRARY,
@@ -145,12 +142,14 @@ def defined_code():
 
 
 def workload_documents(tmp_path):
-    """The fixtures and the seed-1 problem of every perfbench workload,
-    written to ``tmp_path``; ``perfbench/`` is only read."""
+    """The fixtures, the documents under ``tests/documents`` and the seed-1
+    problem of every perfbench workload, written to ``tmp_path``;
+    ``perfbench/`` is only read."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    documents = [str(p) for p in sorted(FIXTURES.glob("*.json"))]
+    documents = [str(p) for folder in (FIXTURES, DOCUMENTS)
+                 for p in sorted(folder.glob("*.json"))]
     for workload in sorted(gen.FAMILIES):
         path = tmp_path / f"{workload}.json"
         path.write_text(json.dumps(gen.generate(workload, 1), indent=1), encoding="utf-8")

@@ -302,7 +302,8 @@ JETS_REFERENCES = [
 def test_jets_delegations_equal_the_literal_tables(build, reference, field):
     d, ref = build(field), reference(field)
     assert d == ref and hash(d) == hash(ref)
-    assert d.labels() == ref.labels()
+    assert d != truncated_jets(field, d.dim + 1) and d != d.algebra
+    assert d.algebra.labels == ref.algebra.labels
     assert d.algebra.table == ref.algebra.table and d.cells == ref.cells
     assert d.algebra.unit_coords == ref.algebra.unit_coords
     assert d.unit == ref.unit and d.factor_units == ref.factor_units

@@ -115,7 +115,7 @@ def test_validate_well_definedness():
     tau.validate()
 
     bad_carrier = PresentedRing.make(QQ, ("t",), [PresentedRing.make(QQ, ("t",), []).el("t^2")])
-    with pytest.raises(NotWellDefined):
+    with pytest.raises(NotWellDefined, match="coordinate 1 of the image of relation t\\^2 "):
         DStructure(bad_carrier, difference_algebra(QQ), {"t": (bad_carrier.one,)}).validate()
 
     DStructure.identity(bad_carrier, dual_numbers(QQ)).validate()
@@ -131,6 +131,14 @@ def test_base_compatibility():
     bad = DStructure(carrier, d, {"a": (carrier.el("a"),), "x": (carrier.el("x"),)}, base=e)
     with pytest.raises(BaseMismatch):
         bad.validate()
+    # an image left unassigned on either side (a truncated window's
+    # boundary) cannot be compared
+    unassigned = DStructure(base, d, {"a": None})
+    for images, base_structure in (({"a": None, "x": (carrier.el("x"),)}, e),
+                                   ({"a": (carrier.el("a+1"),), "x": (carrier.el("x"),)},
+                                    unassigned)):
+        with pytest.raises(BaseMismatch, match="unassigned image for base variable 'a'"):
+            DStructure(carrier, d, images, base=base_structure).validate()
 
 
 def test_d_ideal_check(qt):
@@ -299,7 +307,7 @@ def test_apply_keeps_each_image(qt, differential):
     assert x is not y
     first, second = differential.apply(x), differential.apply(y)
     assert second is first
-    ext = differential.coeff.over(qt)
+    ext = differential.coeff.algebra.base_change(qt)
     env = {"t": ext.element(differential.images["t"])}
     assert first.coords == second.coords == evaluate_poly(x, env, ext).coords
     assert differential.apply(qt.el("t^2")).coords == evaluate_poly(qt.el("t^2"), env, ext).coords

@@ -92,6 +92,11 @@ def test_pair_budget():
     gens = [p("x*y - z"), p("y*z - x"), p("x*z - y")]
     with pytest.raises(ResourceLimit):
         buchberger(gens, o, budget=1)
+    # the budget counts pairs: x^2 and y^2 make one, so 1 is enough and 0 is not
+    squares = [p("x^2"), p("y^2")]
+    assert buchberger(squares, o, budget=1).generators
+    with pytest.raises(ResourceLimit):
+        buchberger(squares, o, budget=0)
 
 
 def test_staircase_and_infinite_dimension():

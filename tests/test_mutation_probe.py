@@ -8,6 +8,11 @@ unit one coordinate too short and one too long.  Every command
 (``COMMANDS``) must run in process on every such document and end with
 exit code 0, 1 or 2 and a JSON report.
 
+Each idempotent and maximal-ideal vector of D (and of the second block's
+D) is also made one coordinate shorter and one longer: every command must
+then exit 1 with a ``ParseError`` such as ``D.factors[0].idempotent needs
+2 coordinates``.
+
 Each required key of each fixture is also removed in turn: every command
 must then exit 1 with a ``ParseError`` whose detail begins with the key's
 JSON path, such as ``D.factors[0].idempotent must be a JSON array``.  And
@@ -136,6 +141,33 @@ def test_every_array_length_mutation_gives_a_report(fixture, tmp_path):
     _assert_reports(_resized(json.loads((FIXTURES / fixture).read_text())), tmp_path)
 
 
+def _resized_factor_vectors(doc):
+    """(JSON path, dimension of D, document) for every idempotent and
+    maximal-ideal vector of D, and of the second block's D, one coordinate
+    shorter and one longer."""
+    for prefix in (("D",), ("second", "D")):
+        if prefix[0] not in doc:
+            continue
+        d = _node(doc, prefix)
+        for n, factor in enumerate(d["factors"]):
+            paths = [prefix + ("factors", n, "idempotent")]
+            paths += [prefix + ("factors", n, "maximal_ideal", m)
+                      for m in range(len(factor.get("maximal_ideal", [])))]
+            for path in paths:
+                vector = _node(doc, path)
+                for resized in (vector[:-1], vector + ["0"]):
+                    yield _json_path(path), len(d["basis"]), _replaced(doc, path, resized)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_a_factor_vector_of_the_wrong_length_is_named_by_its_path(fixture, tmp_path):
+    for path, dim, mutant in _resized_factor_vectors(
+            json.loads((FIXTURES / fixture).read_text())):
+        for command, code, report in _reports(mutant, tmp_path):
+            assert (code, report["status"], report["error"]) == (1, "error", "ParseError"), command
+            assert report["detail"] == f"{path} needs {dim} coordinates", (command, report)
+
+
 def _removed_keys(doc):
     """(JSON path, document) for every required key of ``doc`` removed in
     turn: the field, D, B and their basis and products, D's factors and
@@ -238,10 +270,13 @@ def test_a_bad_term_or_scalar_is_named_by_its_path(fixture, tmp_path):
 def _renamed(doc):
     """(JSON path of the bad name, document) for unit_pivot.json with a name
     list that repeats a name or takes one of the ring it extends: A's
-    variable a, B's label y, C's generator t and R's variable u."""
+    variable a, B's label y, C's generator t and R's variable u.  R's
+    variables may not take B's labels either, since R (x) B is flattened
+    on both."""
     cases = [
         ("A", "variables", ["a", "a"], 1), ("R", "variables", ["u", "u"], 1),
-        ("R", "variables", ["a"], 0), ("B", "basis", ["1", "a"], 1),
+        ("R", "variables", ["a"], 0), ("R", "variables", ["y"], 0),
+        ("B", "basis", ["1", "a"], 1),
         ("B", "basis", ["1", "y", "y"], 2), ("C", "generators", ["t", "t"], 1),
         ("C", "generators", ["y"], 0), ("C", "generators", ["a"], 0),
     ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial, parse_polynomial, render
 from descent_kit.errors import DivisionByZero, ParseError
+from descent_kit.polynomials import power
 
 ORDER = DegRevLex(("x", "y", "z"))
 
@@ -93,6 +94,15 @@ def test_ring_laws(a, b, c):
 def test_pow_matches_repeated_product(a):
     assert a**3 == a * a * a
     assert a**0 == Polynomial.constant(QQ, 1)
+
+
+def test_power_takes_a_positive_exponent():
+    """``power`` forms x ** n for n >= 1 only; ``**`` sends 0 to the one."""
+    x = p("x")
+    assert power(x, 1) is x
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"power needs n >= 1, got {n}"):
+            power(x, n)
 
 
 # names in the shapes the package creates: plain, indexed copies, brackets

@@ -267,9 +267,9 @@ def algebras(field):
     z, o = ring.zero, ring.one
     twisted = StructureAlgebra(ring, ("1", "w"), [[[o, z], [z, o]], [[z, o], [ring.var("a"), z]]])
     return [
-        truncated_jets(field, 3).over(ring),
-        dual_numbers(field).over(ring),
-        product_of_fields(field, 2).over(ring),
+        truncated_jets(field, 3).algebra.base_change(ring),
+        dual_numbers(field).algebra.base_change(ring),
+        product_of_fields(field, 2).algebra.base_change(ring),
         twisted,
     ]
 
@@ -618,12 +618,13 @@ def kernel_inputs(draw):
         algebra = power_basis_algebra(ring, [ring.el(draw(st.sampled_from(words)))
                                              for _ in range(r)])
     elif shape == "fields":
-        algebra = product_of_fields(field, draw(st.integers(min_value=1, max_value=6))).over(ring)
+        copies = draw(st.integers(min_value=1, max_value=6))
+        algebra = product_of_fields(field, copies).algebra.base_change(ring)
     else:
         p = draw(st.integers(min_value=1, max_value=3))
         q = draw(st.integers(min_value=1, max_value=6 // p))
-        algebra = tensor_algebra(truncated_jets(field, p).over(ring),
-                                 truncated_jets(field, q).over(ring))
+        algebra = tensor_algebra(truncated_jets(field, p).algebra.base_change(ring),
+                                 truncated_jets(field, q).algebra.base_change(ring))
     r = algebra.rank
     constants, unit = dense(algebra), list(algebra.unit_coords)
     cells = [(i, j, m) for i in range(r) for j in range(r) for m in range(r)]
@@ -870,3 +871,25 @@ def test_table_path_validates_first():
     with pytest.raises(InvalidAlgebra) as err:
         broken.flat_ring()
     assert err.value.axiom == "associativity"
+
+
+def test_algebras_are_equal_exactly_when_their_data_are():
+    ring = PresentedRing.base_field(QQ)
+    algebra = dual_basis_algebra(ring)
+    assert algebra == dual_basis_algebra(ring) and hash(algebra) == hash(dual_basis_algebra(ring))
+    assert algebra != dual_basis_algebra(ring, label="w")
+    assert algebra != product_of_fields(QQ, 2).algebra and algebra != ring
+
+
+def test_flat_ring_needs_the_unit_first():
+    """``flat_ring`` reads the first basis element as 1, so it refuses an
+    algebra whose first label is not "1" (here with the unit first) and one
+    whose unit is not the first basis vector (here labelled "1")."""
+    ring = PresentedRing.base_field(QQ)
+    relabelled = StructureAlgebra(ring, ("u", "eps"), dense(dual_basis_algebra(ring)))
+    fields = product_of_fields(QQ, 2).algebra
+    moved_unit = StructureAlgebra(ring, ("1", "e2"), dense(fields), fields.unit_coords)
+    for algebra in (relabelled, moved_unit):
+        algebra.validate()
+        with pytest.raises(ValueError, match="first basis element to be 1"):
+            algebra.flat_ring()

@@ -185,7 +185,7 @@ def test_independent_linear_solve_oracle():
     rhs = []
     g_struct = res.c_structure
     for j in range(2):
-        image = res.classical.evaluate_under_unit(g_struct.images["t"][j], ring)
+        image = res.classical.evaluate_under_unit(g_struct.images["t"][j])
         for i in range(2):
             rhs.append(image.coords[i])
     # rhs entries are polynomials; solve the scalar system per monomial

@@ -24,8 +24,8 @@ import pytest
 
 from descent_kit import (
     GF, QQ, OperatorTower, PresentedBAlgebra, PresentedRing, cli, compose, descent_matrix,
-    difference_algebra, groebner, homs, parse_polynomial, problem_from_file, truncated_jets,
-    weil, weil_d, weil_descend,
+    difference_algebra, groebner, homs, matrices, parse_polynomial, problem_from_file,
+    truncated_jets, weil, weil_d, weil_descend,
 )
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
@@ -477,11 +477,10 @@ def test_adjoint_check_builds_the_descent_matrix_once(fixture, tmp_path, monkeyp
 # command that needs the tower's matrix builds and decides it once;
 # ``matrix`` also inverts the one associated endomorphism matrix of each
 # fixture twice (equivalences (i) and (ii)); compose-check descends over
-# six towers on the fixtures with a second structure block
-# (compose_difference.json, unit_pivot.json), each law over its own: t1,
-# t2, the composite t12 (theta), t12 reindexed along the swap (gamma),
-# f1 o f2 (the difference-case monoid law) and the identity tower; it fails
-# on a missing second structure block elsewhere
+# six towers on the fixtures with a second structure block, each law over
+# its own: t1, t2, the composite t12 (theta), t12 reindexed along the swap
+# (gamma), f1 o f2 (the difference-case monoid law) and the identity tower;
+# it fails on a missing second structure block elsewhere
 MATRIX_WORK = {
     "validate": (0, 0), "matrix": (1, 3), "descend": (1, 1), "descend --audit": (1, 1),
     "adjoint-check": (1, 1), "compose-check": (0, 0),
@@ -494,8 +493,7 @@ def test_descent_matrix_work_per_command(fixture, command, tmp_path, monkeypatch
     calls = count_matrix_work(monkeypatch)
     run_cli(command + ["--input", str(FIXTURES / fixture)], tmp_path)
     expected = MATRIX_WORK[" ".join(command)]
-    if command == ["compose-check"] and fixture in ("compose_difference.json",
-                                                    "unit_pivot.json"):
+    if command == ["compose-check"] and "second" in json.loads((FIXTURES / fixture).read_text()):
         expected = (6, 6)
     assert tuple(calls) == expected
 
@@ -532,3 +530,23 @@ def test_berkowitz_runs_once_per_matrix(workload, tmp_path, monkeypatch):
         run_cli(command + ["--input", str(problem)], tmp_path)
         runs.append(calls[0])
     assert tuple(runs) == BERKOWITZ_RUNS[workload]
+
+
+def test_berkowitz_normalizes_each_sum_once(monkeypatch):
+    """One Berkowitz run on an n x n matrix takes one normal form per sum:
+    at step r, (r - 1)(r - 2) for the powers of the leading minor on the
+    column (none for r <= 2), max(1, r - 1) for the dot products and
+    r + 1 for the Toeplitz product, so 3 + 4 + 8 + 14 = 29 for n = 4."""
+    ring = PresentedRing.make(QQ, ("a",), [])
+    rows = [[ring.el(f"{i + 2 * j} + a^{(i * j) % 3}") for j in range(4)] for i in range(4)]
+    calls = [0]
+    original = matrices._nf_sum
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    matrix = RingMatrix(ring, rows)
+    monkeypatch.setattr(matrices, "_nf_sum", counted)
+    matrix.charpoly()
+    assert calls[0] == 29
