@@ -26,8 +26,7 @@ B = StructureAlgebra(A, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 
 print("== the projection structure is obstructed ==")
 dk = difference_algebra(QQ)
-tau_tower = OperatorTower(DStructure.identity(A, dk), B, dk,
-                          [[B.basis_el(0)], [B.zero_el()]])
+tau_tower = OperatorTower(DStructure.identity(A, dk), B, {"eps": (B.flat_ring().zero,)})
 dm = associated_matrix(tau_tower)
 print("matrix:", dm.render())
 print("invertible:", dm.invertible, "| witness:", dm.witness)
@@ -48,9 +47,8 @@ print()
 print("== the differential 4x4 block structure ==")
 By = StructureAlgebra(A, ("1", "y"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 dd = dual_numbers(QQ)
-tower = OperatorTower(DStructure.identity(A, dd), By, dd,
-                      [[By.basis_el(0), By.zero_el()],
-                       [By.basis_el(1), By.basis_el(1)]])
+y = By.flat_ring().var("y")  # f(y) = y (x) 1 + y (x) eps: sigma = id, delta(y) = y
+tower = OperatorTower(DStructure.identity(A, dd), By, {"y": (y, y)})
 dmd = associated_matrix(tower)
 for row in dmd.render():
     print("  ", row)

@@ -24,8 +24,7 @@ A = PresentedRing.base_field(field)
 z, o = A.zero, A.one
 B = StructureAlgebra(A, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 dk = difference_algebra(field)
-tower = OperatorTower(DStructure.identity(A, dk), B, dk,
-                      [[B.basis_el(0)], [B.basis_el(1)]])
+tower = OperatorTower(DStructure.identity(A, dk), B, {"eps": (B.flat_ring().var("eps"),)})
 
 print("== a free algebra descends to a polynomial ring ==")
 c_free = PresentedBAlgebra(tower, ("t",))

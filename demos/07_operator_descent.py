@@ -26,8 +26,7 @@ A = PresentedRing.base_field(field)
 z, o = A.zero, A.one
 B = StructureAlgebra(A, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 dk = difference_algebra(field)
-tower = OperatorTower(DStructure.identity(A, dk), B, dk,
-                      [[B.basis_el(0)], [B.basis_el(1)]])
+tower = OperatorTower(DStructure.identity(A, dk), B, {"eps": (B.flat_ring().var("eps"),)})
 c = PresentedBAlgebra(tower, ("t",))
 res = descend_d_structure(c, c.structure({"t": (parse_polynomial("t^2", field),)}))
 ring = res.descended
@@ -42,8 +41,7 @@ Bq = StructureAlgebra(Aq, ("1", "eps"),
                       [[[Aq.one, Aq.zero], [Aq.zero, Aq.one]],
                        [[Aq.zero, Aq.one], [Aq.zero, Aq.zero]]])
 dq = difference_algebra(QQ)
-tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, dq,
-                          [[Bq.basis_el(0)], [Bq.zero_el()]])
+tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, {"eps": (Bq.flat_ring().zero,)})
 c_bad = PresentedBAlgebra(tau_tower, ("x",))
 try:
     descend_d_structure(c_bad, c_bad.structure({"x": (c_bad.flat_ring.el("eps"),)}))
@@ -56,9 +54,8 @@ By = StructureAlgebra(Aq, ("1", "y"),
                       [[[Aq.one, Aq.zero], [Aq.zero, Aq.one]],
                        [[Aq.zero, Aq.one], [Aq.zero, Aq.zero]]])
 dd = dual_numbers(QQ)
-tower_d = OperatorTower(DStructure.identity(Aq, dd), By, dd,
-                        [[By.basis_el(0), By.zero_el()],
-                         [By.basis_el(1), By.basis_el(1)]])
+y = By.flat_ring().var("y")  # f(y) = y (x) 1 + y (x) eps: sigma = id, delta(y) = y
+tower_d = OperatorTower(DStructure.identity(Aq, dd), By, {"y": (y, y)})
 cd = PresentedBAlgebra(tower_d, ("t",))
 res_d = descend_d_structure(
     cd, cd.structure({"t": (parse_polynomial("t", QQ), parse_polynomial("t^2", QQ))})

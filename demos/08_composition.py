@@ -45,8 +45,8 @@ A = PresentedRing.base_field(field)
 z, o = A.zero, A.one
 B = StructureAlgebra(A, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 dk = difference_algebra(field)
-mk_tower = lambda: OperatorTower(DStructure.identity(A, dk), B, dk,
-                                 [[B.basis_el(0)], [B.basis_el(1)]])
+mk_tower = lambda: OperatorTower(DStructure.identity(A, dk), B,
+                                 {"eps": (B.flat_ring().var("eps"),)})
 c = PresentedBAlgebra(mk_tower(), ("t",))
 flat = c.flat_ring
 c2 = PresentedBAlgebra(mk_tower(), ("t",))

@@ -17,8 +17,7 @@ A = PresentedRing.base_field(field)
 z, o = A.zero, A.one
 B = StructureAlgebra(A, ("1", "eps"), [[[o, z], [z, o]], [[z, o], [z, z]]])
 dk = difference_algebra(field)
-tower = OperatorTower(DStructure.identity(A, dk), B, dk,
-                      [[B.basis_el(0)], [B.basis_el(1)]])
+tower = OperatorTower(DStructure.identity(A, dk), B, {"eps": (B.flat_ring().var("eps"),)})
 
 print("== enumerating algebra maps ==")
 source = PresentedRing.make(field, ("t1", "t2"), [parse_polynomial("t1^2", field)])
@@ -44,8 +43,7 @@ Bq = StructureAlgebra(Aq, ("1", "eps"),
                       [[[Aq.one, Aq.zero], [Aq.zero, Aq.one]],
                        [[Aq.zero, Aq.one], [Aq.zero, Aq.zero]]])
 dq = difference_algebra(QQ)
-tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, dq,
-                          [[Bq.basis_el(0)], [Bq.zero_el()]])
+tau_tower = OperatorTower(DStructure.identity(Aq, dq), Bq, {"eps": (Bq.flat_ring().zero,)})
 evidence = adjoint_evidence(tau_tower, [Bq.basis_el(1)])
 print("for the structure x -> eps, the unit would force")
 print("   ", evidence["system_rhs"], "=", evidence["system_matrix"], "* x_bar")

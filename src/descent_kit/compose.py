@@ -150,13 +150,13 @@ def commutes(e1: DStructure, e2: DStructure, cc: ComposedCoefficients,
 
 
 def compose_towers(t1: OperatorTower, t2: OperatorTower, cc: ComposedCoefficients):
-    """The composite tower, with coefficients ``cc`` = D2 (x) D1: base
-    structure and module structure composed."""
+    """The composite tower, with coefficients ``cc`` = D2 (x) D1: e12 is
+    e1 and e2 composed, and f12 extends it by f1 and f2 composed on B's
+    labels."""
     if t1.algebra != t2.algebra:
         raise CarrierMismatch("towers must share the module algebra")
-    e12 = compose_structures(t1.e, t2.e, cc)
-    f12 = [_pair_vector(cc, lambda q, p: t2.apply_coordinate(q, row[p])) for row in t1.f_images]
-    return OperatorTower(e12, t1.algebra, cc.product, f12)
+    return OperatorTower(compose_structures(t1.e, t2.e, cc), t1.algebra,
+                         _composite_images(t1.f, t2.f, cc, t1.algebra.labels[1:]))
 
 
 def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
@@ -179,6 +179,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     that same object.
     """
     t1, t2 = c1.tower, c2.tower
+    labels = t1.algebra.labels[1:]
     res1 = descend_d_structure(c1, g1_struct)
     classical = res1.classical
     res2 = descend_d_structure(c2, g2_struct, classical)
@@ -204,8 +205,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
 
     # swap compatibility: gamma(g12) lives over gamma(t12)
     t12_swapped = OperatorTower(
-        gamma_swap(t12.e, cc, cc_swapped), t12.algebra, cc_swapped.product,
-        [_swapped(row, cc, cc_swapped) for row in t12.f_images],
+        gamma_swap(t12.e, cc, cc_swapped), t12.algebra,
+        {b: _swapped(t12.f.images[b], cc, cc_swapped) for b in labels},
     )
     g12_swapped = {gen: _swapped(g12[gen], cc, cc_swapped) for gen in c1.generators}
     gamma_ok = descend(t12_swapped, g12_swapped).agrees_with(
@@ -224,10 +225,8 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
                         _composite_images(g2_struct, g1_struct, cc_swapped, c1.generators))
         report["difference_monoid_law"] = law_w.agrees_with(
             compose_structures(res2.structure, res1.structure, cc_swapped), w_ring.variables)
-        id_tower = OperatorTower(
-            DStructure.identity(t1.base_ring, t1.coeff), t1.algebra, t1.coeff,
-            [[t1.algebra.basis_el(i)] for i in range(t1.rank)],
-        )
+        id_tower = OperatorTower(DStructure.identity(t1.base_ring, t1.coeff), t1.algebra,
+                                 {b: (t1.flat_b.var(b),) for b in labels})
         id_w = descend(id_tower, {gen: (c1.flat_ring.var(gen),) for gen in c1.generators})
         report["identity_descends_to_identity"] = id_w.agrees_with(
             DStructure.identity(w_ring, t1.coeff),

@@ -177,14 +177,17 @@ def _parse_ring(data, field, path, base: PresentedRing = None, taken=()) -> Pres
     """The ring presented at ``path``, by one extension of ``base`` when it
     is given.  Its new variables may not be named like ``base``'s or like
     any of ``taken``.  Its relations are read in the free ring on all its
-    variables, whose empty basis takes no Groebner run."""
+    variables, whose empty basis takes no Groebner run.  They may not
+    generate the unit ideal, so no later layer meets a zero ring."""
     old = base.variables if base else ()
     variables = _names(data.get("variables", []), f"{path}.variables", old + taken)
     free = PresentedRing(field, GroebnerBasis((), DegRevLex(old + variables)))
     rels = _vector(data.get("relations", []), free.el, f"{path}.relations")
-    if base is None:
-        return PresentedRing.make(field, variables, rels)
-    return base.extend(variables, rels)
+    ring = (PresentedRing.make(field, variables, rels) if base is None
+            else base.extend(variables, rels))
+    if any(g.is_constant() for g in ring.relations.generators):
+        raise ParseError(f"{path}.relations generate the unit ideal")
+    return ring
 
 
 def _parse_images(images, ring, dim, variables, path) -> dict:
@@ -207,13 +210,9 @@ def _parse_structures(values, paths, a_ring, algebra, generators, relations):
     coeff = _parse_coefficient_algebra(values[0], a_ring.field, paths[0])
     e = DStructure(a_ring, coeff,
                    _parse_images(values[1], a_ring, coeff.dim, a_ring.variables, paths[1]))
-    labels = algebra.labels[1:]
-    b_images = _parse_images(values[2], algebra.flat_ring(), coeff.dim, labels, paths[2])
-    # f(1) is the unit of D(B); the other labels' images are coordinatized
-    unit = algebra.one_el()
-    f_images = [tuple(unit.scale(a_ring.constant(c)) for c in coeff.unit)]
-    f_images += [tuple(map(algebra.coordinatize, b_images[label])) for label in labels]
-    tower = OperatorTower(e, algebra, coeff, f_images)
+    # f extends e by the images of B's labels, read in B's flat ring
+    tower = OperatorTower(e, algebra, _parse_images(
+        values[2], algebra.flat_ring(), coeff.dim, algebra.labels[1:], paths[2]))
     certificates = tower.validate()
     c = PresentedBAlgebra(tower, generators, relations)
     g = c.structure(_parse_images(values[3], c.flat_ring, coeff.dim, generators, paths[3]))

@@ -1,43 +1,46 @@
 """The base data of a descent problem: (A, e) <= (B, f) and algebras over it.
 
-``OperatorTower`` packages the base ring with its operator structure, the
-free finite module algebra B with basis coordinates, and the operator
-images of the basis elements.  ``PresentedBAlgebra`` presents an algebra C
-over B by generators and relations, written flat (using the basis labels
-as symbols) on the flattened presentation of the whole tower.
+``OperatorTower`` packages the base ring with its operator structure e,
+the free finite module algebra B with basis coordinates, and f, built as
+C's structure is: one operator structure on B's flat ring that extends e
+by the images of the basis labels.  The coordinate rows of f are read off
+it.  ``PresentedBAlgebra`` presents an algebra C over B by generators and
+relations, written flat (using the basis labels as symbols) on the
+flattened presentation of the whole tower.
 """
 
 from __future__ import annotations
 
-from .dalgebra import DCoefficientAlgebra
 from .dstructures import DStructure
+from .errors import CertificateFailure
 from .polynomials import Polynomial
 from .presented import PresentedRing
-from .structure import AlgebraElement, StructureAlgebra
+from .structure import StructureAlgebra
 
 
 class OperatorTower:
-    """(A, e) and a free finite (A, e)-algebra (B, f) with a fixed basis."""
+    """(A, e) and a free finite (A, e)-algebra (B, f) with a fixed basis.
 
-    __slots__ = ("e", "algebra", "coeff", "f_images", "_f_flat", "_descent_matrix")
+    f is one operator structure on B's flat ring, extending e by the images
+    of the basis labels; its coefficient algebra is e's.  The coordinate
+    rows of f, ``rows[i][k]`` = f_k(b_i) in coordinates over A (0-based),
+    are read off f once, when the tower is built.
+    """
 
-    def __init__(self, e: DStructure, algebra: StructureAlgebra, coeff: DCoefficientAlgebra, f_images):
+    __slots__ = ("e", "algebra", "coeff", "f", "rows", "_descent_matrix")
+
+    def __init__(self, e: DStructure, algebra: StructureAlgebra, label_images):
         if e.carrier != algebra.base:
             raise ValueError("the base structure must live on the algebra's base ring")
-        if e.coeff != coeff:
-            raise ValueError("base structure and tower use different coefficient algebras")
         self.e = e
         self.algebra = algebra
-        self.coeff = coeff
-        r, l = algebra.rank, coeff.dim
-        rows = []
-        for i in range(r):
-            vec = tuple(f_images[i])
-            if len(vec) != l:
-                raise ValueError("each basis image needs one coordinate per basis element of D")
-            rows.append(vec)
-        self.f_images = tuple(rows)
-        self._f_flat = None
+        self.coeff = e.coeff
+        self.f = DStructure(algebra.flat_ring(), e.coeff, {**e.images, **label_images}, base=e)
+        self.rows = tuple(
+            tuple(map(algebra.coordinatize,
+                      self.f.apply(algebra.reconstruct(algebra.basis_el(i))).coords))
+            for i in range(algebra.rank)
+        )
         # filled by ``descent_matrix.associated_matrix``, the one place that
         # builds and decides the tower's matrix; this module does not import
         # the matrix layer, which ``validate`` never loads
@@ -53,28 +56,12 @@ class OperatorTower:
 
     def lambda_f(self, n: int, k: int, i: int) -> Polynomial:
         """lambda_n(f_k(b_i)) over A; all indices 0-based."""
-        return self.f_images[i][k].coords[n]
+        return self.rows[i][k].coords[n]
 
     @property
     def flat_b(self) -> PresentedRing:
         """B presented over k; the algebra builds it once for every tower."""
         return self.algebra.flat_ring()
-
-    @property
-    def f_flat(self) -> DStructure:
-        """The structure f as a DStructure on the flattened presentation of B."""
-        if self._f_flat is None:
-            ring = self.flat_b
-            images = {}
-            for v in self.e.carrier.variables:
-                images[v] = self.e.images[v]
-            for i in range(1, self.rank):
-                label = self.algebra.labels[i]
-                images[label] = tuple(
-                    self.algebra.reconstruct(self.f_images[i][k]) for k in range(self.coeff.dim)
-                )
-            self._f_flat = DStructure(ring, self.coeff, images, base=self.e)
-        return self._f_flat
 
     def validate(self):
         certificates = [{"check": "module_algebra_axioms", "ok": True}]
@@ -82,19 +69,12 @@ class OperatorTower:
         self.e.validate()
         # f(1) must be the unit of D(B)
         one = self.algebra.one_el()
-        for k in range(self.coeff.dim):
-            expected = one.scale(self.base_ring.constant(self.coeff.unit[k]))
-            if not self.f_images[0][k].equal(expected):
-                raise ValueError("f(1) is not the unit of D(B)")
+        for k, image in enumerate(self.rows[0]):
+            if not image.equal(one.scale(self.base_ring.constant(self.coeff.unit[k]))):
+                raise CertificateFailure("unit_maps_to_unit", "f(1) is not the unit of D(B)")
         certificates.append({"check": "unit_maps_to_unit", "ok": True})
-        certificates += self.f_flat.validate()
+        certificates += self.f.validate()
         return certificates
-
-    def apply_coordinate(self, k: int, element: AlgebraElement) -> AlgebraElement:
-        """f_k applied to an element of B, staying in coordinates (0-based k)."""
-        flat = self.algebra.reconstruct(element)
-        out_flat = self.f_flat.coordinate_op(k + 1, flat)
-        return self.algebra.coordinatize(out_flat)
 
     # -- associated endomorphisms --------------------------------------------------
 
@@ -102,7 +82,7 @@ class OperatorTower:
         """Images of the basis under the associated endomorphism of a factor:
         the coordinate of f at the factor's unit."""
         unit = self.coeff.factor_units[factor]
-        return [self.f_images[i][unit] for i in range(self.rank)]
+        return [row[unit] for row in self.rows]
 
 
 class PresentedBAlgebra:
@@ -125,7 +105,7 @@ class PresentedBAlgebra:
 
     def structure(self, images: dict) -> DStructure:
         """Attach operator images (flat polynomials, one l-tuple per generator)."""
-        full = {v: self.tower.f_flat.images[v] for v in self.tower.flat_b.variables}
+        full = dict(self.tower.f.images)
         for x in self.generators:
             full[x] = images[x]  # normalized over flat_ring by the constructor
-        return DStructure(self.flat_ring, self.tower.coeff, full, base=self.tower.f_flat)
+        return DStructure(self.flat_ring, self.tower.coeff, full, base=self.tower.f)

@@ -133,13 +133,10 @@ def sparse_cells(field, constants):
     )
 
 
-def db_elements(coeff, algebra):
-    """Helpers for arithmetic in D(B): unit, multiply, scale-by-D-vector."""
+def db_multiply(coeff, algebra):
+    """The product of D(B): elements are l-vectors of elements of B."""
     l = coeff.dim
     base = algebra.base
-
-    def unit():
-        return [algebra.one_el().scale(base.constant(coeff.unit[k])) for k in range(l)]
 
     def mul(x, y):
         out = [algebra.zero_el() for _ in range(l)]
@@ -154,7 +151,7 @@ def db_elements(coeff, algebra):
                     out[m] = out[m] + prod.scale(base.constant(a))
         return out
 
-    return unit, mul
+    return mul
 
 
 def random_scalar(field, rng):
@@ -185,13 +182,22 @@ def random_db_element(coeff, algebra, rng):
 BASE_RELATIONS = ("a^2 - 2", "a^3")
 
 
-def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None):
+def label_images(algebra, rows):
+    """The label images of a tower on ``algebra`` from its coordinate rows:
+    ``rows[i - 1][k]`` is f_k(b_i) as an element of B, for i from 1 on."""
+    return {label: tuple(map(algebra.reconstruct, row))
+            for label, row in zip(algebra.labels[1:], rows)}
+
+
+def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None, e=None):
     """A valid (A, e) <= (B, f) drawn from a parametrized family.  A is k,
     or k[a]/(base_relation) with e the identity on A; then the D(B)
     coefficients of f(w) are drawn from {c, c a}, so the descent matrix's
     entries involve a.  ``algebra``, when given, is the module algebra B to
     reuse, ``monogenic_algebra(A, kind)`` of an earlier draw, so that two
-    towers share it; A is then its base ring."""
+    towers share it; A is then its base ring.  ``e``, when given, is the
+    structure on that A that f extends, in place of the identity; B's
+    relations have coefficients in k, so any e will do."""
     if algebra is None:
         if base_relation is None:
             a_ring = PresentedRing.base_field(field)
@@ -200,8 +206,8 @@ def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None):
             a_ring = PresentedRing.make(field, ("a",), [free.el(base_relation)])
         algebra = monogenic_algebra(a_ring, kind)
     a_ring = algebra.base
-    e = DStructure.identity(a_ring, coeff)
-    unit, mul = db_elements(coeff, algebra)
+    e = DStructure.identity(a_ring, coeff) if e is None else e
+    mul = db_multiply(coeff, algebra)
     l = coeff.dim
 
     def embed(el):
@@ -231,10 +237,8 @@ def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None):
             for k in range(l):
                 if not field.is_zero(idem[k]):
                     z[k] = z[k] + base_el.scale(a_ring.constant(idem[k]))
-    f_images = [unit(), z]
-    if kind == "nil3":
-        f_images.append(mul(z, z))
-    tower = OperatorTower(e, algebra, coeff, f_images)
+    rows = [z, mul(z, z)] if kind == "nil3" else [z]
+    tower = OperatorTower(e, algebra, label_images(algebra, rows))
     tower.validate()
     return tower
 

@@ -3,6 +3,7 @@
     python3 tests/mutants.py --list                 # count the mutation points
     python3 tests/mutants.py --seed 1 --sample 50   # run a seeded sample
     python3 tests/mutants.py --seed 1 --sample 50 --root CHECKOUT
+    python3 tests/mutants.py --module tower --sample 1000  # every point of one module
 
 A mutation point is one small change to one module of ``MODULES``:
 
@@ -14,10 +15,11 @@ A mutation point is one small change to one module of ``MODULES``:
 
 The points are read from the source with ``ast`` and the change is made in
 the source text, so the rest of the module stays as it is.  A sample is
-drawn from all points with the seed given.  Each mutant is written into a
-copy of the checkout in a temporary directory, never into the checkout
-itself, and the kill set runs there with ``pytest -x``: the pinned reports
-first (``tests/test_golden.py``, ``tests/test_bench_pins.py``,
+drawn with the seed given from all points, or from one module's with
+``--module``.  Each mutant is written into a copy of the checkout in a
+temporary directory, never into the checkout itself, and the kill set
+runs there with ``pytest -x``: the pinned reports first
+(``tests/test_golden.py``, ``tests/test_bench_pins.py``,
 ``tests/test_scaled_golden.py``), then the kernel and pipeline tests.  A
 mutant is killed when the run fails or passes its time limit.  Survivors
 that ``EQUIVALENT`` lists are reported as equivalent, the rest as survived.
@@ -41,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("matrices", "linear", "groebner", "dalgebra", "structure", "descent_matrix",
-           "weil_d", "weil", "homs", "polynomials", "dstructures", "compose")
+           "weil_d", "weil", "homs", "polynomials", "dstructures", "compose", "tower")
 KILL_SET = (
     "test_golden.py", "test_bench_pins.py", "test_scaled_golden.py",
     "test_matrices.py", "test_eliminator.py", "test_groebner.py",
@@ -193,10 +195,11 @@ def main(argv=None):
     parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to mutate")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--sample", type=int, default=50)
+    parser.add_argument("--module", choices=MODULES, help="draw only this module's points")
     parser.add_argument("--list", action="store_true", help="only count the points")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    points = population(root)
+    points = [p for p in population(root) if args.module in (None, p[0])]
     if args.list:
         for module in MODULES:
             print(f"{sum(p[0] == module for p in points):5d}  {module}")

@@ -282,8 +282,8 @@ def difference_subtower(tower: OperatorTower, factor: int, dk) -> OperatorTower:
     e_i = DStructure(
         tower.e.carrier, dk, {v: (p,) for v, p in associated_images(tower.e, factor).items()}
     )
-    tau = [(img,) for img in tower.endo_images(factor)]
-    return OperatorTower(e_i, tower.algebra, dk, tau)
+    tau = associated_images(tower.f, factor)
+    return OperatorTower(e_i, tower.algebra, {b: (tau[b],) for b in tower.algebra.labels[1:]})
 
 
 def _is_identity(structure: DStructure) -> bool:

@@ -65,18 +65,14 @@ def _projection_tower(field):
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
     d = difference_algebra(field)
-    return OperatorTower(
-        DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.zero_el()]]
-    )
+    return OperatorTower(DStructure.identity(a, d), b, {"eps": (b.flat_ring().zero,)})
 
 
 def _identity_tower(field):
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
     d = difference_algebra(field)
-    return OperatorTower(
-        DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.basis_el(1)]]
-    )
+    return OperatorTower(DStructure.identity(a, d), b, {"eps": (b.flat_ring().var("eps"),)})
 
 
 def _differential_tower():
@@ -86,10 +82,8 @@ def _differential_tower():
         [[[a.one, a.zero], [a.zero, a.one]], [[a.zero, a.one], [a.zero, a.zero]]],
     )
     d = dual_numbers(QQ)
-    return OperatorTower(
-        DStructure.identity(a, d), b, d,
-        [[b.basis_el(0), b.zero_el()], [b.basis_el(1), b.basis_el(1)]],
-    )
+    y = b.flat_ring().var("y")
+    return OperatorTower(DStructure.identity(a, d), b, {"y": (y, y)})
 
 
 def test_criterion_1_introduction_counterexample(tmp_path):
@@ -335,13 +329,9 @@ def test_criterion_9_composition_suite():
              [[a.zero, a.one], [a.zero, a.zero]]],
         )
         dk, dd = difference_algebra(QQ), dual_numbers(QQ)
-        tw_sigma = OperatorTower(
-            DStructure.identity(a, dk), by, dk, [[by.basis_el(0)], [by.basis_el(1)]]
-        )
-        tw_delta = OperatorTower(
-            DStructure.identity(a, dd), by, dd,
-            [[by.basis_el(0), by.zero_el()], [by.basis_el(1), by.zero_el()]],
-        )
+        y = by.flat_ring().var("y")
+        tw_sigma = OperatorTower(DStructure.identity(a, dk), by, {"y": (y,)})
+        tw_delta = OperatorTower(DStructure.identity(a, dd), by, {"y": (y, by.flat_ring().zero)})
         c = PresentedBAlgebra(tw_sigma, ("x",))
         flat2 = c.flat_ring
         c_delta = PresentedBAlgebra(tw_delta, ("x",))

@@ -29,7 +29,7 @@ from descent_kit import compose
 from descent_kit.cli import main
 from descent_kit.errors import CarrierMismatch
 from conftest import (BASE_RELATIONS, COEFF_BUILDERS, FIXTURES, dual_basis_algebra,
-                      monogenic_algebra, random_tower)
+                      label_images, monogenic_algebra, random_tower)
 from paper_checks import check_tensor_associated_endos, tensor_compose_check
 
 
@@ -127,9 +127,7 @@ def _f2_tower():
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
     d = difference_algebra(field)
-    return OperatorTower(
-        DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.basis_el(1)]]
-    )
+    return OperatorTower(DStructure.identity(a, d), b, {"eps": (b.flat_ring().var("eps"),)})
 
 
 def _f2_difference_check():
@@ -219,13 +217,9 @@ def test_commuting_pair_descends_to_commuting_pair():
         [[[a.one, a.zero], [a.zero, a.one]], [[a.zero, a.one], [a.zero, a.zero]]],
     )
     dk, dd = difference_algebra(QQ), dual_numbers(QQ)
-    tw_sigma = OperatorTower(
-        DStructure.identity(a, dk), by, dk, [[by.basis_el(0)], [by.basis_el(1)]]
-    )
-    tw_delta = OperatorTower(
-        DStructure.identity(a, dd), by, dd,
-        [[by.basis_el(0), by.zero_el()], [by.basis_el(1), by.zero_el()]],
-    )
+    y = by.flat_ring().var("y")
+    tw_sigma = OperatorTower(DStructure.identity(a, dk), by, {"y": (y,)})
+    tw_delta = OperatorTower(DStructure.identity(a, dd), by, {"y": (y, by.flat_ring().zero)})
     c = PresentedBAlgebra(tw_sigma, ("x",))
     flat = c.flat_ring
     c_delta = PresentedBAlgebra(tw_delta, ("x",))
@@ -245,10 +239,8 @@ def test_self_commuting_structures_stay_commuting():
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
     d2 = product_of_fields(field, 2)
-    tw = OperatorTower(
-        DStructure.identity(a, d2), b, d2,
-        [[b.basis_el(0), b.basis_el(0)], [b.basis_el(1), b.basis_el(1)]],
-    )
+    tw = OperatorTower(DStructure.identity(a, d2), b,
+                       DStructure.identity(b.flat_ring(), d2).images)
     c = PresentedBAlgebra(tw, ("t",))
     flat = c.flat_ring
     g = {"t": (flat.el("t+1"), flat.el("t+eps"))}
@@ -330,10 +322,10 @@ def test_gamma_holds_on_a_non_commuting_unit_pivot_pair(tmp_path):
 
 def _dual_numbers_tower(algebra, w_image, w2_image):
     """(QQ, id) <= (B = QQ[w]/(w^3), f) over the dual numbers, f given on
-    the basis 1, w, w^2 as (sigma, delta) pairs; validated."""
+    the labels w, w^2 as (sigma, delta) pairs of elements of B; validated."""
     dd = dual_numbers(QQ)
-    tower = OperatorTower(DStructure.identity(algebra.base, dd), algebra, dd,
-                          [(algebra.one_el(), algebra.zero_el()), w_image, w2_image])
+    tower = OperatorTower(DStructure.identity(algebra.base, dd), algebra,
+                          label_images(algebra, [w_image, w2_image]))
     tower.validate()
     return tower
 

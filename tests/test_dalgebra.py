@@ -662,14 +662,14 @@ def test_associated_endomorphisms_match_the_projection_sums(name, field, kind, s
     d = COEFF_BUILDERS[name](field)
     tower = random_tower(field, d, kind, random.Random(seed))
     ring = tower.base_ring
-    structure = tower.f_flat
+    structure = tower.f
     for factor, pi in enumerate(reference_projections(d)):
         expected = []
         for i in range(tower.rank):
             acc = tower.algebra.zero_el()
             for k, c in enumerate(pi):
                 if not field.is_zero(c):
-                    acc = acc + tower.f_images[i][k].scale(ring.constant(c))
+                    acc = acc + tower.rows[i][k].scale(ring.constant(c))
             expected.append(acc.coords)
         assert [el.coords for el in tower.endo_images(factor)] == expected
         carrier = structure.carrier

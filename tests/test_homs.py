@@ -26,8 +26,8 @@ def f2_tower(f_eps="eps"):
     a = PresentedRing.base_field(F2)
     b = dual_basis_algebra(a)
     d = difference_algebra(F2)
-    image = b.basis_el(1) if f_eps == "eps" else b.zero_el()
-    return OperatorTower(DStructure.identity(a, d), b, d, [[b.basis_el(0)], [image]])
+    image = b.flat_ring().el(f_eps)
+    return OperatorTower(DStructure.identity(a, d), b, {"eps": (image,)})
 
 
 def test_target_elements_deterministic_and_complete():
@@ -110,9 +110,7 @@ def test_adjoint_evidence_reports():
     a = PresentedRing.base_field(QQ)
     b = dual_basis_algebra(a)
     d = difference_algebra(QQ)
-    tower_q = OperatorTower(
-        DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.zero_el()]]
-    )
+    tower_q = OperatorTower(DStructure.identity(a, d), b, {"eps": (b.flat_ring().zero,)})
     report = adjoint_evidence(tower_q, [b.basis_el(1)])
     assert report["system_rhs"] == ["0", "1"]
     assert report["system_matrix"] == [["1", "0"], ["0", "0"]]

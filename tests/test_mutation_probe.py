@@ -31,6 +31,8 @@ mod 3.  Each name list is given a repeated name
 or a name that is already a variable of the ring it extends.  Every command
 must then exit 1 with a ``ParseError`` whose detail begins with the JSON
 path of the string, such as ``C.images.t[0]: `` or ``C.generators[1] ``.
+So must relations of A or R that generate the unit ideal, with
+``A.relations generate the unit ideal``.
 """
 
 import contextlib
@@ -287,3 +289,15 @@ def _renamed(doc):
 def test_a_repeated_name_is_named_by_its_path(tmp_path):
     for path, mutant in _renamed(json.loads((FIXTURES / "unit_pivot.json").read_text())):
         _assert_named(path, mutant, tmp_path, " ")
+
+
+@pytest.mark.parametrize("section, relations", [
+    ("A", ["-1"]), ("A", ["a", "a - 1"]), ("R", ["-1"]), ("R", ["u", "u - 1"]),
+])
+def test_relations_that_generate_one_are_named_by_their_path(section, relations, tmp_path):
+    """A and R may not be the zero ring: relations that generate the unit
+    ideal, one constant or two that generate 1 together, are refused where
+    they are read."""
+    doc = json.loads((FIXTURES / "unit_pivot.json").read_text())
+    mutant = _replaced(doc, (section, "relations"), relations)
+    _assert_named(f"{section}.relations", mutant, tmp_path, " generate the unit ideal")

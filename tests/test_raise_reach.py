@@ -79,12 +79,11 @@ NOT_HIT = {
     "structure.StructureAlgebra.__init__: ValueError": LIBRARY,
     "structure.StructureAlgebra.__init__: ValueError #2": LIBRARY,
     "structure.StructureAlgebra.base_change: ValueError": LIBRARY,
+    "structure.StructureAlgebra.flat_ring: ValueError": LIBRARY,
     "structure.evaluate_poly: KeyError": LIBRARY,
     "structure.evaluate_poly: ValueError": LIBRARY,
     "tower.OperatorTower.__init__: ValueError": LIBRARY,
-    "tower.OperatorTower.__init__: ValueError #2": LIBRARY,
-    "tower.OperatorTower.__init__: ValueError #3": LIBRARY,
-    "tower.OperatorTower.validate: ValueError": LIBRARY,
+    "tower.OperatorTower.validate: CertificateFailure": CERTIFICATE,
     "weil.tau_forward: NotAHomomorphism": CERTIFICATE,
     "weil.tau_forward: NotAHomomorphism #2": CERTIFICATE,
     "weil.tau_forward: ValueError": LIBRARY,

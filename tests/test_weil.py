@@ -27,9 +27,7 @@ def f2_tower():
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
     d = difference_algebra(field)
-    return OperatorTower(
-        DStructure.identity(a, d), b, d, [[b.basis_el(0)], [b.basis_el(1)]]
-    )
+    return OperatorTower(DStructure.identity(a, d), b, {"eps": (b.flat_ring().var("eps"),)})
 
 
 def test_free_algebra_descends_to_polynomials(f2_tower):
@@ -195,9 +193,8 @@ def test_one_classical_descent_serves_every_tower_on_the_same_algebra(f2_tower):
     b = f2_tower.algebra
     d2 = product_of_fields(field, 2)
     a = b.base
-    unit = [a.constant(x) for x in d2.unit]
-    tower2 = OperatorTower(DStructure.identity(a, d2), b, d2,
-                           [[b.basis_el(i).scale(u) for u in unit] for i in range(b.rank)])
+    tower2 = OperatorTower(DStructure.identity(a, d2), b,
+                           DStructure.identity(b.flat_ring(), d2).images)
     c2 = PresentedBAlgebra(tower2, ("t",), rel)
     g2 = c2.structure({"t": DStructure.identity(c2.flat_ring, d2).images["t"]})
     res2 = descend_d_structure(c2, g2, res1.classical)

@@ -385,10 +385,8 @@ def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
     field = GF(2)
     a = PresentedRing.base_field(field)
     b = dual_basis_algebra(a)
-    tower = OperatorTower(
-        DStructure.identity(a, difference_algebra(field)), b, difference_algebra(field),
-        [[b.basis_el(0)], [b.basis_el(1)]],
-    )
+    tower = OperatorTower(DStructure.identity(a, difference_algebra(field)), b,
+                          {"eps": (b.flat_ring().var("eps"),)})
     result = weil_descend(PresentedBAlgebra(tower, ("s", "t")))
     flat = parse_polynomial("s*t + t^2 + s", field)
     units = result.unit_map()
