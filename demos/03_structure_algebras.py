@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from descent_kit import QQ, GF, PresentedRing, StructureAlgebra
 from descent_kit.errors import InvalidAlgebra
-from paper_checks import tensor_presented
+from paper_checks import reconstruct, tensor_presented
 
 A = PresentedRing.base_field(QQ)
 z, o = A.zero, A.one
@@ -53,7 +53,7 @@ flat = B.flat_ring()
 print("flat presentation:", flat)
 el = B.coordinatize(flat.el("3 + 2*eps"))
 print("coordinates of 3 + 2*eps:", el)
-print("round trip:", B.coordinatize(B.reconstruct(el)).equal(el))
+print("round trip:", B.coordinatize(reconstruct(B, el)).coords == el.coords)
 
 print()
 print("== tensor products of presentations ==")

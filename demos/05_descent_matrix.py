@@ -4,7 +4,8 @@ For a free finite module algebra B over A with a structure f, the
 rl x rl matrix with blocks sum_k a_jkm lambda_n(f_k(b_i)) controls
 everything: descent exists exactly when it is invertible, and in the
 stratified coefficient basis it is block lower triangular with the
-associated endomorphism matrices on the diagonal.
+associated endomorphism matrices on the diagonal: ``diagonal_block``
+reads each one off.
 """
 
 import sys
@@ -15,8 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from descent_kit import (
     QQ, DStructure, OperatorTower, PresentedRing, StructureAlgebra,
-    associated_matrix, difference_algebra, dual_numbers, endo_matrix,
-    invertibility_equivalences,
+    associated_matrix, difference_algebra, dual_numbers, invertibility_equivalences,
 )
 from paper_checks import change_of_basis_check
 
@@ -30,8 +30,7 @@ tau_tower = OperatorTower(DStructure.identity(A, dk), B, {"eps": (B.flat_ring().
 dm = associated_matrix(tau_tower)
 print("matrix:", dm.render())
 print("invertible:", dm.invertible, "| witness:", dm.witness)
-print("equivalences report:",
-      invertibility_equivalences(tau_tower.algebra, tau_tower.endo_images(0)))
+print("equivalences report:", invertibility_equivalences(dm.diagonal_block(0)))
 
 print()
 print("== a non-unit determinant over K[x] ==")
@@ -39,7 +38,8 @@ kx = PresentedRing.make(QQ, ("x",), [])
 bx = StructureAlgebra(kx, ("1", "eps"),
                       [[[kx.one, kx.zero], [kx.zero, kx.one]],
                        [[kx.zero, kx.one], [kx.zero, kx.zero]]])
-m = endo_matrix(bx, [bx.basis_el(0), bx.basis_el(1).scale(kx.var("x"))])
+x_tower = OperatorTower(DStructure.identity(kx, dk), bx, {"eps": (bx.flat_ring().el("x*eps"),)})
+m = associated_matrix(x_tower).diagonal_block(0)
 print("matrix of p+q*eps -> p+x*q*eps:", m.render())
 print("determinant:", kx.render(m.det()), " -> not a unit, so not invertible")
 

@@ -26,8 +26,7 @@ _EXPORTS = {
                  "dual_numbers_times_field", "product_of_fields", "truncated_jets"),
     "dstructures": ("DStructure", "truncated_operator_polynomials"),
     "tower": ("OperatorTower", "PresentedBAlgebra"),
-    "descent_matrix": ("DescentMatrix", "associated_matrix", "endo_matrix",
-                       "invertibility_equivalences"),
+    "descent_matrix": ("DescentMatrix", "associated_matrix", "invertibility_equivalences"),
     "matrices": ("RingMatrix",),
     "weil": ("WeilDescentResult", "tau_forward", "tau_inverse", "weil_descend"),
     "weil_d": ("DDescentResult", "descend_d_structure", "rederive_images", "tau_d_forward",

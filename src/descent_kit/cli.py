@@ -86,14 +86,11 @@ def _cmd_matrix(problem, args):
         report["inverse"] = dm.inverse.render()
     if dm.witness:
         report["witness"] = dm.witness
-    equivalences = []
-    for factor in range(problem.tower.coeff.factor_count):
-        images = problem.tower.endo_images(factor)
-        equivalences.append(
-            {"factor": factor + 1,
-             **invertibility_equivalences(problem.tower.algebra, images)}
-        )
-    report["endomorphism_equivalences"] = equivalences
+    # the diagonal block at a factor's unit is its associated endomorphism
+    report["endomorphism_equivalences"] = [
+        {"factor": factor + 1, **invertibility_equivalences(dm.diagonal_block(unit))}
+        for factor, unit in enumerate(problem.tower.coeff.factor_units)
+    ]
     return report, 0
 
 

@@ -13,7 +13,7 @@ checked by the tests (``tests/paper_checks.py``).
 from __future__ import annotations
 
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
-from .descent_matrix import endo_matrix
+from .descent_matrix import associated_matrix
 from .dstructures import DStructure
 from .errors import CarrierMismatch
 from .presented import PresentedRing
@@ -197,11 +197,11 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
     composed_w = compose_structures(res1.structure, res2.structure, cc)
     theta_ok = descend(t12, g12).agrees_with(composed_w, w_ring.variables)
 
-    # composite associated endomorphisms have invertible matrix (pairwise)
-    pair_invertible = []
-    for factor in range(cc.product.factor_count):
-        det = endo_matrix(t12.algebra, t12.endo_images(factor)).det()
-        pair_invertible.append(t12.base_ring.is_unit(det))
+    # composite associated endomorphisms have invertible matrix (pairwise):
+    # the diagonal blocks of t12's matrix, which its descent above built
+    dm12 = associated_matrix(t12)
+    pair_invertible = [t12.base_ring.is_unit(dm12.diagonal_block(unit).det())
+                       for unit in cc.product.factor_units]
 
     # swap compatibility: gamma(g12) lives over gamma(t12)
     t12_swapped = OperatorTower(

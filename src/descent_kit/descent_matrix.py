@@ -15,15 +15,19 @@ with the associated endomorphism matrices on the diagonal, and that is
 exactly why its invertibility reduces to theirs.  The shape is not
 checked anywhere: it follows from the stratified basis that
 ``build_d_algebra`` certifies (a product eps_j eps_k inside a factor
-lies in m^(s_j + s_k), so a_jkm = 0 for m < j, and a_jkj = [stratum of k
-is 0]), so a ``DescentMatrix`` keeps only the one assembled matrix.
+lies in m^(s_j + s_k), so a_jkm = 0 for m < j, and a_jkj = [k is the
+unit of j's factor]), so a ``DescentMatrix`` keeps only the one assembled
+matrix, and ``DescentMatrix.diagonal_block(j)`` is the matrix of the
+associated endomorphism of j's factor: the one place that matrix is read.
 
-Invertibility is a fact about the tower alone, so ``associated_matrix``
-builds a tower's matrix once, decides it once (its inverse over the base
-ring, or the witness that there is none) and keeps it on the tower, where
-every later caller finds it.  The matrix and its inverse stay over A: a
-caller whose vectors live in an extension R of A (W(C), its pre-quotient
-ring, a test algebra) hands R to ``RingMatrix.apply`` or ``solve_cramer``.
+``associated_matrix`` is the one place that reads f in coordinates over
+A: it coordinatizes f_k(b_i) while it assembles the matrix.  Invertibility
+is a fact about the tower alone, so it builds a tower's matrix once,
+decides it once (its inverse over the base ring, or the witness that there
+is none) and keeps it on the tower, where every later caller finds it.
+The matrix and its inverse stay over A: a caller whose vectors live in an
+extension R of A (W(C), its pre-quotient ring, a test algebra) hands R to
+``RingMatrix.apply`` or ``solve_cramer``.
 """
 
 from __future__ import annotations
@@ -32,19 +36,6 @@ from . import linear
 from .errors import NonInvertibleMatrix
 from .matrices import RingMatrix
 from .tower import OperatorTower
-
-
-def endo_matrix(algebra, sigma_images) -> RingMatrix:
-    """The r x r matrix of an endomorphism given on the basis.
-
-    ``sigma_images[i]`` is sigma(b_i) as an AlgebraElement; entry (n, i) is
-    its n-th coordinate.
-    """
-    r = algebra.rank
-    ring = algebra.base
-    return RingMatrix(
-        ring, [[sigma_images[i].coords[n] for i in range(r)] for n in range(r)]
-    )
 
 
 class DescentMatrix:
@@ -66,6 +57,13 @@ class DescentMatrix:
     @property
     def invertible(self) -> str:
         return "no" if self.inverse is None else "yes"
+
+    def diagonal_block(self, j: int) -> RingMatrix:
+        """Block (j, j), 0-based: the r x r matrix of the associated
+        endomorphism of j's factor, entry (n, i) = lambda_n(sigma(b_i))."""
+        r = self.r
+        rows = self.matrix.rows[j * r:(j + 1) * r]
+        return RingMatrix(self.matrix.ring, [row[j * r:(j + 1) * r] for row in rows])
 
     @staticmethod
     def pack(blocks):
@@ -106,46 +104,42 @@ def assemble_matrix(ring, r, l, cells, lam) -> RingMatrix:
 def associated_matrix(tower: OperatorTower) -> DescentMatrix:
     """The matrix associated to (B, f) in the stratified coefficient basis.
 
-    Built and decided on the first call for a tower, and kept in the slot
-    the tower declares for it, which nothing else fills.
+    The coordinates lambda_n(f_k(b_i)) are read off f here, once per basis
+    element and coordinate operator: f(1) and the label images, each
+    coordinatized over A.  Built and decided on the first call for a tower,
+    and kept in the slot the tower declares for it, which nothing else fills.
     """
     if tower._descent_matrix is None:
-        ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
-        tower._descent_matrix = DescentMatrix(
-            r, l, assemble_matrix(ring, r, l, tower.coeff.cells, tower.lambda_f))
+        algebra, f, flat = tower.algebra, tower.f, tower.flat_b
+        ring, r, l = algebra.base, algebra.rank, tower.coeff.dim
+        images = [f.apply(flat.one).coords] + [f.images[b] for b in algebra.labels[1:]]
+        coords = [[algebra.coordinatize(x).coords for x in image] for image in images]
+        tower._descent_matrix = DescentMatrix(r, l, assemble_matrix(
+            ring, r, l, tower.coeff.cells, lambda n, k, i: coords[i][k][n]))
     return tower._descent_matrix
 
 
-def invertibility_equivalences(algebra, sigma_images) -> dict:
+def invertibility_equivalences(m: RingMatrix) -> dict:
     """Evaluate the four equivalent statements about an endomorphism's matrix.
 
-    Each clause is decided along its own computational route; the report
-    lists the outcomes and whether they all agree.
+    ``m`` is the r x r matrix of the endomorphism sigma, entry (n, i) =
+    lambda_n(sigma(b_i)).  Each clause is decided along its own
+    computational route; the report lists the outcomes and whether they all
+    agree.
     """
-    ring = algebra.base
-    field = ring.field
-    r = algebra.rank
-    m = endo_matrix(algebra, sigma_images)
+    ring = m.ring
+    r = m.nrows
 
     clause_i = m.is_invertible()
 
     # (ii): one alternative basis b' = X b with X = I + E_12 over k, whose
-    # inverse is Y = I - E_12
-    x = linear.identity(field, r)
+    # inverse is Y = I - E_12; sigma's matrix in the b' basis is Y M X
+    x = linear.identity(ring, r)
     y = linear.identity(ring, r)
     if r >= 2:
-        x[0][1] = field.one
-        y[0][1] = ring.constant(field.neg(field.one))
-    y_ring = RingMatrix(ring, y)
-    # sigma(b'_i) = sum_j X_ji sigma(b_j); coordinates in the b' basis are Y * lambda
-    cols = []
-    for i in range(r):
-        acc = algebra.zero_el()
-        for j in range(r):
-            if not field.is_zero(x[j][i]):
-                acc = acc + sigma_images[j].scale(ring.constant(x[j][i]))
-        cols.append(acc)
-    clause_ii = (y_ring * endo_matrix(algebra, cols)).is_invertible()
+        x[0][1] = ring.one
+        y[0][1] = -ring.one
+    clause_ii = (RingMatrix(ring, y) * m * RingMatrix(ring, x)).is_invertible()
 
     # (iii): sigma(b_1)..sigma(b_r) is a basis iff the change matrix has unit
     # determinant; decided through the determinant route
@@ -154,7 +148,7 @@ def invertibility_equivalences(algebra, sigma_images) -> dict:
     # (iv): spanning: every basis vector solvable in span(sigma(b_i)); decided
     # by one Cramer solve (one characteristic polynomial, Cayley-Hamilton per
     # right-hand side) for all r unit vectors
-    units = [[ring.one if p == n else ring.zero for p in range(r)] for n in range(r)]
+    units = linear.identity(ring, r)
     try:
         m.solve_cramer(units)
         clause_iv = True

@@ -39,10 +39,12 @@ class VariableClash(DescentKitError):
 
 
 class InvalidAlgebra(DescentKitError):
-    """A structure-constant algebra violates one of its axioms."""
+    """A structure-constant algebra violates one of its axioms; ``path``,
+    when given, is the JSON path of its table of products."""
 
-    def __init__(self, axiom, indices):
-        super().__init__(f"algebra axiom violated: {axiom} at {indices}")
+    def __init__(self, axiom, indices, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}algebra axiom violated: {axiom} at {indices}")
         self.axiom = axiom
         self.indices = indices
 

@@ -11,7 +11,9 @@ Each kind of value has one reader: ``_read`` reads a term with ``ring.el``
 in the ring it belongs to and a scalar of D with ``field.parse``, ``_names``
 reads every list of names, ``_parse_table`` both tables of products, and
 ``_parse_structures`` both structure sets.  A read fault is a ParseError
-whose detail begins with the JSON path of the value.
+whose detail begins with the JSON path of the value.  Each algebra is
+validated by ``_validated`` as soon as its table is read, so a violated
+axiom is an InvalidAlgebra whose detail begins with the table's path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 
 from .dalgebra import DCoefficientAlgebra, build_d_algebra
 from .dstructures import DStructure
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, InvalidAlgebra, ParseError
 from .groebner import GroebnerBasis
 from .polynomials import _IDENT_CONT, _IDENT_START, DegRevLex, render
 from .presented import PresentedRing
@@ -143,6 +145,16 @@ def _parse_table(products, n, path, size, parse):
     return table
 
 
+def _validated(algebra: StructureAlgebra, path) -> StructureAlgebra:
+    """``algebra``, validated once; a violated axiom is an InvalidAlgebra
+    naming ``path``, the JSON path of its table of products."""
+    try:
+        algebra.validate()
+    except InvalidAlgebra as exc:
+        raise InvalidAlgebra(exc.axiom, exc.indices, path) from None
+    return algebra
+
+
 def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
     _shape(data, dict, path)
     basis = [str(x) for x in _shape(data.get("basis"), list, f"{path}.basis")]
@@ -159,7 +171,7 @@ def _parse_coefficient_algebra(data, field, path) -> DCoefficientAlgebra:
         unit = None
     else:
         raise ParseError(f"{path} needs an explicit unit unless its first basis element is 1")
-    algebra = StructureAlgebra(kk, basis, constants, unit)
+    algebra = _validated(StructureAlgebra(kk, basis, constants, unit), f"{path}.products")
     factors = []
     for n, fac in enumerate(_shape(data.get("factors"), list, f"{path}.factors")):
         fac_path = f"{path}.factors[{n}]"
@@ -233,7 +245,7 @@ def load_problem(data: dict) -> ProblemDescription:
     if labels[:1] != ("1",):
         raise ParseError("the first basis element of B must be 1")
     constants = _parse_table(b_data.get("products"), len(labels), "B.products", "r", a_ring.el)
-    algebra = StructureAlgebra(a_ring, labels, constants)
+    algebra = _validated(StructureAlgebra(a_ring, labels, constants), "B.products")
     flat_b = algebra.flat_ring()
 
     c_data = _shape(data.get("C", {}), dict, "C")

@@ -101,12 +101,6 @@ class StructureAlgebra:
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, coords)
 
-    def zero_el(self) -> "AlgebraElement":
-        return _wrap(self, [self.base.zero] * self.rank)
-
-    def one_el(self) -> "AlgebraElement":
-        return _wrap(self, self.unit_coords)
-
     def basis_el(self, i: int) -> "AlgebraElement":
         coords = [self.base.zero] * self.rank
         coords[i] = self.base.one
@@ -282,17 +276,6 @@ class StructureAlgebra:
             env.update(extra_env)
         return evaluate_poly(flat, env, self)
 
-    def reconstruct(self, el: "AlgebraElement") -> Polynomial:
-        """The flat polynomial sum coords_m * label_m representing ``el``."""
-        field = self.base.field
-        out = Polynomial.zero(field)
-        for i, lab in enumerate(self.labels):
-            if lab == "1":
-                out = out + el.coords[i]
-            else:
-                out = out + el.coords[i] * Polynomial.variable(field, lab)
-        return out
-
 
 class AlgebraElement:
     """A coordinate vector over the base of a StructureAlgebra.
@@ -328,16 +311,8 @@ class AlgebraElement:
         self._check(other)
         return _wrap(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
 
-    def scale(self, a: Polynomial) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [c * a for c in self.coords])
-
     def __pow__(self, n: int):
-        return power(self, n) if n else self.algebra.one_el()
-
-    def equal(self, other) -> bool:
-        self._check(other)
-        ring = self.algebra.base
-        return all(ring.equal(a, b) for a, b in zip(self.coords, other.coords))
+        return power(self, n) if n else _wrap(self.algebra, self.algebra.unit_coords)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)

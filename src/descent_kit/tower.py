@@ -1,10 +1,10 @@
 """The base data of a descent problem: (A, e) <= (B, f) and algebras over it.
 
-``OperatorTower`` packages the base ring with its operator structure e,
-the free finite module algebra B with basis coordinates, and f, built as
-C's structure is: one operator structure on B's flat ring that extends e
-by the images of the basis labels.  The coordinate rows of f are read off
-it.  ``PresentedBAlgebra`` presents an algebra C over B by generators and
+``OperatorTower`` holds e, the free finite module algebra B with its basis,
+and f, built as C's structure is: one operator structure on B's flat ring
+that extends e by the images of the basis labels.  f is kept in that one
+form; ``descent_matrix.associated_matrix`` reads its coordinates over A.
+``PresentedBAlgebra`` presents an algebra C over B by generators and
 relations, written flat (using the basis labels as symbols) on the
 flattened presentation of the whole tower.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .dstructures import DStructure
 from .errors import CertificateFailure
-from .polynomials import Polynomial
 from .presented import PresentedRing
 from .structure import StructureAlgebra
 
@@ -22,12 +21,10 @@ class OperatorTower:
     """(A, e) and a free finite (A, e)-algebra (B, f) with a fixed basis.
 
     f is one operator structure on B's flat ring, extending e by the images
-    of the basis labels; its coefficient algebra is e's.  The coordinate
-    rows of f, ``rows[i][k]`` = f_k(b_i) in coordinates over A (0-based),
-    are read off f once, when the tower is built.
+    of the basis labels; its coefficient algebra is e's.
     """
 
-    __slots__ = ("e", "algebra", "coeff", "f", "rows", "_descent_matrix")
+    __slots__ = ("e", "algebra", "coeff", "f", "_descent_matrix")
 
     def __init__(self, e: DStructure, algebra: StructureAlgebra, label_images):
         if e.carrier != algebra.base:
@@ -36,11 +33,6 @@ class OperatorTower:
         self.algebra = algebra
         self.coeff = e.coeff
         self.f = DStructure(algebra.flat_ring(), e.coeff, {**e.images, **label_images}, base=e)
-        self.rows = tuple(
-            tuple(map(algebra.coordinatize,
-                      self.f.apply(algebra.reconstruct(algebra.basis_el(i))).coords))
-            for i in range(algebra.rank)
-        )
         # filled by ``descent_matrix.associated_matrix``, the one place that
         # builds and decides the tower's matrix; this module does not import
         # the matrix layer, which ``validate`` never loads
@@ -54,10 +46,6 @@ class OperatorTower:
     def rank(self) -> int:
         return self.algebra.rank
 
-    def lambda_f(self, n: int, k: int, i: int) -> Polynomial:
-        """lambda_n(f_k(b_i)) over A; all indices 0-based."""
-        return self.rows[i][k].coords[n]
-
     @property
     def flat_b(self) -> PresentedRing:
         """B presented over k; the algebra builds it once for every tower."""
@@ -67,22 +55,14 @@ class OperatorTower:
         certificates = [{"check": "module_algebra_axioms", "ok": True}]
         self.algebra.validate()
         self.e.validate()
-        # f(1) must be the unit of D(B)
-        one = self.algebra.one_el()
-        for k, image in enumerate(self.rows[0]):
-            if not image.equal(one.scale(self.base_ring.constant(self.coeff.unit[k]))):
-                raise CertificateFailure("unit_maps_to_unit", "f(1) is not the unit of D(B)")
+        # f(1) must be the unit of D(B), read in B's flat ring
+        flat = self.flat_b
+        if not all(flat.equal(image, flat.constant(u))
+                   for image, u in zip(self.f.apply(flat.one).coords, self.coeff.unit)):
+            raise CertificateFailure("unit_maps_to_unit", "f(1) is not the unit of D(B)")
         certificates.append({"check": "unit_maps_to_unit", "ok": True})
         certificates += self.f.validate()
         return certificates
-
-    # -- associated endomorphisms --------------------------------------------------
-
-    def endo_images(self, factor: int):
-        """Images of the basis under the associated endomorphism of a factor:
-        the coordinate of f at the factor's unit."""
-        unit = self.coeff.factor_units[factor]
-        return [row[unit] for row in self.rows]
 
 
 class PresentedBAlgebra:

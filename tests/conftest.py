@@ -6,8 +6,13 @@ defining relation), so randomized suites never need rejection sampling.
 ``target_elements`` lists every element of a finite algebra over a finite
 field, the brute-force reference of the Hom-set tests; ``reduce_extended``
 records the quotients of a reduction, so a test can check the division
-identity p = sum_i q_i g_i + r.  ``field_inverse``, the tests' matrix
-inverse over k, lives in ``paper_checks`` and is imported from there.
+identity p = sum_i q_i g_i + r.  ``zero_el``, ``one_el`` and ``scaled``
+build elements of a structure algebra.  ``endo_matrix`` and
+``endo_images`` are the references for the associated endomorphism
+matrices, built from f apart from the descent matrix.  ``field_inverse``,
+the tests' matrix inverse over k, and ``reconstruct`` and
+``coordinate_rows``, which the demos use too, live in ``paper_checks`` and
+are imported from there.
 """
 
 import itertools
@@ -34,7 +39,8 @@ from descent_kit import (  # noqa: E402
 )
 from descent_kit.errors import NotFiniteDimensional  # noqa: E402
 from descent_kit.groebner import _reduction_steps  # noqa: E402
-from paper_checks import field_inverse  # noqa: E402,F401
+from descent_kit.matrices import RingMatrix  # noqa: E402
+from paper_checks import coordinate_rows, field_inverse, reconstruct  # noqa: E402,F401
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # valid documents that each pin a route no fixture takes: the golden and
@@ -139,7 +145,7 @@ def db_multiply(coeff, algebra):
     base = algebra.base
 
     def mul(x, y):
-        out = [algebra.zero_el() for _ in range(l)]
+        out = [zero_el(algebra) for _ in range(l)]
         for j in range(l):
             if x[j].is_zero():
                 continue
@@ -148,7 +154,7 @@ def db_multiply(coeff, algebra):
                     continue
                 prod = x[j] * y[k]
                 for m, a in coeff.cells[j][k]:
-                    out[m] = out[m] + prod.scale(base.constant(a))
+                    out[m] = out[m] + scaled(prod, base.constant(a))
         return out
 
     return mul
@@ -182,10 +188,44 @@ def random_db_element(coeff, algebra, rng):
 BASE_RELATIONS = ("a^2 - 2", "a^3")
 
 
+def zero_el(algebra):
+    """The zero element of a structure algebra."""
+    return algebra.element([algebra.base.zero] * algebra.rank)
+
+
+def one_el(algebra):
+    """The unit element of a structure algebra."""
+    return algebra.element(algebra.unit_coords)
+
+
+def scaled(el, a):
+    """The element ``el`` times the base-ring element ``a``."""
+    return el.algebra.element([c * a for c in el.coords])
+
+
+def endo_matrix(algebra, sigma_images) -> RingMatrix:
+    """The r x r matrix of an endomorphism given on the basis.
+
+    ``sigma_images[i]`` is sigma(b_i) as an AlgebraElement; entry (n, i) is
+    its n-th coordinate.
+    """
+    r = algebra.rank
+    return RingMatrix(
+        algebra.base, [[sigma_images[i].coords[n] for i in range(r)] for n in range(r)]
+    )
+
+
+def endo_images(tower, factor):
+    """Images of the basis under the associated endomorphism of a factor:
+    the coordinate of f at the factor's unit."""
+    unit = tower.coeff.factor_units[factor]
+    return [row[unit] for row in coordinate_rows(tower)]
+
+
 def label_images(algebra, rows):
     """The label images of a tower on ``algebra`` from its coordinate rows:
     ``rows[i - 1][k]`` is f_k(b_i) as an element of B, for i from 1 on."""
-    return {label: tuple(map(algebra.reconstruct, row))
+    return {label: tuple(reconstruct(algebra, el) for el in row)
             for label, row in zip(algebra.labels[1:], rows)}
 
 
@@ -211,10 +251,10 @@ def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None, e=No
     l = coeff.dim
 
     def embed(el):
-        vec = [algebra.zero_el() for _ in range(l)]
+        vec = [zero_el(algebra) for _ in range(l)]
         for k in range(l):
             if not field.is_zero(coeff.unit[k]):
-                vec[k] = el.scale(a_ring.constant(coeff.unit[k]))
+                vec[k] = scaled(el, a_ring.constant(coeff.unit[k]))
         return vec
 
     w_hat = embed(algebra.basis_el(1))
@@ -225,18 +265,18 @@ def random_tower(field, coeff, kind, rng, base_relation=None, algebra=None, e=No
             extra = mul(w2_hat, random_db_element(coeff, algebra, rng))
             z = [a + b for a, b in zip(z, extra)]
     else:  # split: per local factor pick an image from {w, -w, 1, -1}
-        z = [algebra.zero_el() for _ in range(l)]
+        z = [zero_el(algebra) for _ in range(l)]
         for idem, _ in coeff.factors:
             choice = rng.choice(["w", "-w", "1", "-1"])
             base_el = {
                 "w": algebra.basis_el(1),
                 "-w": -algebra.basis_el(1),
-                "1": algebra.one_el(),
-                "-1": -algebra.one_el(),
+                "1": one_el(algebra),
+                "-1": -one_el(algebra),
             }[choice]
             for k in range(l):
                 if not field.is_zero(idem[k]):
-                    z[k] = z[k] + base_el.scale(a_ring.constant(idem[k]))
+                    z[k] = z[k] + scaled(base_el, a_ring.constant(idem[k]))
     rows = [z, mul(z, z)] if kind == "nil3" else [z]
     tower = OperatorTower(e, algebra, label_images(algebra, rows))
     tower.validate()

@@ -22,7 +22,8 @@ runs there with ``pytest -x``: the pinned reports first
 (``tests/test_golden.py``, ``tests/test_bench_pins.py``,
 ``tests/test_scaled_golden.py``), then the kernel and pipeline tests.  A
 mutant is killed when the run fails or passes its time limit.  Survivors
-that ``EQUIVALENT`` lists are reported as equivalent, the rest as survived.
+that ``EQUIVALENT`` lists are reported as equivalent, the rest as survived,
+and the tool exits 1 when any mutant survived.
 
 A full population takes hours on a small machine, so the tool is kept out
 of the test suite; its name does not start with ``test_``, so pytest does
@@ -54,11 +55,22 @@ KILL_SET = (
     "test_work_counts.py", "test_acceptance.py", "test_cli.py",
 )
 # (module, line, change) -> why no test can tell the mutant from the code;
-# lines are those of the package at the commit that adds the entry
+# lines are those of the package as it stands, so an edit that moves a
+# listed line moves its key too
+SAME_FOR_ANY_BASIS = ("clause (ii) of invertibility_equivalences is the invertibility of"
+                      " Y M X, the same for every invertible X and Y")
 EQUIVALENT = {
     ("compose", 56, "0 -> 1"): "the last key of the pair sort breaks ties by a, and the"
                                " stable sort of the a-major list already does",
-    ("structure", 279, "and -> or"): "coordinatize then also gives the labels that do not"
+    ("descent_matrix", 139, ">= -> >"): SAME_FOR_ANY_BASIS + "; the mutant leaves X = Y = I"
+                                        " when r = 2",
+    ("descent_matrix", 139, "2 -> 3"): SAME_FOR_ANY_BASIS + "; the mutant leaves X = Y = I"
+                                       " when r = 2",
+    ("descent_matrix", 140, "0 -> 1"): SAME_FOR_ANY_BASIS + "; the mutant sets X's diagonal"
+                                       " entry x[1][1] to the 1 it holds, so X = I",
+    ("descent_matrix", 141, "0 -> 1"): SAME_FOR_ANY_BASIS + "; the mutant makes Y the"
+                                       " diagonal matrix diag(1, -1, 1, ...), still invertible",
+    ("structure", 273, "and -> or"): "coordinatize then also gives the labels that do not"
                                      " occur an image, which evaluation never reads",
 }
 SWAPS = {
@@ -237,7 +249,7 @@ def main(argv=None):
     print(f"killed {counts['killed']} of {total} non-equivalent mutants"
           f" ({100 * counts['killed'] / max(total, 1):.0f}%), {counts['survived']} survived,"
           f" {counts['equivalent']} equivalent; seed {args.seed}, {len(points)} points")
-    return 0
+    return 1 if counts["survived"] else 0
 
 
 if __name__ == "__main__":

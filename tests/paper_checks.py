@@ -18,7 +18,10 @@ around it are checked here, on whatever instance a test or a demo builds:
 - functoriality of W: ``descend_morphism``.
 
 ``field_inverse`` is the matrix inverse over k that the change of basis
-uses, and the tests' reference inverse.
+uses, and the tests' reference inverse.  ``reconstruct`` writes an element
+of B as a flat polynomial, and ``coordinate_rows`` reads f_k(b_i) in
+coordinates over A by applying f to each reconstructed basis element: the
+tests' reference for the coordinates the descent matrix reads off f.
 
 No module of the package imports this one, and pytest does not collect
 it; tests import it by name, demos through a ``sys.path`` entry.  It
@@ -64,6 +67,28 @@ def field_inverse(field, a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def reconstruct(algebra, el) -> Polynomial:
+    """The flat polynomial sum coords_m * label_m representing ``el``."""
+    field = algebra.base.field
+    out = Polynomial.zero(field)
+    for i, lab in enumerate(algebra.labels):
+        if lab == "1":
+            out = out + el.coords[i]
+        else:
+            out = out + el.coords[i] * Polynomial.variable(field, lab)
+    return out
+
+
+def coordinate_rows(tower: OperatorTower):
+    """``rows[i][k]`` = f_k(b_i) as an element of B (all indices 0-based)."""
+    algebra = tower.algebra
+    return tuple(
+        tuple(map(algebra.coordinatize,
+                  tower.f.apply(reconstruct(algebra, algebra.basis_el(i))).coords))
+        for i in range(algebra.rank)
+    )
 
 
 # -- tensor compatibility --------------------------------------------------------
@@ -231,12 +256,13 @@ def change_of_basis_check(tower: OperatorTower, x_matrix) -> bool:
         cells_eta.append(row_eta)
 
     ring = tower.base_ring
+    rows = coordinate_rows(tower)
 
     def lam_eta(n, k, i):
         acc = ring.zero
         for q in range(l):
             if not field.is_zero(y[k][q]):
-                acc = acc + tower.lambda_f(n, q, i).scale(y[k][q])
+                acc = acc + rows[i][q].coords[n].scale(y[k][q])
         return ring.nf(acc)
 
     m_eta = assemble_matrix(ring, r, l, cells_eta, lam_eta)

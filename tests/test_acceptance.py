@@ -28,7 +28,6 @@ from descent_kit import (
     difference_algebra,
     dual_numbers,
     dual_numbers_times_field,
-    endo_matrix,
     parse_polynomial,
     product_of_fields,
     rederive_images,
@@ -38,7 +37,8 @@ from descent_kit import (
 )
 from descent_kit.cli import main as cli_main
 from descent_kit.errors import NonInvertibleMatrix, NotAUnit
-from conftest import FIXTURES, dual_basis_algebra, field_inverse, random_tower
+from conftest import (FIXTURES, dual_basis_algebra, endo_images, endo_matrix, field_inverse,
+                      random_tower, scaled)
 from paper_checks import (
     change_of_basis_check,
     check_tensor_associated_endos,
@@ -127,7 +127,7 @@ def test_criterion_3_twist_matrix_over_polynomial_ring():
     with criterion(3, "non-unit twist over K[x]", 1.0):
         kx = PresentedRing.make(QQ, ("x",), [])
         b = dual_basis_algebra(kx)
-        m = endo_matrix(b, [b.basis_el(0), b.basis_el(1).scale(kx.var("x"))])
+        m = endo_matrix(b, [b.basis_el(0), scaled(b.basis_el(1), kx.var("x"))])
         assert m.render() == [["1", "0"], ["0", "x"]]
         with pytest.raises(NotAUnit):
             kx.unit_inverse(m.det())
@@ -154,7 +154,7 @@ def test_criterion_4_invertibility_theorem_randomized():
                         dm = associated_matrix(tower)
                         endos_ok = all(
                             endo_matrix(
-                                tower.algebra, tower.endo_images(i)
+                                tower.algebra, endo_images(tower, i)
                             ).is_invertible()
                             for i in range(coeff.factor_count)
                         )

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from descent_kit.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, one_el
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -296,7 +296,7 @@ def test_failed_certificate_is_an_error_report(tmp_path, capsys, monkeypatch):
 
     # a unit map that misses the relation t^2 stands in for a kernel defect
     monkeypatch.setattr(weil.WeilDescentResult, "evaluate_under_unit",
-                        lambda self, flat, ring=None: self.tensor_algebra(ring).one_el())
+                        lambda self, flat, ring=None: one_el(self.tensor_algebra(ring)))
     code, report = run_cli(
         ["descend", "--input", str(FIXTURES / "adjoint_f2.json")], tmp_path
     )

@@ -69,6 +69,7 @@ NOT_REACHED = {
     "presented.PresentedRing.__repr__": DUNDER,
     "scalars.ScalarField.__reduce__": DUNDER,
     "scalars.ScalarField.__repr__": DUNDER,
+    "structure.AlgebraElement.__add__": DUNDER,
     "structure.AlgebraElement.__neg__": DUNDER,
     "structure.AlgebraElement.__repr__": DUNDER,
     "structure.AlgebraElement.__sub__": DUNDER,

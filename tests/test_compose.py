@@ -29,7 +29,7 @@ from descent_kit import compose
 from descent_kit.cli import main
 from descent_kit.errors import CarrierMismatch
 from conftest import (BASE_RELATIONS, COEFF_BUILDERS, FIXTURES, dual_basis_algebra,
-                      label_images, monogenic_algebra, random_tower)
+                      label_images, monogenic_algebra, random_tower, scaled, zero_el)
 from paper_checks import check_tensor_associated_endos, tensor_compose_check
 
 
@@ -332,13 +332,13 @@ def _dual_numbers_tower(algebra, w_image, w2_image):
 
 def test_gamma_holds_on_non_commuting_dual_number_towers():
     algebra = monogenic_algebra(PresentedRing.base_field(QQ), "nil3")
-    w, w2, zero = algebra.basis_el(1), algebra.basis_el(2), algebra.zero_el()
+    w, w2, zero = algebra.basis_el(1), algebra.basis_el(2), zero_el(algebra)
     four = algebra.base.constant(4)
     # f1: sigma = id, delta(w) = w^2, so w^2 -> (w^2, 0);
     # f2: sigma(w) = 2 w, delta(w) = w, so w^2 -> (4 w^2, 4 w^2)
     t1 = _dual_numbers_tower(algebra, (w, w2), (w2, zero))
-    t2 = _dual_numbers_tower(algebra, (w.scale(algebra.base.constant(2)), w),
-                             (w2.scale(four), w2.scale(four)))
+    t2 = _dual_numbers_tower(algebra, (scaled(w, algebra.base.constant(2)), w),
+                             (scaled(w2, four), scaled(w2, four)))
     c1, c2 = PresentedBAlgebra(t1, ("x",)), PresentedBAlgebra(t2, ("x",))
     flat = c1.flat_ring
     g = {"x": (flat.var("x"), flat.zero)}

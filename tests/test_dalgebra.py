@@ -36,6 +36,7 @@ from descent_kit import (
     QQ,
     PresentedRing,
     StructureAlgebra,
+    associated_matrix,
     build_d_algebra,
     difference_algebra,
     dual_numbers,
@@ -52,7 +53,8 @@ from descent_kit.errors import (
     NotNilpotent,
     StrataMismatch,
 )
-from conftest import COEFF_BUILDERS, dense_table, field_inverse, random_tower, sparse_cells
+from conftest import (COEFF_BUILDERS, coordinate_rows, dense_table, endo_matrix, field_inverse,
+                      random_tower, scaled, sparse_cells, zero_el)
 from paper_checks import associated_images
 
 
@@ -663,15 +665,17 @@ def test_associated_endomorphisms_match_the_projection_sums(name, field, kind, s
     tower = random_tower(field, d, kind, random.Random(seed))
     ring = tower.base_ring
     structure = tower.f
+    rows = coordinate_rows(tower)
+    dm = associated_matrix(tower)
     for factor, pi in enumerate(reference_projections(d)):
         expected = []
         for i in range(tower.rank):
-            acc = tower.algebra.zero_el()
+            acc = zero_el(tower.algebra)
             for k, c in enumerate(pi):
                 if not field.is_zero(c):
-                    acc = acc + tower.rows[i][k].scale(ring.constant(c))
-            expected.append(acc.coords)
-        assert [el.coords for el in tower.endo_images(factor)] == expected
+                    acc = acc + scaled(rows[i][k], ring.constant(c))
+            expected.append(acc)
+        assert dm.diagonal_block(d.factor_units[factor]) == endo_matrix(tower.algebra, expected)
         carrier = structure.carrier
         images = associated_images(structure, factor)
         for v in carrier.variables:

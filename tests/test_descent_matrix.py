@@ -18,7 +18,6 @@ from descent_kit import (
     associated_matrix,
     difference_algebra,
     dual_numbers,
-    endo_matrix,
     invertibility_equivalences,
     product_of_fields,
     tensor_coefficients,
@@ -26,8 +25,9 @@ from descent_kit import (
 )
 from descent_kit import linear
 from descent_kit.errors import NonInvertibleMatrix
-from conftest import (BASE_RELATIONS, COEFF_BUILDERS, dense_table, dual_basis_algebra,
-                      field_inverse, random_tower)
+from conftest import (BASE_RELATIONS, COEFF_BUILDERS, coordinate_rows, dense_table,
+                      dual_basis_algebra, endo_images, endo_matrix, field_inverse,
+                      random_tower, reconstruct, scaled, zero_el)
 from paper_checks import SingularBasisChange, change_of_basis_check
 
 
@@ -43,10 +43,11 @@ def assert_defining_formula(tower, dm):
     (M_mj)_ni = sum_k a_jkm lambda_n(f_k(b_i)), summed over a dense table."""
     ring, r, l = tower.base_ring, tower.rank, tower.coeff.dim
     a = dense_table(ring.field, tower.coeff.cells)
+    rows = coordinate_rows(tower)
     for m, j, n, i in itertools.product(range(l), range(l), range(r), range(r)):
         acc = ring.zero
         for k in range(l):
-            acc = acc + tower.lambda_f(n, k, i).scale(a[j][k][m])
+            acc = acc + rows[i][k].coords[n].scale(a[j][k][m])
         assert ring.equal(block(dm, m, j).rows[n][i], acc)
 
 
@@ -56,19 +57,20 @@ def _dual_tower(field, f_on_eps):
     b = dual_basis_algebra(a)
     d = difference_algebra(field)
     e = DStructure.identity(a, d)
-    return OperatorTower(e, b, {"eps": (b.reconstruct(f_on_eps(b)),)})
+    return OperatorTower(e, b, {"eps": (reconstruct(b, f_on_eps(b)),)})
 
 
 def test_projection_endomorphism_matrix():
-    tower = _dual_tower(QQ, lambda b: b.zero_el())  # tau(eps) = 0
-    m = endo_matrix(tower.algebra, tower.endo_images(0))
+    tower = _dual_tower(QQ, zero_el)  # tau(eps) = 0
+    m = endo_matrix(tower.algebra, endo_images(tower, 0))
     assert m.render() == [["1", "0"], ["0", "0"]]
+    assert associated_matrix(tower).diagonal_block(0) == m
 
 
 def test_twist_endomorphism_matrix_over_polynomial_ring():
     kx = PresentedRing.make(QQ, ("x",), [])
     b = dual_basis_algebra(kx)
-    images = [b.basis_el(0), b.basis_el(1).scale(kx.var("x"))]
+    images = [b.basis_el(0), scaled(b.basis_el(1), kx.var("x"))]
     m = endo_matrix(b, images)
     assert m.render() == [["1", "0"], ["0", "x"]]
     with pytest.raises(NonInvertibleMatrix) as err:
@@ -84,7 +86,7 @@ def test_identity_endomorphism_matrix():
 
 
 def test_associated_matrix_difference_case():
-    tower = _dual_tower(QQ, lambda b: b.zero_el())
+    tower = _dual_tower(QQ, zero_el)
     dm = associated_matrix(tower)
     assert dm.render() == [["1", "0"], ["0", "0"]]
     assert (dm.inverse, dm.invertible) == (None, "no")
@@ -155,7 +157,7 @@ def assert_block_lower_triangular(tower, dm):
                 assert block(dm, m, j) == zero
     for j in range(dm.l):
         factor = tower.coeff.factor_of[j]
-        assert block(dm, j, j) == endo_matrix(tower.algebra, tower.endo_images(factor))
+        assert block(dm, j, j) == endo_matrix(tower.algebra, endo_images(tower, factor))
 
 
 def test_block_lower_triangular_in_stratified_basis(rng):
@@ -169,6 +171,20 @@ def test_block_lower_triangular_in_stratified_basis(rng):
         for coeff, kind in itertools.product(builders, ("nil2", "split", "nil3")):
             tower = random_tower(field, coeff, kind, rng)
             assert_block_lower_triangular(tower, associated_matrix(tower))
+
+
+def test_diagonal_block_is_block_j_j():
+    """``diagonal_block(j)`` is block (j, j) of the assembled matrix, over
+    A = k and A with a relation, for every standard coefficient algebra."""
+    rng = random.Random(5)
+    for field in (QQ, GF(5)):
+        for name, base_relation in itertools.product(sorted(COEFF_BUILDERS),
+                                                     (None, *BASE_RELATIONS)):
+            tower = random_tower(field, COEFF_BUILDERS[name](field), "nil3", rng,
+                                 base_relation)
+            dm = associated_matrix(tower)
+            assert [dm.diagonal_block(j) for j in range(dm.l)] == [
+                block(dm, j, j) for j in range(dm.l)]
 
 
 def block_forward_inverse(dm):
@@ -235,7 +251,7 @@ def test_invertibility_theorem_randomized(rng):
                     tower = random_tower(field, coeff, kind, rng)
                     dm = associated_matrix(tower)
                     endos_ok = all(
-                        endo_matrix(tower.algebra, tower.endo_images(factor)).is_invertible()
+                        endo_matrix(tower.algebra, endo_images(tower, factor)).is_invertible()
                         for factor in range(coeff.factor_count)
                     )
                     if (dm.invertible == "yes") != endos_ok:
@@ -292,19 +308,19 @@ def test_change_of_basis_identity_and_dual_example(rng):
 
 
 def test_invertibility_equivalences_examples():
-    tower = _dual_tower(QQ, lambda b: b.zero_el())
-    report = invertibility_equivalences(tower.algebra, tower.endo_images(0))
+    tower = _dual_tower(QQ, zero_el)
+    report = invertibility_equivalences(associated_matrix(tower).diagonal_block(0))
     assert report["all_agree"] and not report["matrix_invertible_given_basis"]
 
     a = PresentedRing.base_field(QQ)
     b = dual_basis_algebra(a)
-    report_id = invertibility_equivalences(b, [b.basis_el(0), b.basis_el(1)])
+    report_id = invertibility_equivalences(endo_matrix(b, [b.basis_el(0), b.basis_el(1)]))
     assert report_id["all_agree"] and report_id["matrix_invertible_given_basis"]
 
     kx = PresentedRing.make(QQ, ("x",), [])
     bx = dual_basis_algebra(kx)
     report_x = invertibility_equivalences(
-        bx, [bx.basis_el(0), bx.basis_el(1).scale(kx.var("x"))]
+        endo_matrix(bx, [bx.basis_el(0), scaled(bx.basis_el(1), kx.var("x"))])
     )
     assert report_x["all_agree"] and not report_x["sigma_of_basis_is_basis"]
 
@@ -315,7 +331,7 @@ def test_invertibility_equivalences_random_agreement(rng):
         for kind in ("nil2", "split", "nil3"):
             for _ in range(4):
                 tower = random_tower(field, coeff, kind, rng)
-                report = invertibility_equivalences(tower.algebra, tower.endo_images(0))
+                report = invertibility_equivalences(associated_matrix(tower).diagonal_block(0))
                 assert report["all_agree"]
 
 
@@ -334,7 +350,7 @@ def test_bijectivity_matches_matrix_over_field_base():
             s_poly = Polynomial(a.field, {s: a.field.one})
             sigma_s = a.nf(s_poly.substitute({v: conj[v] for v in conj}))
             for idx in range(b.rank):
-                image = sigma_b_images[idx].scale(sigma_s)
+                image = scaled(sigma_b_images[idx], sigma_s)
                 row = []
                 for coord in image.coords:
                     row.extend(a.coordinates(coord, a_basis))
@@ -342,11 +358,11 @@ def test_bijectivity_matches_matrix_over_field_base():
         return linear.rank(a.field, rows)
 
     dim = len(a.staircase()) * b.rank
-    bij = [b.basis_el(0), b.basis_el(1).scale(a.var("i"))]  # sigma(y) = i y
+    bij = [b.basis_el(0), scaled(b.basis_el(1), a.var("i"))]  # sigma(y) = i y
     assert endo_matrix(b, bij).is_invertible()
     assert k_linear_rank(conj, bij) == dim
 
-    nonbij = [b.basis_el(0), b.zero_el()]  # sigma(y) = 0
+    nonbij = [b.basis_el(0), zero_el(b)]  # sigma(y) = 0
     assert not endo_matrix(b, nonbij).is_invertible()
     assert k_linear_rank(conj, nonbij) < dim
 

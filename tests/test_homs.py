@@ -17,7 +17,7 @@ from descent_kit import (
     parse_polynomial,
 )
 from descent_kit.errors import CombinatorialBudgetExceeded, NotFiniteDimensional
-from conftest import dual_basis_algebra, target_elements
+from conftest import dual_basis_algebra, target_elements, zero_el
 
 F2 = GF(2)
 
@@ -116,7 +116,7 @@ def test_adjoint_evidence_reports():
     assert report["system_matrix"] == [["1", "0"], ["0", "0"]]
     assert report["solvable"] is False
     # z = 0: trivially solvable by the zero vector
-    report0 = adjoint_evidence(tower_q, [b.zero_el()])
+    report0 = adjoint_evidence(tower_q, [zero_el(b)])
     assert report0["solvable"] is True and report0["solution"] == ["0", "0"]
     # z = 1 (x) 1: the first coordinate line is hit
     report1 = adjoint_evidence(tower_q, [b.basis_el(0)])

@@ -203,6 +203,37 @@ def _non_associative(doc):
     doc["second"]["B_images"] = {"y": ["y"], "w": ["w"]}
 
 
+def _d_table(key, basis, products):
+    """An edit of unit_pivot.json that puts ``basis`` and ``products`` in the
+    coefficient algebra at ``key`` ("D", or "second"'s "D"); the loader
+    validates the table before it reads anything that depends on D."""
+    def edit(doc):
+        d = doc[key]["D"] if key == "second" else doc[key]
+        d.update(basis=basis, products=products)
+    return edit
+
+
+# the three-dimensional table of ``_non_associative``, over k
+NON_ASSOCIATIVE = [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                   [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                   [["0", "0", "1"], ["0", "0", "0"], ["0", "1", "0"]]]
+
+# axiom faults of each table of products (edit of unit_pivot.json, detail of
+# the InvalidAlgebra report of validate)
+ALGEBRA_FAULTS = [
+    (_non_associative, "B.products: algebra axiom violated: associativity at (2, 2, 3)"),
+    (_d_table("D", ["1", "p", "q"], NON_ASSOCIATIVE),
+     "D.products: algebra axiom violated: associativity at (2, 2, 3)"),
+    (_d_table("second", ["1", "p", "q"], NON_ASSOCIATIVE),
+     "second.D.products: algebra axiom violated: associativity at (2, 2, 3)"),
+    # d 1 = d but 1 d = 0
+    (_d_table("D", ["1", "d"], [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]]]),
+     "D.products: algebra axiom violated: commutativity at (1, 2, 2)"),
+    # 1 y = y 1 = 0
+    (_set(("B", "products"), [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]),
+     "B.products: algebra axiom violated: unit at (2,)"),
+]
+
 GRAMMAR = ["*t", "t t", "+t", "t^u", "t^1/2", "t*^2", "t )", "t +", " "]
 
 # (command line, document or None): the command line is completed with
@@ -367,3 +398,13 @@ def test_a_d_fault_is_reported_in_full(edit, error, detail, tmp_path):
         code = main(["validate", "--input", str(source), "--output", str(report)])
     assert (code, json.loads(report.read_text())) == (
         1, {"status": "error", "error": error, "detail": detail})
+
+
+@pytest.mark.parametrize("edit, detail", ALGEBRA_FAULTS, ids=[d for _, d in ALGEBRA_FAULTS])
+def test_an_algebra_fault_names_its_table(edit, detail, tmp_path):
+    source, report = tmp_path / "problem.json", tmp_path / "report.json"
+    source.write_text(json.dumps(_edited("unit_pivot.json", edit)))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["validate", "--input", str(source), "--output", str(report)])
+    assert (code, json.loads(report.read_text())) == (
+        1, {"status": "error", "error": "InvalidAlgebra", "detail": detail})

@@ -40,8 +40,8 @@ from descent_kit import structure
 from descent_kit.errors import InvalidAlgebra, VariableClash
 from descent_kit.polynomials import add_multiple
 from descent_kit.structure import AlgebraElement
-from conftest import dual_basis_algebra
-from paper_checks import tensor_presented
+from conftest import dual_basis_algebra, one_el, scaled, zero_el
+from paper_checks import reconstruct, tensor_presented
 
 
 def dense(algebra):
@@ -107,7 +107,7 @@ def test_multiplication_examples():
     f2 = PresentedRing.base_field(GF(2))
     alg2 = dual_basis_algebra(f2)
     y = alg2.element([f2.one, f2.one])
-    assert (y * y).equal(alg2.one_el())
+    assert (y * y).coords == one_el(alg2).coords
 
 
 def test_unit_law_random_elements():
@@ -119,7 +119,7 @@ def test_unit_law_random_elements():
             [ring.constant(rng.randint(-3, 3)) + ring.var("a").scale(rng.randint(-2, 2))
              for _ in range(2)]
         )
-        assert (alg.one_el() * x).equal(x)
+        assert (one_el(alg) * x).coords == x.coords
 
 
 def test_multiply_commutative_associative_random():
@@ -140,15 +140,15 @@ def test_multiply_commutative_associative_random():
             alg.element([ring.constant(rng.randrange(5)) for _ in range(3)])
             for _ in range(3)
         )
-        assert (x * y).equal(y * x)
-        assert ((x * y) * w).equal(x * (y * w))
+        assert (x * y).coords == (y * x).coords
+        assert ((x * y) * w).coords == (x * (y * w)).coords
 
 
 def test_lambda_roundtrip():
     ring = PresentedRing.make(QQ, ("u",), [PresentedRing.make(QQ, ("u",), []).el("u^2")])
     alg = dual_basis_algebra(ring, label="y")
     el = alg.element([ring.var("u") + ring.one, ring.var("u")])
-    assert alg.coordinatize(alg.reconstruct(el)).equal(el)
+    assert alg.coordinatize(reconstruct(alg, el)).coords == el.coords
 
 
 def test_base_change_preserves_constants_and_rank():
@@ -206,14 +206,14 @@ ENV_VARS = ("x", "y", "z")
 
 
 def reference_power(el, e):
-    out = el.algebra.one_el()
+    out = one_el(el.algebra)
     for _ in range(e):
         out = out * el
     return out
 
 
 def reference_evaluate(p, env, algebra):
-    out = algebra.zero_el()
+    out = zero_el(algebra)
     for m, c in p.terms.items():
         piece = algebra.scalar_el(algebra.base.constant(c))
         for v, e in m.exps.items():
@@ -327,11 +327,9 @@ def test_element_arithmetic_keeps_normal_forms(inputs):
     assert (x + y).coords == tuple(base.nf(a + b) for a, b in zip(x.coords, y.coords))
     assert (x - y).coords == tuple(base.nf(a - b) for a, b in zip(x.coords, y.coords))
     assert (-x).coords == tuple(base.nf(-a) for a in x.coords)
-    for a in (base.zero, base.constant(3), base.el("a + 1")):
-        assert x.scale(a).coords == tuple(base.nf(c * a) for c in x.coords)
     product = x * y
     assert product.coords == tuple(reference_multiply(algebra, x.coords, y.coords))
-    for el in (x + y, x - y, -x, x.scale(base.constant(5)), product, (x * y) * z):
+    for el in (x + y, x - y, -x, product, (x * y) * z):
         assert_normal(el)
     for e in range(5):
         power = x**e
@@ -353,8 +351,8 @@ def test_evaluate_poly_edge_cases(field):
             assert got.coords == reference_evaluate(p, env, algebra).coords
             assert_normal(got)
         assert evaluate_poly(free.el("0"), {}, algebra).is_zero()
-        assert evaluate_poly(free.el("3"), {}, algebra).equal(
-            algebra.one_el().scale(ring.constant(3)))
+        assert evaluate_poly(free.el("3"), {}, algebra).coords == scaled(
+            one_el(algebra), ring.constant(3)).coords
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -402,9 +400,9 @@ def reference_validate(algebra):
             for m in range(r):
                 if not base.equal(constants[i][j][m], constants[j][i][m]):
                     raise InvalidAlgebra("commutativity", (i + 1, j + 1, m + 1))
-    one = algebra.one_el()
+    one = one_el(algebra)
     for j in range(r):
-        if not (one * algebra.basis_el(j)).equal(algebra.basis_el(j)):
+        if (one * algebra.basis_el(j)).coords != algebra.basis_el(j).coords:
             raise InvalidAlgebra("unit", (j + 1,))
     for i in range(r):
         for j in range(r):
@@ -412,7 +410,7 @@ def reference_validate(algebra):
             for m in range(r):
                 left = left_inner * algebra.basis_el(m)
                 right = algebra.basis_el(i) * (algebra.basis_el(j) * algebra.basis_el(m))
-                if not left.equal(right):
+                if left.coords != right.coords:
                     raise InvalidAlgebra("associativity", (i + 1, j + 1, m + 1))
     return [{"axiom": a, "ok": True} for a in ("commutativity", "unit", "associativity")]
 

@@ -10,8 +10,9 @@ Counters are wrapped around the validators, ``groebner.buchberger``,
 ``groebner.normal_form``, ``DegRevLex.leading``,
 ``descent_matrix.assemble_matrix``, ``RingMatrix.inverse``,
 ``RingMatrix.charpoly``, ``descend_d_structure``, ``rederive_images``,
-``StructureAlgebra.multiply_coords`` and ``StructureAlgebra.base_change``,
-for one CLI invocation or one evaluation at a time.
+``StructureAlgebra.multiply_coords``, ``StructureAlgebra.coordinatize``
+and ``StructureAlgebra.base_change``, for one CLI invocation or one
+evaluation at a time.
 """
 
 import contextlib
@@ -334,7 +335,7 @@ def test_power_multiplies_only_what_it_needs(monkeypatch):
     calls = count_multiplications(monkeypatch)
     assert el**1 is el
     assert calls[0] == 0
-    assert (el**0).coords == algebra.one_el().coords
+    assert (el**0).coords == algebra.unit_coords
     assert calls[0] == 0
     el**4
     assert calls[0] == 2
@@ -494,6 +495,30 @@ def test_descent_matrix_work_per_command(fixture, command, tmp_path, monkeypatch
     if command == ["compose-check"] and "second" in json.loads((FIXTURES / fixture).read_text()):
         expected = (6, 6)
     assert tuple(calls) == expected
+
+
+@pytest.mark.parametrize("command", [["validate"], ["matrix"]], ids=" ".join)
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_only_the_descent_matrix_reads_f_in_coordinates(fixture, command, tmp_path,
+                                                         monkeypatch):
+    """f is read in coordinates over A only while the main tower's matrix is
+    assembled, r l ``coordinatize`` calls (one per f_k(b_i)); ``validate``
+    builds no matrix, so it reads only the coordinates of ``z``, and the
+    tower of a second structure block is never read at all."""
+    calls = [0]
+    original = StructureAlgebra.coordinatize
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructureAlgebra, "coordinatize", counted)
+    run_cli(command + ["--input", str(FIXTURES / fixture)], tmp_path)
+    doc = json.loads((FIXTURES / fixture).read_text())
+    expected = len(doc.get("z", []))
+    if command == ["matrix"]:
+        expected += len(doc["B"]["basis"]) * len(doc["D"]["basis"])
+    assert calls[0] == expected
 
 
 # Berkowitz runs per command (validate, matrix, descend, descend --audit,
