@@ -115,7 +115,7 @@ def _descend_report(result, audited: bool) -> dict:
         # the unit gate reads the rederived images, not the main route's
         rederived = rederive_images(result)
         e = result.c.tower.e
-        audited_structure = DStructure(ring, e.coeff, {**e.images, **rederived})
+        audited_structure = DStructure(ring, e.coeff, rederived, base=e)
         matrix = result.matrix.matrix
         audit = {
             "matrix_times_inverse_is_identity": (

@@ -81,10 +81,6 @@ class NotWellDefined(DescentKitError):
         self.coordinate = coordinate
 
 
-class BaseMismatch(DescentKitError):
-    """A structure does not restrict to the declared base structure."""
-
-
 class NotDIdeal(DescentKitError):
     """The ideal is not closed under the coordinate operators."""
 

@@ -261,10 +261,9 @@ def load_problem(data: dict) -> ProblemDescription:
         r_data = _shape(data["R"], dict, "R")
         # R (x) B is flattened on R's variables and B's labels
         r_ring = _parse_ring(r_data, field, "R", base=a_ring, taken=labels)
-        u_images = dict(tower.e.images)
-        u_images.update(_parse_images(r_data.get("images", {}), r_ring, tower.coeff.dim,
-                                      r_ring.variables[len(a_ring.variables):], "R.images"))
-        u = DStructure(r_ring, tower.coeff, u_images, base=tower.e)
+        u = DStructure(r_ring, tower.coeff, _parse_images(
+            r_data.get("images", {}), r_ring, tower.coeff.dim,
+            r_ring.variables[len(a_ring.variables):], "R.images"), base=tower.e)
         certificates += [
             {"check": f"test_algebra_{d['check']}", "ok": True} for d in u.validate()
         ]

@@ -6,11 +6,15 @@ the two hash alike, so term dicts, equality and rendering do not care which
 one a sum or product happens to keep.  Over a prime field a scalar is a
 canonical residue, an int in ``[0, p)``.  The field object supplies all
 arithmetic so that no floating point can sneak in anywhere.
+
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported only
+on the paths that meet a value other than an int: a literal or an inverse
+that is not integral, or a value handed to ``normalize`` that is not an
+int.  A run whose scalars are all integers, every run over GF(p) among
+them, never loads it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
 
@@ -88,20 +92,21 @@ class ScalarField:
     def normalize(self, value):
         """Coerce an int/Fraction into canonical form for this field.
 
-        Over QQ an int is returned as it is and an integral Fraction as its
-        numerator; any other value goes through ``Fraction(value)``.
+        An int is reduced mod p, or over QQ returned as it is.  Over QQ an
+        integral Fraction becomes its numerator, and any other value goes
+        through ``Fraction(value)``.
         """
         p = self.characteristic
+        if type(value) is int:
+            return value % p if p else value
+        from fractions import Fraction
+
         if p:
-            if type(value) is int:
-                return value % p
             if isinstance(value, Fraction):
                 if value.denominator % p == 0:
                     raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
                 return (value.numerator * pow(value.denominator, -1, p)) % p
             return int(value) % p
-        if type(value) is int:
-            return value
         if not isinstance(value, Fraction):
             value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
@@ -128,13 +133,18 @@ class ScalarField:
         return (a * b) % p if p else a * b
 
     def inv(self, a):
-        """1/a; over QQ an int when the inverse is integral (1/a on an int
-        would be a float, so the quotient is taken in Fraction)."""
+        """1/a; over QQ an int when the inverse is integral, as the units
+        1 and -1 of the integers are, and otherwise taken in Fraction (1/a
+        on an int would be a float)."""
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         p = self.characteristic
         if p:
             return pow(a, -1, p)
+        if a == 1 or a == -1:
+            return int(a)
+        from fractions import Fraction
+
         q = Fraction(1) / a
         return q.numerator if q.denominator == 1 else q
 
@@ -153,9 +163,15 @@ class ScalarField:
         try:
             if "/" in text:
                 num, den = text.split("/")
-                value = Fraction(int(num), int(den))
+                num, den = int(num), int(den)
+                if den and not num % den:
+                    value = num // den
+                else:
+                    from fractions import Fraction
+
+                    value = Fraction(num, den)
             else:
-                value = Fraction(int(text))
+                value = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
         return self.normalize(value)

@@ -114,7 +114,7 @@ def descend_d_structure(c: PresentedBAlgebra, g_structure: DStructure,
     # operator images of the copy variables on the pre-quotient ring
     pre_ring = classical.pre_ring
     units_pre = classical.unit_map(pre_ring)
-    pre_images = {v: tower.e.images[v] for v in tower.base_ring.variables}
+    pre_images = {}
     for gen in c.generators:
         vec = _image_vector(classical, g_structure, gen, units_pre, pre_ring)
         solved = matrix.inverse.apply(vec, pre_ring)

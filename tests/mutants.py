@@ -23,7 +23,10 @@ runs there with ``pytest -x``: the pinned reports first
 ``tests/test_scaled_golden.py``), then the kernel and pipeline tests.  A
 mutant is killed when the run fails or passes its time limit.  Survivors
 that ``EQUIVALENT`` lists are reported as equivalent, the rest as survived,
-and the tool exits 1 when any mutant survived.
+and the tool exits 1 when any mutant survived.  A point is named by the
+function that holds it, its change and its ordinal there
+(``descent_matrix.invertibility_equivalences: 0 -> 1 #2``), so the keys
+of ``EQUIVALENT`` stay put when lines outside that function move.
 
 A full population takes hours on a small machine, so the tool is kept out
 of the test suite; its name does not start with ``test_``, so pytest does
@@ -54,24 +57,33 @@ KILL_SET = (
     "test_weil_d.py", "test_homs.py", "test_hom_enumeration.py", "test_compose.py",
     "test_work_counts.py", "test_acceptance.py", "test_cli.py",
 )
-# (module, line, change) -> why no test can tell the mutant from the code;
-# lines are those of the package as it stands, so an edit that moves a
-# listed line moves its key too
+# name of a mutation point (see ``mutation_points``) -> why no test can tell
+# the mutant from the code; a name that is not a point of the package is
+# an error, so a listed point cannot silently go stale
 SAME_FOR_ANY_BASIS = ("clause (ii) of invertibility_equivalences is the invertibility of"
                       " Y M X, the same for every invertible X and Y")
 EQUIVALENT = {
-    ("compose", 56, "0 -> 1"): "the last key of the pair sort breaks ties by a, and the"
-                               " stable sort of the a-major list already does",
-    ("descent_matrix", 139, ">= -> >"): SAME_FOR_ANY_BASIS + "; the mutant leaves X = Y = I"
-                                        " when r = 2",
-    ("descent_matrix", 139, "2 -> 3"): SAME_FOR_ANY_BASIS + "; the mutant leaves X = Y = I"
-                                       " when r = 2",
-    ("descent_matrix", 140, "0 -> 1"): SAME_FOR_ANY_BASIS + "; the mutant sets X's diagonal"
-                                       " entry x[1][1] to the 1 it holds, so X = I",
-    ("descent_matrix", 141, "0 -> 1"): SAME_FOR_ANY_BASIS + "; the mutant makes Y the"
-                                       " diagonal matrix diag(1, -1, 1, ...), still invertible",
-    ("structure", 273, "and -> or"): "coordinatize then also gives the labels that do not"
-                                     " occur an image, which evaluation never reads",
+    "compose.tensor_coefficients: 0 -> 1 #3": "the last key of the pair sort breaks ties by"
+                                              " a, and the stable sort of the a-major list"
+                                              " already does",
+    "descent_matrix.invertibility_equivalences: >= -> >": SAME_FOR_ANY_BASIS + "; the mutant"
+                                                          " leaves X = Y = I when r = 2",
+    "descent_matrix.invertibility_equivalences: 2 -> 3": SAME_FOR_ANY_BASIS + "; the mutant"
+                                                         " leaves X = Y = I when r = 2",
+    "descent_matrix.invertibility_equivalences: 0 -> 1": SAME_FOR_ANY_BASIS + "; the mutant"
+                                                         " sets X's diagonal entry x[1][1] to"
+                                                         " the 1 it holds, so X = I",
+    "descent_matrix.invertibility_equivalences: 0 -> 1 #2": SAME_FOR_ANY_BASIS + "; the"
+                                                            " mutant makes Y the diagonal"
+                                                            " matrix diag(1, -1, 1, ...),"
+                                                            " still invertible",
+    "dstructures.truncated_operator_polynomials: 0 -> 1 #2": "with no names the window"
+                                                             " adjoins no variable, and"
+                                                             " the one level of words the"
+                                                             " mutant builds is never read",
+    "structure.StructureAlgebra.coordinatize: and -> or": "coordinatize then also gives the"
+                                                          " labels that do not occur an image,"
+                                                          " which evaluation never reads",
 }
 SWAPS = {
     ast.Add: "-", ast.Sub: "+", ast.Eq: "!=", ast.NotEq: "==", ast.Lt: "<=", ast.LtE: "<",
@@ -119,46 +131,73 @@ def _operator(source, left, right, symbol):
     return lo + at, lo + last + len(words[-1])
 
 
+def _scoped(tree, module):
+    """Every node of ``tree`` with the dotted name of the function or class
+    that holds it (``module.Class.method``), as ``tests/test_raise_reach.py``
+    names its raise statements."""
+    stack = [(tree, module)]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
 def mutation_points(module, text):
-    """Every mutation point of a module, in source order, as (line, change,
-    edits); ``edits`` lists (start, end, replacement bytes)."""
+    """Every mutation point of a module, in source order, as (name, line,
+    change, edits); ``edits`` lists (start, end, replacement bytes).  A
+    point is named by the function that holds it and its change
+    (``compose.tensor_coefficients: 0 -> 1``), the second and later points
+    of that name by their ordinal (``... #2``), so that an edit outside the
+    function does not rename it."""
     source = Source(text)
     tree = ast.parse(text)
     # positions inside f-strings are not reliable before Python 3.12
     in_fstrings = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
                    for inner in ast.walk(node)}
     points = []
-    for node in ast.walk(tree):
+    for node, scope in _scoped(tree, module):
         if id(node) in in_fstrings:
             continue
         if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
             span = _operator(source, node.left, node.right, SYMBOLS[type(node.op)])
-            points.append((node.lineno, f"{SYMBOLS[type(node.op)]} -> {SWAPS[type(node.op)]}",
+            points.append((scope, node.lineno,
+                           f"{SYMBOLS[type(node.op)]} -> {SWAPS[type(node.op)]}",
                            [(*span, SWAPS[type(node.op)].encode())]))
         elif isinstance(node, ast.Compare):
             for left, op, right in zip([node.left, *node.comparators], node.ops,
                                        node.comparators):
                 if type(op) in SWAPS:
                     span = _operator(source, left, right, SYMBOLS[type(op)])
-                    points.append((node.lineno, f"{SYMBOLS[type(op)]} -> {SWAPS[type(op)]}",
+                    points.append((scope, node.lineno,
+                                   f"{SYMBOLS[type(op)]} -> {SWAPS[type(op)]}",
                                    [(*span, SWAPS[type(op)].encode())]))
         elif isinstance(node, ast.BoolOp):
             symbol = SYMBOLS[type(node.op)]
             edits = [(*_operator(source, a, b, symbol), SWAPS[type(node.op)].encode())
                      for a, b in zip(node.values, node.values[1:])]
-            points.append((node.lineno, f"{symbol} -> {SWAPS[type(node.op)]}", edits))
+            points.append((scope, node.lineno, f"{symbol} -> {SWAPS[type(node.op)]}", edits))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             operand = source.data[source.start(node.operand):source.end(node.operand)]
-            points.append((node.lineno, "not x -> bool(x)",
+            points.append((scope, node.lineno, "not x -> bool(x)",
                            [(source.start(node), source.end(node), b"bool(" + operand + b")")]))
         elif (isinstance(node, ast.Constant) and type(node.value) is int
               and node.value in (0, 1, 2)):
-            points.append((node.lineno, f"{node.value} -> {node.value + 1}",
+            points.append((scope, node.lineno, f"{node.value} -> {node.value + 1}",
                            [(source.start(node), source.end(node),
                              str(node.value + 1).encode())]))
-    points.sort(key=lambda p: (p[2][0][0], p[1]))
-    return [(module, line, change, edits) for line, change, edits in points
-            if _changes_one_node(text, edits)]
+    points.sort(key=lambda p: (p[3][0][0], p[2]))
+    named, counts = [], {}
+    for scope, line, change, edits in points:
+        if not _changes_one_node(text, edits):
+            continue
+        name = f"{scope}: {change}"
+        counts[name] = counts.get(name, 0) + 1
+        if counts[name] > 1:
+            name += f" #{counts[name]}"
+        named.append((module, name, line, change, edits))
+    return named
 
 
 def _changes_one_node(text, edits):
@@ -211,7 +250,11 @@ def main(argv=None):
     parser.add_argument("--list", action="store_true", help="only count the points")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    points = [p for p in population(root) if args.module in (None, p[0])]
+    points = population(root)
+    stale = sorted(set(EQUIVALENT) - {name for _, name, _, _, _ in points})
+    if stale:
+        raise SystemExit(f"EQUIVALENT names no mutation point: {stale}")
+    points = [p for p in points if args.module in (None, p[0])]
     if args.list:
         for module in MODULES:
             print(f"{sum(p[0] == module for p in points):5d}  {module}")
@@ -231,7 +274,7 @@ def main(argv=None):
         if kill_run(copy, tests):
             raise SystemExit("the kill set fails on the unmutated copy")
         counts = {"killed": 0, "survived": 0, "equivalent": 0}
-        for module, line, change, edits in sample:
+        for module, name, line, change, edits in sample:
             path = copy / "src" / "descent_kit" / f"{module}.py"
             original = path.read_bytes()
             path.write_bytes(mutated(original.decode("utf-8"), edits))
@@ -241,10 +284,10 @@ def main(argv=None):
             finally:
                 path.write_bytes(original)
             outcome = ("killed" if killed else
-                       "equivalent" if (module, line, change) in EQUIVALENT else "survived")
+                       "equivalent" if name in EQUIVALENT else "survived")
             counts[outcome] += 1
-            print(f"{outcome:10s} {module}.py:{line}  {change}"
-                  f"  ({time.perf_counter() - started:.0f} s)", flush=True)
+            print(f"{outcome:10s} {name}  ({module}.py:{line},"
+                  f" {time.perf_counter() - started:.0f} s)", flush=True)
     total = len(sample) - counts["equivalent"]
     print(f"killed {counts['killed']} of {total} non-equivalent mutants"
           f" ({100 * counts['killed'] / max(total, 1):.0f}%), {counts['survived']} survived,"

@@ -45,13 +45,16 @@ from descent_kit import (
 from descent_kit import linear
 from descent_kit.descent_matrix import assemble_matrix
 from descent_kit.errors import (
-    BaseMismatch,
     CarrierMismatch,
     DescentKitError,
     NotAHomomorphism,
     TruncationExceeded,
 )
 from descent_kit.matrices import RingMatrix
+
+
+class BaseMismatch(DescentKitError):
+    """Two tensor factors do not share their base or its images."""
 
 
 class SingularBasisChange(DescentKitError):
@@ -165,11 +168,14 @@ def tensor_structures(f: DStructure, g: DStructure, base):
         subs = {v: Polynomial.variable(field, w) for v, w in mapping.items()}
         return tuple(c.substitute(subs) for c in vec)
 
+    # f's base, if any, gives its own variables their images
+    inherited = f.base.images if f.base is not None else {}
     images = {}
     for v in f.carrier.variables:
         images[map_s[v]] = push(f.images[v], map_s)
     for v in g.carrier.variables:
         images.setdefault(map_t[v], push(g.images[v], map_t))
+    images = {v: vec for v, vec in images.items() if v not in inherited}
     return DStructure(ring, f.coeff, images, base=f.base), map_s, map_t
 
 
@@ -294,9 +300,11 @@ def associated_endomorphisms(structure: DStructure, dk=None):
     if dk is None:
         dk = difference_algebra(structure.coeff.field)
     base = None if structure.base is None else associated_endomorphisms(structure.base, dk)
+    inherited = {} if base is None else structure.base.images
     return [
         DStructure(structure.carrier, dk,
-                   {v: (p,) for v, p in associated_images(structure, i).items()},
+                   {v: (p,) for v, p in associated_images(structure, i).items()
+                    if v not in inherited},
                    None if base is None else base[i])
         for i in range(structure.coeff.factor_count)
     ]

@@ -6,7 +6,9 @@ name->exponent dicts and build their result through the checking
 constructor; ``reference_key`` is the order key computed afresh.  Over QQ
 (ints and Fractions mixed), GF(2), GF(7) and GF(101) the kernel must give
 the same values, and over QQ every scalar it returns is an int or a
-Fraction, never a float.
+Fraction, never a float.  ``EagerFractions`` is the scalar field as it
+was before ``fractions`` was loaded lazily: every literal and every
+rational inverse went through ``Fraction``.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descent_kit import GF, QQ, DegRevLex, Monomial, Polynomial
+from descent_kit.errors import DivisionByZero, ParseError
 from descent_kit.linear import vec_mul
 from descent_kit.polynomials import ONE, add_multiple
 from conftest import sparse_cells
@@ -251,6 +254,92 @@ def test_prime_field_scalars_are_residues(field, n):
     assert type(a) is int and 0 <= a < field.characteristic
     if a:
         assert field.mul(a, field.inv(a)) == 1
+
+
+class EagerFractions:
+    """``parse``, ``normalize``, ``inv`` and ``div`` of one field, each
+    through ``Fraction`` whatever the value."""
+
+    def __init__(self, field):
+        self.p = field.characteristic
+
+    def normalize(self, value):
+        p = self.p
+        if p:
+            if type(value) is int:
+                return value % p
+            if isinstance(value, Fraction):
+                if value.denominator % p == 0:
+                    raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+                return (value.numerator * pow(value.denominator, -1, p)) % p
+            return int(value) % p
+        if type(value) is int:
+            return value
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        if self.p:
+            return pow(a, -1, self.p)
+        q = Fraction(1) / a
+        return q.numerator if q.denominator == 1 else q
+
+    def div(self, a, b):
+        c = self.inv(b)
+        return (a * c) % self.p if self.p else a * c
+
+    def parse(self, text):
+        text = text.strip()
+        try:
+            if "/" in text:
+                num, den = text.split("/")
+                value = Fraction(int(num), int(den))
+            else:
+                value = Fraction(int(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
+        return self.normalize(value)
+
+
+def outcome(call, *args):
+    """The type and value of what ``call`` returns, or the type and text of
+    what it raises."""
+    try:
+        value = call(*args)
+    except (ParseError, DivisionByZero) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+SCALAR_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(101))
+small = st.integers(-60, 60)
+literals = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(small, small).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.tuples(small, small).map(lambda nd: f" {nd[0]} / {nd[1]} "),
+    st.text(alphabet="0123456789/-+_ .x", max_size=8),
+)
+values = st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=50),
+                   st.floats(allow_nan=False, allow_infinity=False, width=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(SCALAR_FIELDS), text=literals, value=values, a=values, b=values)
+def test_scalars_match_the_eager_fraction_reference(field, text, value, a, b):
+    """Value and type agree with the reference: an int stays an int, and a
+    Fraction is made exactly where the reference makes one."""
+    eager = EagerFractions(field)
+    assert outcome(field.parse, text) == outcome(eager.parse, text)
+    assert outcome(field.normalize, value) == outcome(eager.normalize, value)
+    try:
+        a, b = eager.normalize(a), eager.normalize(b)
+    except DivisionByZero:
+        return
+    assert outcome(field.inv, b) == outcome(eager.inv, b)
+    assert outcome(field.div, a, b) == outcome(eager.div, a, b)
 
 
 # -- structure-constant products ---------------------------------------------------

@@ -51,6 +51,7 @@ REASONS = (DUNDER, ERROR_PATH, ENTRY, LIBRARY)
 
 NOT_REACHED = {
     "__init__.__dir__": DUNDER,
+    "dalgebra.DCoefficientAlgebra.__eq__": DUNDER,
     "dalgebra.DCoefficientAlgebra.__hash__": DUNDER,
     "dalgebra.DCoefficientAlgebra.__repr__": DUNDER,
     "groebner.GroebnerBasis.__eq__": DUNDER,

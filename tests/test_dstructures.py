@@ -1,5 +1,6 @@
 """Operator structures: coordinate ops and their words, ideals, quotients, windows, tensors."""
 
+import json
 import random
 
 import pytest
@@ -11,17 +12,19 @@ from descent_kit import (
     PresentedRing,
     difference_algebra,
     dual_numbers,
+    load_problem,
     product_of_fields,
+    render,
     truncated_operator_polynomials,
 )
 from descent_kit import dstructures
 from descent_kit.errors import (
-    BaseMismatch,
     NotDIdeal,
     NotWellDefined,
     ResourceLimit,
     TruncationExceeded,
 )
+from conftest import FIXTURES
 from paper_checks import associated_endomorphisms, tensor_structures
 
 
@@ -121,24 +124,64 @@ def test_validate_well_definedness():
     DStructure.identity(bad_carrier, dual_numbers(QQ)).validate()
 
 
-def test_base_compatibility():
+@pytest.fixture
+def shifted():
+    """e(a) = a + 1 on QQ[a], the base of the layers below."""
     base = PresentedRing.make(QQ, ("a",), [])
-    d = difference_algebra(QQ)
-    e = DStructure(base, d, {"a": (base.el("a+1"),)})
-    carrier = base.extend(("x",))
-    good = DStructure(carrier, d, {"a": (carrier.el("a+1"),), "x": (carrier.el("x"),)}, base=e)
-    good.validate()
-    bad = DStructure(carrier, d, {"a": (carrier.el("a"),), "x": (carrier.el("x"),)}, base=e)
-    with pytest.raises(BaseMismatch):
-        bad.validate()
-    # an image left unassigned on either side (a truncated window's
-    # boundary) cannot be compared
-    unassigned = DStructure(base, d, {"a": None})
-    for images, base_structure in (({"a": None, "x": (carrier.el("x"),)}, e),
-                                   ({"a": (carrier.el("a+1"),), "x": (carrier.el("x"),)},
-                                    unassigned)):
-        with pytest.raises(BaseMismatch, match="unassigned image for base variable 'a'"):
-            DStructure(carrier, d, images, base=base_structure).validate()
+    return DStructure(base, difference_algebra(QQ), {"a": (base.el("a+1"),)})
+
+
+def test_a_layer_inherits_its_base_images(shifted):
+    carrier = shifted.carrier.extend(("x",))
+    layer = DStructure(carrier, shifted.coeff, {"x": (carrier.el("x^2"),)}, base=shifted)
+    assert list(layer.images) == ["a", "x"]
+    assert carrier.render(layer.images["a"][0]) == "a + 1"
+    assert carrier.equal(layer.coordinate_op(1, carrier.el("a*x")), carrier.el("a*x^2 + x^2"))
+    assert layer.validate() == [{"check": "well_defined_on_relations", "ok": True},
+                                {"check": "extends_base_structure", "ok": True}]
+    # a window over a window inherits the unassigned boundary images too
+    window = truncated_operator_polynomials(shifted, ["t"], 1)
+    assert window.images["t_1"] is None
+    over = DStructure(window.carrier.extend(("z",)), shifted.coeff, {"z": (window.carrier.zero,)},
+                      base=window)
+    assert over.images["t_1"] is None and over.images["a"] == window.images["a"]
+
+
+def test_an_image_for_a_base_variable_is_refused(shifted):
+    carrier = shifted.carrier.extend(("x",))
+    for image in ((carrier.el("a+1"),), (carrier.el("a"),), None):
+        with pytest.raises(ValueError, match="image given for base variable 'a'"):
+            DStructure(carrier, shifted.coeff, {"a": image, "x": (carrier.el("x"),)},
+                       base=shifted)
+
+
+def test_a_fault_in_an_added_relation_is_reported(shifted):
+    base = shifted.carrier
+    carrier = base.extend(("x",), [base.extend(("x",)).el("x^2 - a")])
+    layer = DStructure(carrier, shifted.coeff, {"x": (carrier.el("x"),)}, base=shifted)
+    with pytest.raises(NotWellDefined) as caught:
+        layer.validate()
+    assert str(caught.value) == ("structure not well defined: coordinate 1 of the image of"
+                                 " relation x^2 - a is not in the relation ideal")
+
+
+def test_a_base_relation_is_applied_once_per_tower(monkeypatch):
+    """Loading a document validates e, f, g and the test algebra's u, each
+    on top of the one below: every relation of A, B, C and R is applied
+    once, by the first layer whose carrier has it."""
+    applied = []
+    original = DStructure.apply
+
+    def recorded(self, x):
+        applied.append(render(x, self.carrier.order))
+        return original(self, x)
+
+    monkeypatch.setattr(DStructure, "apply", recorded)
+    doc = json.loads((FIXTURES / "unit_pivot.json").read_text())
+    del doc["second"]
+    load_problem(doc)
+    relations = ["a^2", "y^2", "t^2", "u^2"]
+    assert {r: applied.count(r) for r in relations} == dict.fromkeys(relations, 1)
 
 
 def test_d_ideal_check(qt):

@@ -54,25 +54,30 @@ NOT_FOR_VALIDATE = {"compose", "homs", "weil", "weil_d", "descent_matrix", "matr
 # command runs, and start-up is most of a run on small inputs, so one added
 # here is a change to this set
 STARTUP_IMPORTS = frozenset({
-    "__future__", "fractions", "gc", "getopt", "heapq", "importlib", "itertools", "json",
+    "__future__", "gc", "getopt", "heapq", "importlib", "itertools", "json",
     "os", "sys", "time", "types", "weakref",
 })
+
+
+def loaded_modules(code: str, *flags) -> set:
+    """The modules loaded once ``code`` has run in a fresh interpreter
+    started with ``flags``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
+    )
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def loaded_submodules(code: str) -> set:
     """The ``descent_kit`` submodules loaded once ``code`` has run in a fresh
     interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")])
-    )
-    code += ("\nimport json, sys\n"
-             "print(json.dumps(sorted(name for name in sys.modules"
-             " if name.startswith('descent_kit.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return {name.split(".", 1)[1] for name in json.loads(proc.stdout.splitlines()[-1])}
+    return {name.split(".", 1)[1] for name in loaded_modules(code)
+            if name.startswith("descent_kit.")}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -88,6 +93,18 @@ def test_validate_loads_only_what_it_runs():
     )
     assert "problem" in loaded
     assert loaded.isdisjoint(NOT_FOR_VALIDATE)
+
+
+def test_validate_over_a_prime_field_loads_no_fractions():
+    """Scalars over GF(p) are ints, so ``fractions`` and the ``decimal`` it
+    loads stay out of the process; ``-S`` keeps out what site imports."""
+    loaded = loaded_modules(
+        "import os\n"
+        "from descent_kit.cli import main\n"
+        f"assert main(['validate', '--input', {str(FIXTURES / 'unit_pivot.json')!r},"
+        " '--output', os.devnull]) == 0", "-S")
+    assert "descent_kit.scalars" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})
 
 
 def test_every_exported_name_resolves_to_its_submodule_object():

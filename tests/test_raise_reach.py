@@ -55,11 +55,9 @@ NOT_HIT = {
     "dstructures.DStructure.__init__: ValueError": LIBRARY,
     "dstructures.DStructure.__init__: ValueError #2": LIBRARY,
     "dstructures.DStructure.__init__: ValueError #3": LIBRARY,
+    "dstructures.DStructure.__init__: ValueError #4": LIBRARY,
     "dstructures.DStructure._image_element: TruncationExceeded": NO_DOCUMENT,
     "dstructures.DStructure.quotient: NotDIdeal": CERTIFICATE,
-    "dstructures.DStructure.validate: BaseMismatch": LIBRARY,
-    "dstructures.DStructure.validate: BaseMismatch #2": LIBRARY,
-    "dstructures.DStructure.validate: BaseMismatch #3": LIBRARY,
     "matrices.RingMatrix.__init__: ValueError": LIBRARY,
     "matrices.RingMatrix.__mul__: ValueError": LIBRARY,
     "matrices.RingMatrix._adjugate_times: ValueError": LIBRARY,
@@ -83,7 +81,6 @@ NOT_HIT = {
     "structure.evaluate_poly: KeyError": LIBRARY,
     "structure.evaluate_poly: ValueError": LIBRARY,
     "tower.OperatorTower.__init__: ValueError": LIBRARY,
-    "tower.OperatorTower.validate: CertificateFailure": CERTIFICATE,
     "weil.tau_forward: NotAHomomorphism": CERTIFICATE,
     "weil.tau_forward: NotAHomomorphism #2": CERTIFICATE,
     "weil.tau_forward: ValueError": LIBRARY,
