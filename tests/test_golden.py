@@ -67,7 +67,9 @@ GOLDEN = [
 # takes: no_border_basis.json (A = QQ[a], y^2 = a y) builds B's flat ring by
 # Buchberger, since its table is not a border basis, and
 # introduction_solvable.json (introduction.json with z = 1) solves the
-# obstruction evidence's system
+# obstruction evidence's system, and reducible_variables.json (A = GF(2)[a, c]/(a^2,
+# c - a), C = B[t, s]/(t^2, s - t)) names variables that reduce to others,
+# so every producer of a value must reduce what it builds
 ROUTES = [
     ("introduction_solvable.json", "validate", 0, "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
     ("introduction_solvable.json", "matrix", 0, "9eb8b482557b581dd26d9d3387f8389aec8230b54448ea690685021cedf82dc7"),
@@ -81,6 +83,12 @@ ROUTES = [
     ("no_border_basis.json", "descend --audit", 0, "9141321c4038b94492554959bb180be65003563e242006a3b1198902c9075b0d"),
     ("no_border_basis.json", "adjoint-check", 1, "661d5af102db582fa7d7c747a6c0bcd223a5b7e02f99a58e10e2920595d7105f"),
     ("no_border_basis.json", "compose-check", 1, "86c1d7c9328d6727e229591e79008c40f456681969384a7a0281baa9e0256aa0"),
+    ("reducible_variables.json", "validate", 0, "d8fbff9c08e89ed0a3e058cce4d3a831221f66d0a10f10b44d32d691ee160263"),
+    ("reducible_variables.json", "matrix", 0, "dea1472312cb63cdab04e71fca4a65ffdabcd6794a1baeda5423010db98de2e7"),
+    ("reducible_variables.json", "descend", 0, "31568f4751275a5bf98d1061e54e041fd29c736613006fd97c1d91aec8254074"),
+    ("reducible_variables.json", "descend --audit", 0, "93466a849a23d7935606df25a4cb6befc94ffc0ead60b4c430ae239fc179260a"),
+    ("reducible_variables.json", "adjoint-check", 0, "b79437142f9f9c3d08f2b06c9a9480416ce9564ccb4b081882e77e3c41e60ea1"),
+    ("reducible_variables.json", "compose-check", 0, "a02f5d752c74de5f8e07db3fa75714d183cb8a0bc518493fd87a5a3ee05402ba"),
 ]
 
 

@@ -7,7 +7,9 @@ as a problem document.  Its base ring A is one of
 - k itself;
 - k[a]/(a^2 - a), with e(a) = (1 - a) (x) 1;
 - k[a]/(a^2 - 2) over GF(7), with e(a) = a (x) 1 or -a (x) 1;
-- k[a] with no relations, with e(a) = a (x) 1 or (a + 1) (x) 1.
+- k[a] with no relations, with e(a) = a (x) 1 or (a + 1) (x) 1;
+- k[a, c]/(a^2, c - a), whose variable a reduces to c, with e(a) = e(c) =
+  a (x) 1 or -a (x) 1.
 
 The loader hands B's images to the tower as they are written, so these
 documents send bases and base structures that no fixture has through it.  Every command
@@ -37,13 +39,14 @@ from descent_kit.cli import main
 from conftest import COEFF_BUILDERS, dense_table, monogenic_algebra, random_tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# name -> (fields to draw from, relations of A, images of a under sigma);
-# A = k has no variable a
+# name -> (fields to draw from, variables of A, relations of A, images of
+# each variable under sigma)
 BASES = {
-    "k": ((QQ, GF(2), GF(5)), None, None),
-    "idempotent": ((QQ, GF(3)), ["a^2 - a"], ["1 - a"]),
-    "root_of_2": ((GF(7),), ["a^2 - 2"], ["a", "-a"]),
-    "free": ((QQ, GF(5)), [], ["a", "a + 1"]),
+    "k": ((QQ, GF(2), GF(5)), [], [], None),
+    "idempotent": ((QQ, GF(3)), ["a"], ["a^2 - a"], ["1 - a"]),
+    "root_of_2": ((GF(7),), ["a"], ["a^2 - 2"], ["a", "-a"]),
+    "free": ((QQ, GF(5)), ["a"], [], ["a", "a + 1"]),
+    "reducible": ((QQ, GF(2)), ["a", "c"], ["a^2", "c - a"], ["a", "-a"]),
 }
 # the errors a valid document may meet: a budget, under any command
 BUDGETS = {"ResourceLimit", "CombinatorialBudgetExceeded"}
@@ -72,13 +75,14 @@ def coefficient_document(coeff):
 def _structure_set(a_ring, algebra, sigma, kind, rng):
     """(D, A's images, the tower) of one structure set on A and B: D drawn
     from ``COEFF_BUILDERS``, e(a) = sigma(a) (x) 1, and f drawn by
-    ``random_tower`` to extend e."""
+    ``random_tower`` to extend e; every variable of A has the one image
+    sigma(a)."""
     field = a_ring.field
     coeff = COEFF_BUILDERS[rng.choice(sorted(COEFF_BUILDERS))](field)
     images = {}
     if sigma is not None:
         image = a_ring.el(rng.choice(sigma))
-        images["a"] = tuple(image.scale(u) for u in coeff.unit)
+        images = {v: tuple(image.scale(u) for u in coeff.unit) for v in a_ring.variables}
     e = DStructure(a_ring, coeff, images)
     tower = random_tower(field, coeff, kind, rng, algebra=algebra, e=e)
     a_images = {v: [a_ring.render(p) for p in vec] for v, vec in images.items()}
@@ -103,12 +107,11 @@ def random_document(seed):
     ``adjoint-check`` reads when the descent matrix is not invertible, is
     any element of D(B)."""
     rng = random.Random(seed)
-    fields, relations, sigma = BASES[rng.choice(sorted(BASES))]
+    fields, variables, relations, sigma = BASES[rng.choice(sorted(BASES))]
     field = rng.choice(fields)
-    variables = [] if relations is None else ["a"]
     a_ring = PresentedRing.make(field, variables,
                                 [PresentedRing.make(field, variables).el(r)
-                                 for r in relations or ()])
+                                 for r in relations])
     kind = rng.choice(("nil2", "split", "nil3"))
     algebra = monogenic_algebra(a_ring, kind)
     labels = list(algebra.labels[1:])
@@ -123,7 +126,7 @@ def random_document(seed):
     return {
         "field": "rationals" if field == QQ else {"prime": field.characteristic},
         "D": d1,
-        "A": {"variables": variables, "relations": relations or [], "images": a1},
+        "A": {"variables": variables, "relations": relations, "images": a1},
         "B": {"basis": list(algebra.labels), "products": products,
               "images": _rendered(t1, labels)},
         "C": {"generators": ["t"], "relations": c_relations, "images": c_images[0]},
