@@ -14,6 +14,12 @@ the images of the base carrier's variables from the base, and refuses an
 image given for one of them.  So ``validate`` validates the base (once)
 and applies only the relations the carrier adds, and
 ``extends_base_structure`` is a certificate with nothing left to compare.
+
+The images given to the constructor are kept as they are, normal forms of
+the carrier: ``identity``, ``difference`` and ``quotient`` reduce the
+images they form.  The base's images are normal forms of the base carrier,
+and the constructor reduces them in its own, where a relation of the
+carrier may reduce them further.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
 from .groebner import buchberger
 from .polynomials import Polynomial, render
 from .presented import PresentedRing
-from .structure import _wrap, evaluate_poly
+from .structure import AlgebraElement, evaluate_poly
 
 
 class DStructure:
@@ -49,7 +55,13 @@ class DStructure:
             for v in base.images:
                 if v in images:
                     raise ValueError(f"image given for base variable {v!r}")
-            images = {**base.images, **images}
+            # the base's images are normal forms of the base carrier, and a
+            # relation this carrier adds may reduce them (C = B[t]/(y t - y)
+            # sends y to 0): they change ring here, as a table does in
+            # StructureAlgebra.base_change
+            nf = carrier.nf
+            images = {**{v: None if vec is None else tuple(map(nf, vec))
+                         for v, vec in base.images.items()}, **images}
         norm = {}
         for v, vec in images.items():
             if v not in carrier.variables:
@@ -57,7 +69,7 @@ class DStructure:
             if vec is None:
                 norm[v] = None  # unassigned (truncated window boundary)
             else:
-                vec = tuple(carrier.nf(c) for c in vec)
+                vec = tuple(vec)
                 if len(vec) != coeff.dim:
                     raise ValueError(f"image of {v!r} must have {coeff.dim} coordinates")
                 norm[v] = vec
@@ -72,26 +84,24 @@ class DStructure:
     @staticmethod
     def identity(carrier: PresentedRing, coeff: DCoefficientAlgebra) -> "DStructure":
         """e(x) = x (x) 1: every coordinate operator is a scalar of the identity."""
-        images = {
-            v: tuple(
-                Polynomial.variable(carrier.field, v).scale(u) for u in coeff.unit
-            )
-            for v in carrier.variables
-        }
+        images = {}
+        for v in carrier.variables:
+            x = carrier.nf(carrier.var(v))
+            images[v] = tuple(x.scale(u) for u in coeff.unit)
         return DStructure(carrier, coeff, images)
 
     @staticmethod
     def difference(carrier: PresentedRing, endo_images: dict) -> "DStructure":
         """A single-endomorphism structure (coefficient algebra k)."""
         coeff = difference_algebra(carrier.field)
-        return DStructure(carrier, coeff, {v: (p,) for v, p in endo_images.items()})
+        return DStructure(carrier, coeff,
+                          {v: (carrier.nf(p),) for v, p in endo_images.items()})
 
     def _image_element(self, v: str):
         vec = self.images[v]
         if vec is None:
             raise TruncationExceeded(f"no operator image assigned to {v!r}")
-        # the coordinates are normal forms over the carrier, set in __init__
-        return _wrap(self._ext, vec)
+        return AlgebraElement(self._ext, vec)
 
     def apply(self, x: Polynomial):
         """e(x) as an element of carrier (x) D (an l-vector over the carrier).
@@ -183,12 +193,14 @@ class DStructure:
         """
         gens = [self.carrier.nf(g) for g in ideal_gens]
         new_carrier = self.carrier.extend((), gens)
-        # the constructor reduces the images modulo the new relations, and
-        # takes the base variables' from the base
+        # the images are reduced modulo the new relations here; the
+        # constructor takes the base variables' from the base and reduces
+        # them itself
         inherited = self.base.images if self.base is not None else {}
+        nf = new_carrier.nf
         induced = DStructure(new_carrier, self.coeff,
-                             {v: vec for v, vec in self.images.items() if v not in inherited},
-                             base=self.base)
+                             {v: tuple(map(nf, vec)) for v, vec in self.images.items()
+                              if v not in inherited}, base=self.base)
         if not all(induced.apply(g).is_zero() for g in gens):
             raise NotDIdeal("the ideal is not closed under the coordinate operators")
         return induced

@@ -16,9 +16,12 @@ on the unit vectors for the adjugate, which the fallback inverse scales
 by det(M)^-1, and on the right-hand sides for ``solve_cramer``.  No
 matrix power is formed.
 
-Every sum of products (a matrix product entry, a Berkowitz dot product,
-power entry or Toeplitz entry) is accumulated in one term dict and
-normalized once.
+Entries are normal forms, and the constructor keeps the entries it is
+given: whoever builds a matrix reduces what it formed.  Every sum of
+products (a matrix product entry, a Berkowitz dot product, power entry or
+Toeplitz entry) is accumulated in one term dict and normalized once; an
+adjugate entry times det(M)^-1 is one normal form of a product.  Negating a
+normal form, as ``det`` does, leaves one.
 
 ``solve_cramer`` is a second, independent solve: one characteristic
 polynomial per matrix, then Cayley-Hamilton for every right-hand side.  It
@@ -59,14 +62,15 @@ def _nf_sum(ring: PresentedRing, pairs, terms=None, negate=False) -> Polynomial:
 
 
 class RingMatrix:
-    """An immutable matrix over a PresentedRing, entries in normal form."""
+    """An immutable matrix over a PresentedRing, entries in normal form,
+    kept as given."""
 
     __slots__ = ("ring", "rows", "_charpoly")
 
     def __init__(self, ring: PresentedRing, rows):
         self.ring = ring
         self._charpoly = None
-        self.rows = tuple(tuple(ring.nf(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -106,13 +110,8 @@ class RingMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows))
-        field = self.ring.field
-        out = [
-            [Polynomial.from_terms(field, _sum_of_products(zip(row, col), field))
-             for col in cols]
-            for row in self.rows
-        ]
-        return RingMatrix(self.ring, out)
+        return RingMatrix(self.ring, [[_nf_sum(self.ring, zip(row, col)) for col in cols]
+                                      for row in self.rows])
 
     def apply(self, vector, ring: PresentedRing = None):
         """Matrix-vector product, normalized in ``ring``: the ring of the
@@ -142,10 +141,12 @@ class RingMatrix:
         ring = self.ring
         coeffs = [ring.one]
         for r in range(1, n + 1):
-            minor = [row[: r - 1] for row in self.rows[: r - 1]]
-            row_vec = list(self.rows[r - 1][: r - 1])
+            # the leading (r-1) x (r-1) minor, row r and column r: the rows
+            # are not cut to r - 1 entries, since every product below zips
+            # them with a vector of r - 1 entries, and zip stops there
+            minor, row_vec = self.rows[: r - 1], self.rows[r - 1]
             col_vec = [self.rows[i][r - 1] for i in range(r - 1)]
-            corner = self.rows[r - 1][r - 1]
+            corner = row_vec[r - 1]
             # toeplitz[i][j]: 1 on the diagonal, -corner on the subdiagonal,
             # -(row * minor^(i-j-2) * col) below that
             powers = [col_vec]
@@ -172,7 +173,7 @@ class RingMatrix:
     def det(self) -> Polynomial:
         """det(M) = (-1)^n c_0."""
         c0 = self._coeffs()[-1]
-        return self.ring.nf(c0 if self.nrows % 2 == 0 else -c0)
+        return c0 if self.nrows % 2 == 0 else -c0
 
     def _unit_det_inverse(self) -> Polynomial:
         """det(M)^-1, or NonInvertibleMatrix."""
@@ -236,7 +237,8 @@ class RingMatrix:
     def _inverse_adjugate(self) -> "RingMatrix":
         """adj(M) * det(M)^-1, or NonInvertibleMatrix naming the determinant."""
         d_inv = self._unit_det_inverse()
-        return RingMatrix(self.ring, [[e * d_inv for e in row] for row in self.adjugate().rows])
+        return RingMatrix(self.ring, [[self.ring.mul(e, d_inv) for e in row]
+                                      for row in self.adjugate().rows])
 
     def is_invertible(self) -> bool:
         try:

@@ -7,6 +7,12 @@ its normal forms and its rendering share one order and one key memo.
 Towers (an algebra over an algebra over k) are always flattened to a single
 presentation over k.
 
+Normal forms are the contract of the values built on a ring: whoever makes
+a value that may not be reduced reduces it, and the value types keep what
+they are given.  ``el``, ``is_zero``, ``equal``, ``mul``, ``sub`` and
+``unit_inverse`` reduce, since they take or make arbitrary polynomials;
+``render`` renders a normal form as given.
+
 A ring is built once per extension: ``extend`` keeps every ring it built
 in a slot of the ring it extended, keyed by the new variables and the
 nonzero new relations, and returns the same object when asked again.  New
@@ -106,7 +112,8 @@ class PresentedRing:
         return self.nf(p)
 
     def render(self, p: Polynomial) -> str:
-        return render(self.nf(p), self.order)
+        """The text of ``p``, a normal form, as given."""
+        return render(p, self.order)
 
     # -- units ----------------------------------------------------------------
 

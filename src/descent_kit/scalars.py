@@ -158,23 +158,23 @@ class ScalarField:
     # -- text form -----------------------------------------------------------
 
     def parse(self, text: str):
-        """Parse a scalar literal: an integer or ``num/den``."""
+        """Parse a scalar literal: an integer or ``num/den``.  A literal of
+        another shape, or with a zero denominator, raises ParseError naming
+        the fault."""
         text = text.strip()
+        num, slash, den = text.partition("/")
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                num, den = int(num), int(den)
-                if den and not num % den:
-                    value = num // den
-                else:
-                    from fractions import Fraction
+            num, den = int(num), (int(den) if slash else 1)
+        except ValueError:
+            raise ParseError(
+                f"bad scalar literal {text!r}: expected an integer or num/den") from None
+        if not den:
+            raise ParseError(f"bad scalar literal {text!r}: zero denominator")
+        if not num % den:
+            return self.normalize(num // den)
+        from fractions import Fraction
 
-                    value = Fraction(num, den)
-            else:
-                value = int(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
-        return self.normalize(value)
+        return self.normalize(Fraction(num, den))
 
     def render(self, a) -> str:
         """Canonical decimal rendering; residues print as their value in [0, p)."""

@@ -11,11 +11,15 @@ c_ijm is nonzero, m ascending.  ``multiply_coords`` is the one product
 kernel: elements multiply through it, and ``validate`` checks the unit law
 and associativity with the products it returns.
 
-Element coordinates are always normal forms over the base ring.  The public
-constructor normalizes what it is given; products are normalized once per
-output coordinate, and sums, differences, negations and field-scalar
-multiples of normal forms are normal forms already, so they are kept as
-computed.  ``evaluate_poly`` computes each power of a variable's image once
+Element coordinates are always normal forms over the base ring.  The
+constructor keeps what it is given, so whoever makes coordinates that may
+not be reduced reduces them: products are normalized once per output
+coordinate, ``scalar_el`` reduces each a * u_k and ``basis_el`` the 1 it
+places, and sums, differences, negations and field-scalar multiples of
+normal forms are normal forms already, so they are kept as computed.  The
+table is the exception: the constructor and ``base_change`` reduce its
+entries, since a normal form over one ring need not be one over a larger
+ring.  ``evaluate_poly`` computes each power of a variable's image once
 per call, applies a term's field coefficient by scaling coordinates, and
 accumulates the terms in place.
 
@@ -102,13 +106,14 @@ class StructureAlgebra:
         return AlgebraElement(self, coords)
 
     def basis_el(self, i: int) -> "AlgebraElement":
-        coords = [self.base.zero] * self.rank
-        coords[i] = self.base.one
+        base = self.base
+        coords = [base.zero] * self.rank
+        coords[i] = base.nf(base.one)  # 0 when the base is the zero ring
         return AlgebraElement(self, coords)
 
     def scalar_el(self, a: Polynomial) -> "AlgebraElement":
         """The image of a base-ring element, a * 1."""
-        return AlgebraElement(self, [a * c for c in self.unit_coords])
+        return AlgebraElement(self, [self.base.mul(a, c) for c in self.unit_coords])
 
     def multiply_coords(self, x, y):
         """Coordinates of x * y: each output coordinate is accumulated in one
@@ -280,8 +285,9 @@ class StructureAlgebra:
 class AlgebraElement:
     """A coordinate vector over the base of a StructureAlgebra.
 
-    The coordinates are always normal forms: the constructor normalizes
-    them, and every operation returns normal forms without a second pass.
+    The coordinates are always normal forms: the constructor keeps what it
+    is given, so whoever builds an element hands it normal forms, and every
+    operation returns normal forms without a second pass.
     """
 
     __slots__ = ("algebra", "coords")
@@ -290,7 +296,7 @@ class AlgebraElement:
         if len(coords) != algebra.rank:
             raise ValueError("coordinate vector has the wrong length")
         self.algebra = algebra
-        self.coords = tuple(algebra.base.nf(c) for c in coords)
+        self.coords = tuple(coords)
 
     def _check(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -298,21 +304,22 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        return _wrap(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        return _wrap(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return _wrap(self.algebra, [-a for a in self.coords])
+        return AlgebraElement(self.algebra, [-a for a in self.coords])
 
     def __mul__(self, other):
         self._check(other)
-        return _wrap(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
+        algebra = self.algebra
+        return AlgebraElement(algebra, algebra.multiply_coords(self.coords, other.coords))
 
     def __pow__(self, n: int):
-        return power(self, n) if n else _wrap(self.algebra, self.algebra.unit_coords)
+        return power(self, n) if n else AlgebraElement(self.algebra, self.algebra.unit_coords)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -325,14 +332,6 @@ class AlgebraElement:
             if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
-
-
-def _wrap(algebra: StructureAlgebra, coords) -> AlgebraElement:
-    """An element whose coordinates are already normal forms, kept as given."""
-    el = AlgebraElement.__new__(AlgebraElement)
-    el.algebra = algebra
-    el.coords = tuple(coords)
-    return el
 
 
 def evaluate_poly(p: Polynomial, env: dict, algebra: StructureAlgebra) -> AlgebraElement:
@@ -362,4 +361,4 @@ def evaluate_poly(p: Polynomial, env: dict, algebra: StructureAlgebra) -> Algebr
         coords = algebra.unit_coords if piece is None else piece.coords
         for acc, coord in zip(out, coords):
             add_multiple(acc, coord.terms, c, field)
-    return _wrap(algebra, [Polynomial.from_terms(field, t) for t in out])
+    return AlgebraElement(algebra, [Polynomial.from_terms(field, t) for t in out])

@@ -51,9 +51,9 @@ class WeilDescentResult:
         units = self._unit_maps.get(id(target))
         if units is None:
             algebra = self.tensor_algebra(target)
-            field = target.field
+            field, nf = target.field, target.nf
             units = self._unit_maps[id(target)] = {
-                g: algebra.element([Polynomial.variable(field, name) for name in names])
+                g: algebra.element([nf(Polynomial.variable(field, name)) for name in names])
                 for g, names in self.copy_names.items()
             }
         return units
@@ -134,7 +134,7 @@ def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResu
     ext = result.tensor_algebra(target)
     psi = {}
     for g in result.generators:
-        psi[g] = ext.element([env[name] for name in result.copy_names[g]])
+        psi[g] = ext.element([target.nf(env[name]) for name in result.copy_names[g]])
     # re-check: psi kills the relations of C inside R (x) B
     for rel in result.relations_flat:
         if not ext.coordinatize(rel, psi).is_zero():

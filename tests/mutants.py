@@ -20,7 +20,8 @@ drawn with the seed given from all points, or from one module's with
 temporary directory, never into the checkout itself, and the kill set
 runs there with ``pytest -x``: the pinned reports first
 (``tests/test_golden.py``, ``tests/test_bench_pins.py``,
-``tests/test_scaled_golden.py``), then the kernel and pipeline tests.  A
+``tests/test_scaled_golden.py``), then the normal-form guard
+(``tests/test_normal_forms.py``) and the kernel and pipeline tests.  A
 mutant is killed when the run fails or passes its time limit.  Survivors
 that ``EQUIVALENT`` lists are reported as equivalent, the rest as survived,
 and the tool exits 1 when any mutant survived.  A point is named by the
@@ -49,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("matrices", "linear", "groebner", "dalgebra", "structure", "descent_matrix",
            "weil_d", "weil", "homs", "polynomials", "dstructures", "compose", "tower")
 KILL_SET = (
-    "test_golden.py", "test_bench_pins.py", "test_scaled_golden.py",
+    "test_golden.py", "test_bench_pins.py", "test_scaled_golden.py", "test_normal_forms.py",
     "test_matrices.py", "test_eliminator.py", "test_groebner.py",
     "test_normal_form_kernel.py", "test_known_prefix.py", "test_polynomials.py",
     "test_monomial_kernel.py", "test_arith_kernel.py", "test_structure.py",

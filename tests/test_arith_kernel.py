@@ -296,12 +296,15 @@ class EagerFractions:
         try:
             if "/" in text:
                 num, den = text.split("/")
-                value = Fraction(int(num), int(den))
+                num, den = int(num), int(den)
             else:
-                value = Fraction(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
-        return self.normalize(value)
+                num, den = int(text), 1
+        except ValueError:
+            raise ParseError(
+                f"bad scalar literal {text!r}: expected an integer or num/den") from None
+        if den == 0:
+            raise ParseError(f"bad scalar literal {text!r}: zero denominator")
+        return self.normalize(Fraction(num, den))
 
 
 def outcome(call, *args):

@@ -69,7 +69,10 @@ GOLDEN = [
 # introduction_solvable.json (introduction.json with z = 1) solves the
 # obstruction evidence's system, and reducible_variables.json (A = GF(2)[a, c]/(a^2,
 # c - a), C = B[t, s]/(t^2, s - t)) names variables that reduce to others,
-# so every producer of a value must reduce what it builds
+# so every producer of a value must reduce what it builds, and
+# relations_kill_base_variables.json (the same with C's relation y t - y and
+# R's c u - c) sends a variable of the layer below to 0, so a structure's
+# base images must be reduced in its carrier, and W(C) is the zero ring
 ROUTES = [
     ("introduction_solvable.json", "validate", 0, "a8412bce163bbadb6d1fd8573f3361ef221896f8cc5ddd81665b92214c9ce928"),
     ("introduction_solvable.json", "matrix", 0, "9eb8b482557b581dd26d9d3387f8389aec8230b54448ea690685021cedf82dc7"),
@@ -89,6 +92,12 @@ ROUTES = [
     ("reducible_variables.json", "descend --audit", 0, "93466a849a23d7935606df25a4cb6befc94ffc0ead60b4c430ae239fc179260a"),
     ("reducible_variables.json", "adjoint-check", 0, "b79437142f9f9c3d08f2b06c9a9480416ce9564ccb4b081882e77e3c41e60ea1"),
     ("reducible_variables.json", "compose-check", 0, "a02f5d752c74de5f8e07db3fa75714d183cb8a0bc518493fd87a5a3ee05402ba"),
+    ("relations_kill_base_variables.json", "validate", 0, "d8fbff9c08e89ed0a3e058cce4d3a831221f66d0a10f10b44d32d691ee160263"),
+    ("relations_kill_base_variables.json", "matrix", 0, "dea1472312cb63cdab04e71fca4a65ffdabcd6794a1baeda5423010db98de2e7"),
+    ("relations_kill_base_variables.json", "descend", 0, "cd0caa3528a0d52d883ed6c2d582b67199cf1f4c6d305db58e8d2891c5e0bcb4"),
+    ("relations_kill_base_variables.json", "descend --audit", 0, "f8910c4620367c3f2f13052f7263cb42e1483f5a1023a5eef463522cdfaf9e57"),
+    ("relations_kill_base_variables.json", "adjoint-check", 0, "d0aaa44db996ded6e05b5c7512d533e711ea9a906e297cf16360e11c20146e32"),
+    ("relations_kill_base_variables.json", "compose-check", 0, "a02f5d752c74de5f8e07db3fa75714d183cb8a0bc518493fd87a5a3ee05402ba"),
 ]
 
 

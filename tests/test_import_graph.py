@@ -107,6 +107,19 @@ def test_validate_over_a_prime_field_loads_no_fractions():
     assert loaded.isdisjoint({"fractions", "decimal"})
 
 
+def test_a_zero_denominator_is_refused_before_fractions_loads():
+    loaded = loaded_modules(
+        "from descent_kit import QQ\n"
+        "from descent_kit.errors import ParseError\n"
+        "try:\n"
+        "    QQ.parse('1/0')\n"
+        "except ParseError as exc:\n"
+        "    assert str(exc).endswith('zero denominator')\n"
+        "else:\n"
+        "    raise AssertionError('1/0 parsed')", "-S")
+    assert loaded.isdisjoint({"fractions", "decimal"})
+
+
 def test_every_exported_name_resolves_to_its_submodule_object():
     assert sorted(descent_kit.__all__) == NAMES
     for module, names in EXPORTED.items():

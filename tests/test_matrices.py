@@ -149,6 +149,20 @@ def test_apply_matches_row_sums_on_every_shape():
         assert m.apply(v) == expected
 
 
+def test_equality_is_of_ring_and_entries():
+    """Two matrices are equal exactly when their rings and entries are, and
+    a matrix with no rows is 0 x 0."""
+    ring, _ = RINGS["QQ[a]/(a^2)"]
+    field_ring = PresentedRing.base_field(QQ)
+    m = RingMatrix(ring, [[ring.one, ring.zero]])
+    assert m == RingMatrix(ring, [[ring.one, ring.zero]])
+    assert m != RingMatrix(ring, [[ring.zero, ring.zero]])
+    assert m != RingMatrix(field_ring, [[field_ring.one, field_ring.zero]])
+    assert m != m.rows
+    empty = RingMatrix(ring, [])
+    assert (empty.nrows, empty.ncols) == (0, 0)
+
+
 def test_adjugate_fallback_runs_berkowitz_once(monkeypatch):
     """Over QQ[a]/(a^2 - a) = QQ x QQ the idempotents a and 1 - a are
     nonzero non-units, so elimination stalls on the first column and
@@ -229,7 +243,7 @@ def reference_product(m, other):
             s = ring.zero
             for a, b in zip(row, col):
                 s = s + a * b
-            out_row.append(s)
+            out_row.append(ring.nf(s))
         out.append(out_row)
     return RingMatrix(ring, out)
 
@@ -276,7 +290,8 @@ def reference_adjugate_inverse(m):
         d_inv = ring.unit_inverse(d)
     except NotAUnit:
         raise NonInvertibleMatrix(f"determinant {ring.render(d)} is not a unit") from None
-    return RingMatrix(ring, [[e * d_inv for e in row] for row in reference_adjugate(m).rows])
+    return RingMatrix(ring, [[ring.nf(e * d_inv) for e in row]
+                             for row in reference_adjugate(m).rows])
 
 
 # k, k[a] and rings with relations; the entry degree in a of each

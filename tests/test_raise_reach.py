@@ -233,6 +233,17 @@ ALGEBRA_FAULTS = [
 
 GRAMMAR = ["*t", "t t", "+t", "t^u", "t^1/2", "t*^2", "t )", "t +", " "]
 
+# scalar literals that do not parse (edit of unit_pivot.json, detail of the
+# ParseError report of validate): a term's coefficient and a D constant
+SCALAR_FAULTS = [
+    (_set(("C", "images", "t", 0), "1/0*t"),
+     "C.images.t[0]: bad scalar literal '1/0': zero denominator"),
+    (_set(("C", "images", "t", 0), "1/2/3*t"),
+     "C.images.t[0]: bad scalar literal '1/2/3': expected an integer or num/den"),
+    (_set(("D", "products", 0, 0, 0), "x"),
+     "D.products[0][0][0]: bad scalar literal 'x': expected an integer or num/den"),
+]
+
 # (command line, document or None): the command line is completed with
 # --input and --output when a document is given
 CASES = [
@@ -251,6 +262,7 @@ CASES = [
     *((["validate"], _edited("unit_pivot.json", _set(("C", "relations", 0), text)))
       for text in GRAMMAR),
     *((["validate"], _edited("differential.json", edit)) for edit, _, _ in D_FAULTS),
+    *((["validate"], _edited("unit_pivot.json", edit)) for edit, _ in SCALAR_FAULTS),
     (["adjoint-check"], _edited("unit_pivot.json", _set(("R", "relations"), []))),
 ]
 
@@ -405,3 +417,13 @@ def test_an_algebra_fault_names_its_table(edit, detail, tmp_path):
         code = main(["validate", "--input", str(source), "--output", str(report)])
     assert (code, json.loads(report.read_text())) == (
         1, {"status": "error", "error": "InvalidAlgebra", "detail": detail})
+
+
+@pytest.mark.parametrize("edit, detail", SCALAR_FAULTS, ids=[d for _, d in SCALAR_FAULTS])
+def test_a_scalar_fault_names_its_fault(edit, detail, tmp_path):
+    source, report = tmp_path / "problem.json", tmp_path / "report.json"
+    source.write_text(json.dumps(_edited("unit_pivot.json", edit)))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["validate", "--input", str(source), "--output", str(report)])
+    assert (code, json.loads(report.read_text())) == (
+        1, {"status": "error", "error": "ParseError", "detail": detail})

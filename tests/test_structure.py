@@ -36,7 +36,6 @@ from descent_kit import (
     product_of_fields,
     truncated_jets,
 )
-from descent_kit import structure
 from descent_kit.errors import InvalidAlgebra, VariableClash
 from descent_kit.polynomials import add_multiple
 from descent_kit.structure import AlgebraElement
@@ -298,7 +297,8 @@ def evaluation_inputs(draw):
     algebra = draw(st.sampled_from(ALGEBRAS[field]))
     coords = st.lists(polys(field, CARRIER_VARS, 3, 3),
                       min_size=algebra.rank, max_size=algebra.rank)
-    env = {v: algebra.element(draw(coords)) for v in ENV_VARS}
+    nf = algebra.base.nf
+    env = {v: algebra.element([nf(c) for c in draw(coords)]) for v in ENV_VARS}
     p = draw(polys(field, ENV_VARS, 3, 5))
     return algebra, p, env
 
@@ -481,6 +481,14 @@ def test_validate_matches_the_element_wise_reference(algebra):
     assert outcome(StructureAlgebra.validate, algebra) == outcome(reference_validate, algebra)
 
 
+def test_scalar_el_reduces_each_product_with_the_unit():
+    """Over A = k[a]/(a^2), B = A on b = (1 + a) * 1 has unit (1 - a) * b,
+    so a * 1 = (a - a^2) * b, whose normal form is a * b."""
+    ring = nilpotent_base(QQ)
+    algebra = StructureAlgebra(ring, ("b",), [[[ring.el("1 + a")]]], [ring.el("1 - a")])
+    assert algebra.scalar_el(ring.el("a")).coords == (ring.el("a"),)
+
+
 def test_validate_builds_no_elements(monkeypatch):
     """The axioms are checked on the structure constants: no AlgebraElement,
     over k[a]/(a^2).  Every product goes through ``multiply_coords``: one
@@ -500,7 +508,6 @@ def test_validate_builds_no_elements(monkeypatch):
                         counted("multiply_coords", StructureAlgebra.multiply_coords))
     monkeypatch.setattr(AlgebraElement, "__init__",
                         counted("AlgebraElement", AlgebraElement.__init__))
-    monkeypatch.setattr(structure, "_wrap", counted("_wrap", structure._wrap))
     certificate = algebra.validate()
     assert [c["axiom"] for c in certificate] == ["commutativity", "unit", "associativity"]
     r = algebra.rank

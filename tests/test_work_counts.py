@@ -342,23 +342,33 @@ def test_power_multiplies_only_what_it_needs(monkeypatch):
 
 
 def test_operator_images_are_wrapped_as_normalized(monkeypatch):
-    """DStructure normalizes its images once, at construction; applying it
-    builds no element through the normalizing constructor."""
+    """DStructure keeps the normal forms it is given, and wraps each image in
+    an element through the one constructor, which keeps the image's own
+    coordinates and takes no normal form."""
     g = problem_from_file(FIXTURES / "differential.json").g_structure
+    for v, vec in g.images.items():
+        assert all(a is b for a, b in zip(g._image_element(v).coords, vec))
     x = g.carrier.one
     for v in g.carrier.variables:
         x = x * g.carrier.var(v)
     x = g.carrier.nf(x + g.carrier.one)
-    calls = [0]
-    original = AlgebraElement.__init__
+    calls = Counter()
+    original, nf = AlgebraElement.__init__, PresentedRing.nf
 
     def counted(self, algebra, coords):
-        calls[0] += 1
+        before = calls["nf"]
         original(self, algebra, coords)
+        calls["elements"] += 1
+        calls["nf while building"] += calls["nf"] - before
+
+    def counted_nf(self, p):
+        calls["nf"] += 1
+        return nf(self, p)
 
     monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    monkeypatch.setattr(PresentedRing, "nf", counted_nf)
     image = g.apply(x)
-    assert calls[0] == 0
+    assert calls["elements"] > 0 and calls["nf while building"] == 0
     assert all(g.carrier.nf(c) == c for c in image.coords)
 
 
