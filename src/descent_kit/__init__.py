@@ -29,8 +29,8 @@ _EXPORTS = {
     "descent_matrix": ("DescentMatrix", "associated_matrix", "invertibility_equivalences"),
     "matrices": ("RingMatrix",),
     "weil": ("WeilDescentResult", "tau_forward", "tau_inverse", "weil_descend"),
-    "weil_d": ("DDescentResult", "descend_d_structure", "rederive_images", "tau_d_forward",
-               "tau_d_inverse", "verify_d_hom"),
+    "weil_d": ("DDescentResult", "descend_d_structure", "intertwines", "rederive_images",
+               "verify_d_hom"),
     "compose": ("commutes", "compose_descent_check", "compose_structures", "compose_towers",
                 "gamma_swap", "tensor_coefficients"),
     "homs": ("adjoint_evidence", "adjunction_audit", "enumerate_descended_homs",

@@ -227,7 +227,7 @@ def compose_descent_check(c1: PresentedBAlgebra, g1_struct: DStructure,
             compose_structures(res2.structure, res1.structure, cc_swapped), w_ring.variables)
         flat_b, flat_c = t1.flat_b, c1.flat_ring
         id_tower = OperatorTower(DStructure.identity(t1.base_ring, t1.coeff), t1.algebra,
-                                 {b: (flat_b.nf(flat_b.var(b)),) for b in labels})
+                                 {b: (flat_b.var(b),) for b in labels})
         id_w = descend(id_tower, {gen: (flat_c.nf(flat_c.var(gen)),) for gen in c1.generators})
         report["identity_descends_to_identity"] = id_w.agrees_with(
             DStructure.identity(w_ring, t1.coeff),

@@ -18,8 +18,9 @@ and applies only the relations the carrier adds, and
 The images given to the constructor are kept as they are, normal forms of
 the carrier: ``identity``, ``difference`` and ``quotient`` reduce the
 images they form.  The base's images are normal forms of the base carrier,
-and the constructor reduces them in its own, where a relation of the
-carrier may reduce them further.
+and the constructor reduces them in its own only when the carrier does not
+keep the base carrier's normal forms (``PresentedRing.keeps``): then a
+relation of the carrier may reduce them further.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ class DStructure:
                     raise ValueError(f"image given for base variable {v!r}")
             # the base's images are normal forms of the base carrier, and a
             # relation this carrier adds may reduce them (C = B[t]/(y t - y)
-            # sends y to 0): they change ring here, as a table does in
-            # StructureAlgebra.base_change
-            nf = carrier.nf
-            images = {**{v: None if vec is None else tuple(map(nf, vec))
-                         for v, vec in base.images.items()}, **images}
+            # sends y to 0) unless the carrier keeps the base's normal forms:
+            # they change ring here, as a table does in base_change
+            inherited = base.images
+            if not carrier.keeps(base.carrier):
+                nf = carrier.nf
+                inherited = {v: None if vec is None else tuple(map(nf, vec))
+                             for v, vec in inherited.items()}
+            images = {**inherited, **images}
         norm = {}
         for v, vec in images.items():
             if v not in carrier.variables:

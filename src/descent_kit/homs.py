@@ -16,7 +16,11 @@ A relation depends only on the images of the variables it mentions, so it
 is evaluated once per assignment of those, and the search stops extending
 a partial assignment as soon as a relation fails on it.  Polynomials are
 built only for the maps that are returned.  The audit gates each algebra
-map once and keeps the image the gate produced.
+map once, on its own side: a downstairs map W(C) -> R by ``intertwines``,
+an upstairs map C -> R (x) B by ``verify_d_hom``.  It then compares the
+two gated sets through the classical bijection tau, which needs no gate
+of its own: a downstairs map whose image under tau is not an operator map
+shows up as an image outside the gated upstairs set.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from .descent_matrix import associated_matrix
 from .errors import (
     CombinatorialBudgetExceeded,
     NonInvertibleMatrix,
-    NotADHomomorphism,
     NotAUnit,
     NotFiniteDimensional,
 )
 from .polynomials import Polynomial
 from .presented import PresentedRing
 from .tower import OperatorTower
-from .weil_d import DDescentResult, tau_d_forward, tau_d_inverse, verify_d_hom
+from .weil import tau_forward, tau_inverse
+from .weil_d import DDescentResult, intertwines, verify_d_hom
 
 DEFAULT_BUDGET = 2**20
 
@@ -171,22 +175,15 @@ def enumerate_homs(source: PresentedRing, target: PresentedRing, fixed: dict = N
 def enumerate_descended_homs(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET):
     """Operator homomorphisms W(C) -> R: enumerate algebra maps, then gate.
 
-    Returns the gated maps, each as a pair (phi, psi) with
-    psi = tau_d_forward(phi), the image the gate produced.
+    Returns the algebra maps that ``intertwines`` admits, each gated once.
     """
     target = u_structure.carrier
     fixed = {
         v: Polynomial.variable(target.field, v)
         for v in result.c.tower.base_ring.variables
     }
-    gated = []
-    for phi in enumerate_homs(result.descended, target, fixed, budget):
-        try:
-            psi = tau_d_forward(phi, u_structure, result)
-        except NotADHomomorphism:
-            continue
-        gated.append((phi, psi))
-    return gated
+    return [phi for phi in enumerate_homs(result.descended, target, fixed, budget)
+            if intertwines(phi, u_structure, result)]
 
 
 def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET):
@@ -214,11 +211,12 @@ def enumerate_upstairs_homs(result: DDescentResult, u_structure, budget: int = D
 def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_BUDGET) -> dict:
     """Element-by-element audit of the restricted Hom-set bijection.
 
-    Each downstairs algebra map is gated once by ``tau_d_forward``; the psi
-    that gate produced is matched against the gated upstairs maps and sent
-    back by ``tau_d_inverse``, which verifies it again on its own.
+    The two gated Hom sets are compared through the classical bijection:
+    each gated downstairs map phi is sent to psi = tau(phi), whose key must
+    be one of the gated upstairs maps', and tau^-1(psi) must give phi back.
     """
     target = u_structure.carrier
+    classical = result.classical
     downstairs = enumerate_descended_homs(result, u_structure, budget)
     upstairs = enumerate_upstairs_homs(result, u_structure, budget)
     c_gens = result.c.generators
@@ -228,22 +226,20 @@ def adjunction_audit(result: DDescentResult, u_structure, budget: int = DEFAULT_
         # equal coordinate tuples
         return tuple(psi[g].coords for g in c_gens)
 
-    upstairs_keys = {psi_key(psi): idx for idx, psi in enumerate(upstairs)}
+    upstairs_keys = {psi_key(psi) for psi in upstairs}
     matched = set()
     forward_ok = True
     roundtrip_ok = True
-    for phi, psi in downstairs:
+    for phi in downstairs:
+        psi = tau_forward(phi, target, classical)
         key = psi_key(psi)
         if key not in upstairs_keys:
             forward_ok = False
             continue
         matched.add(key)
-        phi_back = tau_d_inverse(psi, u_structure, result)
-        for name in result.descended.variables:
-            if name in result.c.tower.base_ring.variables:
-                continue
-            if not target.equal(phi_back[name], phi[name]):
-                roundtrip_ok = False
+        phi_back = tau_inverse(psi, target, classical)
+        if not all(target.equal(phi_back[name], phi[name]) for name in phi_back):
+            roundtrip_ok = False
     surjective = len(matched) == len(upstairs_keys)
     return {
         "downstairs_count": len(downstairs),

@@ -11,7 +11,10 @@ Normal forms are the contract of the values built on a ring: whoever makes
 a value that may not be reduced reduces it, and the value types keep what
 they are given.  ``el``, ``is_zero``, ``equal``, ``mul``, ``sub`` and
 ``unit_inverse`` reduce, since they take or make arbitrary polynomials;
-``render`` renders a normal form as given.
+``render`` renders a normal form as given.  A value that moves to a larger
+ring is reduced there only when that ring does not keep the smaller one's
+normal forms (``keeps``): a relation the larger ring adds may lead in the
+smaller ring's variables.
 
 A ring is built once per extension: ``extend`` keeps every ring it built
 in a slot of the ring it extended, keyed by the new variables and the
@@ -114,6 +117,19 @@ class PresentedRing:
     def render(self, p: Polynomial) -> str:
         """The text of ``p``, a normal form, as given."""
         return render(p, self.order)
+
+    def keeps(self, other: "PresentedRing") -> bool:
+        """Is every normal form of ``other``, a ring whose variables this
+        ring has, a normal form here too?
+
+        Both bases are reduced, so that fails exactly when some leading
+        monomial of this ring lies in ``other``'s variables and is not one
+        of ``other``'s leading monomials.
+        """
+        names = set(other.variables)
+        leads = {m for m, _ in other.relations.leads}
+        return all(m in leads or not names.issuperset(m.exps)
+                   for m, _ in self.relations.leads)
 
     # -- units ----------------------------------------------------------------
 

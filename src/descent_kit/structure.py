@@ -14,13 +14,15 @@ and associativity with the products it returns.
 Element coordinates are always normal forms over the base ring.  The
 constructor keeps what it is given, so whoever makes coordinates that may
 not be reduced reduces them: products are normalized once per output
-coordinate, ``scalar_el`` reduces each a * u_k and ``basis_el`` the 1 it
-places, and sums, differences, negations and field-scalar multiples of
-normal forms are normal forms already, so they are kept as computed.  The
-table is the exception: the constructor and ``base_change`` reduce its
-entries, since a normal form over one ring need not be one over a larger
-ring.  ``evaluate_poly`` computes each power of a variable's image once
-per call, applies a term's field coefficient by scaling coordinates, and
+coordinate and ``scalar_el`` reduces each a * u_k; the 1 that ``basis_el``
+places is a normal form in every ring but the zero ring, where it places
+0; and sums, differences, negations and field-scalar multiples of normal
+forms are normal forms already, so they are kept as computed.  The
+constructor reduces the table's entries.  ``base_change`` reduces them
+over the new ring only when that ring does not keep the base's normal
+forms (``PresentedRing.keeps``): a relation it adds may reduce them.
+``evaluate_poly`` computes each power of a variable's image once per
+call, applies a term's field coefficient by scaling coordinates, and
 accumulates the terms in place.
 
 Derived objects are built once per algebra and kept in slots, the way the
@@ -64,19 +66,24 @@ class StructureAlgebra:
             raise ValueError("unit vector has the wrong length")
         self._set(base, labels, [map(enumerate, row) for row in constants], unit_coords)
 
-    def _set(self, base, labels, cells, unit_coords):
+    def _set(self, base, labels, cells, unit_coords, reduce=True):
         """Keep, per (i, j), the (m, c_ijm) of ``cells`` whose normal form
         over ``base`` is nonzero: the constructor and ``base_change`` both
         build through here.  A zero entry is its own normal form, so only
-        nonzero entries are reduced."""
-        nf = base.nf
+        nonzero entries are reduced.  With ``reduce`` false, ``cells`` is a
+        sparse table and ``unit_coords`` a tuple, both of normal forms over
+        ``base`` already, and they are kept as they are."""
+        if reduce:
+            nf = base.nf
+            cells = tuple(tuple(
+                tuple((m, c) for m, c in ((m, nf(c)) for m, c in cell if not c.is_zero())
+                      if not c.is_zero())
+                for cell in row) for row in cells)
+            unit_coords = tuple(c if c.is_zero() else nf(c) for c in unit_coords)
         self.base = base
         self.labels = labels
-        self.table = tuple(tuple(
-            tuple((m, c) for m, c in ((m, nf(c)) for m, c in cell if not c.is_zero())
-                  if not c.is_zero())
-            for cell in row) for row in cells)
-        self.unit_coords = tuple(c if c.is_zero() else nf(c) for c in unit_coords)
+        self.table = cells
+        self.unit_coords = unit_coords
         self._certificates = None
         self._flat_ring = None
         self._base_changes = {}
@@ -108,7 +115,9 @@ class StructureAlgebra:
     def basis_el(self, i: int) -> "AlgebraElement":
         base = self.base
         coords = [base.zero] * self.rank
-        coords[i] = base.nf(base.one)  # 0 when the base is the zero ring
+        one = base.one
+        # 1 is 0 in the zero ring, the one whose reduced basis is (1)
+        coords[i] = base.zero if base.relations.generators == (one,) else one
         return AlgebraElement(self, coords)
 
     def scalar_el(self, a: Polynomial) -> "AlgebraElement":
@@ -203,8 +212,10 @@ class StructureAlgebra:
         """The same constants over a larger presented ring.
 
         ``ring`` must contain the base presentation (flattened towers share
-        variable names, so this is just reinterpretation plus normal form).
-        Built once per target ring object and kept on this algebra.
+        variable names, so this is just reinterpretation).  The table and
+        the unit are reduced over ``ring`` only when it does not keep the
+        base's normal forms.  Built once per target ring object and kept on
+        this algebra.
         """
         # keyed by identity: the stored algebra keeps ``ring`` alive, so its
         # id cannot be reused
@@ -214,7 +225,8 @@ class StructureAlgebra:
             if missing:
                 raise ValueError(f"target ring is missing base variables {sorted(missing)}")
             changed = StructureAlgebra.__new__(StructureAlgebra)
-            changed._set(ring, self.labels, self.table, self.unit_coords)
+            changed._set(ring, self.labels, self.table, self.unit_coords,
+                         not ring.keeps(self.base))
             self._base_changes[id(ring)] = changed
         return changed
 

@@ -118,9 +118,10 @@ def weil_descend(c: PresentedBAlgebra) -> WeilDescentResult:
 def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResult) -> dict:
     """Turn phi: W(C) -> R into the B-algebra map C -> R (x) B.
 
-    ``phi_images`` maps each copy variable x(i) to an element of the target;
-    base variables are pinned to themselves.  Raises NotAHomomorphism when
-    phi does not kill the descent ideal.
+    ``phi_images`` maps each copy variable x(i) to a normal form of the
+    target, which becomes a coordinate of psi as it is; base variables are
+    pinned to themselves.  Raises NotAHomomorphism when phi does not kill
+    the descent ideal.
     """
     env = result.pinned_env(phi_images, target.field)
     for gen in result.descended.variables:
@@ -134,7 +135,7 @@ def tau_forward(phi_images: dict, target: PresentedRing, result: WeilDescentResu
     ext = result.tensor_algebra(target)
     psi = {}
     for g in result.generators:
-        psi[g] = ext.element([target.nf(env[name]) for name in result.copy_names[g]])
+        psi[g] = ext.element([env[name] for name in result.copy_names[g]])
     # re-check: psi kills the relations of C inside R (x) B
     for rel in result.relations_flat:
         if not ext.coordinatize(rel, psi).is_zero():

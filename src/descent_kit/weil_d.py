@@ -16,6 +16,11 @@ vectors live in (the pre-quotient ring, W(C), a test algebra R) to
 ``RingMatrix.apply`` or ``solve_cramer``.  W(C) is tower-free, so a
 classical descent handed in is used as it is, and ``DDescentResult``
 keeps the C it descended.
+
+The two Hom sets of the adjunction have one operator gate each:
+``verify_d_hom`` for a B-algebra map C -> R (x) B, ``intertwines`` for an
+algebra map W(C) -> R.  The bijection between them is the classical one,
+``weil.tau_forward`` and ``weil.tau_inverse``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .dstructures import DStructure
 from .errors import CarrierMismatch, CertificateFailure, NonInvertibleMatrix, NotADHomomorphism
 from .presented import PresentedRing
 from .tower import PresentedBAlgebra
-from .weil import WeilDescentResult, tau_forward, tau_inverse, weil_descend
+from .weil import WeilDescentResult, weil_descend
 
 
 class DDescentResult:
@@ -169,9 +174,12 @@ def rederive_images(result: DDescentResult) -> dict:
     return out
 
 
-def _gate_failure(phi_images: dict, u_structure: DStructure, result: DDescentResult):
-    """The first (coordinate, variable), coordinate 1-based, at which phi
-    fails to intertwine the descended structure with u, or None."""
+def intertwines(phi_images: dict, u_structure: DStructure, result: DDescentResult) -> bool:
+    """Does phi: W(C) -> R intertwine the descended structure with u?
+
+    The operator gate of the downstairs Hom set: for every variable of W(C)
+    and every coordinate j, u_j(phi(x)) must equal phi(e_j(x)).
+    """
     ring = u_structure.carrier
     env = result.classical.pinned_env(phi_images, ring.field)
     for name in result.descended.variables:
@@ -180,28 +188,5 @@ def _gate_failure(phi_images: dict, u_structure: DStructure, result: DDescentRes
             lhs = u_structure.coordinate_op(j + 1, ring.nf(env[name]))
             rhs = ring.nf(images[j].substitute(env))
             if not ring.equal(lhs, rhs):
-                return j + 1, name
-    return None
-
-
-def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
-    """tau restricted to operator homomorphisms, with gates on both sides."""
-    failure = _gate_failure(phi_images, u_structure, result)
-    if failure is not None:
-        coordinate, name = failure
-        raise NotADHomomorphism(f"phi does not intertwine coordinate {coordinate} at {name}")
-    psi = tau_forward(phi_images, u_structure.carrier, result.classical)
-    if not verify_d_hom(psi, result.c_structure, u_structure, result.matrix, result.classical):
-        raise CertificateFailure("tau_d_forward", "forward image fails the operator gate")
-    return psi
-
-
-def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
-    """Inverse direction of the restricted bijection."""
-    if not verify_d_hom(psi_images, result.c_structure, u_structure, result.matrix,
-                        result.classical):
-        raise NotADHomomorphism("psi fails the coordinate identity")
-    phi = tau_inverse(psi_images, u_structure.carrier, result.classical)
-    if _gate_failure(phi, u_structure, result) is not None:
-        raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
-    return phi
+                return False
+    return True

@@ -82,6 +82,9 @@ EQUIVALENT = {
                                                              " adjoins no variable, and"
                                                              " the one level of words the"
                                                              " mutant builds is never read",
+    "homs.enumerate_homs: 1 -> 2": "checks gets one more list than there are depths;"
+                                   " holds reads depths 0 to len(free) only, so the"
+                                   " extra list stays empty and unread",
     "structure.StructureAlgebra.coordinatize: and -> or": "coordinatize then also gives the"
                                                           " labels that do not occur an image,"
                                                           " which evaluation never reads",

@@ -15,7 +15,10 @@ around it are checked here, on whatever instance a test or a demo builds:
 - descent of the associated endomorphisms: ``associated_endomorphisms``
   (one difference structure per local factor of D, each over one D = k),
   ``difference_subtower`` and ``descended_endomorphisms_check``;
-- functoriality of W: ``descend_morphism``.
+- functoriality of W: ``descend_morphism``;
+- the restricted Hom-set bijection map by map: ``tau_d_forward`` and
+  ``tau_d_inverse`` are the classical tau and tau^-1 with the operator
+  gate of each side run on the map in and on the map out.
 
 ``field_inverse`` is the matrix inverse over k that the change of basis
 uses, and the tests' reference inverse.  ``reconstruct`` writes an element
@@ -40,13 +43,19 @@ from descent_kit import (
     compose_structures,
     descend_d_structure,
     difference_algebra,
+    intertwines,
+    tau_forward,
+    tau_inverse,
     tensor_coefficients,
+    verify_d_hom,
 )
 from descent_kit import linear
 from descent_kit.descent_matrix import assemble_matrix
 from descent_kit.errors import (
     CarrierMismatch,
+    CertificateFailure,
     DescentKitError,
+    NotADHomomorphism,
     NotAHomomorphism,
     TruncationExceeded,
 )
@@ -375,3 +384,34 @@ def descend_morphism(h_images: dict, source: WeilDescentResult,
     if source.ideal_violation(env, target.descended) is not None:
         raise NotAHomomorphism("descended morphism does not kill the descent ideal")
     return out
+
+
+# -- the restricted Hom-set bijection --------------------------------------------------
+
+
+def tau_d_forward(phi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
+    """tau restricted to operator homomorphisms, with gates on both sides.
+
+    NotADHomomorphism when phi: W(C) -> R does not intertwine the descended
+    structure with u; CertificateFailure when its image fails the
+    coordinate identity.
+    """
+    if not intertwines(phi_images, u_structure, result):
+        raise NotADHomomorphism("phi does not intertwine the descended structure with u")
+    psi = tau_forward(phi_images, u_structure.carrier, result.classical)
+    if not verify_d_hom(psi, result.c_structure, u_structure, result.matrix, result.classical):
+        raise CertificateFailure("tau_d_forward", "forward image fails the operator gate")
+    return psi
+
+
+def tau_d_inverse(psi_images: dict, u_structure: DStructure, result: DDescentResult) -> dict:
+    """Inverse direction of the restricted bijection, with gates on both
+    sides: NotADHomomorphism when psi fails the coordinate identity,
+    CertificateFailure when the extracted map fails the operator gate."""
+    if not verify_d_hom(psi_images, result.c_structure, u_structure, result.matrix,
+                        result.classical):
+        raise NotADHomomorphism("psi fails the coordinate identity")
+    phi = tau_inverse(psi_images, u_structure.carrier, result.classical)
+    if not intertwines(phi, u_structure, result):
+        raise CertificateFailure("tau_d_inverse", "extracted map fails the operator gate")
+    return phi

@@ -5,6 +5,7 @@ import pytest
 from descent_kit import (
     GF,
     QQ,
+    DDescentResult,
     DStructure,
     OperatorTower,
     PresentedBAlgebra,
@@ -15,9 +16,10 @@ from descent_kit import (
     difference_algebra,
     enumerate_homs,
     parse_polynomial,
+    problem_from_file,
 )
 from descent_kit.errors import CombinatorialBudgetExceeded, NotFiniteDimensional
-from conftest import dual_basis_algebra, target_elements, zero_el
+from conftest import FIXTURES, dual_basis_algebra, target_elements, zero_el
 
 F2 = GF(2)
 
@@ -91,6 +93,43 @@ def test_adjunction_audit_on_criterion_instance():
     assert report["downstairs_count"] == 8
     assert report["upstairs_count"] == 8
     assert report["ok"]
+
+
+def test_the_default_budget_takes_exactly_2_to_the_20_candidates():
+    """n free variables over the target k are 2^n candidates over GF(2):
+    the default budget takes n = 20 and refuses n = 21.  The source is the
+    zero ring, so its relation 1 fails before any candidate is tried."""
+    target = PresentedRing.base_field(F2)
+    for n in (20, 21):
+        names = tuple(f"t{i}" for i in range(n))
+        source = PresentedRing.make(F2, names, [parse_polynomial("1", F2)])
+        if n == 20:
+            assert enumerate_homs(source, target) == []
+        else:
+            with pytest.raises(CombinatorialBudgetExceeded):
+                enumerate_homs(source, target)
+
+
+def test_a_wrong_descent_reads_as_an_unmatched_map():
+    """The audit of split_base.json with the descended structure replaced by
+    the identity on W(C), over the same base: the wrong gate admits maps
+    whose image under tau is no operator map, and the audit reads them as
+    images outside the gated upstairs set, not as a failed certificate."""
+    problem = problem_from_file(FIXTURES / "split_base.json")
+    result = descend_d_structure(problem.c, problem.g_structure)
+    structure = result.structure
+    ring, base = structure.carrier, structure.base
+    identity = DStructure.identity(ring, structure.coeff).images
+    wrong = DStructure(ring, structure.coeff,
+                       {v: identity[v] for v in ring.variables if v not in base.images},
+                       base=base)
+    wrong_result = DDescentResult(result.c, result.classical, wrong, result.pre_structure,
+                                  result.matrix, result.c_structure, result.certificates)
+    report = adjunction_audit(wrong_result, problem.u)
+    assert report["downstairs_count"] == 16 and report["upstairs_count"] == 8
+    assert report["forward_lands_in_gated_set"] is False
+    assert report["ok"] is False
+    assert adjunction_audit(result, problem.u)["ok"] is True
 
 
 def test_adjunction_audit_with_frobenius_structures():

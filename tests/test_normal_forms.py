@@ -21,6 +21,7 @@ import contextlib
 import io
 import sys
 
+from descent_kit import GF, Polynomial, parse_polynomial
 from descent_kit.cli import main
 from descent_kit.dstructures import DStructure
 from descent_kit.matrices import RingMatrix
@@ -75,3 +76,30 @@ def test_every_value_is_made_from_normal_forms(monkeypatch, tmp_path):
             with contextlib.redirect_stderr(io.StringIO()):
                 main(command + ["--input", document, "--output", str(tmp_path / "report.json")])
     assert sorted(set(faults)) == []
+
+
+def test_a_ring_keeps_the_normal_forms_its_leading_monomials_allow():
+    """``keeps`` answers whether every normal form of the smaller ring is one
+    of the larger ring: here, whether each monomial of the smaller ring's
+    staircase is its own normal form in the larger one."""
+    field = GF(2)
+
+    def ring(variables, *relations):
+        return PresentedRing.make(field, variables,
+                                  [parse_polynomial(text, field) for text in relations])
+
+    a = ring(("a", "c"), "a^2", "c^2")
+    pairs = [
+        (a, a, True),
+        (a.extend(("u",), [parse_polynomial("u^2 + a*u", field)]), a, True),
+        # c - a leads with a: a is normal in A and reduces to c here
+        (a.extend((), [parse_polynomial("c - a", field)]), a, False),
+        # a*c is normal in A and 0 here
+        (ring(("a", "c", "u"), "a^2", "c^2", "a*c", "u^2"), a, False),
+        # the zero ring reduces every nonzero normal form to 0
+        (ring(("a", "c"), "a + 1", "a"), a, False),
+    ]
+    for big, small, keeps in pairs:
+        assert big.keeps(small) is keeps
+        staircase = [Polynomial(field, {m: field.one}) for m in small.staircase()]
+        assert all(big.nf(m) == m for m in staircase) is keeps

@@ -91,9 +91,6 @@ NOT_HIT = {
     "weil_d.descend_d_structure: CertificateFailure": CERTIFICATE,
     "weil_d.descend_d_structure: NotADHomomorphism": CERTIFICATE,
     "weil_d.descend_d_structure: ValueError": LIBRARY,
-    "weil_d.tau_d_forward: CertificateFailure": CERTIFICATE,
-    "weil_d.tau_d_inverse: CertificateFailure": CERTIFICATE,
-    "weil_d.tau_d_inverse: NotADHomomorphism": CERTIFICATE,
 }
 
 # the fixture whose probe mutants are sent: it has every section but z

@@ -19,15 +19,15 @@ from descent_kit import (
     dual_numbers,
     parse_polynomial,
     rederive_images,
-    tau_d_forward,
-    tau_d_inverse,
     verify_d_hom,
     weil_descend,
 )
 from descent_kit import dalgebra, weil_d
 from descent_kit.errors import NonInvertibleMatrix, NotADHomomorphism
 from conftest import COEFF_BUILDERS, dual_basis_algebra, random_tower
-from paper_checks import descend_morphism, descended_endomorphisms_check
+from paper_checks import (
+    descend_morphism, descended_endomorphisms_check, tau_d_forward, tau_d_inverse,
+)
 
 
 def f2_identity_tower():

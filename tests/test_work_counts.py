@@ -10,9 +10,10 @@ Counters are wrapped around the validators, ``groebner.buchberger``,
 ``groebner.normal_form``, ``DegRevLex.leading``,
 ``descent_matrix.assemble_matrix``, ``RingMatrix.inverse``,
 ``RingMatrix.charpoly``, ``descend_d_structure``, ``rederive_images``,
-``StructureAlgebra.multiply_coords``, ``StructureAlgebra.coordinatize``
-and ``StructureAlgebra.base_change``, for one CLI invocation or one
-evaluation at a time.
+``StructureAlgebra.multiply_coords``, ``StructureAlgebra.coordinatize``,
+``StructureAlgebra.base_change``, ``PresentedRing.nf`` and the two
+operator gates ``intertwines`` and ``verify_d_hom``, for one CLI
+invocation or one evaluation at a time.
 """
 
 import contextlib
@@ -390,6 +391,52 @@ def test_structure_constants_reduce_only_nonzero_entries(monkeypatch):
     assert sum(len(cell) for row in cc.product.cells for cell in row) == 36
 
 
+def count_normal_forms(monkeypatch):
+    """The number of ``PresentedRing.nf`` calls, as a one-item list."""
+    calls = [0]
+    original = PresentedRing.nf
+
+    def counted(self, p):
+        calls[0] += 1
+        return original(self, p)
+
+    monkeypatch.setattr(PresentedRing, "nf", counted)
+    return calls
+
+
+def test_basis_elements_take_no_normal_form(monkeypatch):
+    """``basis_el`` places 1, a normal form in every ring but the zero ring,
+    where it places 0: only whether the ring is zero is read."""
+    field = GF(2)
+    ring = PresentedRing.make(field, ("a",), [parse_polynomial("a^2", field)])
+    zero_ring = PresentedRing.make(field, ("a",), [parse_polynomial("a^2 + 1", field),
+                                                   parse_polynomial("a", field)])
+    algebras = [dual_basis_algebra(ring), dual_basis_algebra(ring).base_change(zero_ring)]
+    calls = count_normal_forms(monkeypatch)
+    elements = [algebra.basis_el(i) for algebra in algebras for i in range(2)]
+    assert calls[0] == 0
+    assert [el.coords for el in elements[:2]] == [(ring.one, ring.zero), (ring.zero, ring.one)]
+    assert all(el.is_zero() for el in elements[2:])
+
+
+def test_a_ring_that_keeps_the_base_reduces_nothing_it_takes(monkeypatch):
+    """A structure whose carrier keeps its base carrier's normal forms takes
+    the base's images as they are, and a base change into such a ring keeps
+    the table and the unit: neither takes a normal form."""
+    field = GF(2)
+    a = PresentedRing.make(field, ("a",), [parse_polynomial("a^2", field)])
+    e = DStructure.identity(a, difference_algebra(field))
+    r = a.extend(("u",), [parse_polynomial("u^2 + a*u", field)])
+    algebra = dual_basis_algebra(a)
+    assert r.keeps(a)
+    calls = count_normal_forms(monkeypatch)
+    u = DStructure(r, e.coeff, {"u": (r.var("u"),)}, base=e)
+    changed = algebra.base_change(r)
+    assert calls[0] == 0
+    assert u.images["a"] is e.images["a"]
+    assert changed.table is algebra.table and changed.unit_coords is algebra.unit_coords
+
+
 def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
     """evaluate_under_unit puts the tensor algebra and every generator's unit
     image on one base change of B, so their algebras are the same object."""
@@ -416,15 +463,16 @@ def test_unit_map_evaluation_builds_one_base_change(monkeypatch):
 
 
 def test_adjoint_check_gates_each_map_once(tmp_path, monkeypatch):
-    """adjoint-check on adjoint_f2.json: ``tau_d_forward`` runs once per
-    downstairs algebra map, and ``enumerate_homs`` evaluates each relation
-    at most p^(dim k) times, k the number of free variables it mentions."""
+    """adjoint-check on adjoint_f2.json: the operator gate ``intertwines``
+    runs once per downstairs algebra map, ``verify_d_hom`` once per
+    upstairs algebra map and once for the descent's unit certificate, and
+    ``enumerate_homs`` evaluates each relation at most p^(dim k) times, k
+    the number of free variables it mentions."""
     enumerations = []  # (source, target, pinned variables, maps returned)
     evaluations = Counter()  # (enumeration, relation) -> evaluations
-    forward = [0]
+    gates = Counter()
     original_enumerate = homs.enumerate_homs
     original_evaluate = homs._evaluate
-    original_forward = homs.tau_d_forward
 
     def enumerate_counted(source, target, fixed=None, *args, **kwargs):
         out = original_enumerate(source, target, fixed, *args, **kwargs)
@@ -435,24 +483,53 @@ def test_adjoint_check_gates_each_map_once(tmp_path, monkeypatch):
         evaluations[len(enumerations), rel] += 1
         return original_evaluate(rel, *args)
 
-    def forward_counted(*args):
-        forward[0] += 1
-        return original_forward(*args)
+    def gate_counted(name, original):
+        def counted(*args):
+            gates[name] += 1
+            return original(*args)
+        return counted
 
     monkeypatch.setattr(homs, "enumerate_homs", enumerate_counted)
     monkeypatch.setattr(homs, "_evaluate", evaluate_counted)
-    monkeypatch.setattr(homs, "tau_d_forward", forward_counted)
+    monkeypatch.setattr(homs, "intertwines", gate_counted("intertwines", homs.intertwines))
+    verify = gate_counted("verify_d_hom", weil_d.verify_d_hom)
+    monkeypatch.setattr(homs, "verify_d_hom", verify)
+    monkeypatch.setattr(weil_d, "verify_d_hom", verify)
     code = run_cli(["adjoint-check", "--input", str(FIXTURES / "adjoint_f2.json")], tmp_path)
     assert code == 0
     assert len(enumerations) == 2
-    downstairs = enumerations[0][3]
-    assert downstairs and forward[0] == len(downstairs)
+    downstairs, upstairs = enumerations[0][3], enumerations[1][3]
+    assert downstairs and gates["intertwines"] == len(downstairs)
+    assert upstairs and gates["verify_d_hom"] == len(upstairs) + 1
     assert sum(evaluations.values()) > 0
     for index, (source, target, pinned, _) in enumerate(enumerations):
         p, dim = target.field.characteristic, len(target.staircase())
         for rel in source.relations.generators:
             k = len(rel.variables() - pinned)
             assert evaluations[index, rel] <= p ** (dim * k)
+
+
+def test_hom_evaluation_forms_only_the_powers_it_reads(monkeypatch):
+    """``homs._evaluate`` multiplies in the target's staircase only for the
+    powers a term reads: t^3 s is t^2, t^3 and t^3 * s, three products."""
+    field = GF(2)
+    target = PresentedRing.make(field, ("u",), [parse_polynomial("u^5", field)])
+    basis = target.staircase()
+    table = homs._multiplication_table(target, basis)
+    unit = target.coordinates(target.one, basis)
+    u = target.coordinates(target.var("u"), basis)
+    calls = [0]
+    original = homs.linear.vec_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(homs.linear, "vec_mul", counted)
+    value = homs._evaluate(parse_polynomial("t^3*s", field), {"t": u, "s": u}, field, table,
+                           unit)
+    assert calls[0] == 3
+    assert value == target.coordinates(parse_polynomial("u^4", field), basis)
 
 
 def count_matrix_work(monkeypatch):
